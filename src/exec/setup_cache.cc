@@ -49,7 +49,7 @@ SetupCache::setupFor(const CosimConfig &cfg)
 {
     bool hit = false;
     auto setup = getOrBuild(
-        setups_, pdsSetupKey(cfg), // vsgpu-lint: lock-ok(reference only; getOrBuild takes mutex_ for every map access)
+        setups_, pdsSetupKey(cfg),
         [&cfg] {
             VSGPU_TRACE_SCOPE(obs::CatPhase, "setup.build_pds");
             return buildPdsSetup(cfg);
@@ -91,7 +91,7 @@ SetupCache::impedanceSweep(const CosimConfig &cfg,
 
     bool hit = false;
     return getOrBuild(
-        impedances_, key, // vsgpu-lint: lock-ok(reference only; getOrBuild takes mutex_ for every map access)
+        impedances_, key,
         [&] {
             VSGPU_TRACE_SCOPE(obs::CatPhase, "setup.ac_scan");
             ImpedanceAnalyzer analyzer(*setup->vs);

@@ -128,7 +128,6 @@ Tracer::push(TraceEvent event)
     // than its start.
     warn_once("trace buffer full (", maxEvents(),
               " events); evicting oldest events");
-    // vsgpu-lint: move-ok(the push_back branch above returns, so the two moves are on mutually exclusive paths)
     events_[head_] = std::move(event);
     head_ = (head_ + 1) % maxEvents();
     ++dropped_;

@@ -275,6 +275,14 @@ const GoldenConfig kGoldenConfigs[] = {
     {"fig09_cross_layer_02x", PdsKind::VsCrossLayer, 0.2},
 };
 
+// gtest would otherwise print the raw bytes, which hold the name's
+// load address, and ctest bakes that text into the test's name.
+void
+PrintTo(const GoldenConfig &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class SparseVsDenseGolden
     : public ::testing::TestWithParam<GoldenConfig>
 {

@@ -91,6 +91,22 @@ scenarioPointers()
     return out;
 }
 
+} // namespace
+
+namespace scen
+{
+// Found by ADL on the parameter's pointee. gtest would otherwise print
+// the pointer, and ctest bakes that load address into the test's name.
+void
+PrintTo(const ScenarioInfo *info, std::ostream *os)
+{
+    *os << info->name;
+}
+} // namespace scen
+
+namespace
+{
+
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, GoldenBench,
     ::testing::ValuesIn(scenarioPointers()),

@@ -257,7 +257,8 @@ TEST(LintLexer, DigitSeparatorIsNotACharLiteral)
 
 TEST(LintLexer, MultiCharOperators)
 {
-    const std::vector<Token> toks = tokenize("a <<= b->c::d;");
+    const std::string code = "a <<= b->c::d;";
+    const std::vector<Token> toks = tokenize(code);
     std::vector<std::string> texts;
     for (const Token &t : toks)
         texts.emplace_back(t.text);

@@ -2,12 +2,11 @@
  * @file
  * Tests for the cross-TU semantic layer (tools/lint/semantic.hh):
  * symbol indexing, call-graph effect propagation, the semantic
- * families (including the concurrency-soundness engine:
- * lock-discipline, atomics-misuse, pool-happens-before,
- * fp-determinism) over the fixture corpus, and — the point of the
- * whole layer — explicit proof that each seeded fixture bug is
- * INVISIBLE to the corresponding token-level family and caught only
- * by the semantic one.
+ * families (pool-escape, unit-flow, determinism-taint,
+ * pool-happens-before, fp-determinism) over the fixture corpus, and
+ * — the point of the whole layer — explicit proof that each seeded
+ * fixture bug is INVISIBLE to the corresponding token-level family
+ * and caught only by the semantic one.
  */
 
 #include "lint.hh"
@@ -392,8 +391,8 @@ TEST(DetTaint, OrderedIterationPasses)
         << ::testing::PrintToString(messages(diags));
 }
 
-// Run every token-level family over @p src; the concurrency-
-// soundness fixtures must be invisible to all of them.
+// Run every token-level family over @p src; the pool-happens-before
+// and fp-determinism fixtures must be invisible to all of them.
 std::vector<Diagnostic>
 allTokenDiags(const SourceFile &src)
 {
@@ -404,7 +403,7 @@ allTokenDiags(const SourceFile &src)
     return diags;
 }
 
-// Run the v2 semantic families (pre-concurrency-engine) over @p p.
+// Run the data-race / unit / taint semantic families over @p p.
 std::vector<Diagnostic>
 v2SemanticDiags(const Project &p)
 {
@@ -413,185 +412,6 @@ v2SemanticDiags(const Project &p)
     checkUnitFlow(p, diags);
     checkDeterminismTaint(p, diags);
     return diags;
-}
-
-// ================= lock-discipline =================
-
-TEST(LockDiscipline, CrossTuOrderCycleInvisibleToEveryV2Family)
-{
-    // Each TU nests the two mutexes consistently; only the merged
-    // lock-order graph sees the ABBA cycle.
-    const SourceFile a = fixture("lockorder_cycle_a_violate.cc");
-    const SourceFile b = fixture("lockorder_cycle_b_violate.cc");
-    EXPECT_TRUE(allTokenDiags(a).empty());
-    EXPECT_TRUE(allTokenDiags(b).empty());
-
-    std::vector<SourceFile> sources;
-    sources.push_back(fixture("lockorder_cycle_a_violate.cc"));
-    sources.push_back(fixture("lockorder_cycle_b_violate.cc"));
-    const Project p(std::move(sources));
-    EXPECT_TRUE(v2SemanticDiags(p).empty())
-        << ::testing::PrintToString(messages(v2SemanticDiags(p)));
-
-    std::vector<Diagnostic> diags;
-    checkLockDiscipline(p, diags);
-    ASSERT_EQ(diags.size(), 1U)
-        << ::testing::PrintToString(messages(diags));
-    EXPECT_EQ(diags[0].id, "lock-discipline.order-cycle");
-    // Cross-TU provenance: the one diagnostic cites both edges.
-    EXPECT_NE(diags[0].message.find("lockorder_cycle_a_violate"),
-              std::string::npos)
-        << diags[0].message;
-    EXPECT_NE(diags[0].message.find("lockorder_cycle_b_violate"),
-              std::string::npos)
-        << diags[0].message;
-    EXPECT_NE(diags[0].message.find("snapshotThenDrain"),
-              std::string::npos)
-        << diags[0].message;
-}
-
-TEST(LockDiscipline, ConsistentNestingOrderPasses)
-{
-    const Project p = fixtureProject("lockorder_cycle_clean.cc");
-    std::vector<Diagnostic> diags;
-    checkLockDiscipline(p, diags);
-    EXPECT_TRUE(diags.empty())
-        << ::testing::PrintToString(messages(diags));
-}
-
-TEST(LockDiscipline, DoubleLockThroughHelperNamesTheHelper)
-{
-    const Project p = projectOf(
-        {{"src/a.cc",
-          "std::mutex gMu;\n"
-          "namespace { double gV = 0.0; }\n"
-          "void helper(double v)\n"
-          "{\n"
-          "    std::lock_guard<std::mutex> lock(gMu);\n"
-          "    gV = v;\n"
-          "}\n"
-          "void outer(double v)\n"
-          "{\n"
-          "    std::lock_guard<std::mutex> lock(gMu);\n"
-          "    helper(v);\n"
-          "}\n"}});
-    std::vector<Diagnostic> diags;
-    checkLockDiscipline(p, diags);
-    ASSERT_EQ(diags.size(), 1U)
-        << ::testing::PrintToString(messages(diags));
-    EXPECT_EQ(diags[0].id, "lock-discipline.double-lock");
-    EXPECT_NE(diags[0].message.find("helper"), std::string::npos)
-        << diags[0].message;
-}
-
-TEST(LockDiscipline, GuardedByFieldReadWithoutTheMutex)
-{
-    const Project p = projectOf(
-        {{"src/cache.cc",
-          "class Cache\n"
-          "{\n"
-          "  public:\n"
-          "    int peek() const { return hits_; }\n"
-          "    void bump()\n"
-          "    {\n"
-          "        std::lock_guard<std::mutex> lock(mutex_);\n"
-          "        hits_ = hits_ + 1;\n"
-          "    }\n"
-          "  private:\n"
-          "    mutable std::mutex mutex_;\n"
-          "    int hits_ VSGPU_GUARDED_BY(mutex_) = 0;\n"
-          "};\n"}});
-    std::vector<Diagnostic> diags;
-    checkLockDiscipline(p, diags);
-    ASSERT_EQ(diags.size(), 1U)
-        << ::testing::PrintToString(messages(diags));
-    EXPECT_EQ(diags[0].id, "lock-discipline.guarded-by");
-    EXPECT_EQ(diags[0].line, 4);
-}
-
-TEST(LockDiscipline, ExcludesViolatedWhileHoldingTheMutex)
-{
-    const Project p = projectOf(
-        {{"src/a.cc",
-          "std::mutex gMu;\n"
-          "void flush() VSGPU_EXCLUDES(gMu);\n"
-          "void flush() VSGPU_EXCLUDES(gMu) {}\n"
-          "void holder()\n"
-          "{\n"
-          "    std::lock_guard<std::mutex> lock(gMu);\n"
-          "    flush();\n"
-          "}\n"}});
-    std::vector<Diagnostic> diags;
-    checkLockDiscipline(p, diags);
-    ASSERT_EQ(diags.size(), 1U)
-        << ::testing::PrintToString(messages(diags));
-    EXPECT_EQ(diags[0].id, "lock-discipline.excludes-violation");
-}
-
-// ================= atomics-misuse =================
-
-TEST(AtomicsMisuse, RelaxedPublishInvisibleToTokenFamilies)
-{
-    const SourceFile src = fixture("atomics_publish_violate.cc");
-    EXPECT_TRUE(allTokenDiags(src).empty())
-        << ::testing::PrintToString(messages(allTokenDiags(src)));
-
-    const Project p = fixtureProject("atomics_publish_violate.cc");
-    EXPECT_TRUE(v2SemanticDiags(p).empty());
-    std::vector<Diagnostic> diags;
-    checkAtomicsMisuse(p, diags);
-    ASSERT_EQ(diags.size(), 1U)
-        << ::testing::PrintToString(messages(diags));
-    EXPECT_EQ(diags[0].id, "atomics-misuse.relaxed-publish");
-    EXPECT_NE(diags[0].message.find("gPayload"), std::string::npos);
-}
-
-TEST(AtomicsMisuse, ReleasePublishPasses)
-{
-    const Project p = fixtureProject("atomics_publish_clean.cc");
-    std::vector<Diagnostic> diags;
-    checkAtomicsMisuse(p, diags);
-    EXPECT_TRUE(diags.empty())
-        << ::testing::PrintToString(messages(diags));
-}
-
-TEST(AtomicsMisuse, MixedDeclarationAcrossTusCitesBothSites)
-{
-    const Project p = projectOf(
-        {{"src/a.cc",
-          "namespace { std::atomic<long> gHits{0}; }\n"
-          "void bump() { gHits.store(1); }\n"},
-         {"src/b.cc",
-          "namespace { long gHits = 0; }\n"
-          "void set(long v) { gHits = v; }\n"}});
-    std::vector<Diagnostic> diags;
-    checkAtomicsMisuse(p, diags);
-    ASSERT_EQ(diags.size(), 1U)
-        << ::testing::PrintToString(messages(diags));
-    EXPECT_EQ(diags[0].id, "atomics-misuse.mixed-declaration");
-    EXPECT_EQ(diags[0].file, "src/b.cc");
-    EXPECT_NE(diags[0].message.find("src/a.cc"), std::string::npos)
-        << diags[0].message;
-}
-
-TEST(AtomicsMisuse, UnguardedReadOfLockDisciplinedGlobal)
-{
-    const Project p = projectOf(
-        {{"src/a.cc",
-          "namespace { double gDepth = 0.0; std::mutex gMu; }\n"
-          "void setDepth(double v)\n"
-          "{\n"
-          "    std::lock_guard<std::mutex> lock(gMu);\n"
-          "    gDepth = v;\n"
-          "}\n"
-          "double peekDepth() { return gDepth; }\n"}});
-    std::vector<Diagnostic> diags;
-    checkAtomicsMisuse(p, diags);
-    ASSERT_EQ(diags.size(), 1U)
-        << ::testing::PrintToString(messages(diags));
-    EXPECT_EQ(diags[0].id, "atomics-misuse.unguarded-read");
-    EXPECT_EQ(diags[0].line, 7);
-    EXPECT_NE(diags[0].message.find("gMu"), std::string::npos);
 }
 
 // ================= pool-happens-before =================
@@ -879,15 +699,15 @@ TEST(CallGraph, SelfRecursionKeepsEffectsAndTerminates)
     EXPECT_EQ(fn(p, "outer").writesGlobals.count("gAcc"), 1U);
 }
 
-TEST(CallGraph, MutualRecursionPropagatesLockSetsAndTerminates)
+TEST(CallGraph, MutualRecursionPropagatesEffectsAndTerminates)
 {
     const Project p = projectOf(
         {{"src/a.cc",
-          "std::mutex gMu;\n"
+          "namespace { double gHits = 0.0; }\n"
           "void pong(int n);\n"
           "void ping(int n)\n"
           "{\n"
-          "    std::lock_guard<std::mutex> lock(gMu);\n"
+          "    gHits = gHits + 1.0;\n"
           "    pong(n - 1);\n"
           "}\n"
           "void pong(int n)\n"
@@ -895,10 +715,10 @@ TEST(CallGraph, MutualRecursionPropagatesLockSetsAndTerminates)
           "    if (n > 0)\n"
           "        ping(n);\n"
           "}\n"}});
-    // The may-acquire lock-set crosses the cycle (ping locks, pong
-    // calls ping), and the fixpoint over the cycle terminates.
-    EXPECT_EQ(fn(p, "ping").locksAcquired.count("gMu"), 1U);
-    EXPECT_EQ(fn(p, "pong").locksAcquired.count("gMu"), 1U);
+    // The write crosses the cycle (ping writes, pong calls ping),
+    // and the fixpoint over the cycle terminates.
+    EXPECT_EQ(fn(p, "ping").writesGlobals.count("gHits"), 1U);
+    EXPECT_EQ(fn(p, "pong").writesGlobals.count("gHits"), 1U);
 }
 
 // ================= --explain =================
@@ -906,8 +726,8 @@ TEST(CallGraph, MutualRecursionPropagatesLockSetsAndTerminates)
 TEST(Explain, FamilyDottedIdAndUnknownIds)
 {
     std::ostringstream family;
-    EXPECT_TRUE(explainDiagnostic("lock-discipline", family));
-    EXPECT_NE(family.str().find("order-cycle"), std::string::npos);
+    EXPECT_TRUE(explainDiagnostic("pool-escape", family));
+    EXPECT_NE(family.str().find("global-write"), std::string::npos);
     EXPECT_NE(family.str().find("Waiver"), std::string::npos);
 
     std::ostringstream dotted;
@@ -916,7 +736,7 @@ TEST(Explain, FamilyDottedIdAndUnknownIds)
     EXPECT_NE(dotted.str().find("This rule:"), std::string::npos);
 
     std::ostringstream sink;
-    EXPECT_FALSE(explainDiagnostic("lock-discipline.bogus", sink));
+    EXPECT_FALSE(explainDiagnostic("pool-escape.bogus", sink));
     EXPECT_FALSE(explainDiagnostic("no-such-family", sink));
 }
 
@@ -928,23 +748,23 @@ TEST(Sarif, SortsDedupesAndEmitsColumns)
     // sorted by (ruleId, file, line, column) with the duplicate
     // collapsed and the column carried through.
     std::vector<Diagnostic> diags;
-    diags.push_back({"src/b.cc", 9, Check::LockDiscipline, "m2",
-                     "lock-discipline.double-lock", 7});
-    diags.push_back({"src/a.cc", 3, Check::AtomicsMisuse, "m1",
-                     "atomics-misuse.unguarded-read", 5});
-    diags.push_back({"src/a.cc", 3, Check::AtomicsMisuse, "m1",
-                     "atomics-misuse.unguarded-read", 5});
+    diags.push_back({"src/b.cc", 9, Check::PoolHappensBefore, "m2",
+                     "pool-happens-before.nested-submit", 7});
+    diags.push_back({"src/a.cc", 3, Check::FpDeterminism, "m1",
+                     "fp-determinism.locked-reduction", 5});
+    diags.push_back({"src/a.cc", 3, Check::FpDeterminism, "m1",
+                     "fp-determinism.locked-reduction", 5});
     std::ostringstream os;
     writeSarif(os, diags);
     const std::string sarif = os.str();
     const std::size_t first =
-        sarif.find("atomics-misuse.unguarded-read\", \"level\"");
+        sarif.find("fp-determinism.locked-reduction\", \"level\"");
     const std::size_t second =
-        sarif.find("lock-discipline.double-lock\", \"level\"");
+        sarif.find("pool-happens-before.nested-submit\", \"level\"");
     ASSERT_NE(first, std::string::npos);
     ASSERT_NE(second, std::string::npos);
     EXPECT_LT(first, second) << "results must sort by ruleId";
-    EXPECT_EQ(sarif.find("atomics-misuse.unguarded-read\", "
+    EXPECT_EQ(sarif.find("fp-determinism.locked-reduction\", "
                          "\"level\"",
                          first + 1),
               std::string::npos)

@@ -1,33 +1,28 @@
 /**
  * @file
  * Call graph over the symbol index (semantic.hh): name-resolved call
- * edges, a depth-bounded transitive closure, and fixpoint side-effect
- * propagation so a task body's writes are visible any bounded number
- * of calls deep.
+ * edges and fixpoint side-effect propagation so a task body's writes
+ * are visible any bounded number of calls deep.
  *
  * Resolution is by unqualified name with overloads merged — every
  * function sharing the callee's name receives an edge.  That is
- * deliberately conservative in the "more edges" direction for the
- * closure, which the families use only to widen effect summaries; a
- * spurious edge can at worst surface a finding against a call path
- * that names the wrong overload, never hide one.
+ * deliberately conservative in the "more edges" direction, which the
+ * families use only to widen effect summaries; a spurious edge can at
+ * worst surface a finding against a call path that names the wrong
+ * overload, never hide one.
  */
 
 #include "semantic.hh"
-
-#include <algorithm>
-#include <queue>
 
 namespace vsgpu::lint
 {
 
 CallGraph
-buildCallGraph(const SymbolIndex &index, int depthBound)
+buildCallGraph(const SymbolIndex &index)
 {
     const std::size_t n = index.functions.size();
     CallGraph graph;
     graph.callees.resize(n);
-    graph.reachable.resize(n);
 
     for (std::size_t i = 0; i < n; ++i) {
         std::set<int> edges;
@@ -40,28 +35,6 @@ buildCallGraph(const SymbolIndex &index, int depthBound)
                     edges.insert(id);
         }
         graph.callees[i].assign(edges.begin(), edges.end());
-    }
-
-    // Bounded BFS closure: cycles terminate because each node is
-    // visited once; the depth bound caps how far effects travel.
-    for (std::size_t i = 0; i < n; ++i) {
-        std::set<int> seen;
-        std::queue<std::pair<int, int>> frontier; // (id, depth)
-        for (int c : graph.callees[i])
-            frontier.push({c, 1});
-        while (!frontier.empty()) {
-            const auto [id, depth] = frontier.front();
-            frontier.pop();
-            if (!seen.insert(id).second)
-                continue;
-            if (depth >= depthBound)
-                continue;
-            for (int c :
-                 graph.callees[static_cast<std::size_t>(id)])
-                if (!seen.count(c))
-                    frontier.push({c, depth + 1});
-        }
-        graph.reachable[i].assign(seen.begin(), seen.end());
     }
     return graph;
 }
@@ -79,28 +52,6 @@ propagateEffects(SymbolIndex &index, const CallGraph &graph,
                 const FunctionDef &callee =
                     index.functions[static_cast<std::size_t>(
                         calleeId)];
-                // Lock acquisitions propagate through EVERY callee
-                // — a serialized write is still an acquisition for
-                // lock-order analysis even though it stops being a
-                // race.  (FP accumulations propagate below, per call
-                // NAME with strict all-candidates resolution.)
-                for (const std::string &m : callee.locksAcquired) {
-                    if (fn.locksAcquired.insert(m).second) {
-                        const auto via = callee.lockVia.find(m);
-                        fn.lockVia[m] =
-                            via == callee.lockVia.end()
-                                ? "via " + callee.name
-                                : "via " + callee.name + " " +
-                                      via->second.substr(4);
-                        changed = true;
-                    }
-                }
-                for (const std::string &m : callee.annAcquires) {
-                    if (fn.locksAcquired.insert(m).second) {
-                        fn.lockVia[m] = "via " + callee.name;
-                        changed = true;
-                    }
-                }
                 // A lock-taking callee serializes its own writes;
                 // they are not a concurrency hazard for the caller.
                 if (callee.takesLock)

@@ -891,34 +891,6 @@ dedupeFamilyOverlap(std::vector<Diagnostic> &diags)
                                    0;
                     }),
                 diags.end());
-
-    // The lifetime families overlap the same way: one malformed
-    // statement (a moved-from container iterated, a view of an
-    // erased element) often trips more than one model.  At one
-    // file:line the most specific diagnosis wins: use-after-move
-    // outranks iterator-invalidation outranks dangling-view.
-    std::set<std::pair<std::string, int>> moveAt;
-    std::set<std::pair<std::string, int>> iterAt;
-    for (const Diagnostic &d : diags) {
-        if (d.check == Check::UseAfterMove)
-            moveAt.insert({d.file, d.line});
-        else if (d.check == Check::IterInvalidation)
-            iterAt.insert({d.file, d.line});
-    }
-    diags.erase(
-        std::remove_if(
-            diags.begin(), diags.end(),
-            [&](const Diagnostic &d) {
-                const std::pair<std::string, int> key{d.file,
-                                                      d.line};
-                if (d.check == Check::IterInvalidation)
-                    return moveAt.count(key) > 0;
-                if (d.check == Check::DanglingView)
-                    return moveAt.count(key) > 0 ||
-                           iterAt.count(key) > 0;
-                return false;
-            }),
-        diags.end());
 }
 
 } // namespace vsgpu::lint

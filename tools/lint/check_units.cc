@@ -11,8 +11,8 @@
  * entity as Volts/Amps/Ohms/... and call .raw() at the boundary to
  * dimension-unaware code instead.
  *
- * This is the successor of scripts/check_units.py (which now shells
- * out to this tool); the waiver comment is
+ * `vsgpu_lint --checks unit-safety,unit-flow` runs the unit families
+ * alone.  The waiver comment is
  *   // vsgpu-lint: raw-ok(<reason>)
  * and the legacy "check_units:allow" spelling stays honoured so old
  * waivers do not break.

@@ -31,14 +31,6 @@ isLockType(std::string_view name)
 }
 
 bool
-isMutexType(std::string_view name)
-{
-    return name == "mutex" || name == "recursive_mutex" ||
-           name == "timed_mutex" || name == "recursive_timed_mutex" ||
-           name == "shared_mutex" || name == "shared_timed_mutex";
-}
-
-bool
 isMutatingMember(std::string_view name)
 {
     return name == "push_back" || name == "emplace_back" ||
@@ -354,8 +346,7 @@ lockScopes(const TokenVec &tokens, std::size_t begin,
                 tokens[j].kind != Token::Kind::Identifier)
                 continue;
             LockScope scope;
-            scope.declTok = i;
-            scope.guardVar = std::string(tokens[j].text);
+            const std::string_view guardVar = tokens[j].text;
             std::size_t open = j + 1;
             if (open < end && (tokens[open].text == "(" ||
                                tokens[open].text == "{")) {
@@ -398,7 +389,7 @@ lockScopes(const TokenVec &tokens, std::size_t begin,
             scope.end = enclosingBlockEnd(tokens, scope.begin, end);
             // Truncate at an explicit guard.unlock().
             for (std::size_t k = scope.begin; k < scope.end; ++k) {
-                if (tokens[k].text == scope.guardVar &&
+                if (tokens[k].text == guardVar &&
                     k + 2 < scope.end && tokens[k + 1].text == "." &&
                     tokens[k + 2].text == "unlock") {
                     scope.end = k;
@@ -416,8 +407,6 @@ lockScopes(const TokenVec &tokens, std::size_t begin,
             tokens[i + 2].text == "lock" &&
             tokens[i + 3].text == "(") {
             LockScope scope;
-            scope.declTok = i;
-            scope.manual = true;
             scope.mutexes.push_back(std::string(tok.text));
             scope.begin = skipBalanced(tokens, i + 3, "(", ")") + 1;
             scope.end = enclosingBlockEnd(tokens, scope.begin, end);
@@ -435,17 +424,6 @@ lockScopes(const TokenVec &tokens, std::size_t begin,
         }
     }
     return scopes;
-}
-
-std::vector<std::string>
-mutexesHeldAt(const std::vector<LockScope> &scopes, std::size_t tok)
-{
-    std::vector<std::string> held;
-    for (const LockScope &scope : scopes)
-        if (scope.begin <= tok && tok < scope.end)
-            for (const std::string &m : scope.mutexes)
-                held.push_back(m);
-    return held;
 }
 
 bool

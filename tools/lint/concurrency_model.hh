@@ -1,13 +1,12 @@
 /**
  * @file
- * Shared concurrency model for vsgpu_lint's pool/lock families.
+ * Shared concurrency model for vsgpu_lint's pool families.
  *
  * Four check families (pool-concurrency, pool-escape,
  * pool-happens-before, fp-determinism) reason about lambdas submitted
- * to exec::Pool, and three (lock-discipline, atomics-misuse,
- * fp-determinism) reason about which mutexes a token range holds.
- * This header is the single home of both models so the families agree
- * on what a pool task and a lock scope are:
+ * to exec::Pool, and fp-determinism also asks whether a token lies
+ * inside a lock scope.  This header is the single home of both models
+ * so the families agree on what a pool task and a lock scope are:
  *
  *   PoolLambda / findPoolLambdas   every lambda in argument position
  *       of parallelFor / runSweep / runIndexSweep, with its capture
@@ -50,9 +49,6 @@ std::size_t skipBalanced(const TokenVec &tokens, std::size_t open,
 
 /** RAII lock guard type names (std:: or unqualified). */
 bool isLockType(std::string_view name);
-
-/** Mutex type names (mutex, recursive_mutex, shared_mutex, ...). */
-bool isMutexType(std::string_view name);
 
 /** Container member calls that mutate the receiver. */
 bool isMutatingMember(std::string_view name);
@@ -107,16 +103,12 @@ struct LockScope
 {
     std::size_t begin = 0; ///< first token index the lock covers
     std::size_t end = 0;   ///< one past the last covered token
-    std::size_t declTok = 0; ///< token index of the guard/lock() name
     /**
      * Raw mutex expressions as written: "mu" or the last two chain
-     * components "queue.mutex" (receiver kept so the key can be
-     * qualified by the receiver's class).  scoped_lock may hold
-     * several.
+     * components "queue.mutex".  scoped_lock may hold several; a
+     * guard naming none (default-constructed) is no scope at all.
      */
     std::vector<std::string> mutexes;
-    std::string guardVar; ///< RAII guard variable name ("" manual)
-    bool manual = false;  ///< from mu.lock(), not a guard object
 };
 
 /**
@@ -128,10 +120,6 @@ struct LockScope
 std::vector<LockScope> lockScopes(const TokenVec &tokens,
                                   std::size_t begin,
                                   std::size_t end);
-
-/** Raw mutex expressions held at token index @p tok. */
-std::vector<std::string>
-mutexesHeldAt(const std::vector<LockScope> &scopes, std::size_t tok);
 
 /** True when any lock scope covers token index @p tok. */
 bool underAnyLock(const std::vector<LockScope> &scopes,

@@ -9,7 +9,7 @@
  * program a family fires on and the *_clean twin the smallest fix —
  * so --explain stays in sync with what the analysis actually
  * accepts.  Explanations are keyed by family; asking for a dotted id
- * ("lock-discipline.order-cycle") prints the family entry with the
+ * ("pool-escape.global-write") prints the family entry with the
  * sub-rule's specifics first.
  */
 
@@ -114,46 +114,6 @@ const Explanation kExplanations[] = {
      "    stats.set(\"steps\", stepCount);  // logical time only",
      "// vsgpu-lint: nondet-ok(<reason>)",
      {}},
-    {"lock-discipline",
-     "Interprocedural lock-set analysis: every acquisition (RAII "
-     "guard, manual lock(), VSGPU_ACQUIRES promise, or a callee's "
-     "transitive lock-set) feeds one global lock-order graph; "
-     "holding mutexes in inconsistent orders across translation "
-     "units is the classic deadlock that only a whole-project view "
-     "can see.",
-     "    // a.cc: lock(mu1) then lock(mu2)\n"
-     "    // b.cc: lock(mu2) then helper() which locks mu1",
-     "    // pick one order project-wide; or merge the critical\n"
-     "    // sections under a single mutex",
-     "// vsgpu-lint: lock-ok(<reason>)",
-     {{"order-cycle", "mutexes acquired in opposite nesting orders "
-       "somewhere in the project (cycle cited edge by edge)"},
-      {"double-lock", "acquiring a held non-recursive mutex, "
-       "directly or via a helper's lock-set"},
-      {"unlock-without-lock", "unlock() with no live acquisition "
-       "on that path"},
-      {"guarded-by", "a VSGPU_GUARDED_BY(mu) variable accessed "
-       "without mu held (ctors/dtors exempt)"},
-      {"acquires-unfulfilled", "VSGPU_ACQUIRES(mu) declared but mu "
-       "never acquired, even transitively"},
-      {"excludes-violation", "calling a VSGPU_EXCLUDES(mu) "
-       "function while holding mu"}}},
-    {"atomics-misuse",
-     "The boundary between atomics, locks, and plain memory: "
-     "mixing them on one variable compiles silently and miscompiles "
-     "under contention.",
-     "    // a.cc: std::atomic<bool> ready;  b.cc: bool ready;\n"
-     "    done = true;            // plain write\n"
-     "    flag.store(true, std::memory_order_relaxed);",
-     "    // one declaration, one discipline:\n"
-     "    flag.store(true, std::memory_order_release);",
-     "// vsgpu-lint: atomics-ok(<reason>)",
-     {{"mixed-declaration", "one name atomic in one TU, plain in "
-       "another (both declaration sites cited)"},
-      {"unguarded-read", "a global every writer mutates under a "
-       "lock, read without it"},
-      {"relaxed-publish", "a relaxed store publishing earlier "
-       "unguarded plain writes (flag-then-data)"}}},
     {"pool-happens-before",
      "parallelFor/runSweep block until every task joins: writes "
      "before submission and reads after return are ordered and "
@@ -187,78 +147,6 @@ const Explanation kExplanations[] = {
        "pool task (lock or atomic; order still unstable)"},
       {"unordered-reduction", "an FP sum iterating a container "
        "whose unordered-ness is declared in another TU"}}},
-    {"use-after-move",
-     "A moved-from object holds a valid-but-unspecified value; "
-     "reading it is a silent logic bug.  The forward may-move "
-     "dataflow sees moves directly and through sink-parameter "
-     "helpers any bounded number of calls deep; reassignment, "
-     "clear()/reset()/assign(), or passing the variable to a "
-     "callee that writes it ends the moved-from state.",
-     "    consume(std::move(batch));\n"
-     "    log(batch.size());               // unspecified value",
-     "    const std::size_t n = batch.size();\n"
-     "    consume(std::move(batch));       // read before the move",
-     "// vsgpu-lint: move-ok(<reason>)",
-     {{"use", "a local or parameter read after a path moved its "
-       "value away, nothing reinitializing in between"},
-      {"double-move", "a second move of an already moved-from "
-       "variable (usually the same value moved every loop "
-       "iteration)"}}},
-    {"dangling-view",
-     "A view (string_view/span/reference/pointer) borrows storage "
-     "it does not own and is safe only while the referent's region "
-     "outlives everywhere the view escapes to — the outlives "
-     "lattice Temporary < Local < Param < Field < Global.",
-     "    std::string_view name() {\n"
-     "        std::string s = build();\n"
-     "        return s; }                  // frame-local referent",
-     "    std::string name() {\n"
-     "        return build(); }            // hand back ownership",
-     "// vsgpu-lint: view-ok(<reason>)",
-     {{"return-local", "returning a reference or view into the "
-       "function's own frame (by-value parameters included)"},
-      {"bind-temporary", "a view bound to an owning value a call "
-       "returns by value; the temporary dies with the statement"},
-      {"escape-local", "the address or a view of a local stored "
-       "into Field/Global-region storage or a long-lived registry, "
-       "directly or through an escaping callee parameter"}}},
-    {"iterator-invalidation",
-     "Structural container mutation may reallocate or erase the "
-     "element an iterator, reference, or pointer designates.  "
-     "erase/clear/resize always invalidate; the insert family only "
-     "on relocating (vector/string/deque) or rehashing "
-     "(unordered_*) containers — inserting into a std::map never "
-     "flags.  Helper calls that mutate their container parameter "
-     "count, cross-TU.",
-     "    auto it = ids.begin();\n"
-     "    ids.push_back(next);             // may reallocate\n"
-     "    use(*it);",
-     "    ids.push_back(next);\n"
-     "    auto it = ids.begin();           // acquire after mutating",
-     "// vsgpu-lint: iter-ok(<reason>)",
-     {{"use-after-mutate", "an iterator/reference/pointer into a "
-       "container read after a may-mutate operation on it; "
-       "reassigning the binding (it = v.insert(it, x)) ends its "
-       "tracked state"},
-      {"mutate-while-iterating", "a range-for body structurally "
-       "mutating the container it iterates"}}},
-    {"init-order",
-     "Dynamic initialization order across translation units is "
-     "unspecified (the static initialization order fiasco): an "
-     "initializer reading another TU's dynamically initialized "
-     "global may observe it zero-initialized, and link order "
-     "decides.  Constant-initialized targets are immune and never "
-     "flag.",
-     "    // a.cc: Config g_config = loadDefaults();\n"
-     "    // b.cc: int g_limit = g_config.limit;  // ran first?",
-     "    // b.cc: int limitDefault() {\n"
-     "    //   static int v = config().limit;  // first use\n"
-     "    //   return v; }",
-     "// vsgpu-lint: initorder-ok(<reason>)",
-     {{"cross-tu", "a namespace-scope initializer directly reading "
-       "a global dynamically initialized in another .cc"},
-      {"via-call", "the read hides one call deep inside an "
-       "unambiguous helper the initializer calls"}}},
 };
 // clang-format on
 

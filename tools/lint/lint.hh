@@ -2,8 +2,10 @@
  * @file
  * vsgpu_lint — project-specific static analysis for the vsgpu tree.
  *
- * Four check families enforce the invariants the codebase's tests and
- * type system rely on, as machine-checked rules instead of convention:
+ * Ten check families enforce the invariants the codebase's tests and
+ * type system rely on, as machine-checked rules instead of convention.
+ * Each encodes something specific to this project that no stock tool
+ * (compiler warnings, clang-tidy, ASan/UBSan/TSan) checks:
  *
  *   unit-safety       raw double/float crossing a converted public
  *                     header where a Quantity type exists
@@ -17,6 +19,10 @@
  *                     VSGPU_ENSURES in their definition
  *   raw-escape        Quantity::raw() called outside the numeric
  *                     core (circuit/verify/solver boundary files)
+ *
+ * plus the five project-wide semantic families declared in
+ * semantic.hh (pool-escape, unit-flow, determinism-taint,
+ * pool-happens-before, fp-determinism).
  *
  * The analysis is a deliberately small token-level frontend: it scrubs
  * comments and string literals, tokenizes, and pattern-matches — no
@@ -32,14 +38,8 @@
  *   // vsgpu-lint: iostream-ok(<reason>)   determinism (direct stdio)
  *   // vsgpu-lint: shared-ok(<reason>)     pool-concurrency
  *   // vsgpu-lint: raw-escape-ok(<reason>) raw-escape
- *   // vsgpu-lint: lock-ok(<reason>)       lock-discipline
- *   // vsgpu-lint: atomics-ok(<reason>)    atomics-misuse
  *   // vsgpu-lint: hb-ok(<reason>)         pool-happens-before
  *   // vsgpu-lint: fp-order-ok(<reason>)   fp-determinism
- *   // vsgpu-lint: move-ok(<reason>)       use-after-move
- *   // vsgpu-lint: view-ok(<reason>)       dangling-view
- *   // vsgpu-lint: iter-ok(<reason>)       iterator-invalidation
- *   // vsgpu-lint: initorder-ok(<reason>)  init-order
  * A waiver on the diagnosed line or the line above it applies.
  */
 
@@ -58,13 +58,9 @@ namespace vsgpu::lint
 /** Check families, in severity-neutral declaration order.  The
  *  first five are per-file token-level families; the rest are
  *  project-wide semantic families built on the symbol index / call
- *  graph / dataflow core (semantic.hh, dataflow.hh).  Families 9-12
- *  form the concurrency-soundness engine gating the pipeline-parallel
- *  cosim work (lock-discipline, atomics-misuse, pool-happens-before,
- *  fp-determinism); families 13-16 form the lifetime/ownership
- *  engine on the region/escape model (lifetime_model.hh):
- *  use-after-move, dangling-view, iterator-invalidation,
- *  init-order. */
+ *  graph / dataflow core (semantic.hh, dataflow.hh).  The last two
+ *  (pool-happens-before, fp-determinism) guard the jobs-1-vs-N
+ *  bitwise-identity invariant of the pool-parallel sweeps. */
 enum class Check
 {
     UnitSafety,
@@ -75,14 +71,8 @@ enum class Check
     PoolEscape,
     UnitFlow,
     DeterminismTaint,
-    LockDiscipline,
-    AtomicsMisuse,
     PoolHappensBefore,
     FpDeterminism,
-    UseAfterMove,
-    DanglingView,
-    IterInvalidation,
-    InitOrder,
 };
 
 /** Every family, in declaration order (CLI listings, round-trips). */
@@ -91,10 +81,7 @@ inline constexpr Check kAllChecks[] = {
     Check::PoolConcurrency, Check::Contracts,
     Check::RawEscape,    Check::PoolEscape,
     Check::UnitFlow,     Check::DeterminismTaint,
-    Check::LockDiscipline, Check::AtomicsMisuse,
     Check::PoolHappensBefore, Check::FpDeterminism,
-    Check::UseAfterMove, Check::DanglingView,
-    Check::IterInvalidation, Check::InitOrder,
 };
 
 /** True for the project-wide semantic families. */
@@ -179,8 +166,11 @@ struct Token
     std::size_t offset = 0;
 };
 
-/** Tokenize scrubbed source (identifiers, numbers, operators). */
+/** Tokenize scrubbed source (identifiers, numbers, operators).  The
+ *  tokens view into @p code, so it must outlive them; a temporary
+ *  is rejected at compile time. */
 std::vector<Token> tokenize(const std::string &code);
+std::vector<Token> tokenize(std::string &&code) = delete;
 
 /** Options shared by the check families. */
 struct CheckOptions
@@ -287,8 +277,8 @@ void writeSarif(std::ostream &os,
 /**
  * Print the rationale, a minimal violating/fixed example pair (from
  * the fixture corpus), and the waiver syntax for @p idOrFamily — a
- * dotted diagnostic id ("lock-discipline.order-cycle") or a family
- * name ("lock-discipline").  Returns false for an unknown id (the
+ * dotted diagnostic id ("pool-escape.global-write") or a family
+ * name ("pool-escape").  Returns false for an unknown id (the
  * CLI maps that to exit status 2).
  */
 bool explainDiagnostic(std::string_view idOrFamily,

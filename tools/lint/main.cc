@@ -12,14 +12,14 @@
  *
  * With no file arguments, lints every project source named by the
  * compile database (<build-dir>/compile_commands.json, default
- * build dir "build") plus every header under src/, bench/, tools/,
- * and tests/ (the lint fixture corpus excluded) — headers never
- * appear in a compile database but carry the interfaces the
- * unit-safety family polices.  Explicit file arguments are linted
- * with every enabled check regardless of path scoping (fixture
- * tests rely on this).  --timings writes wall-clock and per-family
- * seconds/finding counts as JSON for the CI budget gate
- * (scripts/check_bench.py --lint against BENCH_lint.json).
+ * build dir "build") plus every header under src/, bench/, and
+ * tools/ — headers never appear in a compile database but carry the
+ * interfaces the unit-safety family polices.  Explicit file
+ * arguments are linted with every enabled check regardless of path
+ * scoping (fixture tests rely on this).  --timings writes
+ * wall-clock and per-family seconds/finding counts as JSON for the
+ * CI budget gate (scripts/check_bench.py --lint against
+ * BENCH_lint.json).
  *
  * Exit status: 0 clean (or baselined), 1 new diagnostics, 2 usage /
  * I/O error.
@@ -237,16 +237,11 @@ main(int argc, char **argv)
                     targets.push_back(canon);
             }
             // Headers never appear in the compile database; the
-            // unit-safety family lives in src/ headers, the
+            // unit-safety family lives in src/ headers and the
             // concurrency families cover bench/ and tools/ (they
-            // submit to pools too), and the lifetime families
-            // cover tests/ as well — test helpers hold views and
-            // move values like any other code.  The lint fixture
-            // corpus is excluded: it exists to CONTAIN seeded
-            // violations.
+            // submit to pools too).
             if (!repoRoot.empty()) {
-                for (const char *tree :
-                     {"src", "bench", "tools", "tests"}) {
+                for (const char *tree : {"src", "bench", "tools"}) {
                     const fs::path dir = repoRoot / tree;
                     if (!fs::is_directory(dir))
                         continue;
@@ -258,10 +253,6 @@ main(int argc, char **argv)
                         std::error_code ec;
                         const fs::path canon =
                             fs::weakly_canonical(entry.path(), ec);
-                        if (canon.string().find(
-                                "tests/lint/fixtures") !=
-                            std::string::npos)
-                            continue;
                         if (seen.insert(canon.string()).second)
                             targets.push_back(canon);
                     }

@@ -11,22 +11,21 @@
  *                 and project-wide const / atomic / pointer /
  *                 unordered-container name sets.
  *
- *   CallGraph     name-resolved call edges between indexed functions
- *                 with a bounded transitive closure, plus fixpoint
- *                 effect propagation: a function that calls a helper
- *                 which writes a global (or writes through a
- *                 reference parameter the caller forwarded) inherits
- *                 that effect, so a task body's writes are visible
- *                 any bounded number of calls deep.
+ *   CallGraph     name-resolved call edges between indexed functions,
+ *                 plus fixpoint effect propagation: a function that
+ *                 calls a helper which writes a global (or writes
+ *                 through a reference parameter the caller
+ *                 forwarded) inherits that effect, so a task body's
+ *                 writes are visible any bounded number of calls
+ *                 deep.
  *
  *   Project       the façade the semantic check families consume:
  *                 sources, per-file token streams, the index, and
  *                 the call graph.
  *
  * The semantic families (pool-escape, unit-flow, determinism-taint,
- * and the concurrency-soundness engine: lock-discipline,
- * atomics-misuse, pool-happens-before, fp-determinism) run
- * project-wide over a Project instead of file-by-file;
+ * pool-happens-before, fp-determinism) run project-wide over a
+ * Project instead of file-by-file;
  * runProjectChecks() applies the same path scoping as the per-file
  * families.
  */
@@ -37,18 +36,12 @@
 #include "lint.hh"
 
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 namespace vsgpu::lint
 {
-
-namespace lm
-{
-class LifetimeModel; // lifetime_model.hh
-} // namespace lm
 
 /** One function parameter as parsed from the definition. */
 struct ParamInfo
@@ -67,8 +60,6 @@ struct FunctionDef
     std::string className; ///< qualifying/enclosing class, "" if free
     int fileIndex = 0;     ///< into Project::sources()
     int line = 0;          ///< of the name token
-    std::size_t nameTok = 0;   ///< token index of the name (for the
-                               ///< lifetime model's return-type scan)
     std::size_t bodyBegin = 0; ///< token index just past the '{'
     std::size_t bodyEnd = 0;   ///< token index of the closing '}'
     std::vector<ParamInfo> params;
@@ -81,16 +72,6 @@ struct FunctionDef
     std::set<std::string> calls; ///< unqualified callee names
     bool takesLock = false; ///< body declares a lock guard
 
-    /** Normalized mutex keys ("Class::mu" / "mu") this function
-     *  acquires — directly or, after propagateEffects, through any
-     *  bounded number of callees. */
-    std::set<std::string> locksAcquired;
-    /** Call path provenance for a transitively acquired lock. */
-    std::map<std::string, std::string> lockVia;
-    /** Normalized keys promised by VSGPU_ACQUIRES(mu). */
-    std::set<std::string> annAcquires;
-    /** Normalized keys forbidden at call sites: VSGPU_EXCLUDES. */
-    std::set<std::string> annExcludes;
     /** Shared FP names ("g" / "Class::field") this function
      *  accumulates into (+=, -=, *=, /=, x = x + ...), directly or
      *  transitively.  Tracked separately from writesGlobals because
@@ -126,15 +107,6 @@ struct DeclSite
     int line = 0;
 };
 
-/** One VSGPU_GUARDED_BY-annotated variable declaration. */
-struct GuardedVar
-{
-    std::string name;      ///< variable / field name
-    std::string className; ///< declaring class, "" for globals
-    std::string mutexKey;  ///< normalized required mutex key
-    DeclSite decl;
-};
-
 /** Project-wide symbol index. */
 struct SymbolIndex
 {
@@ -154,32 +126,12 @@ struct SymbolIndex
     /** Per-file names of unordered-container variables. */
     std::map<int, std::set<std::string>> unorderedVars;
 
-    /** Names declared with a std mutex type anywhere. */
-    std::set<std::string> mutexNames;
-    /** Mutex name -> owning class names ("" = namespace scope). */
-    std::map<std::string, std::set<std::string>> mutexOwners;
-    /** VSGPU_GUARDED_BY annotations, in declaration order. */
-    std::vector<GuardedVar> guarded;
     /** FP-typed shared names: globals by name, fields as
      *  "Class::field" (double/float/Quantity aliases). */
     std::set<std::string> fpNames;
-    /** First declaration site of each atomic name. */
-    std::map<std::string, DeclSite> atomicDecl;
-    /** First declaration site of each mutable global. */
-    std::map<std::string, DeclSite> globalDecl;
     /** First declaration site of each unordered-container name. */
     std::map<std::string, DeclSite> unorderedDecl;
 };
-
-/**
- * Normalize a mutex expression to a stable lock-order key: the last
- * chain component, qualified as "Class::name" when the name is a
- * member of @p contextClass or of exactly one class project-wide
- * ("queue.mutex" -> "WorkerQueue::mutex"); bare otherwise.
- */
-std::string normalizeMutexKey(const SymbolIndex &index,
-                              const std::string &expr,
-                              const std::string &contextClass);
 
 /**
  * Parse every source into the index.  @p tokens must hold the
@@ -194,18 +146,10 @@ struct CallGraph
 {
     /** Direct callees (function ids) per function id. */
     std::vector<std::vector<int>> callees;
-    /** Bounded transitive closure (excludes the function itself
-     *  unless reachable through a cycle). */
-    std::vector<std::vector<int>> reachable;
 };
 
-/**
- * Resolve call edges by name and compute the bounded closure.
- * @p depthBound caps the closure walk so pathological graphs (and
- * cycles) terminate; effects further away are invisible by design.
- */
-CallGraph buildCallGraph(const SymbolIndex &index,
-                         int depthBound = 8);
+/** Resolve call edges by name (overloads merged). */
+CallGraph buildCallGraph(const SymbolIndex &index);
 
 /**
  * Widen each function's side-effect summary with its callees':
@@ -239,15 +183,11 @@ class Project
     /** Functions whose unqualified name is @p name (may be empty). */
     const std::vector<int> &lookup(const std::string &name) const;
 
-    /** Region/escape lifetime model (built once in the ctor). */
-    const lm::LifetimeModel &lifetime() const { return *lifetime_; }
-
   private:
     std::vector<SourceFile> sources_;
     std::vector<std::vector<Token>> tokens_;
     SymbolIndex index_;
     CallGraph graph_;
-    std::shared_ptr<const lm::LifetimeModel> lifetime_;
 };
 
 /**
@@ -278,33 +218,7 @@ void checkDeterminismTaint(const Project &project,
                            std::vector<Diagnostic> &out);
 
 /**
- * Family 9: lock-discipline — interprocedural lock-set analysis.
- * Builds a global lock-order graph from every acquisition (RAII
- * guards, manual lock(), VSGPU_ACQUIRES promises, and lock-sets
- * propagated through the call graph) and reports order cycles
- * (potential deadlock, lock-discipline.order-cycle), double
- * acquisition of a held mutex (.double-lock), unlock without a
- * matching lock (.unlock-without-lock), VSGPU_GUARDED_BY accesses
- * outside the required lock (.guarded-by), unfulfilled
- * VSGPU_ACQUIRES promises (.acquires-unfulfilled), and calls into
- * VSGPU_EXCLUDES functions with the excluded mutex held
- * (.excludes-violation).
- */
-void checkLockDiscipline(const Project &project,
-                         std::vector<Diagnostic> &out);
-
-/**
- * Family 10: atomics-misuse — a name declared std::atomic in one TU
- * and plain in another (atomics-misuse.mixed-declaration), a global
- * written only under locks but read without one (.unguarded-read),
- * and a relaxed atomic store publishing earlier unguarded plain
- * writes (flag-then-data, .relaxed-publish).
- */
-void checkAtomicsMisuse(const Project &project,
-                        std::vector<Diagnostic> &out);
-
-/**
- * Family 11: pool-happens-before — models Pool submission/join as
+ * Family 9: pool-happens-before — models Pool submission/join as
  * happens-before edges (accesses sequenced before parallelFor /
  * runSweep and after their return are ordered and never flagged);
  * inside a task body it reports reaching a nested pool submission
@@ -317,7 +231,7 @@ void checkPoolHappensBefore(const Project &project,
                             std::vector<Diagnostic> &out);
 
 /**
- * Family 12: fp-determinism — floating-point accumulations whose
+ * Family 10: fp-determinism — floating-point accumulations whose
  * result depends on task/thread scheduling order even when properly
  * serialized (a lock or atomic makes the sum race-free but not
  * order-stable: fp-determinism.locked-reduction), and FP reductions
@@ -329,56 +243,9 @@ void checkFpDeterminism(const Project &project,
                         std::vector<Diagnostic> &out);
 
 /**
- * Family 13: use-after-move — a moved-from local or parameter read
- * before reinitialization (use-after-move.use) or moved a second
- * time (.double-move), with the move visible directly or through a
- * sink-parameter callee any bounded number of calls deep ("via
- * helper" provenance).  May-moves on one branch flag later uses on
- * the joined path, like clang-tidy's bugprone-use-after-move.
- */
-void checkUseAfterMove(const Project &project,
-                       std::vector<Diagnostic> &out);
-
-/**
- * Family 14: dangling-view — a view (string_view/span/reference/
- * pointer) outliving its referent: returning a view of a Local
- * (dangling-view.return-local), binding a view to an owning
- * temporary returned by value (.bind-temporary), or escaping the
- * address/view of a Local into Field/Global/Param-region storage,
- * including registries reached through a callee whose parameter
- * escapes (.escape-local, "via helper").
- */
-void checkDanglingView(const Project &project,
-                       std::vector<Diagnostic> &out);
-
-/**
- * Family 15: iterator-invalidation — an iterator/reference/pointer
- * into a container used after a may-mutate operation on that
- * container (iterator-invalidation.use-after-mutate), cross-TU when
- * the mutation hides inside a callee that mutates its container
- * parameter; and range-for bodies structurally mutating the
- * container they iterate (.mutate-while-iterating).
- */
-void checkIterInvalidation(const Project &project,
-                           std::vector<Diagnostic> &out);
-
-/**
- * Family 16: init-order — a namespace-scope initializer reading a
- * global whose dynamic initialization lives in another translation
- * unit (init-order.cross-tu), directly or through a single helper
- * call (.via-call): whether the other TU ran first is unspecified
- * (the static initialization order fiasco).
- */
-void checkInitOrder(const Project &project,
-                    std::vector<Diagnostic> &out);
-
-/**
  * Drop token-level pool-concurrency findings that a semantic pool
  * family also reports at the same file:line — one id wins (the
- * dotted semantic one, which carries provenance).  Among lifetime
- * families at one file:line, use-after-move outranks
- * iterator-invalidation, which outranks dangling-view (the same
- * malformed statement often trips more than one model).
+ * dotted semantic one, which carries provenance).
  */
 void dedupeFamilyOverlap(std::vector<Diagnostic> &diags);
 

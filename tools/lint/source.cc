@@ -35,22 +35,10 @@ checkName(Check check)
         return "unit-flow";
       case Check::DeterminismTaint:
         return "determinism-taint";
-      case Check::LockDiscipline:
-        return "lock-discipline";
-      case Check::AtomicsMisuse:
-        return "atomics-misuse";
       case Check::PoolHappensBefore:
         return "pool-happens-before";
       case Check::FpDeterminism:
         return "fp-determinism";
-      case Check::UseAfterMove:
-        return "use-after-move";
-      case Check::DanglingView:
-        return "dangling-view";
-      case Check::IterInvalidation:
-        return "iterator-invalidation";
-      case Check::InitOrder:
-        return "init-order";
     }
     return "unknown";
 }
@@ -72,14 +60,8 @@ isProjectCheck(Check check)
 {
     return check == Check::PoolEscape || check == Check::UnitFlow ||
            check == Check::DeterminismTaint ||
-           check == Check::LockDiscipline ||
-           check == Check::AtomicsMisuse ||
            check == Check::PoolHappensBefore ||
-           check == Check::FpDeterminism ||
-           check == Check::UseAfterMove ||
-           check == Check::DanglingView ||
-           check == Check::IterInvalidation ||
-           check == Check::InitOrder;
+           check == Check::FpDeterminism;
 }
 
 namespace
@@ -325,6 +307,12 @@ checkAppliesTo(Check check, std::string_view display)
         // may time themselves; the simulator must not.
         return pathContains(display, "src/");
       case Check::PoolConcurrency:
+      case Check::PoolEscape:
+      case Check::PoolHappensBefore:
+      case Check::FpDeterminism:
+        // The concurrency families cover everything that runs
+        // threaded code: the library, the scenario drivers, and the
+        // tools.
         return pathContains(display, "src/") ||
                pathContains(display, "bench/") ||
                pathContains(display, "tools/");
@@ -350,40 +338,10 @@ checkAppliesTo(Check check, std::string_view display)
         }
         return true;
       }
-      case Check::PoolEscape:
-        // Same surface as the token-level pool-concurrency family.
-        return pathContains(display, "src/") ||
-               pathContains(display, "bench/") ||
-               pathContains(display, "tools/");
       case Check::DeterminismTaint:
         // Observable outputs are produced by src/; benches and tests
         // route everything through the library sinks.
         return pathContains(display, "src/");
-      case Check::LockDiscipline:
-      case Check::AtomicsMisuse:
-      case Check::PoolHappensBefore:
-      case Check::FpDeterminism:
-        // The concurrency-soundness families cover everything that
-        // runs threaded code: the library, the scenario drivers,
-        // and the tools.
-        return pathContains(display, "src/") ||
-               pathContains(display, "bench/") ||
-               pathContains(display, "tools/");
-      case Check::UseAfterMove:
-      case Check::DanglingView:
-      case Check::IterInvalidation:
-      case Check::InitOrder:
-        // The lifetime families additionally cover tests/ — test
-        // helpers pass views and iterators across lambdas and
-        // fixtures just like the library — but never the lint
-        // fixture corpus, whose *_violate halves are intentionally
-        // broken and only ever linted as explicit file arguments.
-        if (pathContains(display, "tests/lint/fixtures/"))
-            return false;
-        return pathContains(display, "src/") ||
-               pathContains(display, "bench/") ||
-               pathContains(display, "tools/") ||
-               pathContains(display, "tests/");
     }
     return false;
 }
@@ -415,14 +373,8 @@ runChecks(const SourceFile &src, const std::vector<Check> &checks,
           case Check::PoolEscape:
           case Check::UnitFlow:
           case Check::DeterminismTaint:
-          case Check::LockDiscipline:
-          case Check::AtomicsMisuse:
           case Check::PoolHappensBefore:
           case Check::FpDeterminism:
-          case Check::UseAfterMove:
-          case Check::DanglingView:
-          case Check::IterInvalidation:
-          case Check::InitOrder:
             // Project-wide semantic families: runProjectChecks.
             break;
         }

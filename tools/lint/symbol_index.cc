@@ -20,7 +20,6 @@
 
 #include "concurrency_model.hh"
 #include "dataflow.hh"
-#include "lifetime_model.hh"
 
 #include <algorithm>
 #include <ostream>
@@ -72,61 +71,10 @@ isReservedWord(std::string_view t)
            t == "decltype" || t == "requires" || t == "concept";
 }
 
-bool
-isLockTypeName(std::string_view name)
-{
-    return name == "lock_guard" || name == "scoped_lock" ||
-           name == "unique_lock" || name == "shared_lock";
-}
-
 using cm::isFpTypeName;
-
-/** The trailing identifier chain of [begin, end): "queue.mutex",
- *  "this.mu_", or the bare last identifier. */
-std::string
-trailingChain(const TokenVec &toks, std::size_t begin,
-              std::size_t end)
-{
-    std::size_t name = end;
-    for (std::size_t k = end; k-- > begin;)
-        if (toks[k].kind == Token::Kind::Identifier ||
-            toks[k].text == "this") {
-            name = k;
-            break;
-        }
-    if (name == end)
-        return {};
-    std::string expr(toks[name].text);
-    if (name >= begin + 2 &&
-        (toks[name - 1].text == "." || toks[name - 1].text == "->") &&
-        (toks[name - 2].kind == Token::Kind::Identifier ||
-         toks[name - 2].text == "this"))
-        expr = std::string(toks[name - 2].text) + "." + expr;
-    return expr;
-}
-
-bool
-isMutatingMemberName(std::string_view name)
-{
-    return name == "push_back" || name == "emplace_back" ||
-           name == "insert" || name == "emplace" ||
-           name == "clear" || name == "resize" || name == "erase" ||
-           name == "pop_back" || name == "assign";
-}
-
-std::size_t
-skipBalanced(const TokenVec &tokens, std::size_t open,
-             std::string_view openText, std::string_view closeText)
-{
-    int depth = 0;
-    for (std::size_t i = open; i < tokens.size(); ++i) {
-        if (tokens[i].text == openText)
-            ++depth;
-        else if (tokens[i].text == closeText && --depth == 0)
-            return i;
-    }
-    return tokens.size();
-}
+using cm::isLockType;
+using cm::isMutatingMember;
+using cm::skipBalanced;
 
 /** Parse one parameter list into ParamInfo records. */
 std::vector<ParamInfo>
@@ -381,7 +329,6 @@ scanFile(int fileIndex, const SourceFile &src, const TokenVec &toks,
                                     src.lineOf(toks[j].offset)};
                 if (t == "atomic" || t == "atomic_flag") {
                     index.atomics.insert(name);
-                    index.atomicDecl.emplace(name, site);
                     // atomic<double> accumulations are race-free
                     // but still scheduling-order-dependent.
                     if (fpArg)
@@ -424,43 +371,11 @@ scanFile(int fileIndex, const SourceFile &src, const TokenVec &toks,
                         fn.className = current().className;
                     fn.fileIndex = fileIndex;
                     fn.line = src.lineOf(tok.offset);
-                    fn.nameTok = i;
                     fn.params =
                         parseParams(toks, i + 1, closeParen);
                     fn.bodyBegin = body + 1;
                     fn.bodyEnd =
                         skipBalanced(toks, body, "{", "}");
-                    // VSGPU_ACQUIRES/EXCLUDES annotations sit
-                    // between the parameter list and the body.
-                    // Stored raw here; normalized once every file
-                    // is scanned (buildSymbolIndex post-pass).
-                    for (std::size_t k = closeParen + 1; k < body;
-                         ++k) {
-                        const bool acq =
-                            toks[k].text == "VSGPU_ACQUIRES";
-                        const bool exc =
-                            toks[k].text == "VSGPU_EXCLUDES";
-                        if ((!acq && !exc) ||
-                            k + 1 >= toks.size() ||
-                            toks[k + 1].text != "(")
-                            continue;
-                        const std::size_t close =
-                            skipBalanced(toks, k + 1, "(", ")");
-                        std::size_t seg = k + 2;
-                        for (std::size_t a = k + 2; a <= close;
-                             ++a) {
-                            if (toks[a].text != "," && a != close)
-                                continue;
-                            const std::string expr =
-                                trailingChain(toks, seg, a);
-                            if (!expr.empty())
-                                (acq ? fn.annAcquires
-                                     : fn.annExcludes)
-                                    .insert(expr);
-                            seg = a + 1;
-                        }
-                        k = close;
-                    }
                     const int id = static_cast<int>(
                         index.functions.size());
                     index.byName[fn.name].push_back(id);
@@ -483,14 +398,12 @@ scanFile(int fileIndex, const SourceFile &src, const TokenVec &toks,
              prev == "*");
         // A VSGPU_GUARDED_BY(mu) annotation sits between the name
         // and the initializer/semicolon; look through it for the
-        // effective next token and remember the required mutex.
+        // effective next token.
         std::string_view declNext = next;
-        std::string guardExpr;
         if (typeBefore && next == "VSGPU_GUARDED_BY" &&
             i + 2 < toks.size() && toks[i + 2].text == "(") {
             const std::size_t close =
                 skipBalanced(toks, i + 2, "(", ")");
-            guardExpr = trailingChain(toks, i + 3, close);
             declNext = close + 1 < toks.size()
                            ? toks[close + 1].text
                            : std::string_view{};
@@ -502,24 +415,17 @@ scanFile(int fileIndex, const SourceFile &src, const TokenVec &toks,
         // `foo} name =` style misparses guard: statement window.
         const std::size_t start = stmtStart(toks, i);
         bool hasConst = false, skip = false, chained = false;
-        bool mutexType = false, lockType = false, fpType = false;
-        bool atomicType = false;
+        bool fpType = false;
         for (std::size_t k = start; k < i; ++k) {
             const std::string_view s = toks[k].text;
             if (s == "const" || s == "constexpr")
                 hasConst = true;
-            if (s == "atomic" || s == "atomic_flag")
-                atomicType = true;
             if (s == "using" || s == "return" || s == "namespace" ||
                 s == "template" || s == "typedef" ||
                 s == "operator" || s == "=")
                 skip = true;
             if (s == "." || s == "->")
                 chained = true;
-            if (cm::isMutexType(s))
-                mutexType = true;
-            if (isLockTypeName(s))
-                lockType = true;
             if (isFpTypeName(s))
                 fpType = true;
         }
@@ -529,38 +435,14 @@ scanFile(int fileIndex, const SourceFile &src, const TokenVec &toks,
         const std::string className =
             current().ctx == Ctx::Class ? current().className
                                         : std::string{};
-        if (!guardExpr.empty()) {
-            GuardedVar guard;
-            guard.name = name;
-            guard.className = className;
-            guard.mutexKey = guardExpr; // raw; normalized later
-            guard.decl = {fileIndex, src.lineOf(tok.offset)};
-            index.guarded.push_back(std::move(guard));
-        }
         if (prev == "*")
             index.pointerNames.insert(name);
         if (hasConst) {
             index.constNames.insert(name);
             continue;
         }
-        // `std::lock_guard<std::mutex> x{mu}` names the mutex TYPE
-        // in its template argument; only a guard-free declaration
-        // declares an actual mutex object.
-        if (mutexType && !lockType) {
-            index.mutexNames.insert(name);
-            index.mutexOwners[name].insert(className);
-        }
         if (current().ctx == Ctx::Namespace) {
             index.globals.insert(name);
-            // Atomic declarations reach this scan too (the atomic
-            // handler above already recorded them); keeping them
-            // out of globalDecl lets atomics-misuse distinguish a
-            // real plain redeclaration in another TU from an
-            // atomic declaration seen again (extern or repeated).
-            if (!atomicType)
-                index.globalDecl.emplace(
-                    name,
-                    DeclSite{fileIndex, src.lineOf(tok.offset)});
             if (fpType)
                 index.fpNames.insert(name);
         } else if (current().ctx == Ctx::Class &&
@@ -579,24 +461,8 @@ summarizeBody(FunctionDef &fn, const TokenVec &toks,
 {
     for (std::size_t i = fn.bodyBegin; i < fn.bodyEnd; ++i)
         if (toks[i].kind == Token::Kind::Identifier &&
-            isLockTypeName(toks[i].text))
+            isLockType(toks[i].text))
             fn.takesLock = true;
-
-    // Mutexes this body acquires, as normalized lock-order keys.
-    // Manual x.lock() counts only when x is a known mutex object
-    // (lk.lock() on a unique_lock re-locks the guard, whose mutex
-    // the RAII scope above already recorded).
-    for (const cm::LockScope &scope :
-         cm::lockScopes(toks, fn.bodyBegin, fn.bodyEnd)) {
-        for (const std::string &expr : scope.mutexes) {
-            const std::string last =
-                expr.substr(expr.rfind('.') + 1);
-            if (scope.manual && !index.mutexNames.count(last))
-                continue;
-            fn.locksAcquired.insert(
-                normalizeMutexKey(index, expr, fn.className));
-        }
-    }
 
     const df::Cfg cfg = df::buildCfg(toks, fn.bodyBegin, fn.bodyEnd);
 
@@ -654,7 +520,7 @@ summarizeBody(FunctionDef &fn, const TokenVec &toks,
             for (const df::CallRef &call : stmt.calls) {
                 fn.calls.insert(call.callee);
                 if (!call.receiver.empty() &&
-                    isMutatingMemberName(call.callee))
+                    isMutatingMember(call.callee))
                     classifyWrite(call.receiver, true);
                 for (std::size_t a = 0; a < call.args.size(); ++a)
                     for (const std::string &root : call.args[a]) {
@@ -699,45 +565,6 @@ summarizeBody(FunctionDef &fn, const TokenVec &toks,
 
 } // namespace
 
-std::string
-normalizeMutexKey(const SymbolIndex &index, const std::string &expr,
-                  const std::string &contextClass)
-{
-    std::string name = expr;
-    std::string receiver;
-    const std::size_t dot = expr.rfind('.');
-    if (dot != std::string::npos) {
-        receiver = expr.substr(0, dot);
-        name = expr.substr(dot + 1);
-    }
-    // Bare name / this.name inside a method of the owning class.
-    if (!contextClass.empty() &&
-        (receiver.empty() || receiver == "this")) {
-        const auto cit = index.classFields.find(contextClass);
-        if (cit != index.classFields.end() &&
-            cit->second.count(name))
-            return contextClass + "::" + name;
-    }
-    // queue.mutex where exactly one class declares a mutex member
-    // of that name: qualify by the owning class so every instance's
-    // lock folds into one lock-order node (per-instance locks of
-    // one class rank equally in the global order).
-    const auto oit = index.mutexOwners.find(name);
-    if (oit != index.mutexOwners.end()) {
-        std::string owner;
-        int classOwners = 0;
-        for (const std::string &cls : oit->second)
-            if (!cls.empty()) {
-                owner = cls;
-                ++classOwners;
-            }
-        const bool alsoGlobal = oit->second.count("") > 0;
-        if (classOwners == 1 && (!receiver.empty() || !alsoGlobal))
-            return owner + "::" + name;
-    }
-    return name;
-}
-
 SymbolIndex
 buildSymbolIndex(const std::vector<SourceFile> &sources,
                  const std::vector<std::vector<Token>> &tokens)
@@ -749,20 +576,6 @@ buildSymbolIndex(const std::vector<SourceFile> &sources,
         summarizeBody(
             fn, tokens[static_cast<std::size_t>(fn.fileIndex)],
             index);
-    // Normalize annotation mutex expressions now that every file's
-    // classes and mutex owners are known.
-    for (FunctionDef &fn : index.functions) {
-        for (auto *ann : {&fn.annAcquires, &fn.annExcludes}) {
-            std::set<std::string> norm;
-            for (const std::string &raw : *ann)
-                norm.insert(
-                    normalizeMutexKey(index, raw, fn.className));
-            *ann = std::move(norm);
-        }
-    }
-    for (GuardedVar &guard : index.guarded)
-        guard.mutexKey = normalizeMutexKey(index, guard.mutexKey,
-                                           guard.className);
     return index;
 }
 
@@ -775,8 +588,6 @@ Project::Project(std::vector<SourceFile> sources)
     index_ = buildSymbolIndex(sources_, tokens_);
     graph_ = buildCallGraph(index_);
     propagateEffects(index_, graph_);
-    lifetime_ = std::make_shared<const lm::LifetimeModel>(
-        lm::LifetimeModel::build(sources_, tokens_, index_));
 }
 
 const std::vector<int> &
@@ -804,29 +615,11 @@ runProjectChecks(const Project &project,
           case Check::DeterminismTaint:
             checkDeterminismTaint(project, raw);
             break;
-          case Check::LockDiscipline:
-            checkLockDiscipline(project, raw);
-            break;
-          case Check::AtomicsMisuse:
-            checkAtomicsMisuse(project, raw);
-            break;
           case Check::PoolHappensBefore:
             checkPoolHappensBefore(project, raw);
             break;
           case Check::FpDeterminism:
             checkFpDeterminism(project, raw);
-            break;
-          case Check::UseAfterMove:
-            checkUseAfterMove(project, raw);
-            break;
-          case Check::DanglingView:
-            checkDanglingView(project, raw);
-            break;
-          case Check::IterInvalidation:
-            checkIterInvalidation(project, raw);
-            break;
-          case Check::InitOrder:
-            checkInitOrder(project, raw);
             break;
           default:
             break;
