@@ -18,64 +18,9 @@ execUnitName(ExecUnitKind kind)
     return "?";
 }
 
-Cycle
-occupancyCycles(OpClass op)
-{
-    // Fermi's execution blocks run at the 2x shader clock, so a
-    // 16-lane block retires a 32-thread warp every core cycle.
-    switch (op) {
-      case OpClass::IntAlu:
-      case OpClass::FpAlu:
-        return 1; // 32 threads over 16 double-pumped lanes
-      case OpClass::Sfu:
-        return 4; // 32 threads over 4 double-pumped SFU lanes
-      case OpClass::Load:
-      case OpClass::Store:
-      case OpClass::SharedMem:
-        return 1; // 32 threads over 16 LSU lanes
-      case OpClass::Atomic:
-        return 2; // serialization overhead
-      case OpClass::Sync:
-        return 1; // barriers do not occupy a block
-      case OpClass::NumClasses:
-        break;
-    }
-    return 1;
-}
-
-ExecUnitKind
-primaryUnit(OpClass op)
-{
-    switch (op) {
-      case OpClass::IntAlu:
-      case OpClass::FpAlu:
-        return ExecUnitKind::Sp0;
-      case OpClass::Sfu:
-        return ExecUnitKind::Sfu;
-      case OpClass::Load:
-      case OpClass::Store:
-      case OpClass::SharedMem:
-      case OpClass::Atomic:
-        return ExecUnitKind::Lsu;
-      case OpClass::Sync:
-        return ExecUnitKind::Sp0; // nominal; barriers bypass blocks
-      case OpClass::NumClasses:
-        break;
-    }
-    return ExecUnitKind::Sp0;
-}
-
 ExecUnit::ExecUnit(ExecUnitKind kind)
     : kind_(kind)
 {
-}
-
-bool
-ExecUnit::canAccept(Cycle now) const
-{
-    if (gatedFlag_ || wakeUntil_ > now)
-        return false;
-    return busyUntil_ <= now;
 }
 
 void
@@ -93,12 +38,6 @@ ExecUnit::idleCycles(Cycle now) const
     if (busyUntil_ > now)
         return 0;
     return now - lastBusy_;
-}
-
-bool
-ExecUnit::gated(Cycle now) const
-{
-    return gatedFlag_ || wakeUntil_ > now;
 }
 
 void

@@ -42,7 +42,30 @@ inline constexpr int numExecUnits =
 const char *execUnitName(ExecUnitKind kind);
 
 /** @return cycles a warp instruction occupies its block. */
-Cycle occupancyCycles(OpClass op);
+constexpr Cycle
+occupancyCycles(OpClass op)
+{
+    // Fermi's execution blocks run at the 2x shader clock, so a
+    // 16-lane block retires a 32-thread warp every core cycle.
+    switch (op) {
+      case OpClass::IntAlu:
+      case OpClass::FpAlu:
+        return 1; // 32 threads over 16 double-pumped lanes
+      case OpClass::Sfu:
+        return 4; // 32 threads over 4 double-pumped SFU lanes
+      case OpClass::Load:
+      case OpClass::Store:
+      case OpClass::SharedMem:
+        return 1; // 32 threads over 16 LSU lanes
+      case OpClass::Atomic:
+        return 2; // serialization overhead
+      case OpClass::Sync:
+        return 1; // barriers do not occupy a block
+      case OpClass::NumClasses:
+        break;
+    }
+    return 1;
+}
 
 /**
  * One execution block: occupancy, idle tracking, and gating state.
@@ -60,7 +83,13 @@ class ExecUnit
      * (not occupied; if gated, acceptance implies a wake-up begins and
      * this returns false until the wake completes).
      */
-    bool canAccept(Cycle now) const;
+    bool
+    canAccept(Cycle now) const
+    {
+        if (gatedFlag_ || wakeUntil_ > now)
+            return false;
+        return busyUntil_ <= now;
+    }
 
     /** Occupy the block for the instruction issued at @p now. */
     void accept(OpClass op, Cycle now);
@@ -74,7 +103,7 @@ class ExecUnit
     // --- power gating ---
 
     /** @return true when the block's supply is gated at @p now. */
-    bool gated(Cycle now) const;
+    bool gated(Cycle now) const { return gatedFlag_ || wakeUntil_ > now; }
 
     /**
      * Gate the block (drops its leakage).  A gated block refuses
@@ -125,7 +154,27 @@ class ExecUnit
 
 /** @return the block an op class executes on; SP ops may use either
  *  SP block (the caller tries both). */
-ExecUnitKind primaryUnit(OpClass op);
+constexpr ExecUnitKind
+primaryUnit(OpClass op)
+{
+    switch (op) {
+      case OpClass::IntAlu:
+      case OpClass::FpAlu:
+        return ExecUnitKind::Sp0;
+      case OpClass::Sfu:
+        return ExecUnitKind::Sfu;
+      case OpClass::Load:
+      case OpClass::Store:
+      case OpClass::SharedMem:
+      case OpClass::Atomic:
+        return ExecUnitKind::Lsu;
+      case OpClass::Sync:
+        return ExecUnitKind::Sp0; // nominal; barriers bypass blocks
+      case OpClass::NumClasses:
+        break;
+    }
+    return ExecUnitKind::Sp0;
+}
 
 } // namespace vsgpu
 

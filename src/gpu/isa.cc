@@ -20,11 +20,4 @@ opClassName(OpClass op)
     return "?";
 }
 
-bool
-isMemoryOp(OpClass op)
-{
-    return op == OpClass::Load || op == OpClass::Store ||
-           op == OpClass::SharedMem || op == OpClass::Atomic;
-}
-
 } // namespace vsgpu

@@ -42,7 +42,12 @@ inline constexpr int numOpClasses =
 const char *opClassName(OpClass op);
 
 /** @return true when the op executes on the LSU block. */
-bool isMemoryOp(OpClass op);
+constexpr bool
+isMemoryOp(OpClass op)
+{
+    return op == OpClass::Load || op == OpClass::Store ||
+           op == OpClass::SharedMem || op == OpClass::Atomic;
+}
 
 /** Register id meaning "no register". */
 inline constexpr std::uint8_t noReg = 0xff;

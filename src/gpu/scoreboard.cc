@@ -1,5 +1,7 @@
 #include "gpu/scoreboard.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace vsgpu
@@ -16,26 +18,24 @@ Scoreboard::Scoreboard(int numWarps, int numRegs)
         0);
 }
 
-bool
-Scoreboard::regFree(int warp, std::uint8_t reg, Cycle now) const
+Cycle
+Scoreboard::operandUntil(int warp, std::uint8_t reg) const
 {
     if (reg == noReg)
-        return true;
+        return 0;
     panicIfNot(reg < numRegs_, "register id out of range");
-    const Cycle until =
-        pending_[static_cast<std::size_t>(warp) *
-                     static_cast<std::size_t>(numRegs_) +
-                 reg];
-    return until <= now;
+    return pending_[static_cast<std::size_t>(warp) *
+                        static_cast<std::size_t>(numRegs_) +
+                    reg];
 }
 
-bool
-Scoreboard::ready(int warp, const WarpInstr &instr, Cycle now) const
+Cycle
+Scoreboard::readyAt(int warp, const WarpInstr &instr) const
 {
     panicIfNot(warp >= 0 && warp < numWarps_, "bad warp index ", warp);
-    return regFree(warp, instr.src0, now) &&
-           regFree(warp, instr.src1, now) &&
-           regFree(warp, instr.dest, now);
+    return std::max({operandUntil(warp, instr.src0),
+                     operandUntil(warp, instr.src1),
+                     operandUntil(warp, instr.dest)});
 }
 
 void

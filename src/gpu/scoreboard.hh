@@ -32,8 +32,22 @@ class Scoreboard
      */
     Scoreboard(int numWarps, int numRegs = 64);
 
+    /**
+     * @return the first cycle at which the instruction's registers
+     * (src0, src1 and dest) are all free: the latest pendingUntil of
+     * the three, 0 when none is pending; panics on an out-of-range
+     * register.  Only the warp's own recordIssue() (and releaseWarp())
+     * moves this value, so it can be computed once when the
+     * instruction is fetched.
+     */
+    Cycle readyAt(int warp, const WarpInstr &instr) const;
+
     /** @return true when the instruction's registers are all free. */
-    bool ready(int warp, const WarpInstr &instr, Cycle now) const;
+    bool
+    ready(int warp, const WarpInstr &instr, Cycle now) const
+    {
+        return readyAt(warp, instr) <= now;
+    }
 
     /**
      * Record the destination write of an issued instruction.
@@ -48,7 +62,9 @@ class Scoreboard
     Cycle pendingUntil(int warp, std::uint8_t reg) const;
 
   private:
-    bool regFree(int warp, std::uint8_t reg, Cycle now) const;
+    /** @return pendingUntil of an operand; panics on an out-of-range
+     *  register. */
+    Cycle operandUntil(int warp, std::uint8_t reg) const;
 
     int numWarps_;
     int numRegs_;

@@ -1,6 +1,7 @@
 #include "gpu/sm.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/logging.hh"
 
@@ -30,6 +31,11 @@ Sm::launch(const ProgramFactory &factory, Cycle now)
             factory.makeProgram(id_, w);
         scoreboard_.releaseWarp(w);
     }
+    // Every warp fetches its first instruction on the first step.
+    readyAt_.fill(neverReady);
+    barrierMask_ = 0;
+    refillMask_ = numWarps == 64 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << numWarps) - 1;
     activeWarps_ = numWarps;
     lastIssuedWarp_ = -1;
     issueTokens_ = 0.0;
@@ -39,37 +45,30 @@ Sm::launch(const ProgramFactory &factory, Cycle now)
 }
 
 void
-Sm::refill(WarpContext &warp)
+Sm::refill(int warp)
 {
-    if (warp.finished || warp.pending.has_value())
-        return;
-    warp.pending = warp.program->next();
-    if (!warp.pending.has_value()) {
-        warp.finished = true;
+    const auto w = static_cast<std::size_t>(warp);
+    const std::optional<WarpInstr> next = warps_[w].program->next();
+    if (!next.has_value()) {
+        readyAt_[w] = neverReady;
         --activeWarps_;
+        return;
     }
+    warps_[w].pending = *next;
+    readyAt_[w] = scoreboard_.readyAt(warp, *next);
 }
 
 void
 Sm::checkBarrier()
 {
-    bool anyWaiting = false;
-    for (const auto &w : warps_) {
-        if (w.finished)
-            continue;
-        if (!w.atBarrier)
-            return; // someone still running
-        anyWaiting = true;
-    }
-    if (!anyWaiting)
+    // A warp at the barrier is unfinished, so the barrier is complete
+    // when the waiting warps are all the unfinished ones.
+    const int waiting = std::popcount(barrierMask_);
+    if (waiting == 0 || waiting != activeWarps_)
         return;
-    for (auto &w : warps_) {
-        if (w.finished || !w.atBarrier)
-            continue;
-        w.atBarrier = false;
-        w.pending.reset();
-        ++retired_;
-    }
+    retired_ += static_cast<std::uint64_t>(waiting);
+    refillMask_ |= barrierMask_;
+    barrierMask_ = 0;
 }
 
 Cycle
@@ -120,37 +119,33 @@ Sm::findUnit(OpClass op, Cycle now)
     return tryUnit(primaryUnit(op));
 }
 
-void
-Sm::buildSchedule(std::vector<int> &order, Cycle now)
+Sm::IssueOrder
+Sm::schedule(std::uint64_t ready, Cycle now) const
 {
-    order.clear();
-    const int n = static_cast<int>(warps_.size());
-
+    IssueOrder order;
     if (cfg_.scheduler == SchedulerKind::Gates) {
         // Gating-aware: first the warps whose next op targets an
         // un-gated block (keeps idle blocks idle so they can gate),
         // then the rest, each group in oldest-first order.
-        for (int pass = 0; pass < 2; ++pass) {
-            for (int w = 0; w < n; ++w) {
-                const auto &warp = warps_[static_cast<std::size_t>(w)];
-                if (warp.finished || !warp.pending.has_value())
-                    continue;
-                const ExecUnitKind kind =
-                    primaryUnit(warp.pending->op);
-                const bool hot = !unit(kind).gated(now);
-                if ((pass == 0) == hot)
-                    order.push_back(w);
-            }
+        std::uint64_t hot = 0;
+        for (std::uint64_t m = ready; m != 0; m &= m - 1) {
+            const int w = std::countr_zero(m);
+            const OpClass op =
+                warps_[static_cast<std::size_t>(w)].pending.op;
+            if (!unit(primaryUnit(op)).gated(now))
+                hot |= std::uint64_t{1} << w;
         }
-        return;
+        order.queue = {hot, ready & ~hot};
+        return order;
     }
 
     // GTO: greedy warp first, then oldest-first (slot order).
-    if (lastIssuedWarp_ >= 0 && lastIssuedWarp_ < n)
-        order.push_back(lastIssuedWarp_);
-    for (int w = 0; w < n; ++w)
-        if (w != lastIssuedWarp_)
-            order.push_back(w);
+    if (lastIssuedWarp_ >= 0 && ((ready >> lastIssuedWarp_) & 1) != 0) {
+        order.head = lastIssuedWarp_;
+        ready &= ~(std::uint64_t{1} << lastIssuedWarp_);
+    }
+    order.queue[0] = ready;
+    return order;
 }
 
 const SmCycleEvents &
@@ -171,53 +166,46 @@ Sm::step(Cycle now)
     int slots = cfg_.maxIssueWidth;
     bool throttledThisCycle = false;
 
-    static thread_local std::vector<int> order;
-    // Refill all pending slots first so scheduling sees fresh state.
-    for (auto &warp : warps_)
-        refill(warp);
-    buildSchedule(order, now);
+    // Warps launched or released from the barrier fetch first.
+    for (; refillMask_ != 0; refillMask_ &= refillMask_ - 1)
+        refill(std::countr_zero(refillMask_));
 
-    std::size_t cursor = 0;
-    while (slots > 0 && cursor < order.size()) {
+    // Ready set: one branch-free compare per warp slot.  Issue only
+    // changes the visited warp's ready cycle, so the set stays exact
+    // for every warp the scheduler has not visited yet.
+    std::uint64_t ready = 0;
+    for (std::size_t w = 0; w < warps_.size(); ++w)
+        ready |= static_cast<std::uint64_t>(readyAt_[w] <= now) << w;
+    IssueOrder order = schedule(ready, now);
+
+    int wIdx = order.pop();
+    while (slots > 0 && wIdx >= 0) {
+        const auto w = static_cast<std::size_t>(wIdx);
         if (issueTokens_ < 1.0) {
             // A slot exists but DIWS withholds it; remember whether
             // real work was available so the throttle is chargeable.
-            for (std::size_t k = cursor; k < order.size(); ++k) {
-                auto &w = warps_[static_cast<std::size_t>(order[k])];
-                if (!w.finished && w.pending.has_value() &&
-                    !w.atBarrier &&
-                    scoreboard_.ready(order[k], *w.pending, now)) {
-                    throttledThisCycle = true;
-                    break;
-                }
-            }
+            // Candidates not yet visited are still ready.
+            throttledThisCycle = readyAt_[w] <= now || !order.empty();
             break;
         }
 
-        const int wIdx = order[cursor];
-        WarpContext &warp = warps_[static_cast<std::size_t>(wIdx)];
-        if (warp.finished || !warp.pending.has_value() ||
-            warp.atBarrier) {
-            ++cursor;
+        if (readyAt_[w] > now) {
+            wIdx = order.pop();
             continue;
         }
 
-        const WarpInstr instr = *warp.pending;
+        const WarpInstr instr = warps_[w].pending;
 
         if (instr.op == OpClass::Sync) {
-            warp.atBarrier = true;
-            ++cursor;
-            continue;
-        }
-
-        if (!scoreboard_.ready(wIdx, instr, now)) {
-            ++cursor;
+            barrierMask_ |= std::uint64_t{1} << wIdx;
+            readyAt_[w] = neverReady;
+            wIdx = order.pop();
             continue;
         }
 
         ExecUnit *execUnit = findUnit(instr.op, now);
         if (execUnit == nullptr) {
-            ++cursor;
+            wIdx = order.pop();
             continue;
         }
 
@@ -225,8 +213,7 @@ Sm::step(Cycle now)
         execUnit->accept(instr.op, now);
         const Cycle readyAt = resultLatency(instr, now);
         scoreboard_.recordIssue(wIdx, instr, readyAt);
-        warp.pending.reset();
-        refill(warp);
+        refill(wIdx);
 
         events_.issued[static_cast<std::size_t>(instr.op)] += 1;
         issuedByClass_[static_cast<std::size_t>(instr.op)] += 1;
@@ -236,8 +223,8 @@ Sm::step(Cycle now)
         issueTokens_ -= 1.0;
         --slots;
 
-        // Greedy: keep trying the same warp (do not advance cursor)
-        // unless it just stalled; the ready checks above handle that.
+        // Greedy: keep trying the same warp unless it just stalled;
+        // its fresh ready cycle decides that.
         lastIssuedWarp_ = wIdx;
     }
 

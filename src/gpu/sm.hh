@@ -18,15 +18,29 @@
  *
  * plus per-execution-block power gating with blackout and wake-up
  * penalties (for the Warped-Gates-style policy).
+ *
+ * Issue is event-driven.  A warp's scoreboard readiness is fixed once
+ * its next instruction is fetched (only the warp's own issues write
+ * its scoreboard rows), so the fetch stores the instruction's ready
+ * cycle per warp; finished warps, warps at a barrier and warps
+ * waiting to refetch after a barrier hold a never-ready sentinel.
+ * Each cycle the ready set is one 64-bit mask (readyAt <= now), the
+ * scheduler orders only those warps (GTO: the greedy warp, then
+ * ascending slots; GATES: warps bound for an ungated block, then the
+ * rest, each ascending), and a warp is refetched only when it issues
+ * or leaves a barrier.  Apart from that one branch-free compare per
+ * warp, per-cycle cost follows issue events, not resident warps.
  */
 
 #ifndef VSGPU_GPU_SM_HH
 #define VSGPU_GPU_SM_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "gpu/exec_unit.hh"
@@ -170,13 +184,16 @@ class Sm
     struct WarpContext
     {
         std::unique_ptr<WarpProgram> program;
-        std::optional<WarpInstr> pending;
-        bool atBarrier = false;
-        bool finished = false;
+        WarpInstr pending; ///< valid while the warp's ready cycle is set
     };
 
-    /** Fetch into pending if empty; updates finished state. */
-    void refill(WarpContext &warp);
+    /** Ready cycle of a warp that cannot issue (finished, at a
+     *  barrier, or waiting to refetch). */
+    static constexpr Cycle neverReady = std::numeric_limits<Cycle>::max();
+
+    /** Fetch a warp's next instruction and its ready cycle; retires
+     *  the warp at program end. */
+    void refill(int warp);
 
     /** Release the barrier when every unfinished warp reached it. */
     void checkBarrier();
@@ -187,8 +204,41 @@ class Sm
     /** Try to find an execution block for the op. */
     ExecUnit *findUnit(OpClass op, Cycle now);
 
-    /** Build the scheduler's candidate order for this cycle. */
-    void buildSchedule(std::vector<int> &order, Cycle now);
+    /**
+     * One cycle's scheduler candidates in visit order: the head warp
+     * (if any), then each queue mask lowest slot first.
+     */
+    struct IssueOrder
+    {
+        int head = -1;
+        std::array<std::uint64_t, 2> queue{};
+
+        /** @return the next candidate, or -1 when none is left. */
+        int
+        pop()
+        {
+            if (head >= 0)
+                return std::exchange(head, -1);
+            for (std::uint64_t &q : queue) {
+                if (q != 0) {
+                    const int w = std::countr_zero(q);
+                    q &= q - 1;
+                    return w;
+                }
+            }
+            return -1;
+        }
+
+        /** @return true when no candidate is left. */
+        bool
+        empty() const
+        {
+            return head < 0 && (queue[0] | queue[1]) == 0;
+        }
+    };
+
+    /** @return the scheduler's visit order over the @p ready warps. */
+    IssueOrder schedule(std::uint64_t ready, Cycle now) const;
 
     int id_;
     SmConfig cfg_;
@@ -196,6 +246,16 @@ class Sm
     Scoreboard scoreboard_;
     std::vector<WarpContext> warps_;
     std::array<ExecUnit, numExecUnits> units_;
+
+    static_assert(config::warpsPerSM <= 64,
+                  "warp sets are 64-bit masks");
+    /** Cycle each warp's pending instruction can issue. */
+    std::array<Cycle, config::warpsPerSM> readyAt_{};
+    /** Warps waiting at the barrier. */
+    std::uint64_t barrierMask_ = 0;
+    /** Warps to refetch at the start of the next step (launch and
+     *  barrier release). */
+    std::uint64_t refillMask_ = 0;
 
     int activeWarps_ = 0;
     int lastIssuedWarp_ = -1;

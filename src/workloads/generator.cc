@@ -37,6 +37,16 @@ GeneratedProgram::GeneratedProgram(const WorkloadSpec &spec,
     VSGPU_REQUIRES(!spec_.phases.empty(), "workload has no phases");
     const int loop = spec_.loopLength();
     VSGPU_REQUIRES(loop > 0, "workload loop is empty");
+    mixTotal_.reserve(spec_.phases.size());
+    for (const PhaseSpec &phase : spec_.phases) {
+        double total = 0.0;
+        for (int op = 0; op < numOpClasses; ++op) {
+            if (static_cast<OpClass>(op) == OpClass::Sync)
+                continue;
+            total += phase.mix[static_cast<std::size_t>(op)];
+        }
+        mixTotal_.push_back(total);
+    }
     int offset = startOffset % loop;
 
     // Position the cursor 'offset' instructions into the loop.
@@ -85,12 +95,7 @@ GeneratedProgram::sample()
     }
 
     // Sample the op class from the phase mix (Sync excluded).
-    double total = 0.0;
-    for (int op = 0; op < numOpClasses; ++op) {
-        if (static_cast<OpClass>(op) == OpClass::Sync)
-            continue;
-        total += phase.mix[static_cast<std::size_t>(op)];
-    }
+    const double total = mixTotal_[phaseIdx_];
     panicIfNot(total > 0.0, "phase mix has no weight");
     double pick = rng_.uniform() * total;
     OpClass chosen = OpClass::IntAlu;

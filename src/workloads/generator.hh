@@ -13,6 +13,7 @@
 #define VSGPU_WORKLOADS_GENERATOR_HH
 
 #include <memory>
+#include <vector>
 
 #include "common/random.hh"
 #include "gpu/program.hh"
@@ -46,6 +47,8 @@ class GeneratedProgram : public WarpProgram
     WarpInstr sample();
 
     WorkloadSpec spec_;
+    /** Per-phase sum of the mix weights (Sync excluded). */
+    std::vector<double> mixTotal_;
     Rng rng_;
     int repeatsLeft_;
     std::size_t phaseIdx_ = 0;

@@ -98,6 +98,36 @@ TEST(Scoreboard, MultipleOutstandingWrites)
     EXPECT_FALSE(sb.ready(0, instr(9, 3), 25));
 }
 
+TEST(Scoreboard, ReadyAtRawIsLatestSource)
+{
+    Scoreboard sb(2);
+    sb.recordIssue(0, instr(5), 10);
+    sb.recordIssue(0, instr(6), 30);
+    EXPECT_EQ(sb.readyAt(0, instr(9, 5)), 10u);
+    EXPECT_EQ(sb.readyAt(0, instr(9, noReg, 6)), 30u);
+    EXPECT_EQ(sb.readyAt(0, instr(9, 6, 5)), 30u);
+    EXPECT_FALSE(sb.ready(0, instr(9, 6, 5), 29));
+    EXPECT_TRUE(sb.ready(0, instr(9, 6, 5), 30));
+}
+
+TEST(Scoreboard, ReadyAtWawWaitsForDest)
+{
+    Scoreboard sb(2);
+    sb.recordIssue(1, instr(7), 42);
+    EXPECT_EQ(sb.readyAt(1, instr(7)), 42u);
+    EXPECT_EQ(sb.readyAt(1, instr(8)), 0u);
+    sb.recordIssue(1, instr(7), 50);
+    EXPECT_EQ(sb.readyAt(1, instr(7, 8)), 50u);
+}
+
+TEST(Scoreboard, ReadyAtIgnoresNoReg)
+{
+    Scoreboard sb(2);
+    sb.recordIssue(0, instr(5), 100);
+    EXPECT_EQ(sb.readyAt(0, instr(noReg, noReg, noReg)), 0u);
+    EXPECT_EQ(sb.readyAt(1, instr(5, 5, 5)), 0u);
+}
+
 TEST(ScoreboardDeath, BadWarpPanics)
 {
     setLogQuiet(true);
@@ -112,6 +142,7 @@ TEST(ScoreboardDeath, OutOfRangeRegisterPanics)
     setLogQuiet(true);
     Scoreboard sb(2, 16);
     EXPECT_DEATH(sb.recordIssue(0, instr(200), 1), "");
+    EXPECT_DEATH(sb.readyAt(0, instr(noReg, 200)), "");
 }
 
 } // namespace

@@ -57,6 +57,32 @@ class FixedFactory : public ProgramFactory
     int warps_;
 };
 
+/** Factory giving each warp slot its own trace. */
+class PerWarpFactory : public ProgramFactory
+{
+  public:
+    explicit PerWarpFactory(std::vector<std::vector<WarpInstr>> traces)
+        : traces_(std::move(traces))
+    {
+    }
+
+    int
+    warpsPerSm() const override
+    {
+        return static_cast<int>(traces_.size());
+    }
+
+    std::unique_ptr<WarpProgram>
+    makeProgram(int, int warp) const override
+    {
+        return std::make_unique<TraceProgram>(
+            traces_[static_cast<std::size_t>(warp)]);
+    }
+
+  private:
+    std::vector<std::vector<WarpInstr>> traces_;
+};
+
 /** Run an SM until drained; @return cycles taken. */
 Cycle
 drain(Sm &sm, Cycle limit = 100000)
@@ -139,6 +165,30 @@ TEST(SmTest, BarrierOnlyProgramCompletes)
     sm.launch(factory);
     const Cycle cycles = drain(sm, 1000);
     EXPECT_TRUE(sm.done()) << "deadlock after " << cycles;
+}
+
+TEST(SmTest, WarpEndingAtBarrierRetiresOnTheNextStep)
+{
+    // Both warps issue their ALU op on cycle 0; warp 0 reaches the
+    // barrier on cycle 0 and warp 1 on cycle 1, which releases it.
+    // The released warps fetch (and find their programs ended) at the
+    // start of the following step, so the SM drains on cycle 2.
+    MemorySystem mem;
+    Sm sm(0, SmConfig{}, mem);
+    FixedFactory factory({alu(), sync()}, 2);
+    sm.launch(factory);
+
+    sm.step(0);
+    EXPECT_EQ(sm.retired(), 2u);
+    EXPECT_EQ(sm.activeWarps(), 2);
+    sm.step(1);
+    EXPECT_EQ(sm.retired(), 4u);
+    EXPECT_EQ(sm.activeWarps(), 2);
+    EXPECT_FALSE(sm.done());
+    EXPECT_TRUE(sm.step(2).active);
+    EXPECT_EQ(sm.activeWarps(), 0);
+    EXPECT_TRUE(sm.done());
+    EXPECT_FALSE(sm.step(3).active);
 }
 
 TEST(SmTest, DiwsReducesIssueRate)
@@ -375,6 +425,59 @@ TEST(SmScheduler, ThrottledCyclesOnlyChargedWithReadyWork)
     // The single warp spends nearly all its time blocked on DRAM;
     // throttle accounting must reflect that (few chargeable cycles).
     EXPECT_LT(sm.throttledCycles(), 10u);
+}
+
+TEST(SmScheduler, GreedyWarpIsRecheckedForThrottleCharge)
+{
+    // At a 1.0 limit each cycle has one token, so after the greedy
+    // warp issues, DIWS withholds the second slot.  The cycle is
+    // charged only if the warp's freshly fetched instruction could
+    // have issued: always for independent ops (except the last one),
+    // never for a dependence chain.
+    MemorySystem mem;
+    Sm independent(0, SmConfig{}, mem), chained(1, SmConfig{}, mem);
+    FixedFactory independentOps(std::vector<WarpInstr>(20, alu()), 1);
+    FixedFactory chainOps(std::vector<WarpInstr>(20, alu(10, 10)), 1);
+    independent.launch(independentOps);
+    chained.launch(chainOps);
+    independent.setIssueWidthLimit(1.0);
+    chained.setIssueWidthLimit(1.0);
+    drain(independent);
+    drain(chained);
+    EXPECT_EQ(independent.throttledCycles(), 19u);
+    EXPECT_EQ(chained.throttledCycles(), 0u);
+}
+
+TEST(SmScheduler, GatesOrderIsFixedAtCycleStart)
+{
+    // SFU and LSU are gated with an instant wake.  GATES orders the
+    // ALU warp (hot) before the SFU, LSU and SFU warps (cold).  Warp
+    // 0's demand wake-up ungates the SFU mid-cycle, but warp 3 keeps
+    // its cold slot behind warp 1, so warp 1 still wakes the LSU
+    // before warp 3 takes the last issue slot.
+    MemorySystem mem;
+    SmConfig cfg;
+    cfg.scheduler = SchedulerKind::Gates;
+    cfg.pgWakeLatency = 0;
+    cfg.pgBlackout = 0;
+    Sm sm(0, cfg, mem);
+    WarpInstr sfu;
+    sfu.op = OpClass::Sfu;
+    WarpInstr load;
+    load.op = OpClass::Load;
+    PerWarpFactory factory({{sfu}, {load}, {alu()}, {sfu}});
+    sm.launch(factory);
+    sm.requestGate(ExecUnitKind::Sfu, 0);
+    sm.requestGate(ExecUnitKind::Lsu, 0);
+
+    const SmCycleEvents &ev = sm.step(0);
+    EXPECT_EQ(ev.issued[static_cast<int>(OpClass::IntAlu)], 1);
+    EXPECT_EQ(ev.issued[static_cast<int>(OpClass::Sfu)], 1);
+    EXPECT_EQ(ev.issued[static_cast<int>(OpClass::Load)], 0);
+    EXPECT_EQ(ev.wakeEvents, 2);
+    EXPECT_EQ(sm.unit(ExecUnitKind::Lsu).wakeEvents(), 1u);
+    drain(sm);
+    EXPECT_TRUE(sm.done());
 }
 
 } // namespace
