@@ -31,7 +31,7 @@ Checks (stdlib only, no third-party deps):
           channels are monotone across windows (they record
           cumulative counters), and no schedule-dependent channel
           leaked into the determinism-gated default dump.
-  profile the stats dump embeds a vsgpu-profile-v1 section whose
+  profile the stats dump embeds a vsgpu-profile-v2 section whose
           named loop stages attribute >= 95% of the sampled loop
           time (--profile-required makes its absence an error).
   flight  vsgpu-flight-v1 crash dump: run identity present, record
@@ -60,7 +60,7 @@ PROFILE_TOP_KEYS = {"schema", "runs", "stride_cycles", "cycles",
                     "sampled_cycles", "loop_ns", "wall_ns", "stages"}
 PROFILE_LOOP_STAGES = ("gpu", "power", "circuit", "control",
                        "hypervisor", "observe", "bookkeeping")
-PROFILE_STAGES = ("setup",) + PROFILE_LOOP_STAGES + (
+PROFILE_STAGES = ("setup", "finalize") + PROFILE_LOOP_STAGES + (
     "circuit.assemble", "circuit.solve", "circuit.refactor",
     "circuit.update")
 FLIGHT_TOP_KEYS = {"schema", "subject", "config_fingerprint",
@@ -266,8 +266,8 @@ def check_profile(doc: dict, path: str, required: bool) -> None:
             fail(f"{path}: no profile section (--profile-required)")
         return
     check_no_unknown_keys(profile, PROFILE_TOP_KEYS, path)
-    if profile.get("schema") != "vsgpu-profile-v1":
-        fail(f"{path}: profile schema is not vsgpu-profile-v1")
+    if profile.get("schema") != "vsgpu-profile-v2":
+        fail(f"{path}: profile schema is not vsgpu-profile-v2")
     for key in ("runs", "cycles", "sampled_cycles", "loop_ns"):
         if not isinstance(profile.get(key), int) or profile[key] <= 0:
             fail(f"{path}: profile '{key}' is not a positive int")

@@ -349,14 +349,6 @@ TransientSim::step()
 }
 
 double
-TransientSim::nodeVoltage(NodeId node) const
-{
-    panicIfNot(node >= 0 && node <= numNodes_, "bad node id ", node);
-    return node > 0 ? solution_[static_cast<std::size_t>(node - 1)]
-                    : 0.0;
-}
-
-double
 TransientSim::sourceCurrent(int vsrcIdx) const
 {
     panicIfNot(vsrcIdx >= 0 && vsrcIdx < numVsrc_,

@@ -119,7 +119,14 @@ class TransientSim
     bool usedCachedPattern() const { return usedCachedPattern_; }
 
     /** @return voltage at a node (ground = 0 V). */
-    double nodeVoltage(NodeId node) const;
+    double
+    nodeVoltage(NodeId node) const
+    {
+        panicIfNot(node >= 0 && node <= numNodes_, "bad node id ",
+                   node);
+        return node > 0 ? solution_[static_cast<std::size_t>(node - 1)]
+                        : 0.0;
+    }
 
     /**
      * @return index of a node's voltage in solution(), or -1 for

@@ -30,9 +30,10 @@
  * that promise statically; the macros verify the conditions at
  * runtime in checked builds and compile to a name-check in release.
  *
- * Concurrency annotations make locking protocols explicit and
- * lintable (the lock-discipline family of vsgpu_lint consumes and
- * enforces them; they cost nothing at runtime):
+ * Concurrency annotations make locking protocols explicit.  No tool
+ * checks them today (the compiler's thread-safety analysis needs a
+ * Clang build); they document the protocol, cost nothing at runtime,
+ * and mirror Clang's -Wthread-safety spellings:
  *
  *   VSGPU_GUARDED_BY(mu)  on a member/global declaration: every
  *                         access must hold mutex mu.  Placed after
@@ -40,10 +41,7 @@
  *                         `std::deque<int> tasks VSGPU_GUARDED_BY(mutex);`
  *   VSGPU_ACQUIRES(mu)    on a function definition (after the
  *                         parameter list): the body acquires mu at
- *                         some point during execution.  The lint
- *                         verifies the promise and uses it at call
- *                         sites for lock-order and double-lock
- *                         analysis.
+ *                         some point during execution.
  *   VSGPU_EXCLUDES(mu)    on a function definition: callers must NOT
  *                         hold mu at the call site (the body acquires
  *                         it itself, or would deadlock/invert order).
@@ -81,11 +79,9 @@
 #endif
 
 // Concurrency annotations.  They expand to nothing for every
-// compiler — the lock-discipline lint family keys on the macro names
-// in the token stream, so the annotations stay meaningful without a
-// thread-safety-analysis-capable toolchain.  The spellings mirror
-// Clang's -Wthread-safety attributes so a later migration to real
-// attributes is mechanical.
+// compiler and nothing reads them; the spellings mirror Clang's
+// -Wthread-safety attributes so a later migration to real attributes
+// is mechanical.
 #define VSGPU_GUARDED_BY(mutex)
 #define VSGPU_ACQUIRES(mutex)
 #define VSGPU_EXCLUDES(mutex)

@@ -17,8 +17,8 @@
  *     so ratios, efficiencies, and normalized values need no casts.
  *   - .raw() is the only escape hatch back to double.  Use it at the
  *     boundary to dimension-unaware code (the MNA solver core, the
- *     control law) and nowhere else; scripts/check_units.py polices
- *     new raw-double parameters in converted public headers.
+ *     control law) and nowhere else; vsgpu_lint's unit-safety family
+ *     polices new raw-double parameters in converted public headers.
  *   - All values are SI at unit scale (ohms not milliohms, square
  *     metres not mm^2).  Express display scaling as a division by a
  *     literal: area / 1.0_mm2 yields the mm^2 count as a double.

@@ -1,7 +1,11 @@
 #include "common/stats.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "common/check.hh"
@@ -53,17 +57,121 @@ RunningStats::stddev() const
     return std::sqrt(variance());
 }
 
+namespace
+{
+
+/** Inputs below this size sort with std::sort: the radix sort's
+ *  8 x 256 digit histogram would cost more than it saves. */
+constexpr std::size_t radixMinSamples = 256;
+
+/**
+ * @return a 64-bit key whose unsigned order is the numeric order of
+ * non-NaN doubles: negatives have every bit flipped, non-negatives
+ * only the sign bit.  -0.0 keys just below +0.0, one of the orders
+ * std::sort may give two zeros that compare equal.
+ */
+std::uint64_t
+orderedKey(double x)
+{
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    return (bits >> 63) != 0 ? ~bits : bits | (1ull << 63);
+}
+
+/** Inverse of orderedKey(). */
+double
+fromOrderedKey(std::uint64_t key)
+{
+    return std::bit_cast<double>((key >> 63) != 0 ? key & ~(1ull << 63)
+                                                  : ~key);
+}
+
+/**
+ * Sort keys ascending: an LSD radix sort over 8-bit digits that skips
+ * every pass whose digit is the same for all keys (for rail voltages
+ * in [0.5, 1) V the top byte, sign and high exponent bits, never
+ * varies).  Equal keys are identical bits, so the result matches
+ * std::sort exactly.
+ */
+void
+sortKeys(std::vector<std::uint64_t> &keys)
+{
+    const std::size_t n = keys.size();
+    // The digit counts are 32-bit: 64-bit counts could alias the keys
+    // stored by the scatter loop, forcing a reload per key.
+    if (n < radixMinSamples ||
+        n > std::numeric_limits<std::uint32_t>::max()) {
+        std::sort(keys.begin(), keys.end());
+        return;
+    }
+    constexpr int digits = 8;
+    std::array<std::array<std::uint32_t, 256>, digits> counts{};
+    for (std::uint64_t key : keys) {
+        for (int d = 0; d < digits; ++d)
+            ++counts[static_cast<std::size_t>(d)][(key >> (8 * d)) &
+                                                  0xffu];
+    }
+    std::vector<std::uint64_t> scratch(n);
+    for (int d = 0; d < digits; ++d) {
+        auto &offsets = counts[static_cast<std::size_t>(d)];
+        const int shift = 8 * d;
+        if (offsets[(keys.front() >> shift) & 0xffu] == n)
+            continue;
+        std::uint32_t sum = 0;
+        for (std::uint32_t &slot : offsets) {
+            const std::uint32_t count = slot;
+            slot = sum;
+            sum += count;
+        }
+        for (std::uint64_t key : keys)
+            scratch[offsets[(key >> shift) & 0xffu]++] = key;
+        keys.swap(scratch);
+    }
+}
+
+/** A sample set sorted ascending, held as order-preserving keys. */
+class SortedSamples
+{
+  public:
+    explicit SortedSamples(const std::vector<double> &samples)
+    {
+        VSGPU_CHECK_ALL_FINITE(samples, "statistics sample set");
+        keys_.reserve(samples.size());
+        for (double x : samples)
+            keys_.push_back(orderedKey(x));
+        sortKeys(keys_);
+    }
+
+    std::size_t size() const { return keys_.size(); }
+
+    double
+    operator[](std::size_t i) const
+    {
+        return fromOrderedKey(keys_[i]);
+    }
+
+    /** @return the linear-interpolation quantile q in [0, 1]. */
+    double
+    quantile(double q) const
+    {
+        const double pos = q * static_cast<double>(size() - 1);
+        const std::size_t lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, size() - 1);
+        const double frac = pos - static_cast<double>(lo);
+        return (*this)[lo] * (1.0 - frac) + (*this)[hi] * frac;
+    }
+
+  private:
+    std::vector<std::uint64_t> keys_;
+};
+
+} // namespace
+
 VSGPU_CONTRACT double
-quantile(std::vector<double> samples, double q)
+quantile(const std::vector<double> &samples, double q)
 {
     VSGPU_REQUIRES(!samples.empty(), "quantile of empty sample set");
     VSGPU_REQUIRES(q >= 0.0 && q <= 1.0, "quantile q out of [0,1]");
-    std::sort(samples.begin(), samples.end());
-    const double pos = q * static_cast<double>(samples.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+    return SortedSamples(samples).quantile(q);
 }
 
 BoxStats
@@ -72,25 +180,19 @@ boxStats(const std::vector<double> &samples)
     BoxStats b;
     if (samples.empty())
         return b;
-    std::vector<double> sorted = samples;
-    std::sort(sorted.begin(), sorted.end());
-    const auto at = [&](double q) {
-        const double pos = q * static_cast<double>(sorted.size() - 1);
-        const std::size_t lo = static_cast<std::size_t>(pos);
-        const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-        const double frac = pos - static_cast<double>(lo);
-        return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-    };
-    b.min = sorted.front();
-    b.q1 = at(0.25);
-    b.median = at(0.5);
-    b.q3 = at(0.75);
-    b.max = sorted.back();
+    const SortedSamples sorted(samples);
+    const std::size_t n = sorted.size();
+    b.min = sorted[0];
+    b.q1 = sorted.quantile(0.25);
+    b.median = sorted.quantile(0.5);
+    b.q3 = sorted.quantile(0.75);
+    b.max = sorted[n - 1];
+    // Summed in ascending order.
     double sum = 0.0;
-    for (double x : sorted)
-        sum += x;
-    b.mean = sum / static_cast<double>(sorted.size());
-    b.count = sorted.size();
+    for (std::size_t i = 0; i < n; ++i)
+        sum += sorted[i];
+    b.mean = sum / static_cast<double>(n);
+    b.count = n;
     return b;
 }
 

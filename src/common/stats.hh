@@ -83,12 +83,16 @@ struct BoxStats
 /**
  * Linear-interpolation quantile of a sample vector.
  *
- * @param samples sample values (not required to be sorted; copied).
+ * @param samples finite sample values (not required to be sorted).
  * @param q       quantile in [0, 1].
  */
-double quantile(std::vector<double> samples, double q);
+double quantile(const std::vector<double> &samples, double q);
 
-/** Compute the five-number summary of a sample vector. */
+/**
+ * Compute the five-number summary of a finite sample vector.  The
+ * samples are sorted with a radix sort (std::sort below 256 samples);
+ * both give the same ascending order, and the mean is summed in it.
+ */
 BoxStats boxStats(const std::vector<double> &samples);
 
 /**

@@ -164,14 +164,16 @@ SmoothingController::step(
             onset ? cfg_.onsetSmoothing : cfg_.releaseSmoothing;
         return applied + a * (target - applied);
     };
+    const Amps dccLsb = cfg_.dcc.lsbAmps();
     for (int sm = 0; sm < config::numSMs; ++sm) {
         const auto idx = static_cast<std::size_t>(sm);
         applied_[idx].issueWidth = slew(
             applied_[idx].issueWidth, active_[idx].issueWidth, true);
         applied_[idx].fakeRate = slew(
             applied_[idx].fakeRate, active_[idx].fakeRate, false);
-        applied_[idx].dccAmps = cfg_.dcc.quantize(slew(
-            applied_[idx].dccAmps, active_[idx].dccAmps, false));
+        applied_[idx].dccAmps = cfg_.dcc.quantize(
+            slew(applied_[idx].dccAmps, active_[idx].dccAmps, false),
+            dccLsb);
     }
 
     ++now_;

@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/check.hh"
+
 namespace vsgpu
 {
 
-Amps
-DccDac::quantize(Amps amps) const
+VSGPU_CONTRACT Amps
+DccDac::quantize(Amps amps, Amps lsb) const
 {
-    const Amps lsb = lsbAmps();
+    VSGPU_REQUIRES(lsb == lsbAmps(), "quantize grid is not the DAC LSB");
     const Amps clamped = std::clamp(amps, Amps{}, fullScaleAmps);
     return std::round(clamped / lsb) * lsb;
 }

@@ -47,7 +47,11 @@ struct DccDac
 
     /** @return the requested current quantized to the DAC grid and
      *  clamped to [0, full scale]. */
-    Amps quantize(Amps amps) const;
+    Amps quantize(Amps amps) const { return quantize(amps, lsbAmps()); }
+
+    /** quantize() on a grid of @p lsb, which must be lsbAmps(); lets a
+     *  caller quantizing many currents divide once. */
+    Amps quantize(Amps amps, Amps lsb) const;
 };
 
 } // namespace vsgpu

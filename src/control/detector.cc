@@ -52,7 +52,8 @@ VoltageDetector::sample(Volts actualVolts)
     filtered_ += alpha_ * (actualVolts - filtered_);
 
     delayLine_[head_] = filtered_;
-    head_ = (head_ + 1) % delayLine_.size();
+    if (++head_ == delayLine_.size())
+        head_ = 0;
     const Volts delayed = delayLine_[head_];
 
     const Volts q = spec_.resolutionVolts;

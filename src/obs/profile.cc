@@ -42,6 +42,7 @@ profileStageName(int stage)
 {
     switch (stage) {
       case StageSetup:           return "setup";
+      case StageFinalize:        return "finalize";
       case StageGpu:             return "gpu";
       case StagePower:           return "power";
       case StageCircuit:         return "circuit";
@@ -150,7 +151,7 @@ writeProfileJson(const Profile &profile, const std::string &indent)
 {
     std::ostringstream os;
     os << "{\n";
-    os << indent << "  \"schema\": \"vsgpu-profile-v1\",\n";
+    os << indent << "  \"schema\": \"vsgpu-profile-v2\",\n";
     os << indent << "  \"runs\": " << profile.runs << ",\n";
     os << indent << "  \"stride_cycles\": " << profile.strideCycles
        << ",\n";
@@ -205,7 +206,7 @@ class ProfileParser
             expect(':');
             if (key == "schema") {
                 const std::string schema = parseString();
-                if (schema != "vsgpu-profile-v1")
+                if (schema != "vsgpu-profile-v2")
                     panic("profile JSON: unknown schema '", schema,
                           "'");
             } else if (key == "runs") {
@@ -449,15 +450,18 @@ renderProfileReport(const Profile &profile)
             static_cast<double>(profile.cycles) /
             std::max<double>(
                 1.0, static_cast<double>(profile.sampledCycles));
+        const std::uint64_t setupNs = profile.stages[StageSetup].ns;
+        const std::uint64_t finalizeNs =
+            profile.stages[StageFinalize].ns;
         const double loopEst =
             static_cast<double>(profile.loopNs) * scale +
-            static_cast<double>(profile.stages[StageSetup].ns);
-        os << "  wall attribution: loop + setup cover "
+            static_cast<double>(setupNs + finalizeNs);
+        os << "  wall attribution: loop + setup + finalize cover "
            << formatPct(std::min(
                   1.0, loopEst / static_cast<double>(profile.wallNs)))
            << " of run wall time (" << formatMs(profile.wallNs)
-           << " ms total, setup "
-           << formatMs(profile.stages[StageSetup].ns) << " ms)\n";
+           << " ms total, setup " << formatMs(setupNs)
+           << " ms, finalize " << formatMs(finalizeNs) << " ms)\n";
     }
     return os.str();
 }

@@ -34,11 +34,13 @@
 namespace vsgpu::obs
 {
 
-/** Profiled stages; the CircuitXxx entries are sub-phases of Circuit
- *  and excluded from loop-coverage sums. */
+/** Profiled stages.  Setup and Finalize bracket the loop; the
+ *  CircuitXxx entries are sub-phases of Circuit.  Neither counts in
+ *  loop-coverage sums. */
 enum ProfileStage : int
 {
     StageSetup,       ///< PDS construction + model verification
+    StageFinalize,    ///< post-loop reductions (box stats, counters)
     StageGpu,         ///< GPU cycle model step
     StagePower,       ///< per-SM power evaluation
     StageCircuit,     ///< MNA transient step (incl. sub-phases)
@@ -204,7 +206,7 @@ class ProfileScope
 };
 
 /** Serialize as the `profile` stats-JSON section (schema
- *  vsgpu-profile-v1); every line is prefixed with @p indent. */
+ *  vsgpu-profile-v2); every line is prefixed with @p indent. */
 std::string writeProfileJson(const Profile &profile,
                              const std::string &indent);
 
@@ -214,7 +216,8 @@ Profile parseProfileJson(const std::string &text);
 
 /** Render the human-readable stage report: per-stage share of loop
  *  time, circuit sub-phase breakdown, serial-chain critical path,
- *  and loop/wall coverage lines. */
+ *  and loop/wall coverage lines (the wall line names setup and
+ *  finalize). */
 std::string renderProfileReport(const Profile &profile);
 
 } // namespace vsgpu::obs

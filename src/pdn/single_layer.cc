@@ -118,24 +118,11 @@ SingleLayerPdn::build()
         node = oldToNew[static_cast<std::size_t>(node)];
 }
 
-NodeId
-SingleLayerPdn::smNode(int sm) const
-{
-    panicIfNot(sm >= 0 && sm < config::numSMs, "bad SM index ", sm);
-    return smNode_[static_cast<std::size_t>(sm)];
-}
-
 int
 SingleLayerPdn::smCurrentSource(int sm) const
 {
     panicIfNot(sm >= 0 && sm < config::numSMs, "bad SM index ", sm);
     return smSource_[static_cast<std::size_t>(sm)];
-}
-
-Volts
-SingleLayerPdn::smVoltage(const TransientSim &sim, int sm) const
-{
-    return Volts{sim.nodeVoltage(smNode(sm))};
 }
 
 } // namespace vsgpu

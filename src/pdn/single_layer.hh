@@ -23,6 +23,7 @@
 
 #include "circuit/netlist.hh"
 #include "circuit/transient.hh"
+#include "common/logging.hh"
 #include "common/units.hh"
 #include "pdn/params.hh"
 
@@ -65,13 +66,23 @@ class SingleLayerPdn
     const SingleLayerOptions &options() const { return options_; }
 
     /** @return supply node of an SM. */
-    NodeId smNode(int sm) const;
+    NodeId
+    smNode(int sm) const
+    {
+        panicIfNot(sm >= 0 && sm < config::numSMs, "bad SM index ",
+                   sm);
+        return smNode_[static_cast<std::size_t>(sm)];
+    }
 
     /** @return current-source index driving the SM's load. */
     int smCurrentSource(int sm) const;
 
     /** @return the SM's rail voltage in a transient sim. */
-    Volts smVoltage(const TransientSim &sim, int sm) const;
+    Volts
+    smVoltage(const TransientSim &sim, int sm) const
+    {
+        return Volts{sim.nodeVoltage(smNode(sm))};
+    }
 
     /** @return index of the supply voltage source. */
     int supplySource() const { return supplyIdx_; }

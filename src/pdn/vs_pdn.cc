@@ -155,6 +155,9 @@ VsPdn::build()
     for (auto &level : boundary_)
         for (NodeId &node : level)
             node = oldToNew[static_cast<std::size_t>(node)];
+    smRail_.reserve(static_cast<std::size_t>(numSms()));
+    for (int sm = 0; sm < numSms(); ++sm)
+        smRail_.push_back({smTopNode(sm), smBottomNode(sm)});
 }
 
 NodeId
@@ -187,13 +190,6 @@ VsPdn::smCurrentSource(int sm) const
 {
     panicIfNot(sm >= 0 && sm < numSms(), "bad SM index ", sm);
     return smSource_[static_cast<std::size_t>(sm)];
-}
-
-Volts
-VsPdn::smVoltage(const TransientSim &sim, int sm) const
-{
-    return Volts{sim.nodeVoltage(smTopNode(sm)) -
-                 sim.nodeVoltage(smBottomNode(sm))};
 }
 
 } // namespace vsgpu

@@ -25,6 +25,7 @@
 #include "circuit/netlist.hh"
 #include "circuit/transient.hh"
 #include "common/check.hh"
+#include "common/logging.hh"
 #include "common/units.hh"
 #include "pdn/params.hh"
 
@@ -139,7 +140,14 @@ class VsPdn
     }
 
     /** @return the SM's local rail voltage in a transient sim. */
-    Volts smVoltage(const TransientSim &sim, int sm) const;
+    Volts
+    smVoltage(const TransientSim &sim, int sm) const
+    {
+        panicIfNot(sm >= 0 && sm < numSms(), "bad SM index ", sm);
+        const SmRail &rail = smRail_[static_cast<std::size_t>(sm)];
+        return Volts{sim.nodeVoltage(rail.top) -
+                     sim.nodeVoltage(rail.bottom)};
+    }
 
     /** @return index of the board supply voltage source. */
     int supplySource() const { return supplyIdx_; }
@@ -166,12 +174,21 @@ class VsPdn
     }
 
   private:
+    /** An SM's supply node pair. */
+    struct SmRail
+    {
+        NodeId top;
+        NodeId bottom;
+    };
+
     void build();
 
     VsPdnOptions options_;
     Netlist net_;
     // boundary_[level][column], level 0 (chip ground rail) .. 4 (VDD).
     std::vector<std::vector<NodeId>> boundary_;
+    // Per-SM rail nodes, resolved once the topology is final.
+    std::vector<SmRail> smRail_;
     std::vector<int> smSource_;
     std::vector<int> loadResIdx_;
     std::vector<int> equalizerIdx_;

@@ -139,16 +139,25 @@ CoSimulator::runImpl(
                 : slPdn->loadResistorIndices();
     tr->initFromDc(setup->dcNodeVolts);
 
-    // Per-SM rail voltage reader (raw volts for the loop math).
-    const auto railVolts = [&](int sm) {
-        return (stacked ? vsPdn->smVoltage(*tr, sm)
-                        : slPdn->smVoltage(*tr, sm))
-            .raw();
-    };
     const auto smSource = [&](int sm) {
         return stacked ? vsPdn->smCurrentSource(sm)
                        : slPdn->smCurrentSource(sm);
     };
+
+    // One rail snapshot per cycle (raw volts for the loop math), read
+    // right after the circuit step.  Observe, control and the next
+    // cycle's P -> I coupling all read it: nothing writes the solution
+    // in between (setSourceVolts only changes the next right-hand
+    // side).  Cycle 0's coupling reads the DC operating point.
+    std::array<double, config::numSMs> railNow{};
+    const auto snapshotRails = [&] {
+        for (int sm = 0; sm < config::numSMs; ++sm)
+            railNow[static_cast<std::size_t>(sm)] =
+                (stacked ? vsPdn->smVoltage(*tr, sm)
+                         : slPdn->smVoltage(*tr, sm))
+                    .raw();
+    };
+    snapshotRails();
 
     // --- controller (cross-layer only) ---
     std::unique_ptr<SmoothingController> controller;
@@ -401,7 +410,7 @@ CoSimulator::runImpl(
         double dccDrawnWatts = 0.0;
         for (int sm = 0; sm < config::numSMs; ++sm) {
             const auto idx = static_cast<std::size_t>(sm);
-            const double rail = railVolts(sm);
+            const double rail = railNow[idx];
             vSlow[idx] += vSlowBeta * (rail - vSlow[idx]);
             const double v = usableVolts(vSlow[idx]);
             const double knee = 0.6 * config::smVoltage.raw();
@@ -418,6 +427,7 @@ CoSimulator::runImpl(
         }
         stageTimer.mark(obs::StagePower);
         tr->step();
+        snapshotRails();
         if (wave)
             wave->sample();
 
@@ -439,14 +449,12 @@ CoSimulator::runImpl(
         double cycleMin = 1e9;
         double cycleMax = -1e9;
         double railSum = 0.0;
-        std::array<double, config::numSMs> railNow;
         for (int sm = 0; sm < config::numSMs; ++sm) {
-            const double v = railVolts(sm);
+            const double v = railNow[static_cast<std::size_t>(sm)];
             // A non-finite rail voltage here means the PDS solve has
             // already gone unstable; fail fast in debug builds.
             VSGPU_CHECK_FINITE(v);
             railSum += v;
-            railNow[static_cast<std::size_t>(sm)] = v;
             noise[static_cast<std::size_t>(sm)].add(v);
             pooledVolts.add(v);
             cycleMin = std::min(cycleMin, v);
@@ -475,7 +483,8 @@ CoSimulator::runImpl(
             sample.maxSmVolts = Volts{cycleMax};
             for (int layer = 0; layer < config::numLayers; ++layer)
                 sample.layerVolts[static_cast<std::size_t>(layer)] =
-                    railVolts(VsPdn::smAt(layer, 0));
+                    railNow[static_cast<std::size_t>(
+                        VsPdn::smAt(layer, 0))];
             result.trace.push_back(sample);
         }
 
@@ -567,14 +576,11 @@ CoSimulator::runImpl(
 
         // 6. Voltage-smoothing control loop.
         if (controller) {
-            std::array<double, config::numSMs> volts{};
-            for (int sm = 0; sm < config::numSMs; ++sm)
-                volts[static_cast<std::size_t>(sm)] = railVolts(sm);
             const std::uint64_t trippedBefore =
                 obs::Tracer::enabledFor(obs::CatCtl)
                     ? controller->triggeredDecisions()
                     : 0;
-            const CommandSet &commands = controller->step(volts);
+            const CommandSet &commands = controller->step(railNow);
             if (obs::Tracer::enabledFor(obs::CatCtl) &&
                 controller->triggeredDecisions() > trippedBefore) {
                 VSGPU_TRACE_INSTANT(obs::CatCtl, "ctl.trigger");
@@ -697,15 +703,20 @@ CoSimulator::runImpl(
         double conversionWatts = 0.0;
 
         if (stacked) {
-            const double eqWatts = tr->totalEqualizerPower();
-            // Switching overhead proportional to transferred power.
+            // One evaluation of each equalizer current gives both the
+            // charge-transfer loss (summed in totalEqualizerPower()'s
+            // order) and the transferred power that sets the
+            // switching overhead.
+            double eqWatts = 0.0;
             double transferWatts = 0.0;
-            const int numEq =
-                static_cast<int>(vsPdn->equalizerIndices().size());
-            for (int e = 0; e < numEq; ++e)
+            const auto &equalizers = net.equalizers();
+            for (std::size_t e = 0; e < equalizers.size(); ++e) {
+                const double ix =
+                    tr->equalizerCurrent(static_cast<int>(e));
+                eqWatts += equalizers[e].effOhms * ix * ix;
                 transferWatts +=
-                    std::abs(tr->equalizerCurrent(e)) *
-                    config::smVoltage.raw();
+                    std::abs(ix) * config::smVoltage.raw();
+            }
 
             // Shuffle tax: inter-layer imbalance power is processed
             // by the SC ladder at its shuffle efficiency; the
@@ -741,8 +752,8 @@ CoSimulator::runImpl(
             overheadWatts += dccDrawnWatts;
 
             const double sourceWatts = tr->totalSourcePower();
-            wallWatts = sourceWatts + crIvrWatts -
-                        tr->totalEqualizerPower() + overheadWatts;
+            wallWatts =
+                sourceWatts + crIvrWatts - eqWatts + overheadWatts;
         } else if (cfg_.pds.kind == PdsKind::ConventionalVrm) {
             const double chipWatts = tr->totalSourcePower();
             wallWatts = vrm.inputPower(Watts{chipWatts}).raw();
@@ -779,6 +790,8 @@ CoSimulator::runImpl(
             budgetExhausted = true;
     }
     // ================= end main loop =================
+    const std::int64_t finalizeStartNs =
+        profile ? obs::profileNowNs() : 0;
 
     result.cycles = gpu.cycle();
     result.finished =
@@ -857,8 +870,11 @@ CoSimulator::runImpl(
     if (series)
         result.timeSeries = series->finish();
     if (profile) {
-        profile->wallNs += static_cast<std::uint64_t>(
-            obs::profileNowNs() - runStartNs);
+        const std::int64_t endNs = obs::profileNowNs();
+        profile->stages[obs::StageFinalize].add(
+            static_cast<std::uint64_t>(endNs - finalizeStartNs));
+        profile->wallNs +=
+            static_cast<std::uint64_t>(endNs - runStartNs);
         result.profile = profile;
     }
     return result;

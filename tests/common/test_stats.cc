@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
 
+#include "common/check.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 
@@ -141,6 +147,213 @@ TEST(BoxStatsTest, QuartilesOrdered)
         EXPECT_LE(b.q1, b.median);
         EXPECT_LE(b.median, b.q3);
         EXPECT_LE(b.q3, b.max);
+    }
+}
+
+// ---- bit-exactness against a std::sort reference ----
+//
+// boxStats() and quantile() sort with a radix sort above 256 samples
+// and std::sort below.  These cases recompute both from a std::sort
+// of the same samples and compare every field bit for bit, across the
+// size threshold and on inputs whose sign/exponent bytes vary (no
+// radix pass skipped) or stay fixed (passes skipped).
+
+constexpr double denormMin = std::numeric_limits<double>::denorm_min();
+
+/** @return true when @p a and @p b have identical bits. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** Linear-interpolation quantile of an ascending vector. */
+double
+sortedQuantile(const std::vector<double> &sorted, double q)
+{
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+BoxStats
+referenceBox(std::vector<double> v)
+{
+    BoxStats b;
+    if (v.empty())
+        return b;
+    std::sort(v.begin(), v.end());
+    b.min = v.front();
+    b.q1 = sortedQuantile(v, 0.25);
+    b.median = sortedQuantile(v, 0.5);
+    b.q3 = sortedQuantile(v, 0.75);
+    b.max = v.back();
+    double sum = 0.0;
+    for (double x : v)
+        sum += x;
+    b.mean = sum / static_cast<double>(v.size());
+    b.count = v.size();
+    return b;
+}
+
+void
+expectSameBox(const BoxStats &got, const BoxStats &want)
+{
+    EXPECT_TRUE(sameBits(got.min, want.min)) << got.min << " " << want.min;
+    EXPECT_TRUE(sameBits(got.q1, want.q1)) << got.q1 << " " << want.q1;
+    EXPECT_TRUE(sameBits(got.median, want.median))
+        << got.median << " " << want.median;
+    EXPECT_TRUE(sameBits(got.q3, want.q3)) << got.q3 << " " << want.q3;
+    EXPECT_TRUE(sameBits(got.max, want.max)) << got.max << " " << want.max;
+    EXPECT_TRUE(sameBits(got.mean, want.mean))
+        << got.mean << " " << want.mean;
+    EXPECT_EQ(got.count, want.count);
+}
+
+/** Deterministic Fisher-Yates shuffle. */
+void
+shuffle(std::vector<double> &v, Rng &rng)
+{
+    for (std::size_t i = v.size(); i > 1; --i) {
+        const auto j = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(i) - 1));
+        std::swap(v[i - 1], v[j]);
+    }
+}
+
+/**
+ * Mixed-sign samples: 40% negatives, then a few -0.0/+0.0, then
+ * positives, drawn from normals, subnormals, values either side of
+ * the exponent boundaries at 0.5 / 1.0 / 2.0, extremes and repeats.
+ * Signed zeros compare equal, so std::sort may order them either way;
+ * they sit at ranks 0.40-0.41, where no summary field or tested
+ * quantile reads.
+ */
+std::vector<double>
+mixedSamples(std::size_t n, Rng &rng)
+{
+    const double boundary[] = {
+        0.5, std::nextafter(0.5, 0.0), 1.0, std::nextafter(1.0, 0.0),
+        std::nextafter(1.0, 2.0), 2.0, std::nextafter(2.0, 0.0),
+        1e-300, 1e300, denormMin, 37.0 * denormMin,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max()};
+    const auto draw = [&]() {
+        switch (rng.uniformInt(0, 3)) {
+          case 0:
+            return std::abs(rng.normal(0.0, 3.0)) + denormMin;
+          case 1:
+            return static_cast<double>(rng.uniformInt(1, 1000)) *
+                   denormMin;
+          case 2:
+            return boundary[rng.uniformInt(
+                0, static_cast<int>(std::size(boundary)) - 1)];
+          default:
+            // A repeat of a small grid value.
+            return static_cast<double>(rng.uniformInt(1, 8)) * 0.125;
+        }
+    };
+    const std::size_t negatives = n * 2 / 5;
+    const std::size_t zeros = n >= 255 ? std::max<std::size_t>(2, n / 200)
+                                       : 0;
+    std::vector<double> v;
+    v.reserve(n);
+    for (std::size_t i = 0; i < negatives; ++i)
+        v.push_back(-draw());
+    for (std::size_t i = 0; i < zeros; ++i)
+        v.push_back(i % 2 == 0 ? -0.0 : 0.0);
+    while (v.size() < n)
+        v.push_back(draw());
+    shuffle(v, rng);
+    return v;
+}
+
+/** Rail-like samples in [lo, hi), optionally on a coarse grid (the
+ *  low mantissa bytes then never vary either). */
+std::vector<double>
+railSamples(std::size_t n, double lo, double hi, bool gridded, Rng &rng)
+{
+    std::vector<double> v;
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        double x = rng.uniform(lo, hi);
+        if (gridded)
+            x = std::min(std::floor(x * 4096.0) / 4096.0, hi);
+        v.push_back(x);
+    }
+    return v;
+}
+
+const std::size_t kSizes[] = {0, 1, 2, 255, 256, 257, 5000, 70000};
+
+/** Every fixture family at every size. */
+std::vector<std::vector<double>>
+allFixtures()
+{
+    Rng rng(2024);
+    std::vector<std::vector<double>> out;
+    for (std::size_t n : kSizes) {
+        out.push_back(mixedSamples(n, rng));
+        // Sign and exponent bytes fixed: the top passes are skipped.
+        out.push_back(railSamples(n, 0.5, 1.0, false, rng));
+        out.push_back(railSamples(n, 0.5, 1.0, true, rng));
+        // Straddles the exponent boundary at 1.0.
+        out.push_back(railSamples(n, 0.9, 1.1, false, rng));
+    }
+    return out;
+}
+
+TEST(BoxStatsBitExact, MatchesStdSortReference)
+{
+    for (const std::vector<double> &v : allFixtures()) {
+        SCOPED_TRACE(v.size());
+        expectSameBox(boxStats(v), referenceBox(v));
+    }
+}
+
+TEST(BoxStatsBitExact, QuantileMatchesStdSortReference)
+{
+    for (const std::vector<double> &v : allFixtures()) {
+        if (v.empty())
+            continue;
+        SCOPED_TRACE(v.size());
+        std::vector<double> sorted = v;
+        std::sort(sorted.begin(), sorted.end());
+        for (double q : {0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.75, 0.9,
+                         0.999, 1.0}) {
+            const double got = quantile(v, q);
+            const double want = sortedQuantile(sorted, q);
+            EXPECT_TRUE(sameBits(got, want))
+                << "q " << q << ": " << got << " vs " << want;
+        }
+    }
+}
+
+TEST(BoxStatsBitExact, DuplicatesOnly)
+{
+    for (std::size_t n : kSizes) {
+        const std::vector<double> v(n, -0.75);
+        expectSameBox(boxStats(v), referenceBox(v));
+    }
+}
+
+TEST(BoxStatsBitExact, InfinitiesFailTheFiniteCheckOrSortToTheEnds)
+{
+    Rng rng(31);
+    for (std::size_t n : {std::size_t{40}, std::size_t{5000}}) {
+        std::vector<double> v = mixedSamples(n, rng);
+        v[3] = std::numeric_limits<double>::infinity();
+        v[17] = -std::numeric_limits<double>::infinity();
+#if VSGPU_DEBUG_CHECKS
+        EXPECT_DEATH(boxStats(v), "non-finite value");
+#else
+        const BoxStats b = boxStats(v);
+        EXPECT_EQ(b.min, -std::numeric_limits<double>::infinity());
+        EXPECT_EQ(b.max, std::numeric_limits<double>::infinity());
+        expectSameBox(b, referenceBox(v));
+#endif
     }
 }
 

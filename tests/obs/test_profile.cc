@@ -41,6 +41,7 @@ using ProfileTest = ProfileFixture;
 TEST_F(ProfileTest, StageNamesAreDotted)
 {
     EXPECT_STREQ(profileStageName(StageGpu), "gpu");
+    EXPECT_STREQ(profileStageName(StageFinalize), "finalize");
     EXPECT_STREQ(profileStageName(StageCircuit), "circuit");
     EXPECT_STREQ(profileStageName(StageCircuitSolve),
                  "circuit.solve");
@@ -139,6 +140,7 @@ syntheticProfile()
         p.stages[StageCircuitUpdate].add(5);
     }
     p.stages[StageSetup].add(500);
+    p.stages[StageFinalize].add(200);
     return p;
 }
 
@@ -166,7 +168,7 @@ TEST_F(ProfileTest, JsonRoundTripsThroughParser)
 {
     const Profile p = syntheticProfile();
     const std::string json = writeProfileJson(p, "  ");
-    EXPECT_NE(json.find("\"schema\": \"vsgpu-profile-v1\""),
+    EXPECT_NE(json.find("\"schema\": \"vsgpu-profile-v2\""),
               std::string::npos);
     const Profile parsed = parseProfileJson(json);
     EXPECT_EQ(writeProfileJson(parsed, "  "), json);
@@ -187,6 +189,27 @@ TEST_F(ProfileTest, ReportCoversLoopAndNamesStages)
     // synthetic profile (stages sum exactly to loopNs) reports 100%.
     EXPECT_NE(report.find("100.0% of sampled loop time"),
               std::string::npos);
+}
+
+TEST_F(ProfileTest, WallAttributionNamesSetupAndFinalize)
+{
+    Profile p = syntheticProfile();
+    // Loop estimate: 5000 ns x (100 / 25 cycles) = 20000 ns, plus
+    // 500 setup and 200 finalize = 20700 of 23000 ns of wall time.
+    p.wallNs = 23000;
+    const std::string report = renderProfileReport(p);
+    EXPECT_NE(report.find("loop + setup + finalize cover  90.0% of "
+                          "run wall time (0.023 ms total, setup "
+                          "0.001 ms, finalize 0.000 ms)"),
+              std::string::npos)
+        << report;
+}
+
+TEST_F(ProfileTest, OldSchemaIsRejected)
+{
+    std::string json = writeProfileJson(syntheticProfile(), "");
+    json.replace(json.find("vsgpu-profile-v2"), 16, "vsgpu-profile-v1");
+    EXPECT_DEATH(parseProfileJson(json), "unknown schema");
 }
 
 } // namespace
