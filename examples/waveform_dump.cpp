@@ -33,15 +33,15 @@ main(int argc, char **argv)
     VsPdn pdn(options);
 
     TransientSim sim(pdn.netlist(), config::clockPeriod.raw());
-    WaveWriter wave(sim, 4);
+    WaveWriter wave(4);
     // Record each layer voltage of column 0 and the boundary rails.
     for (int layer = 0; layer < pdn.layers(); ++layer) {
-        wave.addSignal("layer" + std::to_string(layer) + "_col0",
+        wave.addSignal(sim, "layer" + std::to_string(layer) + "_col0",
                        pdn.smTopNode(pdn.smIndexAt(layer, 0)),
                        pdn.smBottomNode(pdn.smIndexAt(layer, 0)));
     }
     for (int level = 0; level <= pdn.layers(); ++level)
-        wave.addSignal("rail_b" + std::to_string(level),
+        wave.addSignal(sim, "rail_b" + std::to_string(level),
                        pdn.boundaryNode(level, 0));
 
     // Balanced nominal load, then halt layer 0 at 2 us.
@@ -62,7 +62,7 @@ main(int argc, char **argv)
                     -0.8); // halted SMs: leakage only, load R cancels
         }
         sim.step();
-        wave.sample();
+        wave.sample(sim);
     }
 
     std::ofstream vcd(prefix + ".vcd");

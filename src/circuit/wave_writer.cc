@@ -24,44 +24,37 @@ vcdSafeName(const std::string &name)
     return out;
 }
 
-WaveWriter::WaveWriter(const TransientSim &sim, int stride)
-    : sim_(sim), stride_(stride)
+WaveWriter::WaveWriter(int stride)
+    : stride_(stride)
 {
     panicIfNot(stride_ > 0, "wave stride must be positive");
 }
 
 int
-WaveWriter::addSignal(const std::string &name, NodeId node)
-{
-    return addSignal(name, node, Netlist::ground);
-}
-
-int
-WaveWriter::addSignal(const std::string &name, NodeId plus,
-                      NodeId minus)
+WaveWriter::addSignal(const TransientSim &sim, const std::string &name,
+                      NodeId plus, NodeId minus)
 {
     panicIfNot(times_.empty(),
                "signals must be registered before sampling starts");
     // One printable-ASCII VCD identifier per signal.
     panicIfNot(signals_.size() < 90,
                "WaveWriter supports at most 90 signals");
-    signals_.push_back({name, plus, minus,
-                        sim_.solutionIndex(plus),
-                        sim_.solutionIndex(minus)});
+    signals_.push_back(
+        {name, sim.solutionIndex(plus), sim.solutionIndex(minus)});
     return static_cast<int>(signals_.size()) - 1;
 }
 
 void
-WaveWriter::sample()
+WaveWriter::sample(const TransientSim &sim)
 {
     if (++sinceSample_ < stride_)
         return;
     sinceSample_ = 0;
-    times_.push_back(sim_.time());
+    times_.push_back(sim.time());
     // Stream straight from the solver's state vector (the node-id
     // checks already happened at addSignal); identical values to
     // nodeVoltage() subtraction, dense or sparse backend alike.
-    const std::vector<double> &x = sim_.solution();
+    const std::vector<double> &x = sim.solution();
     for (const auto &s : signals_) {
         const double vp =
             s.plusIdx >= 0 ? x[static_cast<std::size_t>(s.plusIdx)]

@@ -22,33 +22,28 @@ namespace vsgpu
 
 /**
  * Collects voltage samples of named signals from a TransientSim.
+ * The writer holds no reference to the simulator: signals resolve
+ * their solution-vector indices at registration, and each sample()
+ * reads the simulator it is handed, which must be one over the same
+ * netlist.  A finished capture therefore outlives its run.
  */
 class WaveWriter
 {
   public:
-    /**
-     * @param sim    the simulator to observe (must outlive the
-     *               writer).
-     * @param stride record every stride-th step.
-     */
-    explicit WaveWriter(const TransientSim &sim, int stride = 1);
+    /** @param stride record every stride-th step. */
+    explicit WaveWriter(int stride = 1);
 
     /**
-     * Register a single-node signal (voltage to ground).
+     * Register a signal: the voltage between two nodes of @p sim's
+     * netlist (e.g. an SM's layer rail), or of one node to ground.
      * @return signal index.
      */
-    int addSignal(const std::string &name, NodeId node);
+    int addSignal(const TransientSim &sim, const std::string &name,
+                  NodeId plus, NodeId minus = Netlist::ground);
 
-    /**
-     * Register a differential signal (voltage between two nodes),
-     * e.g. an SM's layer rail.
-     * @return signal index.
-     */
-    int addSignal(const std::string &name, NodeId plus, NodeId minus);
-
-    /** Sample the simulator (honours the stride). Call once per
+    /** Sample @p sim (honours the stride).  Call once per
      *  sim.step(). */
-    void sample();
+    void sample(const TransientSim &sim);
 
     /** @return number of stored sample rows. */
     std::size_t numSamples() const { return times_.size(); }
@@ -79,8 +74,6 @@ class WaveWriter
     struct Signal
     {
         std::string name;
-        NodeId plus;
-        NodeId minus; ///< 0 (ground) for single-ended signals
         /// Solution-vector indices resolved once at registration
         /// (-1 = ground), so sample() streams straight from the
         /// solver's state vector — no per-sample node lookups or
@@ -89,7 +82,6 @@ class WaveWriter
         int minusIdx;
     };
 
-    const TransientSim &sim_;
     int stride_;
     int sinceSample_ = 0;
     std::vector<Signal> signals_;

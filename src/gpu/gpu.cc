@@ -1,7 +1,6 @@
 #include "gpu/gpu.hh"
 
 #include <algorithm>
-#include <iomanip>
 
 #include "common/logging.hh"
 
@@ -87,73 +86,6 @@ Gpu::smEvents(int idx) const
 {
     panicIfNot(idx >= 0 && idx < numSMs(), "bad SM index ", idx);
     return lastEvents_[static_cast<std::size_t>(idx)];
-}
-
-void
-Gpu::dumpStats(std::ostream &os) const
-{
-    const auto line = [&os](const std::string &name, double value,
-                            const std::string &desc) {
-        os << std::left << std::setw(40) << name << std::setw(16)
-           << value << "# " << desc << "\n";
-    };
-
-    line("gpu.cycles", static_cast<double>(cycle_),
-         "global cycles simulated");
-    std::uint64_t retired = 0;
-    for (const auto &sm : sms_)
-        retired += sm->retired();
-    line("gpu.instructions", static_cast<double>(retired),
-         "warp instructions retired (all SMs)");
-    if (cycle_ > 0)
-        line("gpu.ipc",
-             static_cast<double>(retired) /
-                 static_cast<double>(cycle_),
-             "retired warp instructions per global cycle");
-
-    for (int i = 0; i < numSMs(); ++i) {
-        const SmStats s = sms_[static_cast<std::size_t>(i)]->stats();
-        const std::string prefix =
-            "gpu.sm" + std::to_string(i) + ".";
-        line(prefix + "retired", static_cast<double>(s.retired),
-             "warp instructions retired");
-        line(prefix + "issue_rate", s.avgIssueRate,
-             "average issue rate (warps/cycle)");
-        line(prefix + "throttled_cycles",
-             static_cast<double>(s.throttledCycles),
-             "cycles withheld by DIWS with ready work");
-        line(prefix + "fake_issued",
-             static_cast<double>(s.fakeIssued),
-             "fake instructions injected (FII)");
-        for (int u = 0; u < numExecUnits; ++u) {
-            const auto kind = static_cast<ExecUnitKind>(u);
-            const double util =
-                s.cycles > 0
-                    ? static_cast<double>(
-                          s.unitBusyCycles[static_cast<std::size_t>(
-                              u)]) /
-                          static_cast<double>(s.cycles)
-                    : 0.0;
-            line(prefix + execUnitName(kind) + ".utilization", util,
-                 "busy fraction of run cycles");
-            if (s.gateEvents[static_cast<std::size_t>(u)] > 0)
-                line(prefix + execUnitName(kind) + ".gate_events",
-                     static_cast<double>(
-                         s.gateEvents[static_cast<std::size_t>(u)]),
-                     "power-gating events");
-        }
-    }
-
-    line("gpu.mem.accesses", static_cast<double>(mem_.accesses()),
-         "memory-system accesses");
-    line("gpu.mem.l1_hits", static_cast<double>(mem_.l1Hits()),
-         "L1 hits");
-    line("gpu.mem.l2_hits", static_cast<double>(mem_.l2Hits()),
-         "L2 hits");
-    line("gpu.mem.dram_accesses",
-         static_cast<double>(mem_.dramAccesses()), "DRAM accesses");
-    line("gpu.mem.dram_avg_queue", mem_.avgDramQueueing(),
-         "average DRAM queueing delay (cycles)");
 }
 
 } // namespace vsgpu

@@ -10,7 +10,6 @@
 #define VSGPU_GPU_GPU_HH
 
 #include <memory>
-#include <ostream>
 #include <vector>
 
 #include "gpu/memory.hh"
@@ -71,13 +70,6 @@ class Gpu
 
     /** @return number of SMs. */
     int numSMs() const { return static_cast<int>(sms_.size()); }
-
-    /**
-     * Dump counters in a gem5-style "name value # description"
-     * format: per-SM issue/retire/throttle counts, per-block
-     * utilization and gating activity, and memory-system statistics.
-     */
-    void dumpStats(std::ostream &os) const;
 
   private:
     GpuConfig cfg_;

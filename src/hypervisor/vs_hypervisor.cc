@@ -6,6 +6,9 @@
 
 #include "common/check.hh"
 #include "common/logging.hh"
+#include "gpu/gpu.hh"
+#include "hypervisor/dfs.hh"
+#include "hypervisor/pg.hh"
 
 namespace vsgpu
 {
@@ -111,6 +114,35 @@ VsAwareHypervisor::filterGating(
     return plan;
 }
 
+void
+VsAwareHypervisor::gate(Gpu &gpu, PgGovernor &pg, Cycle now,
+                        const std::array<Watts, numExecUnits> &unitLeakW,
+                        Cycle wakeLatency) const
+{
+    GatingPlan wish{};
+    for (int sm = 0; sm < config::numSMs; ++sm) {
+        for (int u = 0; u < numExecUnits; ++u) {
+            const auto &unit = gpu.sm(sm).unit(static_cast<ExecUnitKind>(u));
+            wish[static_cast<std::size_t>(sm)][static_cast<std::size_t>(u)] =
+                unit.gated(now) ||
+                unit.idleCycles(now) >= pg.config().idleDetect;
+        }
+    }
+    const GatingPlan plan = filterGating(wish, unitLeakW);
+    for (int sm = 0; sm < config::numSMs; ++sm) {
+        for (int u = 0; u < numExecUnits; ++u) {
+            const auto kind = static_cast<ExecUnitKind>(u);
+            const auto s = static_cast<std::size_t>(sm);
+            const auto k = static_cast<std::size_t>(u);
+            const bool denied = wish[s][k] && !plan[s][k];
+            pg.setVeto(sm, kind, denied);
+            auto &unit = gpu.sm(sm).unit(kind);
+            if (denied && unit.gated(now) && unit.gateRequested())
+                unit.ungate(now, wakeLatency);
+        }
+    }
+}
+
 VSGPU_CONTRACT void
 VsAwareHypervisor::feedback(double throttleRate)
 {
@@ -126,6 +158,65 @@ VsAwareHypervisor::feedback(double throttleRate)
     leakThresholdW_ = std::clamp(leakThresholdW_ * ratio,
                                  cfg_.leakThresholdMinW,
                                  cfg_.leakThresholdMaxW);
+}
+
+PowerManager::PowerManager(
+    DfsGovernor *dfs, PgGovernor *pg, VsAwareHypervisor *hv,
+    const std::array<Watts, numExecUnits> &unitLeakW, Cycle wakeLatency)
+    : dfs_(dfs), pg_(pg), hv_(hv), unitLeakW_(unitLeakW),
+      wakeLatency_(wakeLatency)
+{
+    base_ = counts(); // the totals so far: base_ is still zero here
+}
+
+void
+PowerManager::step(Gpu &gpu, Cycle now)
+{
+    if (dfs_) {
+        dfs_->step(gpu);
+        auto request = dfs_->requested();
+        if (hv_)
+            request = hv_->filterFrequencies(request);
+        for (int sm = 0; sm < config::numSMs; ++sm)
+            gpu.setSmFrequencyFraction(
+                sm, request[static_cast<std::size_t>(sm)] /
+                        config::smClockHz);
+    }
+    if (pg_) {
+        if (hv_ && now - lastGating_ >= 512) {
+            lastGating_ = now;
+            hv_->gate(gpu, *pg_, now, unitLeakW_, wakeLatency_);
+        }
+        pg_->step(gpu, now);
+    }
+    if (hv_ && (now & 0xfff) == 0 && now > 0) {
+        std::uint64_t throttled = 0;
+        for (int sm = 0; sm < config::numSMs; ++sm)
+            throttled += gpu.sm(sm).throttledCycles();
+        const double rate =
+            static_cast<double>(throttled - lastThrottled_) /
+            (4096.0 * config::numSMs);
+        lastThrottled_ = throttled;
+        hv_->feedback(std::clamp(rate, 0.0, 1.0));
+    }
+}
+
+PowerManagerCounts
+PowerManager::counts() const
+{
+    PowerManagerCounts c;
+    if (dfs_)
+        c.dfsTransitions = dfs_->transitions() - base_.dfsTransitions;
+    if (pg_) {
+        c.pgGateRequests = pg_->gateRequests() - base_.pgGateRequests;
+        c.pgVetoSkips = pg_->vetoSkips() - base_.pgVetoSkips;
+    }
+    if (hv_) {
+        c.hvFreqRemaps = hv_->freqRemaps() - base_.hvFreqRemaps;
+        c.hvGatingDenials =
+            hv_->gatingDenials() - base_.hvGatingDenials;
+    }
+    return c;
 }
 
 } // namespace vsgpu

@@ -9,19 +9,25 @@
  * directly into layer current imbalance the CR-IVR/smoothing layer
  * must then absorb.  The budget adapts to observed voltage-smoothing
  * throttle pressure: when smoothing is busy, the hypervisor tightens
- * the allowed spread.
+ * the allowed spread.  PowerManager is the co-simulation stage that
+ * steps DFS and PG and routes their commands through it.
  */
 
 #ifndef VSGPU_HYPERVISOR_VS_HYPERVISOR_HH
 #define VSGPU_HYPERVISOR_VS_HYPERVISOR_HH
 
 #include <array>
+#include <cstdint>
 
 #include "common/units.hh"
 #include "gpu/exec_unit.hh"
 
 namespace vsgpu
 {
+
+class DfsGovernor;
+class Gpu;
+class PgGovernor;
 
 /** Hypervisor configuration. */
 struct HypervisorConfig
@@ -80,6 +86,18 @@ class VsAwareHypervisor
         const;
 
     /**
+     * One power-gating policy tick: wish to gate every block that is
+     * gated now or idle past @p pg's detect window, admit the wishes
+     * filterGating() allows, veto the rest in @p pg, and wake any
+     * denied block that is already gated.
+     *
+     * @param wakeLatency wake-up cycles of a block ungated here.
+     */
+    void gate(Gpu &gpu, PgGovernor &pg, Cycle now,
+              const std::array<Watts, numExecUnits> &unitLeakW,
+              Cycle wakeLatency) const;
+
+    /**
      * Adapt the budgets from the observed voltage-smoothing throttle
      * rate (fraction of cycles affected by smoothing).
      */
@@ -106,6 +124,51 @@ class VsAwareHypervisor
     // remapping); the counters only observe how often they act.
     mutable std::uint64_t freqRemaps_ = 0;
     mutable std::uint64_t gatingDenials_ = 0;
+};
+
+/** What the attached optimizers did. */
+struct PowerManagerCounts
+{
+    std::uint64_t dfsTransitions = 0;
+    std::uint64_t pgGateRequests = 0;
+    std::uint64_t pgVetoSkips = 0;
+    std::uint64_t hvFreqRemaps = 0;
+    std::uint64_t hvGatingDenials = 0;
+};
+
+/**
+ * Drives the attached optimizers through one run.  Any of them may
+ * be null; the hypervisor must be null on single-layer PDSs, which
+ * it does not filter.  The optimizers are long-lived and may serve
+ * several runs, so counts() reports this run's share.
+ */
+class PowerManager
+{
+  public:
+    PowerManager(DfsGovernor *dfs, PgGovernor *pg, VsAwareHypervisor *hv,
+                 const std::array<Watts, numExecUnits> &unitLeakW,
+                 Cycle wakeLatency);
+
+    /**
+     * One cycle: step DFS and apply its (filtered) requests to the SM
+     * clocks; step PG, with a hypervisor gating pass every 512
+     * cycles; and every 4096 cycles feed the smoothing throttle rate
+     * back into the hypervisor's budget.
+     */
+    void step(Gpu &gpu, Cycle now);
+
+    /** @return what the optimizers did since construction. */
+    PowerManagerCounts counts() const;
+
+  private:
+    DfsGovernor *dfs_;
+    PgGovernor *pg_;
+    VsAwareHypervisor *hv_;
+    std::array<Watts, numExecUnits> unitLeakW_;
+    Cycle wakeLatency_;
+    PowerManagerCounts base_{};
+    Cycle lastGating_ = 0;
+    std::uint64_t lastThrottled_ = 0;
 };
 
 } // namespace vsgpu

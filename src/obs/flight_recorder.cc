@@ -8,6 +8,7 @@
 #include <ostream>
 
 #include "common/logging.hh"
+#include "obs/json.hh"
 
 namespace vsgpu::obs
 {
@@ -25,19 +26,6 @@ dumpPathCopy()
 {
     std::lock_guard<std::mutex> lock(dumpPathMutex);
     return dumpPath;
-}
-
-std::string
-quote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
 }
 
 } // namespace
@@ -107,8 +95,8 @@ FlightRecorder::writeJson(std::ostream &os) const
 {
     os << "{\n";
     os << "  \"schema\": \"vsgpu-flight-v1\",\n";
-    os << "  \"subject\": " << quote(subject_) << ",\n";
-    os << "  \"config_fingerprint\": " << quote(fingerprint_)
+    os << "  \"subject\": " << jsonQuote(subject_) << ",\n";
+    os << "  \"config_fingerprint\": " << jsonQuote(fingerprint_)
        << ",\n";
     os << "  \"capacity\": " << capacity() << ",\n";
     os << "  \"recorded\": " << recorded_ << ",\n";

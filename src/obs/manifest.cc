@@ -4,29 +4,13 @@
 #include <cstdio>
 #include <ostream>
 
+#include "obs/json.hh"
+
 namespace vsgpu::obs
 {
 
 namespace
 {
-
-/** Shortest round-trip-exact representation of a double (mirrors the
- *  summary JSON writer so manifests embed identically everywhere). */
-std::string
-formatDouble(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (int prec = 1; prec < 17; ++prec) {
-        char shorter[40];
-        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-        double back = 0.0;
-        std::sscanf(shorter, "%lf", &back);
-        if (back == v)
-            return shorter;
-    }
-    return buf;
-}
 
 std::string
 buildFlavour()
@@ -103,7 +87,7 @@ Manifest::toPairs() const
     out.emplace_back("subject", subject);
     out.emplace_back("config_fingerprint", configFingerprint);
     out.emplace_back("seed", std::to_string(seed));
-    out.emplace_back("scale", formatDouble(scale));
+    out.emplace_back("scale", jsonNumber(scale));
     return out;
 }
 

@@ -1,13 +1,13 @@
 #include "obs/profile.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "obs/json.hh"
 
 namespace vsgpu::obs
 {
@@ -185,174 +185,6 @@ writeProfileJson(const Profile &profile, const std::string &indent)
 namespace
 {
 
-/** Strict parser for the profile section (stats-parser style). */
-class ProfileParser
-{
-  public:
-    explicit ProfileParser(std::string text) : text_(std::move(text))
-    {}
-
-    Profile
-    parse()
-    {
-        Profile profile;
-        expect('{');
-        bool first = true;
-        while (!peekIs('}')) {
-            if (!first)
-                expect(',');
-            first = false;
-            const std::string key = parseString();
-            expect(':');
-            if (key == "schema") {
-                const std::string schema = parseString();
-                if (schema != "vsgpu-profile-v2")
-                    panic("profile JSON: unknown schema '", schema,
-                          "'");
-            } else if (key == "runs") {
-                profile.runs = parseUint();
-            } else if (key == "stride_cycles") {
-                profile.strideCycles =
-                    static_cast<int>(parseUint());
-            } else if (key == "cycles") {
-                profile.cycles = parseUint();
-            } else if (key == "sampled_cycles") {
-                profile.sampledCycles = parseUint();
-            } else if (key == "loop_ns") {
-                profile.loopNs = parseUint();
-            } else if (key == "wall_ns") {
-                profile.wallNs = parseUint();
-            } else if (key == "stages") {
-                parseStages(profile);
-            } else {
-                panic("profile JSON: unknown key '", key, "'");
-            }
-        }
-        expect('}');
-        return profile;
-    }
-
-  private:
-    void
-    parseStages(Profile &profile)
-    {
-        expect('[');
-        int index = 0;
-        while (!peekIs(']')) {
-            if (index > 0)
-                expect(',');
-            if (index >= numProfileStages)
-                panic("profile JSON: too many stages");
-            parseStage(
-                profile.stages[static_cast<std::size_t>(index)],
-                index);
-            ++index;
-        }
-        expect(']');
-        if (index != numProfileStages)
-            panic("profile JSON: expected ", numProfileStages,
-                  " stages, got ", index);
-    }
-
-    void
-    parseStage(StageTotals &totals, int index)
-    {
-        expect('{');
-        bool first = true;
-        while (!peekIs('}')) {
-            if (!first)
-                expect(',');
-            first = false;
-            const std::string key = parseString();
-            expect(':');
-            if (key == "name") {
-                const std::string name = parseString();
-                if (name != profileStageName(index))
-                    panic("profile JSON: stage ", index,
-                          " named '", name, "', expected '",
-                          profileStageName(index), "'");
-            } else if (key == "ns") {
-                totals.ns = parseUint();
-            } else if (key == "samples") {
-                totals.samples = parseUint();
-            } else if (key == "hist") {
-                expect('[');
-                int b = 0;
-                while (!peekIs(']')) {
-                    if (b > 0)
-                        expect(',');
-                    if (b >= profileHistBuckets)
-                        panic("profile JSON: too many hist buckets");
-                    totals.hist[static_cast<std::size_t>(b)] =
-                        parseUint();
-                    ++b;
-                }
-                expect(']');
-                if (b != profileHistBuckets)
-                    panic("profile JSON: expected ",
-                          profileHistBuckets, " hist buckets");
-            } else {
-                panic("profile JSON: unknown stage key '", key, "'");
-            }
-        }
-        expect('}');
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    peekIs(char c)
-    {
-        skipSpace();
-        return pos_ < text_.size() && text_[pos_] == c;
-    }
-
-    void
-    expect(char c)
-    {
-        skipSpace();
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            panic("profile JSON: expected '", std::string(1, c),
-                  "' at offset ", pos_);
-        ++pos_;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"')
-            out += text_[pos_++];
-        if (pos_ >= text_.size())
-            panic("profile JSON: unterminated string");
-        ++pos_;
-        return out;
-    }
-
-    std::uint64_t
-    parseUint()
-    {
-        skipSpace();
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-        if (pos_ == start)
-            panic("profile JSON: expected integer at offset ", pos_);
-        return std::stoull(text_.substr(start, pos_ - start));
-    }
-
-    std::string text_;
-    std::size_t pos_ = 0;
-};
-
 std::string
 formatMs(std::uint64_t ns)
 {
@@ -375,7 +207,69 @@ formatPct(double frac)
 Profile
 parseProfileJson(const std::string &text)
 {
-    return ProfileParser(text).parse();
+    JsonReader in(text, "profile JSON");
+    Profile profile;
+    const auto stage = [&in](StageTotals &totals, int index) {
+        in.object([&](const std::string &key) {
+            if (key == "name") {
+                const std::string name = in.string();
+                if (name != profileStageName(index))
+                    in.fail("stage ", index, " named '", name,
+                            "', expected '", profileStageName(index),
+                            "'");
+            } else if (key == "ns") {
+                totals.ns = in.uint();
+            } else if (key == "samples") {
+                totals.samples = in.uint();
+            } else if (key == "hist") {
+                std::size_t n = 0;
+                in.array([&](std::size_t b) {
+                    if (b >= totals.hist.size())
+                        in.fail("too many hist buckets");
+                    totals.hist[b] = in.uint();
+                    n = b + 1;
+                });
+                if (n != totals.hist.size())
+                    in.fail("expected ", profileHistBuckets,
+                            " hist buckets");
+            } else {
+                in.fail("unknown stage key '", key, "'");
+            }
+        });
+    };
+    in.object([&](const std::string &key) {
+        if (key == "schema") {
+            const std::string schema = in.string();
+            if (schema != "vsgpu-profile-v2")
+                in.fail("unknown schema '", schema, "'");
+        } else if (key == "runs") {
+            profile.runs = in.uint();
+        } else if (key == "stride_cycles") {
+            profile.strideCycles = static_cast<int>(in.uint());
+        } else if (key == "cycles") {
+            profile.cycles = in.uint();
+        } else if (key == "sampled_cycles") {
+            profile.sampledCycles = in.uint();
+        } else if (key == "loop_ns") {
+            profile.loopNs = in.uint();
+        } else if (key == "wall_ns") {
+            profile.wallNs = in.uint();
+        } else if (key == "stages") {
+            std::size_t n = 0;
+            in.array([&](std::size_t i) {
+                if (i >= profile.stages.size())
+                    in.fail("too many stages");
+                stage(profile.stages[i], static_cast<int>(i));
+                n = i + 1;
+            });
+            if (n != profile.stages.size())
+                in.fail("expected ", numProfileStages, " stages, got ",
+                        n);
+        } else {
+            in.fail("unknown key '", key, "'");
+        }
+    });
+    return profile;
 }
 
 std::string

@@ -1,51 +1,15 @@
 #include "obs/stats_registry.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "obs/json.hh"
 
 namespace vsgpu::obs
 {
-
-namespace
-{
-
-/** Shortest round-trip-exact representation of a double. */
-std::string
-formatDouble(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (int prec = 1; prec < 17; ++prec) {
-        char shorter[40];
-        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-        double back = 0.0;
-        std::sscanf(shorter, "%lf", &back);
-        if (back == v)
-            return shorter;
-    }
-    return buf;
-}
-
-std::string
-quote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
 
 const char *
 statKindName(StatKind kind)
@@ -191,57 +155,37 @@ StatsRegistry::snapshot(bool includeScheduleDependent) const
     StatsSnapshot out;
     out.manifest = manifest_;
     out.profileJson = profileJson_;
-    const auto keep = [&](const StatInfo &info) {
-        return includeScheduleDependent || !info.scheduleDependent;
+    // @return a new entry with the common fields set, or null when
+    // the stat is schedule-dependent and those are excluded.
+    const auto entry = [&](StatKind kind,
+                           const StatInfo &info) -> SnapshotEntry * {
+        if (info.scheduleDependent && !includeScheduleDependent)
+            return nullptr;
+        SnapshotEntry &e = out.entries.emplace_back();
+        e.kind = kind;
+        e.name = info.name;
+        e.unit = info.unit;
+        e.desc = info.desc;
+        return &e;
     };
-    for (const ScalarStat &s : scalars_) {
-        if (!keep(s.info()))
-            continue;
-        SnapshotEntry e;
-        e.kind = StatKind::Scalar;
-        e.name = s.info().name;
-        e.unit = s.info().unit;
-        e.desc = s.info().desc;
-        e.value = s.value();
-        out.entries.push_back(std::move(e));
-    }
-    for (const CounterStat &c : counters_) {
-        if (!keep(c.info()))
-            continue;
-        SnapshotEntry e;
-        e.kind = StatKind::Counter;
-        e.name = c.info().name;
-        e.unit = c.info().unit;
-        e.desc = c.info().desc;
-        e.count = c.count();
-        out.entries.push_back(std::move(e));
-    }
+    for (const ScalarStat &s : scalars_)
+        if (SnapshotEntry *e = entry(StatKind::Scalar, s.info()))
+            e->value = s.value();
+    for (const CounterStat &c : counters_)
+        if (SnapshotEntry *e = entry(StatKind::Counter, c.info()))
+            e->count = c.count();
     for (const DistributionStat &d : distributions_) {
-        if (!keep(d.info()))
-            continue;
-        SnapshotEntry e;
-        e.kind = StatKind::Distribution;
-        e.name = d.info().name;
-        e.unit = d.info().unit;
-        e.desc = d.info().desc;
-        e.count = d.count();
-        e.mean = d.mean();
-        e.stddev = d.stddev();
-        e.min = d.min();
-        e.max = d.max();
-        out.entries.push_back(std::move(e));
+        if (SnapshotEntry *e = entry(StatKind::Distribution, d.info())) {
+            e->count = d.count();
+            e->mean = d.mean();
+            e->stddev = d.stddev();
+            e->min = d.min();
+            e->max = d.max();
+        }
     }
-    for (const FormulaStat &f : formulas_) {
-        if (!keep(f.info()))
-            continue;
-        SnapshotEntry e;
-        e.kind = StatKind::Formula;
-        e.name = f.info().name;
-        e.unit = f.info().unit;
-        e.desc = f.info().desc;
-        e.value = f.value();
-        out.entries.push_back(std::move(e));
-    }
+    for (const FormulaStat &f : formulas_)
+        if (SnapshotEntry *e = entry(StatKind::Formula, f.info()))
+            e->value = f.value();
     std::sort(out.entries.begin(), out.entries.end(),
               [](const SnapshotEntry &a, const SnapshotEntry &b) {
                   return a.name < b.name;
@@ -293,7 +237,7 @@ writeStatsText(const StatsSnapshot &snapshot, std::ostream &os)
         switch (e.kind) {
           case StatKind::Scalar:
           case StatKind::Formula:
-            line(e.name, formatDouble(e.value), e.desc, e.unit);
+            line(e.name, jsonNumber(e.value), e.desc, e.unit);
             break;
           case StatKind::Counter:
             line(e.name, std::to_string(e.count), e.desc, e.unit);
@@ -301,13 +245,13 @@ writeStatsText(const StatsSnapshot &snapshot, std::ostream &os)
           case StatKind::Distribution:
             line(e.name + ".count", std::to_string(e.count), e.desc,
                  "samples");
-            line(e.name + ".mean", formatDouble(e.mean), e.desc,
+            line(e.name + ".mean", jsonNumber(e.mean), e.desc,
                  e.unit);
-            line(e.name + ".stddev", formatDouble(e.stddev), e.desc,
+            line(e.name + ".stddev", jsonNumber(e.stddev), e.desc,
                  e.unit);
-            line(e.name + ".min", formatDouble(e.min), e.desc,
+            line(e.name + ".min", jsonNumber(e.min), e.desc,
                  e.unit);
-            line(e.name + ".max", formatDouble(e.max), e.desc,
+            line(e.name + ".max", jsonNumber(e.max), e.desc,
                  e.unit);
             break;
         }
@@ -329,24 +273,24 @@ writeStatsJson(const StatsSnapshot &snapshot, std::ostream &os)
     os << "  \"stats\": [";
     for (std::size_t i = 0; i < snapshot.entries.size(); ++i) {
         const SnapshotEntry &e = snapshot.entries[i];
-        os << (i ? ",\n" : "\n") << "    {\"name\": " << quote(e.name)
+        os << (i ? ",\n" : "\n") << "    {\"name\": " << jsonQuote(e.name)
            << ", \"kind\": \"" << statKindName(e.kind) << "\""
-           << ", \"unit\": " << quote(e.unit)
-           << ", \"desc\": " << quote(e.desc);
+           << ", \"unit\": " << jsonQuote(e.unit)
+           << ", \"desc\": " << jsonQuote(e.desc);
         switch (e.kind) {
           case StatKind::Scalar:
           case StatKind::Formula:
-            os << ", \"value\": " << formatDouble(e.value);
+            os << ", \"value\": " << jsonNumber(e.value);
             break;
           case StatKind::Counter:
             os << ", \"value\": " << e.count;
             break;
           case StatKind::Distribution:
             os << ", \"count\": " << e.count
-               << ", \"mean\": " << formatDouble(e.mean)
-               << ", \"stddev\": " << formatDouble(e.stddev)
-               << ", \"min\": " << formatDouble(e.min)
-               << ", \"max\": " << formatDouble(e.max);
+               << ", \"mean\": " << jsonNumber(e.mean)
+               << ", \"stddev\": " << jsonNumber(e.stddev)
+               << ", \"min\": " << jsonNumber(e.min)
+               << ", \"max\": " << jsonNumber(e.max);
             break;
         }
         os << "}";
@@ -354,60 +298,17 @@ writeStatsJson(const StatsSnapshot &snapshot, std::ostream &os)
     os << "\n  ]\n}\n";
 }
 
-namespace
+StatsSnapshot
+readStatsJson(std::istream &is)
 {
-
-/** Minimal parser for the JSON subset writeStatsJson emits. */
-class StatsParser
-{
-  public:
-    explicit StatsParser(std::istream &is)
-    {
-        std::ostringstream buf;
-        buf << is.rdbuf();
-        text_ = buf.str();
-    }
-
-    StatsSnapshot
-    parse()
-    {
-        StatsSnapshot out;
-        expect('{');
-        bool first = true;
-        while (peek() != '}') {
-            if (!first)
-                expect(',');
-            first = false;
-            const std::string key = parseString();
-            expect(':');
-            if (key == "manifest") {
-                parseManifest(out.manifest);
-            } else if (key == "profile") {
-                out.profileJson = parseRawObject();
-            } else if (key == "stats") {
-                parseEntries(out.entries);
-            } else {
-                panic("stats JSON: unknown key '", key, "'");
-            }
-        }
-        expect('}');
-        return out;
-    }
-
-  private:
-    void
-    parseManifest(Manifest &m)
-    {
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    JsonReader in(buf.str(), "stats JSON");
+    StatsSnapshot out;
+    const auto manifest = [&in](Manifest &m) {
         m.valid = true;
-        expect('{');
-        bool first = true;
-        while (peek() != '}') {
-            if (!first)
-                expect(',');
-            first = false;
-            const std::string key = parseString();
-            expect(':');
-            const std::string value = parseString();
+        in.object([&](const std::string &key) {
+            const std::string value = in.string();
             if (key == "tool")
                 m.tool = value;
             else if (key == "version")
@@ -423,175 +324,65 @@ class StatsParser
             else if (key == "scale")
                 m.scale = std::stod(value);
             else
-                panic("stats JSON: unknown manifest key '", key, "'");
-        }
-        expect('}');
-    }
-
-    void
-    parseEntries(std::vector<SnapshotEntry> &entries)
-    {
-        expect('[');
-        while (peek() != ']') {
-            if (!entries.empty())
-                expect(',');
-            SnapshotEntry e;
-            expect('{');
-            bool first = true;
-            bool isCounter = false;
-            double value = 0.0;
-            while (peek() != '}') {
-                if (!first)
-                    expect(',');
-                first = false;
-                const std::string key = parseString();
-                expect(':');
-                if (key == "name") {
-                    e.name = parseString();
-                } else if (key == "kind") {
-                    const std::string kind = parseString();
-                    bool known = false;
-                    for (StatKind k :
-                         {StatKind::Scalar, StatKind::Counter,
-                          StatKind::Distribution,
-                          StatKind::Formula}) {
-                        if (kind == statKindName(k)) {
-                            e.kind = k;
-                            known = true;
-                        }
+                in.fail("unknown manifest key '", key, "'");
+        });
+    };
+    const auto entry = [&in](SnapshotEntry &e) {
+        double value = 0.0;
+        in.object([&](const std::string &key) {
+            if (key == "name") {
+                e.name = in.string();
+            } else if (key == "kind") {
+                const std::string kind = in.string();
+                bool known = false;
+                for (StatKind k : {StatKind::Scalar, StatKind::Counter,
+                                   StatKind::Distribution,
+                                   StatKind::Formula}) {
+                    if (kind == statKindName(k)) {
+                        e.kind = k;
+                        known = true;
                     }
-                    panicIfNot(known, "stats JSON: unknown kind '",
-                               kind, "'");
-                    isCounter = e.kind == StatKind::Counter;
-                } else if (key == "unit") {
-                    e.unit = parseString();
-                } else if (key == "desc") {
-                    e.desc = parseString();
-                } else if (key == "value") {
-                    value = parseNumber();
-                } else if (key == "count") {
-                    e.count =
-                        static_cast<std::uint64_t>(parseNumber());
-                } else if (key == "mean") {
-                    e.mean = parseNumber();
-                } else if (key == "stddev") {
-                    e.stddev = parseNumber();
-                } else if (key == "min") {
-                    e.min = parseNumber();
-                } else if (key == "max") {
-                    e.max = parseNumber();
-                } else {
-                    panic("stats JSON: unknown entry key '", key,
-                          "'");
                 }
+                if (!known)
+                    in.fail("unknown kind '", kind, "'");
+            } else if (key == "unit") {
+                e.unit = in.string();
+            } else if (key == "desc") {
+                e.desc = in.string();
+            } else if (key == "value") {
+                value = in.number();
+            } else if (key == "count") {
+                e.count = static_cast<std::uint64_t>(in.number());
+            } else if (key == "mean") {
+                e.mean = in.number();
+            } else if (key == "stddev") {
+                e.stddev = in.number();
+            } else if (key == "min") {
+                e.min = in.number();
+            } else if (key == "max") {
+                e.max = in.number();
+            } else {
+                in.fail("unknown entry key '", key, "'");
             }
-            expect('}');
-            if (isCounter)
-                e.count = static_cast<std::uint64_t>(value);
-            else
-                e.value = value;
-            entries.push_back(std::move(e));
-        }
-        expect(']');
-    }
-
-    /**
-     * Capture one balanced JSON object verbatim (the `profile`
-     * section is owned by obs/profile.hh; the stats layer stores and
-     * re-emits it byte-exactly rather than interpreting it).
-     */
-    std::string
-    parseRawObject()
-    {
-        panicIfNot(peek() == '{',
-                   "stats JSON: expected object at byte ", pos_);
-        const std::size_t start = pos_;
-        int depth = 0;
-        bool inString = false;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (inString) {
-                if (c == '\\')
-                    ++pos_;
-                else if (c == '"')
-                    inString = false;
-            } else if (c == '"') {
-                inString = true;
-            } else if (c == '{') {
-                ++depth;
-            } else if (c == '}') {
-                --depth;
-                if (depth == 0) {
-                    ++pos_;
-                    return text_.substr(start, pos_ - start);
-                }
-            }
-            ++pos_;
-        }
-        panic("stats JSON: unterminated object at byte ", start);
-        return {};
-    }
-
-    char
-    peek()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-        panicIfNot(pos_ < text_.size(),
-                   "stats JSON: unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        panicIfNot(peek() == c, "stats JSON: expected '", c,
-                   "' at byte ", pos_);
-        ++pos_;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\')
-                ++pos_;
-            panicIfNot(pos_ < text_.size(),
-                       "stats JSON: unterminated string");
-            out += text_[pos_++];
-        }
-        panicIfNot(pos_ < text_.size(),
-                   "stats JSON: unterminated string");
-        ++pos_;
-        return out;
-    }
-
-    double
-    parseNumber()
-    {
-        peek();
-        std::size_t used = 0;
-        const double v = std::stod(text_.substr(pos_), &used);
-        panicIfNot(used != 0, "stats JSON: expected number at byte ",
-                   pos_);
-        pos_ += used;
-        return v;
-    }
-
-    std::string text_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
-StatsSnapshot
-readStatsJson(std::istream &is)
-{
-    StatsParser parser(is);
-    return parser.parse();
+        });
+        if (e.kind == StatKind::Counter)
+            e.count = static_cast<std::uint64_t>(value);
+        else
+            e.value = value;
+    };
+    in.object([&](const std::string &key) {
+        if (key == "manifest")
+            manifest(out.manifest);
+        else if (key == "profile")
+            // Owned by obs/profile.hh: stored and re-emitted
+            // byte-exactly, never interpreted here.
+            out.profileJson = in.rawObject();
+        else if (key == "stats")
+            in.array([&](std::size_t) { entry(out.entries.emplace_back()); });
+        else
+            in.fail("unknown key '", key, "'");
+    });
+    return out;
 }
 
 } // namespace vsgpu::obs

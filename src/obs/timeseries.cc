@@ -1,15 +1,15 @@
 #include "obs/timeseries.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/check.hh"
 #include "common/logging.hh"
+#include "obs/json.hh"
 
 namespace vsgpu::obs
 {
@@ -17,56 +17,19 @@ namespace vsgpu::obs
 namespace
 {
 
-/** Shortest round-trip-exact representation of a double. */
-std::string
-formatDouble(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (int prec = 1; prec < 17; ++prec) {
-        char shorter[40];
-        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-        double back = 0.0;
-        std::sscanf(shorter, "%lf", &back);
-        if (back == v)
-            return shorter;
-    }
-    return buf;
-}
-
-std::string
-quote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
+/** Write a JSON array of doubles (shortest exact form) or counts. */
+template <typename T>
 void
-writeDoubleArray(std::ostream &os, const std::vector<double> &v)
+writeArray(std::ostream &os, const std::vector<T> &v)
 {
     os << "[";
     for (std::size_t i = 0; i < v.size(); ++i) {
         if (i > 0)
             os << ", ";
-        os << formatDouble(v[i]);
-    }
-    os << "]";
-}
-
-void
-writeCycleArray(std::ostream &os, const std::vector<std::uint64_t> &v)
-{
-    os << "[";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i > 0)
-            os << ", ";
-        os << v[i];
+        if constexpr (std::is_same_v<T, double>)
+            os << jsonNumber(v[i]);
+        else
+            os << v[i];
     }
     os << "]";
 }
@@ -163,8 +126,8 @@ TimeSeriesRecorder::pushSample(Accum &a, double value)
     a.samples.push_back(value);
 }
 
-void
-TimeSeriesRecorder::record(int channel, double value)
+TimeSeriesRecorder::Accum &
+TimeSeriesRecorder::accumulate(int channel, double value)
 {
     VSGPU_REQUIRES(channel >= 0 &&
                        static_cast<std::size_t>(channel) <
@@ -180,26 +143,19 @@ TimeSeriesRecorder::record(int channel, double value)
     }
     a.sum += value;
     ++a.count;
-    pushSample(a, value);
+    return a;
+}
+
+void
+TimeSeriesRecorder::record(int channel, double value)
+{
+    pushSample(accumulate(channel, value), value);
 }
 
 void
 TimeSeriesRecorder::recordDense(int channel, double value)
 {
-    VSGPU_REQUIRES(channel >= 0 &&
-                       static_cast<std::size_t>(channel) <
-                           accums_.size(),
-                   "time-series channel id out of range");
-    Accum &a = accums_[static_cast<std::size_t>(channel)];
-    if (a.count == 0) {
-        a.min = value;
-        a.max = value;
-    } else {
-        a.min = std::min(a.min, value);
-        a.max = std::max(a.max, value);
-    }
-    a.sum += value;
-    ++a.count;
+    Accum &a = accumulate(channel, value);
     // The p99 estimate takes the on-stride subsample only; the
     // aggregates above stay exact over every cycle.
     if (sampleThisCycle())
@@ -270,22 +226,22 @@ writeChannel(std::ostream &os, const TimeSeriesChannel &ch,
              const char *indent)
 {
     os << indent << "{\n";
-    os << indent << "  \"name\": " << quote(ch.name) << ",\n";
-    os << indent << "  \"unit\": " << quote(ch.unit) << ",\n";
-    os << indent << "  \"desc\": " << quote(ch.desc) << ",\n";
+    os << indent << "  \"name\": " << jsonQuote(ch.name) << ",\n";
+    os << indent << "  \"unit\": " << jsonQuote(ch.unit) << ",\n";
+    os << indent << "  \"desc\": " << jsonQuote(ch.desc) << ",\n";
     if (ch.scheduleDependent)
         os << indent << "  \"schedule_dependent\": true,\n";
     os << indent << "  \"min\": ";
-    writeDoubleArray(os, ch.min);
+    writeArray(os, ch.min);
     os << ",\n";
     os << indent << "  \"max\": ";
-    writeDoubleArray(os, ch.max);
+    writeArray(os, ch.max);
     os << ",\n";
     os << indent << "  \"mean\": ";
-    writeDoubleArray(os, ch.mean);
+    writeArray(os, ch.mean);
     os << ",\n";
     os << indent << "  \"p99\": ";
-    writeDoubleArray(os, ch.p99);
+    writeArray(os, ch.p99);
     os << "\n";
     os << indent << "}";
 }
@@ -308,8 +264,8 @@ writeTimeSeriesJson(const TimeSeriesDoc &doc, std::ostream &os,
     os << "{\n";
     os << "  \"schema\": \"vsgpu-timeseries-v1\",\n";
     os << "  \"sample_every_sec\": "
-       << formatDouble(doc.sampleEverySec) << ",\n";
-    os << "  \"dt_sec\": " << formatDouble(doc.dtSec) << ",\n";
+       << jsonNumber(doc.sampleEverySec) << ",\n";
+    os << "  \"dt_sec\": " << jsonNumber(doc.dtSec) << ",\n";
     os << "  \"window_cycles\": " << doc.windowCycles << ",\n";
     os << "  \"runs\": [";
     bool firstRun = true;
@@ -318,12 +274,12 @@ writeTimeSeriesJson(const TimeSeriesDoc &doc, std::ostream &os,
             os << ",";
         firstRun = false;
         os << "\n    {\n";
-        os << "      \"label\": " << quote(run->label) << ",\n";
+        os << "      \"label\": " << jsonQuote(run->label) << ",\n";
         os << "      \"time_sec\": ";
-        writeDoubleArray(os, run->timeSec);
+        writeArray(os, run->timeSec);
         os << ",\n";
         os << "      \"cycles\": ";
-        writeCycleArray(os, run->cycles);
+        writeArray(os, run->cycles);
         os << ",\n";
         os << "      \"channels\": [";
         bool firstCh = true;
@@ -347,290 +303,71 @@ writeTimeSeriesJson(const TimeSeriesDoc &doc, std::ostream &os,
     os << "}\n";
 }
 
-void
-writeTimeSeriesCsv(const TimeSeriesDoc &doc, std::ostream &os,
-                   bool includeScheduleDependent)
-{
-    std::vector<const TimeSeriesRun *> runs;
-    runs.reserve(doc.runs.size());
-    for (const TimeSeriesRun &run : doc.runs)
-        runs.push_back(&run);
-    std::sort(runs.begin(), runs.end(),
-              [](const TimeSeriesRun *a, const TimeSeriesRun *b) {
-                  return a->label < b->label;
-              });
-
-    // Header comes from the first run; all runs of a document share
-    // the channel layout because they come from the same cosim code.
-    os << "label,window,time_sec,cycles";
-    if (!runs.empty()) {
-        for (const TimeSeriesChannel &ch : runs.front()->channels) {
-            if (ch.scheduleDependent && !includeScheduleDependent)
-                continue;
-            os << "," << ch.name << ".min"
-               << "," << ch.name << ".max"
-               << "," << ch.name << ".mean"
-               << "," << ch.name << ".p99";
-        }
-    }
-    os << "\n";
-    for (const TimeSeriesRun *run : runs) {
-        for (std::size_t w = 0; w < run->windows(); ++w) {
-            os << run->label << "," << w << ","
-               << formatDouble(run->timeSec[w]) << ","
-               << run->cycles[w];
-            for (const TimeSeriesChannel &ch : run->channels) {
-                if (ch.scheduleDependent &&
-                    !includeScheduleDependent)
-                    continue;
-                os << "," << formatDouble(ch.min[w]) << ","
-                   << formatDouble(ch.max[w]) << ","
-                   << formatDouble(ch.mean[w]) << ","
-                   << formatDouble(ch.p99[w]);
-            }
-            os << "\n";
-        }
-    }
-}
-
-namespace
-{
-
-/**
- * Strict recursive-descent parser for the time-series dump, in the
- * style of the stats-registry parser: panics on any malformed or
- * unknown construct so schema drift fails loudly.
- */
-class TimeSeriesParser
-{
-  public:
-    explicit TimeSeriesParser(std::string text)
-        : text_(std::move(text))
-    {}
-
-    TimeSeriesDoc
-    parse()
-    {
-        TimeSeriesDoc doc;
-        expect('{');
-        bool first = true;
-        while (!peekIs('}')) {
-            if (!first)
-                expect(',');
-            first = false;
-            const std::string key = parseString();
-            expect(':');
-            if (key == "schema") {
-                const std::string schema = parseString();
-                if (schema != "vsgpu-timeseries-v1")
-                    panic("timeseries JSON: unknown schema '",
-                          schema, "'");
-            } else if (key == "sample_every_sec") {
-                doc.sampleEverySec = parseNumber();
-            } else if (key == "dt_sec") {
-                doc.dtSec = parseNumber();
-            } else if (key == "window_cycles") {
-                doc.windowCycles =
-                    static_cast<std::uint64_t>(parseNumber());
-            } else if (key == "runs") {
-                parseRuns(doc);
-            } else {
-                panic("timeseries JSON: unknown key '", key, "'");
-            }
-        }
-        expect('}');
-        return doc;
-    }
-
-  private:
-    void
-    parseRuns(TimeSeriesDoc &doc)
-    {
-        expect('[');
-        while (!peekIs(']')) {
-            if (!doc.runs.empty())
-                expect(',');
-            doc.runs.push_back(parseRun());
-        }
-        expect(']');
-    }
-
-    TimeSeriesRun
-    parseRun()
-    {
-        TimeSeriesRun run;
-        expect('{');
-        bool first = true;
-        while (!peekIs('}')) {
-            if (!first)
-                expect(',');
-            first = false;
-            const std::string key = parseString();
-            expect(':');
-            if (key == "label") {
-                run.label = parseString();
-            } else if (key == "time_sec") {
-                run.timeSec = parseDoubleArray();
-            } else if (key == "cycles") {
-                for (double v : parseDoubleArray())
-                    run.cycles.push_back(
-                        static_cast<std::uint64_t>(v));
-            } else if (key == "channels") {
-                expect('[');
-                while (!peekIs(']')) {
-                    if (!run.channels.empty())
-                        expect(',');
-                    run.channels.push_back(parseChannel());
-                }
-                expect(']');
-            } else {
-                panic("timeseries JSON: unknown run key '", key,
-                      "'");
-            }
-        }
-        expect('}');
-        return run;
-    }
-
-    TimeSeriesChannel
-    parseChannel()
-    {
-        TimeSeriesChannel ch;
-        expect('{');
-        bool first = true;
-        while (!peekIs('}')) {
-            if (!first)
-                expect(',');
-            first = false;
-            const std::string key = parseString();
-            expect(':');
-            if (key == "name") {
-                ch.name = parseString();
-            } else if (key == "unit") {
-                ch.unit = parseString();
-            } else if (key == "desc") {
-                ch.desc = parseString();
-            } else if (key == "schedule_dependent") {
-                ch.scheduleDependent = parseBool();
-            } else if (key == "min") {
-                ch.min = parseDoubleArray();
-            } else if (key == "max") {
-                ch.max = parseDoubleArray();
-            } else if (key == "mean") {
-                ch.mean = parseDoubleArray();
-            } else if (key == "p99") {
-                ch.p99 = parseDoubleArray();
-            } else {
-                panic("timeseries JSON: unknown channel key '", key,
-                      "'");
-            }
-        }
-        expect('}');
-        return ch;
-    }
-
-    std::vector<double>
-    parseDoubleArray()
-    {
-        std::vector<double> out;
-        expect('[');
-        while (!peekIs(']')) {
-            if (!out.empty())
-                expect(',');
-            out.push_back(parseNumber());
-        }
-        expect(']');
-        return out;
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    peekIs(char c)
-    {
-        skipSpace();
-        return pos_ < text_.size() && text_[pos_] == c;
-    }
-
-    void
-    expect(char c)
-    {
-        skipSpace();
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            panic("timeseries JSON: expected '", std::string(1, c),
-                  "' at offset ", pos_);
-        ++pos_;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\' && pos_ < text_.size())
-                c = text_[pos_++];
-            out += c;
-        }
-        if (pos_ >= text_.size())
-            panic("timeseries JSON: unterminated string");
-        ++pos_; // closing quote
-        return out;
-    }
-
-    bool
-    parseBool()
-    {
-        skipSpace();
-        if (text_.compare(pos_, 4, "true") == 0) {
-            pos_ += 4;
-            return true;
-        }
-        if (text_.compare(pos_, 5, "false") == 0) {
-            pos_ += 5;
-            return false;
-        }
-        panic("timeseries JSON: expected boolean at offset ", pos_);
-        return false;
-    }
-
-    double
-    parseNumber()
-    {
-        skipSpace();
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(
-                    static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        if (pos_ == start)
-            panic("timeseries JSON: expected number at offset ",
-                  pos_);
-        return std::stod(text_.substr(start, pos_ - start));
-    }
-
-    std::string text_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
 TimeSeriesDoc
 readTimeSeriesJson(std::istream &is)
 {
     std::ostringstream buf;
     buf << is.rdbuf();
-    return TimeSeriesParser(buf.str()).parse();
+    JsonReader in(buf.str(), "timeseries JSON");
+    TimeSeriesDoc doc;
+    const auto channel = [&in](TimeSeriesChannel &ch) {
+        in.object([&](const std::string &key) {
+            if (key == "name")
+                ch.name = in.string();
+            else if (key == "unit")
+                ch.unit = in.string();
+            else if (key == "desc")
+                ch.desc = in.string();
+            else if (key == "schedule_dependent")
+                ch.scheduleDependent = in.boolean();
+            else if (key == "min")
+                ch.min = in.numbers();
+            else if (key == "max")
+                ch.max = in.numbers();
+            else if (key == "mean")
+                ch.mean = in.numbers();
+            else if (key == "p99")
+                ch.p99 = in.numbers();
+            else
+                in.fail("unknown channel key '", key, "'");
+        });
+    };
+    const auto run = [&](TimeSeriesRun &r) {
+        in.object([&](const std::string &key) {
+            if (key == "label") {
+                r.label = in.string();
+            } else if (key == "time_sec") {
+                r.timeSec = in.numbers();
+            } else if (key == "cycles") {
+                for (double v : in.numbers())
+                    r.cycles.push_back(static_cast<std::uint64_t>(v));
+            } else if (key == "channels") {
+                in.array([&](std::size_t) {
+                    channel(r.channels.emplace_back());
+                });
+            } else {
+                in.fail("unknown run key '", key, "'");
+            }
+        });
+    };
+    in.object([&](const std::string &key) {
+        if (key == "schema") {
+            const std::string schema = in.string();
+            if (schema != "vsgpu-timeseries-v1")
+                in.fail("unknown schema '", schema, "'");
+        } else if (key == "sample_every_sec") {
+            doc.sampleEverySec = in.number();
+        } else if (key == "dt_sec") {
+            doc.dtSec = in.number();
+        } else if (key == "window_cycles") {
+            doc.windowCycles = static_cast<std::uint64_t>(in.number());
+        } else if (key == "runs") {
+            in.array([&](std::size_t) { run(doc.runs.emplace_back()); });
+        } else {
+            in.fail("unknown key '", key, "'");
+        }
+    });
+    return doc;
 }
 
 } // namespace vsgpu::obs

@@ -149,6 +149,7 @@ class TimeSeriesRecorder
     struct Accum;
     void closeWindow();
     void pushSample(Accum &a, double value);
+    Accum &accumulate(int channel, double value);
 
     struct Accum
     {
@@ -182,11 +183,6 @@ class TimeSeriesRecorder
  */
 void writeTimeSeriesJson(const TimeSeriesDoc &doc, std::ostream &os,
                          bool includeScheduleDependent = false);
-
-/** CSV rendering: one row per (run, window), columns per channel
- *  aggregate.  Same schedule-dependent exclusion as the JSON dump. */
-void writeTimeSeriesCsv(const TimeSeriesDoc &doc, std::ostream &os,
-                        bool includeScheduleDependent = false);
 
 /**
  * Parse a document previously produced by writeTimeSeriesJson().

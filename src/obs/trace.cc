@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "obs/json.hh"
 
 namespace vsgpu::obs
 {
@@ -23,19 +24,6 @@ steadyNowNs()
                std::chrono::steady_clock::now() // vsgpu-lint: nondet-ok(trace timestamps are observability-only and never feed back into the simulation)
                    .time_since_epoch())
         .count();
-}
-
-std::string
-quote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
 }
 
 std::atomic<std::uint32_t> nextThreadId{0};
@@ -211,7 +199,7 @@ Tracer::writeJson(std::ostream &os) const
         const TraceEvent &e = snapshot[i];
         os << (i ? ",\n" : "\n") << "    {\"ph\": \"" << e.phase
            << "\", \"cat\": \"" << traceCategoryName(e.cat)
-           << "\", \"name\": " << quote(e.name)
+           << "\", \"name\": " << jsonQuote(e.name)
            << ", \"pid\": 1, \"tid\": " << e.tid
            << ", \"ts\": " << e.tsUs;
         if (e.phase == 'X')
@@ -221,8 +209,8 @@ Tracer::writeJson(std::ostream &os) const
         if (!e.args.empty()) {
             os << ", \"args\": {";
             for (std::size_t a = 0; a < e.args.size(); ++a) {
-                os << (a ? ", " : "") << quote(e.args[a].first)
-                   << ": " << quote(e.args[a].second);
+                os << (a ? ", " : "") << jsonQuote(e.args[a].first)
+                   << ": " << jsonQuote(e.args[a].second);
             }
             os << "}";
         }

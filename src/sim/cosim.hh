@@ -1,11 +1,12 @@
 /**
  * @file
- * The integrated hybrid co-simulator (paper Section V): the GPU
- * timing model produces a per-SM power trace every clock cycle, the
- * circuit engine advances the PDS netlist one clock period with those
- * loads, and (in the cross-layer configuration) the smoothing
- * controller closes the loop by reconfiguring issue width, fake
- * injection, and DCC currents with the modeled loop latency.
+ * The integrated hybrid co-simulator (paper Section V).  Every clock
+ * cycle runs one stage list: GPU step, per-SM power and P -> I
+ * coupling, PDS circuit step, observe, smoothing control, power
+ * management (PowerManager), bookkeeping (sim/bookkeeping.hh).  The
+ * stages read the PDS through the per-SM table of sim/pds_setup.hh,
+ * and every observation channel sits on one CycleObserver list
+ * (sim/observers.hh) that never feeds back into the run.
  */
 
 #ifndef VSGPU_SIM_COSIM_HH
@@ -114,7 +115,7 @@ struct CosimConfig
 class CoSimulator
 {
   public:
-    explicit CoSimulator(const CosimConfig &cfg = {});
+    explicit CoSimulator(const CosimConfig &cfg = {}) : cfg_(cfg) {}
 
     /** Attach an optional DFS governor (non-owning). */
     void attachDfs(DfsGovernor *dfs) { dfs_ = dfs; }

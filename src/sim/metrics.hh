@@ -18,9 +18,7 @@
 namespace vsgpu
 {
 
-class TransientSim;
 class WaveWriter;
-struct PdsSetup;
 
 namespace obs
 {
@@ -78,36 +76,7 @@ struct CosimCounters
     std::uint64_t hvGatingDenials = 0;
 
     /** Element-wise accumulate (exact integer sums). */
-    void
-    add(const CosimCounters &o)
-    {
-        cycles += o.cycles;
-        instructions += o.instructions;
-        fakeInstructions += o.fakeInstructions;
-        throttledCycles += o.throttledCycles;
-        kernelLaunches += o.kernelLaunches;
-        memAccesses += o.memAccesses;
-        l1Hits += o.l1Hits;
-        l2Hits += o.l2Hits;
-        dramAccesses += o.dramAccesses;
-        timesteps += o.timesteps;
-        luFactorizations += o.luFactorizations;
-        sparseNnz += o.sparseNnz;
-        sparseSymbolicReuses += o.sparseSymbolicReuses;
-        sparseRefactorizations += o.sparseRefactorizations;
-        ctlDecisions += o.ctlDecisions;
-        ctlTriggered += o.ctlTriggered;
-        detectorTrips += o.detectorTrips;
-        diwsEngagements += o.diwsEngagements;
-        fiiEngagements += o.fiiEngagements;
-        dccEngagements += o.dccEngagements;
-        dfsTransitions += o.dfsTransitions;
-        pgGateRequests += o.pgGateRequests;
-        pgVetoSkips += o.pgVetoSkips;
-        gateEvents += o.gateEvents;
-        hvFreqRemaps += o.hvFreqRemaps;
-        hvGatingDenials += o.hvGatingDenials;
-    }
+    void add(const CosimCounters &o);
 };
 
 /** Energy breakdown of one run (J). */
@@ -179,13 +148,9 @@ struct CosimResult
 
     /**
      * Optional full-resolution waveform capture (cfg.waveStride > 0):
-     * per-SM rail voltages, dumpable as VCD or CSV.  The writer
-     * observes the run's TransientSim, so the result keeps the sim
-     * and its setup alive alongside it.
+     * per-SM rail voltages, dumpable as VCD or CSV.
      */
     std::shared_ptr<WaveWriter> wave;
-    std::shared_ptr<TransientSim> waveSim;
-    std::shared_ptr<const PdsSetup> waveSetup;
 
     /**
      * Optional windowed time-series telemetry (cfg.sampleEvery > 0);

@@ -31,8 +31,7 @@ verifyPdsModel(const PdsSetup &setup, const CosimConfig &cfg)
 
     verify::NumericAuditOptions numOpts;
     numOpts.dt = config::clockPeriod;
-    numOpts.probeNode = setup.stacked ? setup.vs->smTopNode(0)
-                                      : setup.sl->smNode(0);
+    numOpts.probeNode = setup.rails[0].top;
     report.merge(verify::numericAudit(setup.netlist(), numOpts));
 
     // Current-rating sanity of the averaged CR-IVR: a worst-case

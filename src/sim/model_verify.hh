@@ -8,7 +8,7 @@
  * Two call sites gate on these audits (fail-fast on Error findings,
  * CosimConfig::verifyModel to bypass):
  *   - buildPdsSetup() runs verifyPdsModel() before the DC solve;
- *   - CoSimulator::runImpl() runs verifyControlModel() before
+ *   - CoSimulator runs verifyControlModel() before
  *     closing the smoothing loop.
  * tools/vsgpu_verify runs both over every bench scenario and golden
  * configuration and diffs the findings against a frozen baseline.

@@ -85,7 +85,14 @@ buildPdsSetup(const CosimConfig &cfg)
             options.crIvrEffOhms = design.effOhmsPerCell();
             options.crIvrFlyCapF = design.flyCapPerCell();
         }
-        setup->vs = std::make_shared<const VsPdn>(options);
+        auto pdn = std::make_shared<const VsPdn>(options);
+        for (int sm = 0; sm < config::numSMs; ++sm)
+            setup->rails[static_cast<std::size_t>(sm)] = {
+                pdn->smTopNode(sm), pdn->smBottomNode(sm),
+                pdn->smCurrentSource(sm)};
+        setup->loadResistors = pdn->loadResistorIndices();
+        setup->nominalRail = pdn->nominalLayerVolts().raw();
+        setup->vs = std::move(pdn);
     } else {
         SingleLayerOptions options;
         options.params = cfg.pdn;
@@ -96,8 +103,24 @@ buildPdsSetup(const CosimConfig &cfg)
         // drop (further from the load = more compensation).
         options.supplyVolts =
             options.supplyAtPackage ? 1.03_V : 1.06_V;
-        setup->sl = std::make_shared<const SingleLayerPdn>(options);
+        auto pdn = std::make_shared<const SingleLayerPdn>(options);
+        for (int sm = 0; sm < config::numSMs; ++sm)
+            setup->rails[static_cast<std::size_t>(sm)] = {
+                pdn->smNode(sm), Netlist::ground,
+                pdn->smCurrentSource(sm)};
+        setup->loadResistors = pdn->loadResistorIndices();
+        setup->nominalRail = config::smVoltage.raw();
+        setup->regulatorSource = pdn->supplySource();
+        setup->regulatorVolts = pdn->options().supplyVolts;
+        setup->sl = std::move(pdn);
     }
+    setup->loadOhms =
+        setup->loadResistors.empty()
+            ? cfg.pdn.smLoadOhms()
+            : Ohms{setup->netlist()
+                       .resistors()[static_cast<std::size_t>(
+                           setup->loadResistors.front())]
+                       .ohms};
 
     // Static model verification (ERC + numeric audit) before the DC
     // solve: a malformed netlist would otherwise surface as a panic
@@ -136,6 +159,17 @@ buildPdsSetup(const CosimConfig &cfg)
                                      setup->mnaPattern);
     }
     return setup;
+}
+
+std::shared_ptr<const PdsSetup>
+sharedPdsSetup(const CosimConfig &cfg)
+{
+    if (!cfg.setup)
+        return buildPdsSetup(cfg);
+    panicIfNot(cfg.setup->key == pdsSetupKey(cfg),
+               "shared PDS setup built for a different electrical "
+               "configuration");
+    return cfg.setup;
 }
 
 } // namespace vsgpu

@@ -19,6 +19,7 @@
 #ifndef VSGPU_SIM_PDS_SETUP_HH
 #define VSGPU_SIM_PDS_SETUP_HH
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,10 +32,20 @@
 namespace vsgpu
 {
 
+/** Where the co-simulation loop reads and drives one SM's rail. */
+struct PdsRail
+{
+    NodeId top = Netlist::ground;    ///< upper supply node
+    NodeId bottom = Netlist::ground; ///< lower node (ground unstacked)
+    int source = -1;                 ///< load current-source index
+};
+
 /**
  * Immutable electrical setup shared across runs of one
  * configuration.  Exactly one of vs / sl is set, matching whether
- * the configuration is voltage-stacked.
+ * the configuration is voltage-stacked.  The per-SM table below is
+ * resolved from whichever is set, so the co-simulation loop reads
+ * plain data and never asks which PDS it drives.
  */
 struct PdsSetup
 {
@@ -64,6 +75,24 @@ struct PdsSetup
     /** Exact configuration key this setup was built for. */
     std::string key;
 
+    /** Per-SM rail nodes and load sources.  An SM's rail voltage is
+     *  nodeVoltage(top) - nodeVoltage(bottom); ground reads 0.0, so
+     *  single-layer rails keep their bits. */
+    std::array<PdsRail, config::numSMs> rails{};
+
+    /** Linearized per-SM load resistors (their dissipation is load
+     *  power, not PDN loss) and the resistance of each. */
+    std::vector<int> loadResistors;
+    Ohms loadOhms{};
+
+    /** Nominal SM rail voltage (V): the layer voltage when stacked. */
+    double nominalRail = 0.0;
+
+    /** VRM source a remote-sense loop servos, and its initial setpoint
+     *  (V); -1 when stacked, where no per-layer regulator exists. */
+    int regulatorSource = -1;
+    Volts regulatorVolts{};
+
     /** @return the shared netlist. */
     const Netlist &
     netlist() const
@@ -83,6 +112,14 @@ std::string pdsSetupKey(const CosimConfig &cfg);
 
 /** Build the shared setup for a configuration (netlist + DC LU). */
 std::shared_ptr<const PdsSetup> buildPdsSetup(const CosimConfig &cfg);
+
+/**
+ * @return cfg.setup, checked against the configuration's key, or a
+ * fresh build when it is null.  Either way the netlist is immutable
+ * and the DC point comes from the same solveDc() path, so a run's
+ * results do not depend on which it got.
+ */
+std::shared_ptr<const PdsSetup> sharedPdsSetup(const CosimConfig &cfg);
 
 } // namespace vsgpu
 

@@ -1,102 +1,147 @@
 #include "sim/stats_export.hh"
 
+#include <iterator>
+
+#include "circuit/transient.hh"
+#include "control/controller.hh"
+#include "gpu/gpu.hh"
+
 namespace vsgpu
 {
+
+void
+collectCounters(const Gpu &gpu, const TransientSim &sim,
+                const SmoothingController *controller,
+                CosimCounters &ctr)
+{
+    ctr.cycles = gpu.cycle();
+    for (int sm = 0; sm < gpu.numSMs(); ++sm) {
+        const Sm &s = gpu.sm(sm);
+        ctr.instructions += s.retired();
+        ctr.throttledCycles += s.throttledCycles();
+        ctr.fakeInstructions += s.fakeIssuedTotal();
+        for (std::uint64_t events : s.stats().gateEvents)
+            ctr.gateEvents += events;
+    }
+    ctr.memAccesses = gpu.memory().accesses();
+    ctr.l1Hits = gpu.memory().l1Hits();
+    ctr.l2Hits = gpu.memory().l2Hits();
+    ctr.dramAccesses = gpu.memory().dramAccesses();
+    ctr.timesteps = sim.steps();
+    ctr.luFactorizations = sim.luBuilds();
+    ctr.sparseNnz = sim.patternNnz();
+    ctr.sparseSymbolicReuses = sim.usedCachedPattern() ? 1 : 0;
+    ctr.sparseRefactorizations = sim.refactorizations();
+    if (controller) {
+        ctr.ctlDecisions = controller->totalDecisions();
+        ctr.ctlTriggered = controller->triggeredDecisions();
+        ctr.detectorTrips = controller->detectorTrips();
+        ctr.diwsEngagements = controller->diwsEngagements();
+        ctr.fiiEngagements = controller->fiiEngagements();
+        ctr.dccEngagements = controller->dccEngagements();
+    }
+}
+
+namespace
+{
+
+/** One event counter: its registry name, unit and description. */
+struct CounterField
+{
+    const char *name;
+    const char *unit;
+    const char *desc;
+    std::uint64_t CosimCounters::*field;
+};
+
+constexpr CounterField counterFields[] = {
+    {"gpu.cycles", "cycles", "simulated core cycles",
+     &CosimCounters::cycles},
+    {"gpu.instructions", "insts", "real instructions retired",
+     &CosimCounters::instructions},
+    {"gpu.fake_instructions", "insts", "fake instructions injected (FII)",
+     &CosimCounters::fakeInstructions},
+    {"gpu.throttled_cycles", "cycles", "SM-cycles under DIWS throttling",
+     &CosimCounters::throttledCycles},
+    {"gpu.kernel_launches", "kernels", "kernels launched on the device",
+     &CosimCounters::kernelLaunches},
+    {"gpu.gate_events", "events", "execution-unit power-gate engagements",
+     &CosimCounters::gateEvents},
+    {"gpu.mem.accesses", "accesses", "memory requests issued by LSUs",
+     &CosimCounters::memAccesses},
+    {"gpu.mem.l1_hits", "accesses", "requests served by L1",
+     &CosimCounters::l1Hits},
+    {"gpu.mem.l2_hits", "accesses", "requests served by L2",
+     &CosimCounters::l2Hits},
+    {"gpu.mem.dram_accesses", "accesses", "requests served by DRAM",
+     &CosimCounters::dramAccesses},
+    {"sim.transient.timesteps", "steps", "fixed-step transient solver steps",
+     &CosimCounters::timesteps},
+    {"sim.transient.lu_factorizations", "factorizations",
+     "MNA LU factorizations built (switch-state cache misses)",
+     &CosimCounters::luFactorizations},
+    {"circuit.sparse.nnz", "entries",
+     "structural nonzeros of the sparse MNA assembly patterns (summed "
+     "across runs)",
+     &CosimCounters::sparseNnz},
+    {"circuit.sparse.symbolic_reuses", "runs",
+     "runs that reused a SetupCache-shared symbolic pattern instead of "
+     "rebuilding it",
+     &CosimCounters::sparseSymbolicReuses},
+    {"circuit.sparse.refactorizations", "factorizations",
+     "sparse numeric refactorizations over a cached symbolic pattern",
+     &CosimCounters::sparseRefactorizations},
+    {"control.decisions", "decisions", "smoothing-controller decision periods",
+     &CosimCounters::ctlDecisions},
+    {"control.triggered", "decisions", "decisions that engaged smoothing",
+     &CosimCounters::ctlTriggered},
+    {"control.detector_trips", "trips",
+     "per-SM below-threshold voltage detections",
+     &CosimCounters::detectorTrips},
+    {"control.diws_engagements", "engagements",
+     "issue-width throttle actuations (DIWS)",
+     &CosimCounters::diwsEngagements},
+    {"control.fii_engagements", "engagements",
+     "fake-instruction injection actuations (FII)",
+     &CosimCounters::fiiEngagements},
+    {"control.dcc_engagements", "engagements",
+     "current-DAC compensation actuations (DCC)",
+     &CosimCounters::dccEngagements},
+    {"hypervisor.dfs_transitions", "transitions",
+     "per-SM DFS frequency-step changes",
+     &CosimCounters::dfsTransitions},
+    {"hypervisor.pg_gate_requests", "requests",
+     "power-gate requests issued to SMs",
+     &CosimCounters::pgGateRequests},
+    {"hypervisor.pg_veto_skips", "skips",
+     "PG policy evaluations skipped by a veto",
+     &CosimCounters::pgVetoSkips},
+    {"hypervisor.freq_remaps", "remaps",
+     "DFS requests pulled up to the column budget",
+     &CosimCounters::hvFreqRemaps},
+    {"hypervisor.gating_denials", "denials",
+     "gating requests denied by the imbalance budget",
+     &CosimCounters::hvGatingDenials},
+};
+static_assert(sizeof(CosimCounters) ==
+                  std::size(counterFields) * sizeof(std::uint64_t),
+              "every CosimCounters field needs a counterFields entry");
+
+} // namespace
+
+void
+CosimCounters::add(const CosimCounters &o)
+{
+    for (const CounterField &f : counterFields)
+        this->*f.field += o.*f.field;
+}
 
 void
 registerCounters(obs::StatsRegistry &registry,
                  const CosimCounters &counters)
 {
-    obs::StatsGroup gpu = registry.group("gpu");
-    gpu.counter("cycles", "cycles", "simulated core cycles")
-        .set(counters.cycles);
-    gpu.counter("instructions", "insts",
-                "real instructions retired")
-        .set(counters.instructions);
-    gpu.counter("fake_instructions", "insts",
-                "fake instructions injected (FII)")
-        .set(counters.fakeInstructions);
-    gpu.counter("throttled_cycles", "cycles",
-                "SM-cycles under DIWS throttling")
-        .set(counters.throttledCycles);
-    gpu.counter("kernel_launches", "kernels",
-                "kernels launched on the device")
-        .set(counters.kernelLaunches);
-    gpu.counter("gate_events", "events",
-                "execution-unit power-gate engagements")
-        .set(counters.gateEvents);
-
-    obs::StatsGroup mem = gpu.group("mem");
-    mem.counter("accesses", "accesses",
-                "memory requests issued by LSUs")
-        .set(counters.memAccesses);
-    mem.counter("l1_hits", "accesses", "requests served by L1")
-        .set(counters.l1Hits);
-    mem.counter("l2_hits", "accesses", "requests served by L2")
-        .set(counters.l2Hits);
-    mem.counter("dram_accesses", "accesses",
-                "requests served by DRAM")
-        .set(counters.dramAccesses);
-
-    obs::StatsGroup sim = registry.group("sim");
-    sim.counter("transient.timesteps", "steps",
-                "fixed-step transient solver steps")
-        .set(counters.timesteps);
-    sim.counter("transient.lu_factorizations", "factorizations",
-                "MNA LU factorizations built (switch-state cache "
-                "misses)")
-        .set(counters.luFactorizations);
-
-    obs::StatsGroup circuit = registry.group("circuit");
-    circuit.counter("sparse.nnz", "entries",
-                    "structural nonzeros of the sparse MNA assembly "
-                    "patterns (summed across runs)")
-        .set(counters.sparseNnz);
-    circuit.counter("sparse.symbolic_reuses", "runs",
-                    "runs that reused a SetupCache-shared symbolic "
-                    "pattern instead of rebuilding it")
-        .set(counters.sparseSymbolicReuses);
-    circuit.counter("sparse.refactorizations", "factorizations",
-                    "sparse numeric refactorizations over a cached "
-                    "symbolic pattern")
-        .set(counters.sparseRefactorizations);
-
-    obs::StatsGroup control = registry.group("control");
-    control.counter("decisions", "decisions",
-                    "smoothing-controller decision periods")
-        .set(counters.ctlDecisions);
-    control.counter("triggered", "decisions",
-                    "decisions that engaged smoothing")
-        .set(counters.ctlTriggered);
-    control.counter("detector_trips", "trips",
-                    "per-SM below-threshold voltage detections")
-        .set(counters.detectorTrips);
-    control.counter("diws_engagements", "engagements",
-                    "issue-width throttle actuations (DIWS)")
-        .set(counters.diwsEngagements);
-    control.counter("fii_engagements", "engagements",
-                    "fake-instruction injection actuations (FII)")
-        .set(counters.fiiEngagements);
-    control.counter("dcc_engagements", "engagements",
-                    "current-DAC compensation actuations (DCC)")
-        .set(counters.dccEngagements);
-
-    obs::StatsGroup hv = registry.group("hypervisor");
-    hv.counter("dfs_transitions", "transitions",
-               "per-SM DFS frequency-step changes")
-        .set(counters.dfsTransitions);
-    hv.counter("pg_gate_requests", "requests",
-               "power-gate requests issued to SMs")
-        .set(counters.pgGateRequests);
-    hv.counter("pg_veto_skips", "skips",
-               "PG policy evaluations skipped by a veto")
-        .set(counters.pgVetoSkips);
-    hv.counter("freq_remaps", "remaps",
-               "DFS requests pulled up to the column budget")
-        .set(counters.hvFreqRemaps);
-    hv.counter("gating_denials", "denials",
-               "gating requests denied by the imbalance budget")
-        .set(counters.hvGatingDenials);
+    for (const CounterField &f : counterFields)
+        registry.addCounter(f.name, f.unit, f.desc).set(counters.*f.field);
 }
 
 void

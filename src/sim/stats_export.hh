@@ -17,6 +17,19 @@
 namespace vsgpu
 {
 
+class Gpu;
+class SmoothingController;
+class TransientSim;
+
+/**
+ * Read a finished run's GPU, memory, circuit and controller
+ * counters (the controller may be null) into @p counters; the
+ * kernel-launch and governor counts are the caller's.
+ */
+void collectCounters(const Gpu &gpu, const TransientSim &sim,
+                     const SmoothingController *controller,
+                     CosimCounters &counters);
+
 /**
  * Register the schedule-independent event counters of one run (or
  * the exact integer sum over a sweep's runs) under the gpu / sim /

@@ -38,11 +38,11 @@ TEST(WaveWriter, RecordsEverySampleByDefault)
 {
     Rig rig;
     TransientSim sim(rig.net, 1e-9);
-    WaveWriter wave(sim);
-    wave.addSignal("vb", rig.b);
+    WaveWriter wave;
+    wave.addSignal(sim, "vb", rig.b);
     for (int i = 0; i < 10; ++i) {
         sim.step();
-        wave.sample();
+        wave.sample(sim);
     }
     EXPECT_EQ(wave.numSamples(), 10u);
     EXPECT_EQ(wave.numSignals(), 1u);
@@ -54,11 +54,11 @@ TEST(WaveWriter, StrideDecimates)
 {
     Rig rig;
     TransientSim sim(rig.net, 1e-9);
-    WaveWriter wave(sim, 4);
-    wave.addSignal("vb", rig.b);
+    WaveWriter wave(4);
+    wave.addSignal(sim, "vb", rig.b);
     for (int i = 0; i < 16; ++i) {
         sim.step();
-        wave.sample();
+        wave.sample(sim);
     }
     EXPECT_EQ(wave.numSamples(), 4u);
 }
@@ -67,10 +67,10 @@ TEST(WaveWriter, DifferentialSignal)
 {
     Rig rig;
     TransientSim sim(rig.net, 1e-9);
-    WaveWriter wave(sim);
-    wave.addSignal("vab", rig.a, rig.b);
+    WaveWriter wave;
+    wave.addSignal(sim, "vab", rig.a, rig.b);
     sim.step();
-    wave.sample();
+    wave.sample(sim);
     EXPECT_NEAR(wave.value(0, 0), 1.0, 1e-9);
 }
 
@@ -78,13 +78,13 @@ TEST(WaveWriter, TracksChangingValues)
 {
     Rig rig;
     TransientSim sim(rig.net, 1e-9);
-    WaveWriter wave(sim);
-    wave.addSignal("vb", rig.b);
+    WaveWriter wave;
+    wave.addSignal(sim, "vb", rig.b);
     sim.step();
-    wave.sample();
+    wave.sample(sim);
     sim.setCurrent(rig.isrc, 1.0); // pulls b down by 0.5 V
     sim.step();
-    wave.sample();
+    wave.sample(sim);
     EXPECT_NEAR(wave.value(0, 0), 1.0, 1e-9);
     EXPECT_NEAR(wave.value(1, 0), 0.5, 1e-9);
 }
@@ -93,12 +93,12 @@ TEST(WaveWriter, VcdOutputWellFormed)
 {
     Rig rig;
     TransientSim sim(rig.net, 1e-9);
-    WaveWriter wave(sim);
-    wave.addSignal("rail b", rig.b);
-    wave.addSignal("v(a,b)", rig.a, rig.b);
+    WaveWriter wave;
+    wave.addSignal(sim, "rail b", rig.b);
+    wave.addSignal(sim, "v(a,b)", rig.a, rig.b);
     for (int i = 0; i < 3; ++i) {
         sim.step();
-        wave.sample();
+        wave.sample(sim);
     }
     std::ostringstream oss;
     wave.writeVcd(oss, "pdn");
@@ -116,10 +116,10 @@ TEST(WaveWriter, CsvOutputWellFormed)
 {
     Rig rig;
     TransientSim sim(rig.net, 1e-9);
-    WaveWriter wave(sim);
-    wave.addSignal("vb", rig.b);
+    WaveWriter wave;
+    wave.addSignal(sim, "vb", rig.b);
     sim.step();
-    wave.sample();
+    wave.sample(sim);
     std::ostringstream oss;
     wave.writeCsv(oss);
     EXPECT_EQ(oss.str().substr(0, 12), "time_s,vb\n1e");
@@ -129,15 +129,15 @@ TEST(WaveWriter, ClearKeepsSignals)
 {
     Rig rig;
     TransientSim sim(rig.net, 1e-9);
-    WaveWriter wave(sim);
-    wave.addSignal("vb", rig.b);
+    WaveWriter wave;
+    wave.addSignal(sim, "vb", rig.b);
     sim.step();
-    wave.sample();
+    wave.sample(sim);
     wave.clear();
     EXPECT_EQ(wave.numSamples(), 0u);
     EXPECT_EQ(wave.numSignals(), 1u);
     sim.step();
-    wave.sample();
+    wave.sample(sim);
     EXPECT_EQ(wave.numSamples(), 1u);
 }
 
@@ -154,13 +154,13 @@ TEST(WaveWriter, OutputByteIdenticalAcrossSolvers)
         Rig rig;
         TransientSim sim(rig.net, 1e-9, kinds[k]);
         sim.initToDc();
-        WaveWriter wave(sim);
-        wave.addSignal("vb", rig.b);
-        wave.addSignal("vab", rig.a, rig.b);
+        WaveWriter wave;
+        wave.addSignal(sim, "vb", rig.b);
+        wave.addSignal(sim, "vab", rig.a, rig.b);
         for (int i = 0; i < 50; ++i) {
             sim.setCurrent(rig.isrc, 0.1 * (i % 7));
             sim.step();
-            wave.sample();
+            wave.sample(sim);
         }
         wave.writeVcd(vcd[k], "pdn");
         wave.writeCsv(csv[k]);
@@ -169,16 +169,33 @@ TEST(WaveWriter, OutputByteIdenticalAcrossSolvers)
     EXPECT_EQ(csv[0].str(), csv[1].str());
 }
 
+TEST(WaveWriter, CaptureOutlivesSimulator)
+{
+    WaveWriter wave;
+    {
+        Rig rig;
+        TransientSim sim(rig.net, 1e-9);
+        wave.addSignal(sim, "vb", rig.b);
+        sim.step();
+        wave.sample(sim);
+    }
+    std::ostringstream csv;
+    wave.writeCsv(csv);
+    EXPECT_EQ(wave.numSamples(), 1u);
+    EXPECT_NEAR(wave.value(0, 0), 1.0, 1e-9);
+    EXPECT_NE(csv.str().find("time_s,vb"), std::string::npos);
+}
+
 TEST(WaveWriterDeath, LateRegistrationPanics)
 {
     setLogQuiet(true);
     Rig rig;
     TransientSim sim(rig.net, 1e-9);
-    WaveWriter wave(sim);
-    wave.addSignal("vb", rig.b);
+    WaveWriter wave;
+    wave.addSignal(sim, "vb", rig.b);
     sim.step();
-    wave.sample();
-    EXPECT_DEATH(wave.addSignal("late", rig.a), "");
+    wave.sample(sim);
+    EXPECT_DEATH(wave.addSignal(sim, "late", rig.a), "");
 }
 
 TEST(WaveWriterDeath, BadIndicesPanic)
@@ -186,8 +203,8 @@ TEST(WaveWriterDeath, BadIndicesPanic)
     setLogQuiet(true);
     Rig rig;
     TransientSim sim(rig.net, 1e-9);
-    WaveWriter wave(sim);
-    wave.addSignal("vb", rig.b);
+    WaveWriter wave;
+    wave.addSignal(sim, "vb", rig.b);
     EXPECT_DEATH(wave.value(0, 0), "");
     EXPECT_DEATH(wave.timeAt(0), "");
 }

@@ -225,23 +225,5 @@ TEST(TimeSeries, JsonRoundTripsThroughParser)
     EXPECT_EQ(parsed.windowCycles, 4u);
 }
 
-TEST(TimeSeries, CsvDumpHasHeaderAndRows)
-{
-    const TimeSeriesDoc doc = sampleDoc();
-    std::ostringstream os;
-    writeTimeSeriesCsv(doc, os);
-    const std::string csv = os.str();
-    EXPECT_NE(csv.find("label,window,time_sec,cycles"),
-              std::string::npos);
-    EXPECT_NE(csv.find("rail.min.min"), std::string::npos);
-    EXPECT_EQ(csv.find("wall.sample_us"), std::string::npos);
-    // Header + 2 runs x 2 windows.
-    int lines = 0;
-    for (char ch : csv)
-        if (ch == '\n')
-            ++lines;
-    EXPECT_EQ(lines, 5);
-}
-
 } // namespace
 } // namespace vsgpu::obs

@@ -192,5 +192,20 @@ TEST(Cosim, FinishedFlagSetOnDrain)
     EXPECT_TRUE(r.finished);
 }
 
+/** Halting a layer that does not exist would silently halt nothing. */
+TEST(CosimDeath, GatedLayerOutsideTheStackPanics)
+{
+    CosimConfig cfg;
+    cfg.maxCycles = 100;
+    cfg.gateLayerAtSec = 1.0_us;
+    cfg.gatedLayer = config::numLayers;
+    EXPECT_DEATH(CoSimulator(cfg).run(smallBench()), "gated layer 4");
+    cfg.gatedLayer = -1;
+    EXPECT_DEATH(CoSimulator(cfg).run(smallBench()), "gated layer -1");
+    // Without a halt time the layer index is unused.
+    cfg.gateLayerAtSec = Seconds{-1.0};
+    EXPECT_EQ(CoSimulator(cfg).run(smallBench()).cycles, 100u);
+}
+
 } // namespace
 } // namespace vsgpu

@@ -15,17 +15,29 @@
  * the box statistics moved to a radix sort, so any change to rail
  * sampling order, P->I coupling, controller arithmetic, energy
  * bookkeeping or quantile selection shows up as a mismatch.
+ *
+ * AllObserversArmed turns every observation path on at once.  It
+ * checks that the core digest does not move, and pins what those
+ * paths write (wave CSV, time-series JSON, flight-recorder dump,
+ * tracer event counts per name); its constants were recorded before
+ * the loop's observers moved behind one CycleObserver list.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "circuit/wave_writer.hh"
 #include "control/detector.hh"
+#include "obs/flight_recorder.hh"
+#include "obs/profile.hh"
 #include "obs/timeseries.hh"
+#include "obs/trace.hh"
 #include "sim/cosim.hh"
 #include "workloads/suite.hh"
 
@@ -55,6 +67,15 @@ class Fnv
         add(static_cast<std::uint64_t>(values.size()));
         for (double v : values)
             add(v);
+    }
+
+    void
+    add(const std::string &bytes)
+    {
+        for (unsigned char c : bytes) {
+            h_ ^= c;
+            h_ *= 0x100000001b3ull;
+        }
     }
 
     std::uint64_t value() const { return h_; }
@@ -144,6 +165,95 @@ crossLayer()
     return cfg;
 }
 
+/** @return FNV-1a of a byte string. */
+std::uint64_t
+fnvBytes(const std::string &bytes)
+{
+    Fnv h;
+    h.add(bytes);
+    return h.value();
+}
+
+/** What one observed run leaves behind, hashed. */
+struct ObservedRun
+{
+    std::uint64_t core = 0;       ///< digest without trace/series
+    std::uint64_t full = 0;       ///< digest() incl. trace/series
+    std::uint64_t waveCsv = 0;
+    std::uint64_t seriesJson = 0;
+    std::uint64_t flightJson = 0;
+    std::map<std::string, std::size_t> traceEvents;
+};
+
+std::uint64_t
+coreDigest(CosimResult r)
+{
+    r.trace.clear();
+    r.timeSeries.reset();
+    return digest(r);
+}
+
+/**
+ * Run @p cfg once with every observer off (flight recorder
+ * included) and once with every observer on at the same time:
+ * TraceSample, wave capture, time series, flight recorder, every
+ * tracer category, and the stage profiler.  @p run wires fresh
+ * governors (so both runs start alike) and runs the workload.
+ */
+template <typename Run>
+ObservedRun
+observeAll(CosimConfig cfg, Run run)
+{
+    ObservedRun out;
+    obs::setFlightRecorderEnabled(false);
+    const std::uint64_t bare = [&] {
+        CoSimulator sim(cfg);
+        return coreDigest(run(sim));
+    }();
+    obs::setFlightRecorderEnabled(true);
+
+    cfg.traceStride = 5;
+    cfg.waveStride = 3;
+    cfg.sampleEvery = Seconds{0.5e-6};
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.clear();
+    tracer.enable(obs::CatAll);
+    obs::setProfiling(true);
+    CoSimulator sim(cfg);
+    const CosimResult r = run(sim);
+    obs::setProfiling(false);
+    tracer.disable();
+
+    out.core = coreDigest(r);
+    EXPECT_EQ(out.core, bare) << "observers changed the run";
+    out.full = digest(r);
+    EXPECT_TRUE(r.profile);
+    EXPECT_FALSE(r.trace.empty());
+    if (r.wave) {
+        std::ostringstream csv;
+        r.wave->writeCsv(csv);
+        out.waveCsv = fnvBytes(csv.str());
+    }
+    if (r.timeSeries) {
+        obs::TimeSeriesDoc doc;
+        doc.sampleEverySec = cfg.sampleEvery.raw();
+        doc.dtSec = config::clockPeriod.raw();
+        doc.windowCycles = obs::timeSeriesWindowCycles(
+            doc.dtSec, doc.sampleEverySec);
+        doc.runs.push_back(*r.timeSeries);
+        std::ostringstream json;
+        obs::writeTimeSeriesJson(doc, json);
+        out.seriesJson = fnvBytes(json.str());
+    }
+    std::ostringstream flight;
+    obs::FlightRecorder::instance().writeJson(flight);
+    out.flightJson = fnvBytes(flight.str());
+    for (const obs::TraceEvent &e : tracer.events())
+        ++out.traceEvents[e.name];
+    tracer.clear();
+    return out;
+}
+
 TEST(CosimDigest, ConventionalVrmWithoutRemoteSense)
 {
     CosimConfig cfg;
@@ -231,6 +341,79 @@ TEST(CosimDigest, StuckAtDetector)
         CoSimulator(cfg).run(small(Benchmark::Heartwall));
     EXPECT_GT(r.throttleRate, 0.0);
     EXPECT_EQ(digest(r), 0xeb1bd65186752e76ull);
+}
+
+/** Every observation path armed at once must leave the run's
+ *  results untouched, and its own outputs must not move either. */
+TEST(CosimDigest, AllObserversArmed)
+{
+    const auto governed = [](Benchmark bench, int instrs) {
+        return [=](CoSimulator &sim) {
+            DfsConfig dfsCfg;
+            dfsCfg.perfTarget = 0.5;
+            dfsCfg.epoch = 1024;
+            DfsGovernor dfs(dfsCfg);
+            PgGovernor pg;
+            VsAwareHypervisor hv;
+            sim.attachDfs(&dfs);
+            sim.attachPg(&pg);
+            sim.attachHypervisor(&hv);
+            return sim.run(small(bench, instrs));
+        };
+    };
+
+    CosimConfig cross = crossLayer();
+    cross.gpu.sm.scheduler = SchedulerKind::Gates;
+    cross.pds.controller.vThreshold = Volts{0.98};
+    const ObservedRun vs =
+        observeAll(cross, governed(Benchmark::Srad, 400));
+    EXPECT_EQ(vs.full, 0x4227e352504d8c92ull);
+    EXPECT_EQ(vs.waveCsv, 0xa83c253be93bccedull);
+    EXPECT_EQ(vs.seriesJson, 0x5fb5cdef0b793543ull);
+    EXPECT_EQ(vs.flightJson, 0x0910bd7e0660f1edull);
+    const std::map<std::string, std::size_t> vsEvents{
+        {"cosim.kernel", 1},         {"cosim.run", 1},
+        {"cosim.setup", 1},          {"cosim.transient_chunk", 2},
+        {"ctl.trigger", 12},         {"dfs.transition", 3},
+        {"hv.gating_denial", 56},    {"pds.dc_solve", 1},
+        {"pds.symbolic", 1}};
+    EXPECT_EQ(vs.traceEvents, vsEvents);
+
+    CosimConfig vrm;
+    vrm.pds = defaultPds(PdsKind::ConventionalVrm);
+    vrm.vrmRemoteSense = true;
+    vrm.maxCycles = 30000;
+    const ObservedRun single =
+        observeAll(vrm, governed(Benchmark::Hotspot, 300));
+    EXPECT_EQ(single.full, 0xa0ae82714abce097ull);
+    EXPECT_EQ(single.waveCsv, 0x0fdbd31f39fb134full);
+    EXPECT_EQ(single.seriesJson, 0x349705bb8f933680ull);
+    EXPECT_EQ(single.flightJson, 0xb8a94e7e6b25e37full);
+    const std::map<std::string, std::size_t> singleEvents{
+        {"cosim.kernel", 1},      {"cosim.run", 1},
+        {"cosim.setup", 1},       {"cosim.transient_chunk", 2},
+        {"dfs.transition", 8},    {"pds.dc_solve", 1},
+        {"pds.symbolic", 1}};
+    EXPECT_EQ(single.traceEvents, singleEvents);
+
+    // Kernel boundaries: per-kernel spans, chunks and launch records.
+    CosimConfig seq = crossLayer();
+    seq.maxCycles = 80000;
+    const ObservedRun twoKernels =
+        observeAll(seq, [](CoSimulator &sim) {
+            return sim.runSequence(
+                {small(Benchmark::Srad), small(Benchmark::Bfs)});
+        });
+    EXPECT_EQ(twoKernels.full, 0xebdb073e1bbca41aull);
+    EXPECT_EQ(twoKernels.waveCsv, 0x33b022a6f99ecb1dull);
+    EXPECT_EQ(twoKernels.seriesJson, 0x62c290e9d468f2c5ull);
+    EXPECT_EQ(twoKernels.flightJson, 0x089e9787d2d0e884ull);
+    const std::map<std::string, std::size_t> twoKernelEvents{
+        {"cosim.kernel", 2},      {"cosim.run", 1},
+        {"cosim.setup", 1},       {"cosim.transient_chunk", 3},
+        {"ctl.trigger", 46},      {"pds.dc_solve", 1},
+        {"pds.symbolic", 1}};
+    EXPECT_EQ(twoKernels.traceEvents, twoKernelEvents);
 }
 
 } // namespace

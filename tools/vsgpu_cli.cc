@@ -165,6 +165,10 @@ cmdRun(const std::map<std::string, std::string> &flags)
         fatalIf(at == std::string::npos,
                 "--halt-layer wants L@seconds, e.g. 0@3e-6");
         cfg.gatedLayer = std::stoi(spec.substr(0, at));
+        fatalIf(cfg.gatedLayer < 0 || cfg.gatedLayer >= config::numLayers,
+                "--halt-layer: layer ", cfg.gatedLayer,
+                " is not a stacking layer (0..", config::numLayers - 1,
+                ")");
         cfg.gateLayerAtSec = Seconds{std::stod(spec.substr(at + 1))};
     }
     if (flags.count("gate-watts"))
@@ -180,9 +184,10 @@ cmdRun(const std::map<std::string, std::string> &flags)
     if (wantWave)
         cfg.traceStride = 16;
     const std::string waveOutPath = flagOr(flags, "wave-out", "");
+    const int waveStride = std::stoi(flagOr(flags, "wave-stride", "16"));
+    fatalIf(waveStride < 1, "--wave-stride must be >= 1, got ", waveStride);
     if (!waveOutPath.empty())
-        cfg.waveStride =
-            std::stoi(flagOr(flags, "wave-stride", "16"));
+        cfg.waveStride = waveStride;
 
     const std::string tracePath = flagOr(flags, "trace-out", "");
     if (!tracePath.empty())
