@@ -29,26 +29,6 @@
  * one VSGPU_REQUIRES/VSGPU_ENSURES.  tools/lint/vsgpu_lint verifies
  * that promise statically; the macros verify the conditions at
  * runtime in checked builds and compile to a name-check in release.
- *
- * Concurrency annotations make locking protocols explicit.  No tool
- * checks them today (the compiler's thread-safety analysis needs a
- * Clang build); they document the protocol, cost nothing at runtime,
- * and mirror Clang's -Wthread-safety spellings:
- *
- *   VSGPU_GUARDED_BY(mu)  on a member/global declaration: every
- *                         access must hold mutex mu.  Placed after
- *                         the variable name, before the initializer:
- *                         `std::deque<int> tasks VSGPU_GUARDED_BY(mutex);`
- *   VSGPU_ACQUIRES(mu)    on a function definition (after the
- *                         parameter list): the body acquires mu at
- *                         some point during execution.
- *   VSGPU_EXCLUDES(mu)    on a function definition: callers must NOT
- *                         hold mu at the call site (the body acquires
- *                         it itself, or would deadlock/invert order).
- *
- * Constructors and destructors are exempt from VSGPU_GUARDED_BY
- * enforcement (single-threaded by construction), matching the Clang
- * thread-safety model these annotations deliberately mirror.
  */
 
 #ifndef VSGPU_COMMON_CHECK_HH
@@ -77,14 +57,6 @@
 #else
 #define VSGPU_CONTRACT
 #endif
-
-// Concurrency annotations.  They expand to nothing for every
-// compiler and nothing reads them; the spellings mirror Clang's
-// -Wthread-safety attributes so a later migration to real attributes
-// is mechanical.
-#define VSGPU_GUARDED_BY(mutex)
-#define VSGPU_ACQUIRES(mutex)
-#define VSGPU_EXCLUDES(mutex)
 
 namespace vsgpu
 {

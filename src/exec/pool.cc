@@ -153,9 +153,28 @@ Pool::parallelFor(int numTasks, const std::function<void(int)> &body)
     if (hooks_.batchStart)
         hooks_.batchStart(numTasks);
 
+    // Mark the batch in flight at every job count, so a nested
+    // submission panics on Pool(1) exactly as it does on Pool(N).
+    // The mark clears on every exit, a throwing task's included.
+    {
+        std::lock_guard<std::mutex> lock(batchMutex_);
+        panicIfNot(body_ == nullptr,
+                   "Pool::parallelFor is not reentrant");
+        body_ = &body;
+    }
+    struct ClearMark
+    {
+        Pool &pool;
+        ~ClearMark()
+        {
+            std::lock_guard<std::mutex> lock(pool.batchMutex_);
+            pool.body_ = nullptr;
+        }
+    } clearMark{*this};
+
     if (threads_ == 1) {
-        // Inline fast path: no threads, no locks — the determinism
-        // baseline every parallel run is measured against.
+        // Inline fast path: no threads — the determinism baseline
+        // every parallel run is measured against.
         for (int i = 0; i < numTasks; ++i) {
             const std::int64_t taskStartNs =
                 hooks_.taskDone ? obs::profileNowNs() : 0;
@@ -178,9 +197,6 @@ Pool::parallelFor(int numTasks, const std::function<void(int)> &body)
 
     {
         std::lock_guard<std::mutex> lock(batchMutex_);
-        panicIfNot(body_ == nullptr,
-                   "Pool::parallelFor is not reentrant");
-        body_ = &body;
         firstError_ = nullptr;
         cancelled_ = false;
         batchRemaining_ = numTasks;
@@ -211,7 +227,6 @@ Pool::parallelFor(int numTasks, const std::function<void(int)> &body)
         });
         error = firstError_;
         firstError_ = nullptr;
-        body_ = nullptr;
     }
     if (error)
         std::rethrow_exception(error);

@@ -34,8 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/check.hh"
-
 namespace vsgpu::exec
 {
 
@@ -59,7 +57,7 @@ struct PoolHooks
  *
  * A Pool of N threads uses N - 1 background workers plus the calling
  * thread of parallelFor(), so Pool(1) runs everything inline on the
- * caller with no threads and no synchronization at all.
+ * caller with no threads.
  */
 class Pool
 {
@@ -86,8 +84,8 @@ class Pool
      * participates as worker slot 0.  Exceptions thrown by tasks are
      * captured; the first one (in completion order) is rethrown here
      * after all remaining tasks have been cancelled and the pool has
-     * quiesced.  Not reentrant: parallelFor() must not be called
-     * from inside a task of the same pool.
+     * quiesced.  Not reentrant: a parallelFor() called from inside a
+     * task of the same pool panics, whatever the job count.
      */
     void parallelFor(int numTasks,
                      const std::function<void(int)> &body);
@@ -110,7 +108,7 @@ class Pool
     struct WorkerQueue
     {
         std::mutex mutex;
-        std::deque<int> tasks VSGPU_GUARDED_BY(mutex);
+        std::deque<int> tasks;
     };
 
     /** Background worker main loop (slots 1..threads-1). */
@@ -129,20 +127,23 @@ class Pool
     std::mutex batchMutex_;
     std::condition_variable batchStart_;
     std::condition_variable batchDone_;
-    std::uint64_t batchGeneration_ VSGPU_GUARDED_BY(batchMutex_) = 0;
+    // batchMutex_ guards the batch state below, except body_ and
+    // hooks_.
+    std::uint64_t batchGeneration_ = 0;
     /// Tasks not yet finished.
-    int batchRemaining_ VSGPU_GUARDED_BY(batchMutex_) = 0;
+    int batchRemaining_ = 0;
     /// Background workers inside a batch.
-    int workersActive_ VSGPU_GUARDED_BY(batchMutex_) = 0;
-    bool shutdown_ VSGPU_GUARDED_BY(batchMutex_) = false;
+    int workersActive_ = 0;
+    bool shutdown_ = false;
 
-    // body_ is deliberately unannotated: workers read it without the
-    // lock, which is safe by protocol — it is written before the
+    // Workers read body_ without the lock, which is safe by
+    // protocol: it is written under the lock before the
     // batchGeneration_ bump that releases the workers and read only
-    // while the batch it belongs to is in flight.
+    // while the batch it belongs to is in flight.  Non-null marks a
+    // batch in flight at every job count (the reentrancy check).
     const std::function<void(int)> *body_ = nullptr;
-    std::exception_ptr firstError_ VSGPU_GUARDED_BY(batchMutex_);
-    bool cancelled_ VSGPU_GUARDED_BY(batchMutex_) = false;
+    std::exception_ptr firstError_;
+    bool cancelled_ = false;
 
     // Same access protocol as body_: written only between batches.
     PoolHooks hooks_;

@@ -23,7 +23,6 @@
 #include <mutex>
 #include <vector>
 
-#include "common/check.hh"
 #include "exec/pool.hh"
 
 namespace vsgpu::exec
@@ -71,14 +70,14 @@ class ProgressTracker
     const bool live_;
 
     mutable std::mutex mutex_;
-    std::vector<TaskRecord> records_ VSGPU_GUARDED_BY(mutex_);
-    int batch_ VSGPU_GUARDED_BY(mutex_) = -1;
-    int total_ VSGPU_GUARDED_BY(mutex_) = 0;
-    int completed_ VSGPU_GUARDED_BY(mutex_) = 0;
-    double wallMsSum_ VSGPU_GUARDED_BY(mutex_) = 0.0;
-    std::int64_t startNs_ VSGPU_GUARDED_BY(mutex_) = 0;
-    std::int64_t lastRenderNs_ VSGPU_GUARDED_BY(mutex_) = 0;
-    bool lineOpen_ VSGPU_GUARDED_BY(mutex_) = false;
+    std::vector<TaskRecord> records_;
+    int batch_ = -1;
+    int total_ = 0;
+    int completed_ = 0;
+    double wallMsSum_ = 0.0;
+    std::int64_t startNs_ = 0;
+    std::int64_t lastRenderNs_ = 0;
+    bool lineOpen_ = false;
 };
 
 } // namespace vsgpu::exec

@@ -28,7 +28,6 @@
 #include <mutex>
 #include <vector>
 
-#include "common/check.hh"
 #include "pdn/impedance.hh"
 #include "sim/cosim.hh"
 #include "sim/pds_setup.hh"
@@ -97,13 +96,13 @@ class SetupCache
     mutable std::mutex mutex_;
     std::map<std::string,
              std::shared_future<std::shared_ptr<const PdsSetup>>>
-        setups_ VSGPU_GUARDED_BY(mutex_);
+        setups_;
     std::map<std::string,
              std::shared_future<
                  std::shared_ptr<const std::vector<ImpedancePoint>>>>
-        impedances_ VSGPU_GUARDED_BY(mutex_);
-    int setupsBuilt_ VSGPU_GUARDED_BY(mutex_) = 0;
-    int setupHits_ VSGPU_GUARDED_BY(mutex_) = 0;
+        impedances_;
+    int setupsBuilt_ = 0;
+    int setupHits_ = 0;
 };
 
 } // namespace vsgpu::exec

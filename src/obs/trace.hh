@@ -32,8 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.hh"
-
 namespace vsgpu::obs
 {
 
@@ -133,13 +131,13 @@ class Tracer
     void push(TraceEvent event);
 
     mutable std::mutex mutex_;
-    std::vector<TraceEvent> events_ VSGPU_GUARDED_BY(mutex_);
+    std::vector<TraceEvent> events_;
     /** Ring head once events_ is full: index of the oldest event. */
-    std::size_t head_ VSGPU_GUARDED_BY(mutex_) = 0;
+    std::size_t head_ = 0;
     /** Events evicted (overwritten) since the last clear(). */
-    std::uint64_t dropped_ VSGPU_GUARDED_BY(mutex_) = 0;
-    // originNs_ is deliberately unannotated: nowUs() reads it without
-    // the lock, which is safe by protocol — enable() writes it under
+    std::uint64_t dropped_ = 0;
+    // originNs_ is outside mutex_: nowUs() reads it without the
+    // lock, which is safe by protocol — enable() writes it under
     // the mutex before the traceMask store that makes any
     // instrumentation point call nowUs() at all.
     std::int64_t originNs_ = 0; ///< steady-clock ns at enable()

@@ -87,21 +87,42 @@ TEST(Pool, ManyBatchesOnOnePool)
 
 TEST(Pool, FirstExceptionPropagatesAndPoolSurvives)
 {
-    Pool pool(4);
-    std::atomic<int> ran{0};
-    const auto faulty = [&](int i) {
-        if (i == 37)
-            throw std::runtime_error("task 37 failed");
-        ran.fetch_add(1);
-    };
-    EXPECT_THROW(pool.parallelFor(100, faulty), std::runtime_error);
-    // Cancelled tasks are skipped, so at most 99 ran.
-    EXPECT_LE(ran.load(), 99);
+    for (int jobs : {1, 4}) {
+        Pool pool(jobs);
+        std::atomic<int> ran{0};
+        const auto faulty = [&](int i) {
+            if (i == 37)
+                throw std::runtime_error("task 37 failed");
+            ran.fetch_add(1);
+        };
+        EXPECT_THROW(pool.parallelFor(100, faulty), std::runtime_error);
+        // Cancelled tasks are skipped, so at most 99 ran.
+        EXPECT_LE(ran.load(), 99);
 
-    // The pool must be fully usable after an error.
-    std::atomic<int> ran2{0};
-    pool.parallelFor(100, [&](int) { ran2.fetch_add(1); });
-    EXPECT_EQ(ran2.load(), 100);
+        // The pool must be fully usable after an error: the throw
+        // cleared the in-flight batch mark.
+        std::atomic<int> ran2{0};
+        pool.parallelFor(100, [&](int) { ran2.fetch_add(1); });
+        EXPECT_EQ(ran2.load(), 100) << "jobs=" << jobs;
+    }
+}
+
+TEST(PoolDeathTest, NestedParallelForPanicsAtEveryJobCount)
+{
+    // A task that submits to its own pool again: the pool is not
+    // reentrant, and the check must not depend on the job count, so
+    // a jobs=1 run catches what a jobs=N run would.
+    for (int jobs : {1, 4}) {
+        EXPECT_DEATH(
+            {
+                Pool pool(jobs);
+                pool.parallelFor(2, [&](int) {
+                    pool.parallelFor(2, [](int) {});
+                });
+            },
+            "not reentrant")
+            << "jobs=" << jobs;
+    }
 }
 
 TEST(Pool, ExceptionOnCallerThreadPropagates)

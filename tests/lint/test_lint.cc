@@ -143,48 +143,6 @@ TEST(LintDeterminism, IostreamAllowlistPermitsWriters)
     EXPECT_EQ(diags.size(), 1U);
 }
 
-TEST(LintPoolConcurrency, ViolatingFixture)
-{
-    const SourceFile src = fixture("pool_violate.cc");
-    std::vector<Diagnostic> diags;
-    checkPoolConcurrency(src, diags);
-    EXPECT_EQ(diags.size(), 2U) << ::testing::PrintToString(
-        messages(diags));
-    EXPECT_TRUE(anyMentions(diags, "'total'"));
-    EXPECT_TRUE(anyMentions(diags, "'events'"));
-}
-
-TEST(LintPoolConcurrency, CleanFixture)
-{
-    const SourceFile src = fixture("pool_clean.cc");
-    std::vector<Diagnostic> diags;
-    checkPoolConcurrency(src, diags);
-    EXPECT_TRUE(diags.empty()) << ::testing::PrintToString(
-        messages(diags));
-}
-
-TEST(LintPoolConcurrency, ConstByRefCapturesAreNotWrites)
-{
-    // False-positive regression: const locals captured by reference
-    // and by-ref captures that are only read must stay quiet.
-    const SourceFile src = fixture("pool_constref_clean.cc");
-    std::vector<Diagnostic> diags;
-    checkPoolConcurrency(src, diags);
-    EXPECT_TRUE(diags.empty()) << ::testing::PrintToString(
-        messages(diags));
-}
-
-TEST(LintPoolConcurrency, StructuredBindingsAndCommaDeclsAreLocal)
-{
-    // False-positive regression: `auto [lo, hi] = ...` and
-    // `double a = 0, b = 0;` declare task-local names.
-    const SourceFile src = fixture("pool_readonly_clean.cc");
-    std::vector<Diagnostic> diags;
-    checkPoolConcurrency(src, diags);
-    EXPECT_TRUE(diags.empty()) << ::testing::PrintToString(
-        messages(diags));
-}
-
 TEST(LintContracts, ViolatingFixture)
 {
     const SourceFile src = fixture("contract_violate.cc");
@@ -297,9 +255,9 @@ TEST(LintScope, FamiliesScopeByPath)
         checkAppliesTo(Check::Determinism, "src/gpu/sm.cc"));
     EXPECT_FALSE(
         checkAppliesTo(Check::Determinism, "bench/fig07.cc"));
-    // pool-concurrency includes bench/ and tools/.
+    // fp-determinism includes bench/ and tools/.
     EXPECT_TRUE(
-        checkAppliesTo(Check::PoolConcurrency, "bench/fig07.cc"));
+        checkAppliesTo(Check::FpDeterminism, "bench/fig07.cc"));
     // contracts apply everywhere.
     EXPECT_TRUE(
         checkAppliesTo(Check::Contracts, "tests/foo/bar.cc"));
@@ -439,11 +397,11 @@ TEST(LintChecks, NameRoundTrip)
 
 TEST(LintChecks, ProjectChecksAreTheSemanticFamilies)
 {
-    EXPECT_TRUE(isProjectCheck(Check::PoolEscape));
     EXPECT_TRUE(isProjectCheck(Check::UnitFlow));
     EXPECT_TRUE(isProjectCheck(Check::DeterminismTaint));
+    EXPECT_TRUE(isProjectCheck(Check::FpDeterminism));
     EXPECT_FALSE(isProjectCheck(Check::UnitSafety));
-    EXPECT_FALSE(isProjectCheck(Check::PoolConcurrency));
+    EXPECT_FALSE(isProjectCheck(Check::Contracts));
 }
 
 // ================= runChecks plumbing =================
@@ -455,7 +413,7 @@ TEST(LintRunChecks, ScopedSweepSkipsOutOfScopeFamilies)
     std::vector<Diagnostic> diags;
     runChecks(src,
               {Check::UnitSafety, Check::Determinism,
-               Check::PoolConcurrency, Check::Contracts},
+               Check::Contracts},
               CheckOptions{}, /*ignoreScope=*/false, diags);
     EXPECT_TRUE(diags.empty());
     // ...but explicit file arguments bypass scoping.
@@ -469,10 +427,11 @@ TEST(LintRunChecks, ScopedSweepSkipsOutOfScopeFamilies)
 TEST(LintScope, SemanticFamiliesScopeByPath)
 {
     EXPECT_TRUE(
-        checkAppliesTo(Check::PoolEscape, "src/exec/pool.cc"));
-    EXPECT_TRUE(checkAppliesTo(Check::PoolEscape, "bench/fig07.cc"));
+        checkAppliesTo(Check::FpDeterminism, "src/exec/pool.cc"));
+    EXPECT_TRUE(
+        checkAppliesTo(Check::FpDeterminism, "bench/fig07.cc"));
     EXPECT_FALSE(
-        checkAppliesTo(Check::PoolEscape, "tests/exec/t.cc"));
+        checkAppliesTo(Check::FpDeterminism, "tests/exec/t.cc"));
     // unit-flow shares the raw-escape scope: the numeric core is
     // allowed to work in raw doubles.
     EXPECT_TRUE(
@@ -490,8 +449,8 @@ TEST(LintScope, SemanticFamiliesScopeByPath)
 TEST(LintSarif, EmitsRulesAndResults)
 {
     const std::vector<Diagnostic> diags = {
-        {"src/a.cc", 3, Check::PoolEscape, "race on 'x'",
-         "pool-escape.capture-write"},
+        {"src/a.cc", 3, Check::FpDeterminism, "locked sum 'x'",
+         "fp-determinism.locked-reduction"},
         {"src/b.cc", 9, Check::UnitSafety, "raw double", ""},
     };
     std::ostringstream os;
@@ -500,10 +459,10 @@ TEST(LintSarif, EmitsRulesAndResults)
     EXPECT_NE(sarif.find("\"version\": \"2.1.0\""),
               std::string::npos);
     // Rules: the diagnostic id when present, family name otherwise.
-    EXPECT_NE(sarif.find("pool-escape.capture-write"),
+    EXPECT_NE(sarif.find("fp-determinism.locked-reduction"),
               std::string::npos);
     EXPECT_NE(sarif.find("\"unit-safety\""), std::string::npos);
-    EXPECT_NE(sarif.find("race on 'x'"), std::string::npos);
+    EXPECT_NE(sarif.find("locked sum 'x'"), std::string::npos);
     EXPECT_NE(sarif.find("\"uri\": \"src/a.cc\""),
               std::string::npos);
     EXPECT_NE(sarif.find("\"startLine\": 3"), std::string::npos);
@@ -526,10 +485,10 @@ TEST(LintSarif, EscapesJsonSpecials)
 
 TEST(LintBaseline, DiagnosticIdHeadsTheFingerprint)
 {
-    const Diagnostic d{"src/a.cc", 4, Check::PoolEscape, "msg",
-                       "pool-escape.global-write"};
-    EXPECT_EQ(fingerprint(d, "g = 1;")
-                  .find("pool-escape.global-write|"),
+    const Diagnostic d{"src/a.cc", 4, Check::FpDeterminism, "msg",
+                       "fp-determinism.locked-reduction"};
+    EXPECT_EQ(fingerprint(d, "g += 1.0;")
+                  .find("fp-determinism.locked-reduction|"),
               0U);
 }
 

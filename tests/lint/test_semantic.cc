@@ -1,12 +1,12 @@
 /**
  * @file
  * Tests for the cross-TU semantic layer (tools/lint/semantic.hh):
- * symbol indexing, call-graph effect propagation, the semantic
- * families (pool-escape, unit-flow, determinism-taint,
- * pool-happens-before, fp-determinism) over the fixture corpus, and
- * — the point of the whole layer — explicit proof that each seeded
- * fixture bug is INVISIBLE to the corresponding token-level family
- * and caught only by the semantic one.
+ * symbol indexing, call-graph FP-accumulation propagation, the
+ * semantic families (unit-flow, determinism-taint, fp-determinism)
+ * over the fixture corpus, and — the point of the whole layer —
+ * explicit proof that each seeded fixture bug is INVISIBLE to the
+ * corresponding token-level family and caught only by the semantic
+ * one.
  */
 
 #include "lint.hh"
@@ -76,7 +76,7 @@ TEST(SymbolIndex, FindsFunctionsParamsAndGlobals)
     const Project p = projectOf(
         {{"src/a.cc",
           "namespace { double gTotal = 0.0; }\n"
-          "const int kLimit = 4;\n"
+          "const double kLimit = 4.0;\n"
           "double scale(const Volts &v, double factor)\n"
           "{\n"
           "    return v.raw() * factor;\n"
@@ -85,14 +85,11 @@ TEST(SymbolIndex, FindsFunctionsParamsAndGlobals)
     ASSERT_EQ(f.params.size(), 2U);
     EXPECT_EQ(f.params[0].name, "v");
     EXPECT_EQ(f.params[0].type, "Volts");
-    EXPECT_TRUE(f.params[0].byRef);
-    EXPECT_TRUE(f.params[0].isConst);
     EXPECT_EQ(f.params[1].name, "factor");
     EXPECT_EQ(f.params[1].type, "double");
-    EXPECT_EQ(p.index().globals.count("gTotal"), 1U);
-    EXPECT_EQ(p.index().globals.count("kLimit"), 0U)
-        << "const globals are not mutable shared state";
-    EXPECT_EQ(p.index().constNames.count("kLimit"), 1U);
+    EXPECT_EQ(p.index().fpNames.count("gTotal"), 1U);
+    EXPECT_EQ(p.index().fpNames.count("kLimit"), 0U)
+        << "const globals are read-only, never shared accumulators";
 }
 
 TEST(SymbolIndex, MethodsRecordTheirClassAndFieldWrites)
@@ -102,15 +99,14 @@ TEST(SymbolIndex, MethodsRecordTheirClassAndFieldWrites)
           "class Meter\n"
           "{\n"
           "  public:\n"
-          "    void tick() { count_ = count_ + 1; }\n"
+          "    void tick() { energy_ = energy_ + 1.0; }\n"
           "  private:\n"
-          "    long count_ = 0;\n"
+          "    double energy_ = 0.0;\n"
           "};\n"}});
     const FunctionDef &f = fn(p, "tick");
     EXPECT_EQ(f.className, "Meter");
-    EXPECT_TRUE(f.writesFields);
-    EXPECT_EQ(p.index().classFields.at("Meter").count("count_"),
-              1U);
+    EXPECT_EQ(f.fpAccumulates.count("Meter::energy_"), 1U);
+    EXPECT_EQ(p.index().fpNames.count("Meter::energy_"), 1U);
 }
 
 TEST(SymbolIndex, DirectEffectSummaries)
@@ -118,15 +114,17 @@ TEST(SymbolIndex, DirectEffectSummaries)
     const Project p = projectOf(
         {{"src/a.cc",
           "namespace { double gLast = 0.0; }\n"
-          "void record(double v) { gLast = v; }\n"
+          "void record(double v) { gLast += v; }\n"
           "void bump(double &x) { x += 1.0; }\n"
           "void guarded(double v)\n"
           "{\n"
           "    std::lock_guard<std::mutex> lock(gMutex);\n"
-          "    gLast = v;\n"
+          "    gLast += v;\n"
           "}\n"}});
-    EXPECT_EQ(fn(p, "record").writesGlobals.count("gLast"), 1U);
-    EXPECT_EQ(fn(p, "bump").writesParams.count(0), 1U);
+    EXPECT_EQ(fn(p, "record").fpAccumulates.count("gLast"), 1U);
+    EXPECT_TRUE(fn(p, "bump").fpAccumulates.empty())
+        << "a parameter is the caller's state, not shared state";
+    EXPECT_FALSE(fn(p, "record").takesLock);
     EXPECT_TRUE(fn(p, "guarded").takesLock);
 }
 
@@ -137,39 +135,34 @@ TEST(CallGraph, EffectsPropagateTransitively)
     const Project p = projectOf(
         {{"src/a.cc",
           "namespace { double gLast = 0.0; }\n"
-          "void sinkWrite(double v) { gLast = v; }\n"
-          "void middle(double v) { sinkWrite(v); }\n"
+          "void sinkAdd(double v) { gLast += v; }\n"
+          "void middle(double v) { sinkAdd(v); }\n"
           "void outer(double v) { middle(v); }\n"}});
     const FunctionDef &outer = fn(p, "outer");
-    EXPECT_EQ(outer.writesGlobals.count("gLast"), 1U);
+    EXPECT_EQ(outer.fpAccumulates.count("gLast"), 1U);
     // The via-path names the call chain for the diagnostic.
-    const auto via = outer.effectVia.find("gLast");
-    ASSERT_NE(via, outer.effectVia.end());
+    const auto via = outer.fpVia.find("gLast");
+    ASSERT_NE(via, outer.fpVia.end());
     EXPECT_NE(via->second.find("middle"), std::string::npos);
+    EXPECT_NE(via->second.find("sinkAdd"), std::string::npos);
 }
 
-TEST(CallGraph, LockTakingCalleesAbsorbTheirWrites)
+TEST(CallGraph, LockTakingCalleesStillPropagateFpAccumulations)
 {
+    // A lock serializes the sum but does not fix its order, so a
+    // lock-taking callee's accumulation reaches the caller.
     const Project p = projectOf(
         {{"src/a.cc",
           "namespace { double gLast = 0.0; }\n"
           "void guarded(double v)\n"
           "{\n"
           "    std::lock_guard<std::mutex> lock(gMutex);\n"
-          "    gLast = v;\n"
+          "    gLast += v;\n"
           "}\n"
           "void outer(double v) { guarded(v); }\n"}});
-    EXPECT_EQ(fn(p, "outer").writesGlobals.count("gLast"), 0U)
-        << "a serialized write is not a caller-visible race";
-}
-
-TEST(CallGraph, RefParamWritesFollowForwardedArguments)
-{
-    const Project p = projectOf(
-        {{"src/a.cc",
-          "void bump(double &x) { x += 1.0; }\n"
-          "void outer(double &y) { bump(y); }\n"}});
-    EXPECT_EQ(fn(p, "outer").writesParams.count(0), 1U);
+    EXPECT_TRUE(fn(p, "guarded").takesLock);
+    EXPECT_FALSE(fn(p, "outer").takesLock);
+    EXPECT_EQ(fn(p, "outer").fpAccumulates.count("gLast"), 1U);
 }
 
 TEST(CallGraph, CyclesTerminate)
@@ -178,11 +171,11 @@ TEST(CallGraph, CyclesTerminate)
         {{"src/a.cc",
           "namespace { double gPing = 0.0; }\n"
           "void even(int n);\n"
-          "void odd(int n) { gPing = 1.0; even(n - 1); }\n"
+          "void odd(int n) { gPing += 1.0; even(n - 1); }\n"
           "void even(int n) { odd(n - 1); }\n"}});
-    // Mutual recursion: the bounded closure and the effect fixpoint
-    // must both terminate, and effects still cross the cycle.
-    EXPECT_EQ(fn(p, "even").writesGlobals.count("gPing"), 1U);
+    // Mutual recursion: the fixpoint terminates, and accumulations
+    // still cross the cycle.
+    EXPECT_EQ(fn(p, "even").fpAccumulates.count("gPing"), 1U);
 }
 
 TEST(CallGraph, CrossTranslationUnitEffects)
@@ -190,97 +183,10 @@ TEST(CallGraph, CrossTranslationUnitEffects)
     const Project p = projectOf(
         {{"src/a.cc",
           "namespace { double gShared = 0.0; }\n"
-          "void poke(double v) { gShared = v; }\n"},
+          "void poke(double v) { gShared += v; }\n"},
          {"src/b.cc", "void relay(double v) { poke(v); }\n"}});
     // poke lives in a different TU than relay; the index is global.
-    EXPECT_EQ(fn(p, "relay").writesGlobals.count("gShared"), 1U);
-}
-
-// ================= pool-escape =================
-
-TEST(PoolEscape, ByValuePointerCaptureIsInvisibleToTokenFamily)
-{
-    // The seeded race: a pointer captured BY VALUE, written through
-    // inside the task.  The token-level family bails out on by-value
-    // captures — only the semantic family can see the alias.
-    const SourceFile src = fixture("poolescape_ptr_violate.cc");
-    std::vector<Diagnostic> token;
-    checkPoolConcurrency(src, token);
-    EXPECT_TRUE(token.empty())
-        << "token family unexpectedly sees the by-value race: "
-        << ::testing::PrintToString(messages(token));
-
-    const Project p = fixtureProject("poolescape_ptr_violate.cc");
-    std::vector<Diagnostic> semantic;
-    checkPoolEscape(p, semantic);
-    ASSERT_EQ(semantic.size(), 1U)
-        << ::testing::PrintToString(messages(semantic));
-    EXPECT_EQ(semantic[0].id, "pool-escape.pointer-capture-write");
-}
-
-TEST(PoolEscape, ReadOnlyByValueCapturesPass)
-{
-    const Project p = fixtureProject("poolescape_ptr_clean.cc");
-    std::vector<Diagnostic> diags;
-    checkPoolEscape(p, diags);
-    EXPECT_TRUE(diags.empty())
-        << ::testing::PrintToString(messages(diags));
-}
-
-TEST(PoolEscape, GlobalWriteTwoCallsDeepIsInvisibleToTokenFamily)
-{
-    const SourceFile src = fixture("poolescape_deep_violate.cc");
-    std::vector<Diagnostic> token;
-    checkPoolConcurrency(src, token);
-    EXPECT_TRUE(token.empty())
-        << "token family cannot see through calls: "
-        << ::testing::PrintToString(messages(token));
-
-    const Project p = fixtureProject("poolescape_deep_violate.cc");
-    std::vector<Diagnostic> semantic;
-    checkPoolEscape(p, semantic);
-    ASSERT_EQ(semantic.size(), 1U)
-        << ::testing::PrintToString(messages(semantic));
-    EXPECT_EQ(semantic[0].id, "pool-escape.global-write");
-    EXPECT_NE(semantic[0].message.find("via recordSample"),
-              std::string::npos)
-        << semantic[0].message;
-}
-
-TEST(PoolEscape, LockedAndAtomicHelperWritesPass)
-{
-    const Project p = fixtureProject("poolescape_deep_clean.cc");
-    std::vector<Diagnostic> diags;
-    checkPoolEscape(p, diags);
-    EXPECT_TRUE(diags.empty())
-        << ::testing::PrintToString(messages(diags));
-}
-
-TEST(PoolEscape, CrossTuHelperWriteIsCaught)
-{
-    // The helper that writes the global lives in a DIFFERENT file
-    // than the pool task: only a project-wide index can connect the
-    // two.
-    const Project p = projectOf(
-        {{"src/helper.cc",
-          "namespace { double gSeen = 0.0; }\n"
-          "void note(double v) { gSeen = v; }\n"},
-         {"src/task.cc",
-          "namespace exec { struct Pool {\n"
-          "    template <typename F> void parallelFor(int, F &&);\n"
-          "}; }\n"
-          "void drive(exec::Pool &pool)\n"
-          "{\n"
-          "    pool.parallelFor(8, [](int i) {\n"
-          "        note(static_cast<double>(i));\n"
-          "    });\n"
-          "}\n"}});
-    std::vector<Diagnostic> diags;
-    checkPoolEscape(p, diags);
-    ASSERT_EQ(diags.size(), 1U)
-        << ::testing::PrintToString(messages(diags));
-    EXPECT_EQ(diags[0].id, "pool-escape.global-write");
-    EXPECT_EQ(diags[0].file, "src/task.cc");
+    EXPECT_EQ(fn(p, "relay").fpAccumulates.count("gShared"), 1U);
 }
 
 // ================= unit-flow =================
@@ -391,8 +297,8 @@ TEST(DetTaint, OrderedIterationPasses)
         << ::testing::PrintToString(messages(diags));
 }
 
-// Run every token-level family over @p src; the pool-happens-before
-// and fp-determinism fixtures must be invisible to all of them.
+// Run every token-level family over @p src; the fp-determinism
+// fixtures must be invisible to all of them.
 std::vector<Diagnostic>
 allTokenDiags(const SourceFile &src)
 {
@@ -403,84 +309,30 @@ allTokenDiags(const SourceFile &src)
     return diags;
 }
 
-// Run the data-race / unit / taint semantic families over @p p.
+// Run the unit / taint semantic families over @p p.
 std::vector<Diagnostic>
-v2SemanticDiags(const Project &p)
+otherSemanticDiags(const Project &p)
 {
     std::vector<Diagnostic> diags;
-    checkPoolEscape(p, diags);
     checkUnitFlow(p, diags);
     checkDeterminismTaint(p, diags);
     return diags;
-}
-
-// ================= pool-happens-before =================
-
-TEST(PoolHappensBefore, NestedSubmitThroughHelperIsCaught)
-{
-    const SourceFile src = fixture("poolhb_nested_violate.cc");
-    EXPECT_TRUE(allTokenDiags(src).empty())
-        << ::testing::PrintToString(messages(allTokenDiags(src)));
-
-    const Project p = fixtureProject("poolhb_nested_violate.cc");
-    EXPECT_TRUE(v2SemanticDiags(p).empty())
-        << ::testing::PrintToString(messages(v2SemanticDiags(p)));
-    std::vector<Diagnostic> diags;
-    checkPoolHappensBefore(p, diags);
-    ASSERT_EQ(diags.size(), 1U)
-        << ::testing::PrintToString(messages(diags));
-    EXPECT_EQ(diags[0].id, "pool-happens-before.nested-submit");
-    EXPECT_NE(diags[0].message.find("refineCell"),
-              std::string::npos)
-        << diags[0].message;
-}
-
-TEST(PoolHappensBefore, SequentialBatchesPass)
-{
-    // Two batches in sequence: the join between them is the
-    // happens-before edge, nothing nests, nothing races.
-    const Project p = fixtureProject("poolhb_nested_clean.cc");
-    std::vector<Diagnostic> diags;
-    checkPoolHappensBefore(p, diags);
-    EXPECT_TRUE(diags.empty())
-        << ::testing::PrintToString(messages(diags));
-}
-
-TEST(PoolHappensBefore, SamePhaseStencilReadIsFlagged)
-{
-    const Project p = projectOf(
-        {{"src/relax.cc",
-          "namespace exec { struct Pool {\n"
-          "    template <typename F> void parallelFor(int, F &&);\n"
-          "}; }\n"
-          "void relax(exec::Pool &pool, std::vector<double> &curr,\n"
-          "           int n)\n"
-          "{\n"
-          "    pool.parallelFor(n, [&](int i) {\n"
-          "        curr[i] = 0.5 * (curr[i - 1] + curr[i + 1]);\n"
-          "    });\n"
-          "}\n"}});
-    std::vector<Diagnostic> diags;
-    checkPoolHappensBefore(p, diags);
-    ASSERT_EQ(diags.size(), 1U)
-        << ::testing::PrintToString(messages(diags));
-    EXPECT_EQ(diags[0].id, "pool-happens-before.cross-task-read");
 }
 
 // ================= fp-determinism =================
 
 TEST(FpDeterminism, LockedReductionInvisibleToPoolFamilies)
 {
-    // The lock makes the accumulation race-free — pool-escape and
-    // the token family rightly accept it — but the order of the +=
-    // is the schedule's, which breaks bitwise sweep identity.
+    // The lock makes the accumulation race-free — a race detector
+    // rightly accepts it — but the order of the += is the
+    // schedule's, which breaks bitwise sweep identity.
     const SourceFile src = fixture("fpdet_sched_violate.cc");
     EXPECT_TRUE(allTokenDiags(src).empty())
         << ::testing::PrintToString(messages(allTokenDiags(src)));
 
     const Project p = fixtureProject("fpdet_sched_violate.cc");
-    EXPECT_TRUE(v2SemanticDiags(p).empty())
-        << ::testing::PrintToString(messages(v2SemanticDiags(p)));
+    EXPECT_TRUE(otherSemanticDiags(p).empty())
+        << ::testing::PrintToString(messages(otherSemanticDiags(p)));
     std::vector<Diagnostic> diags;
     checkFpDeterminism(p, diags);
     ASSERT_EQ(diags.size(), 1U)
@@ -607,31 +459,6 @@ TEST(FpDeterminism, UnambiguousHelperChainStillPropagates)
         << diags[0].message;
 }
 
-// ================= family-overlap dedupe =================
-
-TEST(FamilyOverlap, TokenAndSemanticSameLineReportOnce)
-{
-    // A by-ref capture write is visible to BOTH the token family and
-    // pool-escape; the driver must keep exactly one diagnostic — the
-    // semantic one, which carries interprocedural context.
-    const SourceFile src = fixture("pool_overlap_violate.cc");
-    const Project p = fixtureProject("pool_overlap_violate.cc");
-
-    std::vector<Diagnostic> diags;
-    checkPoolConcurrency(src, diags);
-    ASSERT_EQ(diags.size(), 1U)
-        << "token family must see the capture write";
-    checkPoolEscape(p, diags);
-    ASSERT_EQ(diags.size(), 2U)
-        << "semantic family must see it too";
-    ASSERT_EQ(diags[0].line, diags[1].line);
-
-    dedupeFamilyOverlap(diags);
-    ASSERT_EQ(diags.size(), 1U)
-        << ::testing::PrintToString(messages(diags));
-    EXPECT_EQ(diags[0].id, "pool-escape.capture-write");
-}
-
 // ================= call-graph fixpoint boundary =================
 
 TEST(CallGraph, RecursiveChainEffectsReachTheDefaultRoundBound)
@@ -646,9 +473,9 @@ TEST(CallGraph, RecursiveChainEffectsReachTheDefaultRoundBound)
           "void f4(double v) { f3(v); }\n"
           "void f3(double v) { f2(v); }\n"
           "void f2(double v) { f1(v); }\n"
-          "void f1(double v) { gX = v; }\n"}});
-    EXPECT_EQ(fn(p, "f2").writesGlobals.count("gX"), 1U);
-    EXPECT_EQ(fn(p, "f5").writesGlobals.count("gX"), 1U)
+          "void f1(double v) { gX += v; }\n"}});
+    EXPECT_EQ(fn(p, "f2").fpAccumulates.count("gX"), 1U);
+    EXPECT_EQ(fn(p, "f5").fpAccumulates.count("gX"), 1U)
         << "4 calls deep is within the default fixpoint bound";
 }
 
@@ -661,25 +488,24 @@ TEST(CallGraph, EffectsBeyondTheRoundBoundNeedMoreRounds)
         "void f4(double v) { f3(v); }\n"
         "void f3(double v) { f2(v); }\n"
         "void f2(double v) { f1(v); }\n"
-        "void f1(double v) { gX = v; }\n";
+        "void f1(double v) { gX += v; }\n";
     // Through the Project (rounds=4) the 5-deep top is invisible …
     const Project p = projectOf({{"src/chain.cc", code}});
-    EXPECT_EQ(fn(p, "f6").writesGlobals.count("gX"), 0U)
+    EXPECT_EQ(fn(p, "f6").fpAccumulates.count("gX"), 0U)
         << "5 calls deep must be beyond the default bound";
 
     // … and becomes visible at rounds=5: the bound is the rounds
-    // parameter, not an artifact of the graph construction.
+    // parameter, not an artifact of the index construction.
     std::vector<SourceFile> sources;
     sources.emplace_back("src/chain.cc", code);
     std::vector<std::vector<Token>> tokens;
     tokens.push_back(tokenize(sources[0].code()));
     SymbolIndex index = buildSymbolIndex(sources, tokens);
-    const CallGraph graph = buildCallGraph(index);
-    propagateEffects(index, graph, /*rounds=*/5);
+    propagateEffects(index, /*rounds=*/5);
     bool found = false;
     for (const FunctionDef &f : index.functions)
         if (f.name == "f6")
-            found = f.writesGlobals.count("gX") > 0;
+            found = f.fpAccumulates.count("gX") > 0;
     EXPECT_TRUE(found);
 }
 
@@ -695,8 +521,8 @@ TEST(CallGraph, SelfRecursionKeepsEffectsAndTerminates)
           "        spin(n - 1);\n"
           "}\n"
           "void outer(int n) { spin(n); }\n"}});
-    EXPECT_EQ(fn(p, "spin").writesGlobals.count("gAcc"), 1U);
-    EXPECT_EQ(fn(p, "outer").writesGlobals.count("gAcc"), 1U);
+    EXPECT_EQ(fn(p, "spin").fpAccumulates.count("gAcc"), 1U);
+    EXPECT_EQ(fn(p, "outer").fpAccumulates.count("gAcc"), 1U);
 }
 
 TEST(CallGraph, MutualRecursionPropagatesEffectsAndTerminates)
@@ -715,10 +541,10 @@ TEST(CallGraph, MutualRecursionPropagatesEffectsAndTerminates)
           "    if (n > 0)\n"
           "        ping(n);\n"
           "}\n"}});
-    // The write crosses the cycle (ping writes, pong calls ping),
-    // and the fixpoint over the cycle terminates.
-    EXPECT_EQ(fn(p, "ping").writesGlobals.count("gHits"), 1U);
-    EXPECT_EQ(fn(p, "pong").writesGlobals.count("gHits"), 1U);
+    // The accumulation crosses the cycle (ping accumulates, pong
+    // calls ping), and the fixpoint over the cycle terminates.
+    EXPECT_EQ(fn(p, "ping").fpAccumulates.count("gHits"), 1U);
+    EXPECT_EQ(fn(p, "pong").fpAccumulates.count("gHits"), 1U);
 }
 
 // ================= --explain =================
@@ -726,18 +552,20 @@ TEST(CallGraph, MutualRecursionPropagatesEffectsAndTerminates)
 TEST(Explain, FamilyDottedIdAndUnknownIds)
 {
     std::ostringstream family;
-    EXPECT_TRUE(explainDiagnostic("pool-escape", family));
-    EXPECT_NE(family.str().find("global-write"), std::string::npos);
+    EXPECT_TRUE(explainDiagnostic("fp-determinism", family));
+    EXPECT_NE(family.str().find("locked-reduction"), std::string::npos);
     EXPECT_NE(family.str().find("Waiver"), std::string::npos);
 
     std::ostringstream dotted;
-    EXPECT_TRUE(explainDiagnostic("pool-happens-before.nested-submit",
+    EXPECT_TRUE(explainDiagnostic("fp-determinism.unordered-reduction",
                                   dotted));
     EXPECT_NE(dotted.str().find("This rule:"), std::string::npos);
 
     std::ostringstream sink;
-    EXPECT_FALSE(explainDiagnostic("pool-escape.bogus", sink));
+    EXPECT_FALSE(explainDiagnostic("fp-determinism.bogus", sink));
     EXPECT_FALSE(explainDiagnostic("no-such-family", sink));
+    EXPECT_FALSE(explainDiagnostic("pool-escape", sink))
+        << "the pool families are retired";
 }
 
 // ================= SARIF determinism =================
@@ -748,8 +576,8 @@ TEST(Sarif, SortsDedupesAndEmitsColumns)
     // sorted by (ruleId, file, line, column) with the duplicate
     // collapsed and the column carried through.
     std::vector<Diagnostic> diags;
-    diags.push_back({"src/b.cc", 9, Check::PoolHappensBefore, "m2",
-                     "pool-happens-before.nested-submit", 7});
+    diags.push_back({"src/b.cc", 9, Check::UnitFlow, "m2",
+                     "unit-flow.mixed-units", 7});
     diags.push_back({"src/a.cc", 3, Check::FpDeterminism, "m1",
                      "fp-determinism.locked-reduction", 5});
     diags.push_back({"src/a.cc", 3, Check::FpDeterminism, "m1",
@@ -760,7 +588,7 @@ TEST(Sarif, SortsDedupesAndEmitsColumns)
     const std::size_t first =
         sarif.find("fp-determinism.locked-reduction\", \"level\"");
     const std::size_t second =
-        sarif.find("pool-happens-before.nested-submit\", \"level\"");
+        sarif.find("unit-flow.mixed-units\", \"level\"");
     ASSERT_NE(first, std::string::npos);
     ASSERT_NE(second, std::string::npos);
     EXPECT_LT(first, second) << "results must sort by ruleId";
@@ -779,29 +607,18 @@ TEST(ProjectChecks, ScopingFiltersFixturePaths)
     // Fixture displays live under tests/, which no semantic family
     // covers — a scoped sweep stays clean, explicit files fire.
     std::vector<SourceFile> sources;
-    sources.push_back(fixture("poolescape_deep_violate.cc"));
+    sources.push_back(fixture("fpdet_sched_violate.cc"));
     const Project p(std::move(sources));
 
     std::vector<Diagnostic> scoped;
-    runProjectChecks(p, {Check::PoolEscape}, /*ignoreScope=*/false,
+    runProjectChecks(p, {Check::FpDeterminism}, /*ignoreScope=*/false,
                      scoped);
     EXPECT_TRUE(scoped.empty());
 
     std::vector<Diagnostic> explicitRun;
-    runProjectChecks(p, {Check::PoolEscape}, /*ignoreScope=*/true,
+    runProjectChecks(p, {Check::FpDeterminism}, /*ignoreScope=*/true,
                      explicitRun);
     EXPECT_EQ(explicitRun.size(), 1U);
-}
-
-TEST(ProjectChecks, IndexDumpIsWellFormedEnough)
-{
-    const Project p = projectOf(
-        {{"src/a.cc", "void f(double x) { g(x); }\n"}});
-    std::ostringstream os;
-    dumpIndexJson(p, os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"functions\""), std::string::npos);
-    EXPECT_NE(json.find("\"name\": \"f\""), std::string::npos);
 }
 
 } // namespace

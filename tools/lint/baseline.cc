@@ -46,7 +46,7 @@ squeeze(std::string_view text)
 std::string
 fingerprint(const Diagnostic &diag, std::string_view lineText)
 {
-    // Semantic families carry dotted ids (pool-escape.global-write)
+    // Semantic families carry dotted ids (unit-flow.mixed-units)
     // that subdivide the family; the id is the stable head so a
     // family can grow new sub-rules without invalidating baselines.
     const std::string head =

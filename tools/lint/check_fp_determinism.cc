@@ -5,7 +5,7 @@
  * Floating-point addition is not associative, so the project's
  * jobs-1-vs-N bitwise-identity invariant (the verify layer's sweep
  * tests) holds only when every FP reduction runs in a
- * schedule-independent order.  The race-focused families cannot see
+ * schedule-independent order.  A race detector (TSan) cannot see
  * this class: a lock or an atomic makes an accumulation perfectly
  * race-free while leaving its *order* up to the scheduler.
  *
@@ -14,8 +14,7 @@
  *       or atomic — race-free but order-unstable: task completion
  *       order changes the sum's rounding.  Fires directly on in-body
  *       accumulations under a lock scope and on calls whose every
- *       candidate is a lock-taking accumulator (the case pool-escape
- *       deliberately skips).  Fix: accumulate into a per-index slot
+ *       candidate is a lock-taking accumulator.  Fix: accumulate into a per-index slot
  *       and reduce in index order after the join, the runSweep
  *       pattern.
  *   fp-determinism.unordered-reduction an FP accumulation inside a
@@ -136,8 +135,7 @@ lockedReductions(const Project &project,
                 }
 
                 // Through a helper: every candidate accumulates FP
-                // state and serializes itself (pool-escape skips
-                // lock-taking callees, so only this family sees it).
+                // state and serializes itself.
                 if (i + 1 >= lam.bodyEnd ||
                     toks[i + 1].text != "(" ||
                     locals.count(name) || params.count(name))

@@ -1,7 +1,7 @@
 /**
  * @file
- * Implementation of the shared concurrency model (pool lambdas and
- * lock scopes) described in concurrency_model.hh.
+ * Implementation of the pool-task and lock-scope model described in
+ * concurrency_model.hh.
  */
 
 #include "concurrency_model.hh"
@@ -31,24 +31,6 @@ isLockType(std::string_view name)
 }
 
 bool
-isMutatingMember(std::string_view name)
-{
-    return name == "push_back" || name == "emplace_back" ||
-           name == "insert" || name == "emplace" ||
-           name == "clear" || name == "resize" || name == "erase" ||
-           name == "pop_back" || name == "assign";
-}
-
-bool
-isAssignOp(std::string_view text)
-{
-    return text == "=" || text == "+=" || text == "-=" ||
-           text == "*=" || text == "/=" || text == "%=" ||
-           text == "&=" || text == "|=" || text == "^=" ||
-           text == "<<=" || text == ">>=";
-}
-
-bool
 isAccumOp(std::string_view text)
 {
     return text == "+=" || text == "-=" || text == "*=" ||
@@ -66,12 +48,26 @@ isFpTypeName(std::string_view t)
            t == "FaradsPerArea" || t == "WattsPerVolt";
 }
 
+namespace
+{
+
 bool
 isPoolSubmitName(std::string_view name)
 {
     return name == "parallelFor" || name == "runSweep" ||
            name == "runIndexSweep";
 }
+
+bool
+isAssignOp(std::string_view text)
+{
+    return text == "=" || text == "+=" || text == "-=" ||
+           text == "*=" || text == "/=" || text == "%=" ||
+           text == "&=" || text == "|=" || text == "^=" ||
+           text == "<<=" || text == ">>=";
+}
+
+} // namespace
 
 std::vector<PoolLambda>
 findPoolLambdas(const TokenVec &tokens)
@@ -295,33 +291,22 @@ enclosingBlockEnd(const TokenVec &tokens, std::size_t from,
 }
 
 /**
- * The mutex expression of one guard-constructor argument segment
- * [segBegin, segEnd): the trailing identifier chain, keeping at most
- * the last receiver ("queue.mutex", "this.mutex_", or "mu").
+ * Does the guard-constructor argument segment [segBegin, segEnd)
+ * name a mutex?  Its last identifier is the mutex, unless that is a
+ * lock tag (std::adopt_lock / defer_lock / try_to_lock).
  */
-std::string
-mutexExprOf(const TokenVec &tokens, std::size_t segBegin,
-            std::size_t segEnd)
+bool
+namesMutex(const TokenVec &tokens, std::size_t segBegin,
+           std::size_t segEnd)
 {
-    // Last identifier in the segment is the mutex name.
-    std::size_t name = segEnd;
     for (std::size_t i = segEnd; i-- > segBegin;) {
-        if (tokens[i].kind == Token::Kind::Identifier) {
-            name = i;
-            break;
-        }
+        if (tokens[i].kind != Token::Kind::Identifier)
+            continue;
+        const std::string_view t = tokens[i].text;
+        return t != "adopt_lock" && t != "defer_lock" &&
+               t != "try_to_lock";
     }
-    if (name == segEnd)
-        return {};
-    std::string expr(tokens[name].text);
-    if (name >= segBegin + 2 &&
-        (tokens[name - 1].text == "." ||
-         tokens[name - 1].text == "->") &&
-        (tokens[name - 2].kind == Token::Kind::Identifier ||
-         tokens[name - 2].text == "this")) {
-        expr = std::string(tokens[name - 2].text) + "." + expr;
-    }
-    return expr;
+    return false;
 }
 
 } // namespace
@@ -346,6 +331,7 @@ lockScopes(const TokenVec &tokens, std::size_t begin,
                 tokens[j].kind != Token::Kind::Identifier)
                 continue;
             LockScope scope;
+            bool namesAny = false;
             const std::string_view guardVar = tokens[j].text;
             std::size_t open = j + 1;
             if (open < end && (tokens[open].text == "(" ||
@@ -370,21 +356,15 @@ lockScopes(const TokenVec &tokens, std::size_t begin,
                         (t == "," && depth == 0) || k == close;
                     if (!boundary)
                         continue;
-                    std::string expr =
-                        mutexExprOf(tokens, segBegin, k);
-                    // std::adopt_lock / defer_lock tags are not
-                    // mutexes.
-                    if (!expr.empty() && expr != "adopt_lock" &&
-                        expr != "defer_lock" &&
-                        expr != "try_to_lock")
-                        scope.mutexes.push_back(std::move(expr));
+                    namesAny = namesAny ||
+                               namesMutex(tokens, segBegin, k);
                     segBegin = k + 1;
                 }
                 scope.begin = close + 1;
             } else {
                 scope.begin = j + 1;
             }
-            if (scope.mutexes.empty())
+            if (!namesAny)
                 continue;
             scope.end = enclosingBlockEnd(tokens, scope.begin, end);
             // Truncate at an explicit guard.unlock().
@@ -407,7 +387,6 @@ lockScopes(const TokenVec &tokens, std::size_t begin,
             tokens[i + 2].text == "lock" &&
             tokens[i + 3].text == "(") {
             LockScope scope;
-            scope.mutexes.push_back(std::string(tok.text));
             scope.begin = skipBalanced(tokens, i + 3, "(", ")") + 1;
             scope.end = enclosingBlockEnd(tokens, scope.begin, end);
             for (std::size_t k = scope.begin; k < scope.end; ++k) {

@@ -1,30 +1,18 @@
 /**
  * @file
- * Shared concurrency model for vsgpu_lint's pool families.
- *
- * Four check families (pool-concurrency, pool-escape,
- * pool-happens-before, fp-determinism) reason about lambdas submitted
- * to exec::Pool, and fp-determinism also asks whether a token lies
- * inside a lock scope.  This header is the single home of both models
- * so the families agree on what a pool task and a lock scope are:
+ * Pool-task and lock-scope model for vsgpu_lint's fp-determinism
+ * family, which asks whether an FP accumulation inside a task
+ * submitted to exec::Pool is serialized by a lock:
  *
  *   PoolLambda / findPoolLambdas   every lambda in argument position
  *       of parallelFor / runSweep / runIndexSweep, with its capture
  *       list, parameter list, and body token ranges.
  *
  *   LockScope / lockScopes         every RAII guard declaration
- *       (lock_guard / scoped_lock / unique_lock / shared_lock) and
- *       manual mu.lock() in a token range, with the raw mutex
- *       expressions it covers and the token interval the lock is
- *       held over (guard scopes end at the enclosing brace or at an
- *       explicit guard.unlock()).
- *
- * The happens-before model the pool families share: parallelFor and
- * the runSweep templates BLOCK until every task joins, so writes
- * sequenced before the submission and reads sequenced after the call
- * return are ordered with the tasks and are never flagged — only
- * accesses *inside* a task body race with sibling tasks of the same
- * phase.
+ *       (lock_guard / scoped_lock / unique_lock / shared_lock) naming
+ *       a mutex, and every manual mu.lock(), in a token range, with
+ *       the token interval the lock is held over (guard scopes end
+ *       at the enclosing brace or at an explicit guard.unlock()).
  */
 
 #ifndef VSGPU_TOOLS_LINT_CONCURRENCY_MODEL_HH
@@ -50,12 +38,6 @@ std::size_t skipBalanced(const TokenVec &tokens, std::size_t open,
 /** RAII lock guard type names (std:: or unqualified). */
 bool isLockType(std::string_view name);
 
-/** Container member calls that mutate the receiver. */
-bool isMutatingMember(std::string_view name);
-
-/** Assignment and compound-assignment operators. */
-bool isAssignOp(std::string_view text);
-
 /** Compound FP-accumulation operators (+=, -=, *=, /=). */
 bool isAccumOp(std::string_view text);
 
@@ -76,9 +58,6 @@ struct PoolLambda
 
 /** Find every lambda passed to parallelFor/runSweep/runIndexSweep. */
 std::vector<PoolLambda> findPoolLambdas(const TokenVec &tokens);
-
-/** True when @p name is a pool submission entry point. */
-bool isPoolSubmitName(std::string_view name);
 
 /** Parameter names of a lambda: last identifier per parameter. */
 NameSet paramNames(const TokenVec &tokens, std::size_t openParen,
@@ -103,19 +82,14 @@ struct LockScope
 {
     std::size_t begin = 0; ///< first token index the lock covers
     std::size_t end = 0;   ///< one past the last covered token
-    /**
-     * Raw mutex expressions as written: "mu" or the last two chain
-     * components "queue.mutex".  scoped_lock may hold several; a
-     * guard naming none (default-constructed) is no scope at all.
-     */
-    std::vector<std::string> mutexes;
 };
 
 /**
  * Every lock scope in [begin, end).  A guard's scope runs from its
  * declaration to the end of the enclosing brace block, truncated at
- * an explicit guard.unlock(); a manual mu.lock() runs to the
- * matching mu.unlock() or the enclosing brace end.
+ * an explicit guard.unlock(); a guard naming no mutex (default-
+ * constructed, or only lock tags) is no scope.  A manual mu.lock()
+ * runs to the matching mu.unlock() or the enclosing brace end.
  */
 std::vector<LockScope> lockScopes(const TokenVec &tokens,
                                   std::size_t begin,

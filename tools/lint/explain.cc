@@ -9,7 +9,7 @@
  * program a family fires on and the *_clean twin the smallest fix —
  * so --explain stays in sync with what the analysis actually
  * accepts.  Explanations are keyed by family; asking for a dotted id
- * ("pool-escape.global-write") prints the family entry with the
+ * ("fp-determinism.locked-reduction") prints the family entry with the
  * sub-rule's specifics first.
  */
 
@@ -59,13 +59,6 @@ const Explanation kExplanations[] = {
      "    auto rng = common::seededEngine(config.seed);",
      "// vsgpu-lint: nondet-ok / unordered-ok / iostream-ok(<reason>)",
      {}},
-    {"pool-concurrency",
-     "A by-reference capture written inside a parallelFor/runSweep "
-     "lambda races with the sibling tasks of the same batch.",
-     "    pool.parallelFor(n, [&](std::size_t i) { sum += f(i); });",
-     "    pool.parallelFor(n, [&](std::size_t i) { out[i] = f(i); });",
-     "// vsgpu-lint: shared-ok(<reason>)",
-     {}},
     {"contracts",
      "A function tagged VSGPU_CONTRACT must state VSGPU_REQUIRES or "
      "VSGPU_ENSURES in its definition; an empty contract is a "
@@ -81,23 +74,6 @@ const Explanation kExplanations[] = {
      "    Volts v = rail.voltage;",
      "// vsgpu-lint: raw-escape-ok(<reason>)",
      {}},
-    {"pool-escape",
-     "Project-wide escape analysis of pool task bodies: shared "
-     "state reachable without a capture (globals, this, value-"
-     "captured pointers, callee writes any number of calls deep) "
-     "written without a lock, atomic, or per-index slot.",
-     "    pool.parallelFor(n, [=](std::size_t i) { bump(); });\n"
-     "    // where bump() writes a namespace-scope counter",
-     "    pool.parallelFor(n, [&](std::size_t i) {\n"
-     "        counts[i] = localCount(i); });  // reduce after join",
-     "// vsgpu-lint: shared-ok(<reason>)",
-     {{"pointer-capture-write", "a value-captured pointer's pointee "
-       "is written; the copy aliases the same object"},
-      {"global-write", "a global written directly or via callees"},
-      {"field-write", "a member written through captured this"},
-      {"capture-write", "a by-ref capture written in the body"},
-      {"param-alias-write", "a shared object passed to a callee "
-       "that writes through that parameter"}}},
     {"unit-flow",
      "Dataflow unit-tagging: a raw() value tagged with one unit "
      "must not flow into arithmetic or parameters expecting "
@@ -114,23 +90,6 @@ const Explanation kExplanations[] = {
      "    stats.set(\"steps\", stepCount);  // logical time only",
      "// vsgpu-lint: nondet-ok(<reason>)",
      {}},
-    {"pool-happens-before",
-     "parallelFor/runSweep block until every task joins: writes "
-     "before submission and reads after return are ordered and "
-     "never flagged.  Inside a batch there is NO ordering — nested "
-     "submission deadlocks the non-reentrant pool, and reading a "
-     "neighbour's slot races with the task writing it.",
-     "    pool.parallelFor(n, [&](std::size_t i) {\n"
-     "        next[i] = 0.5 * (curr[i - 1] + curr[i + 1]);\n"
-     "        curr[i] = next[i]; });          // same-phase stencil",
-     "    pool.parallelFor(n, [&](std::size_t i) {\n"
-     "        next[i] = 0.5 * (curr[i - 1] + curr[i + 1]); });\n"
-     "    curr.swap(next);  // the join is the happens-before edge",
-     "// vsgpu-lint: hb-ok(<reason>)",
-     {{"nested-submit", "a task body reaching a pool submission, "
-       "directly or through any call path"},
-      {"cross-task-read", "a task writing slot i but reading slot "
-       "i +/- k written by a concurrent sibling"}}},
     {"fp-determinism",
      "FP addition is not associative: a lock or atomic makes a "
      "reduction race-free but leaves its order up to the scheduler, "

@@ -2,43 +2,36 @@
  * @file
  * vsgpu_lint — project-specific static analysis for the vsgpu tree.
  *
- * Ten check families enforce the invariants the codebase's tests and
- * type system rely on, as machine-checked rules instead of convention.
- * Each encodes something specific to this project that no stock tool
- * (compiler warnings, clang-tidy, ASan/UBSan/TSan) checks:
+ * Seven check families enforce the invariants the codebase's tests
+ * and type system rely on, as machine-checked rules instead of
+ * convention.  Each encodes something specific to this project that
+ * no stock tool (compiler warnings, clang-tidy, ASan/UBSan/TSan)
+ * checks:
  *
  *   unit-safety       raw double/float crossing a converted public
  *                     header where a Quantity type exists
  *   determinism       wall-clock, global-RNG, and unordered-iteration
  *                     sources of run-to-run nondeterminism
- *   pool-concurrency  by-reference lambda captures submitted to
- *                     exec::Pool / runSweep that write shared state
- *                     without a lock, atomic, or per-index slot
  *   contracts         functions tagged [[vsgpu::contract]] /
  *                     VSGPU_CONTRACT must state VSGPU_REQUIRES or
  *                     VSGPU_ENSURES in their definition
  *   raw-escape        Quantity::raw() called outside the numeric
  *                     core (circuit/verify/solver boundary files)
  *
- * plus the five project-wide semantic families declared in
- * semantic.hh (pool-escape, unit-flow, determinism-taint,
- * pool-happens-before, fp-determinism).
+ * plus the three project-wide semantic families declared in
+ * semantic.hh (unit-flow, determinism-taint, fp-determinism).
  *
  * The analysis is a deliberately small token-level frontend: it scrubs
  * comments and string literals, tokenizes, and pattern-matches — no
  * compiler installation required, so the gate runs on every machine
- * that can build the project.  When Clang LibTooling development
- * headers are available, the optional AST verifier (ast_backend.cc)
- * cross-checks the unit-safety family against the real AST.
+ * that can build the project.
  *
  * Waivers are inline comments naming a reason:
  *   // vsgpu-lint: raw-ok(<reason>)        unit-safety
  *   // vsgpu-lint: nondet-ok(<reason>)     determinism (banned calls)
  *   // vsgpu-lint: unordered-ok(<reason>)  determinism (iteration)
  *   // vsgpu-lint: iostream-ok(<reason>)   determinism (direct stdio)
- *   // vsgpu-lint: shared-ok(<reason>)     pool-concurrency
  *   // vsgpu-lint: raw-escape-ok(<reason>) raw-escape
- *   // vsgpu-lint: hb-ok(<reason>)         pool-happens-before
  *   // vsgpu-lint: fp-order-ok(<reason>)   fp-determinism
  * A waiver on the diagnosed line or the line above it applies.
  */
@@ -56,32 +49,27 @@ namespace vsgpu::lint
 {
 
 /** Check families, in severity-neutral declaration order.  The
- *  first five are per-file token-level families; the rest are
- *  project-wide semantic families built on the symbol index / call
- *  graph / dataflow core (semantic.hh, dataflow.hh).  The last two
- *  (pool-happens-before, fp-determinism) guard the jobs-1-vs-N
- *  bitwise-identity invariant of the pool-parallel sweeps. */
+ *  first four are per-file token-level families; the rest are
+ *  project-wide semantic families built on the symbol index /
+ *  dataflow core (semantic.hh, dataflow.hh).  The last one
+ *  (fp-determinism) guards the jobs-1-vs-N bitwise-identity
+ *  invariant of the pool-parallel sweeps. */
 enum class Check
 {
     UnitSafety,
     Determinism,
-    PoolConcurrency,
     Contracts,
     RawEscape,
-    PoolEscape,
     UnitFlow,
     DeterminismTaint,
-    PoolHappensBefore,
     FpDeterminism,
 };
 
 /** Every family, in declaration order (CLI listings, round-trips). */
 inline constexpr Check kAllChecks[] = {
-    Check::UnitSafety,   Check::Determinism,
-    Check::PoolConcurrency, Check::Contracts,
-    Check::RawEscape,    Check::PoolEscape,
-    Check::UnitFlow,     Check::DeterminismTaint,
-    Check::PoolHappensBefore, Check::FpDeterminism,
+    Check::UnitSafety, Check::Determinism,      Check::Contracts,
+    Check::RawEscape,  Check::UnitFlow,         Check::DeterminismTaint,
+    Check::FpDeterminism,
 };
 
 /** True for the project-wide semantic families. */
@@ -101,7 +89,7 @@ struct Diagnostic
     Check check = Check::UnitSafety;
     std::string message;
     /**
-     * Stable dotted diagnostic id ("pool-escape.pointer-capture"),
+     * Stable dotted diagnostic id ("unit-flow.mixed-units"),
      * set by the semantic families.  Empty for the token-level
      * families, whose fingerprints predate ids and must stay stable;
      * when set, it replaces the family name in fingerprints and is
@@ -210,15 +198,11 @@ void checkUnitSafety(const SourceFile &src,
 void checkDeterminism(const SourceFile &src, const CheckOptions &opts,
                       std::vector<Diagnostic> &out);
 
-/** Family 3: unsynchronized shared writes in pool-submitted lambdas. */
-void checkPoolConcurrency(const SourceFile &src,
-                          std::vector<Diagnostic> &out);
-
-/** Family 4: contract-tagged functions must state contracts. */
+/** Family 3: contract-tagged functions must state contracts. */
 void checkContracts(const SourceFile &src,
                     std::vector<Diagnostic> &out);
 
-/** Family 5: Quantity::raw() escapes outside the numeric core. */
+/** Family 4: Quantity::raw() escapes outside the numeric core. */
 void checkRawEscape(const SourceFile &src,
                     std::vector<Diagnostic> &out);
 
@@ -277,8 +261,8 @@ void writeSarif(std::ostream &os,
 /**
  * Print the rationale, a minimal violating/fixed example pair (from
  * the fixture corpus), and the waiver syntax for @p idOrFamily — a
- * dotted diagnostic id ("pool-escape.global-write") or a family
- * name ("pool-escape").  Returns false for an unknown id (the
+ * dotted diagnostic id ("fp-determinism.locked-reduction") or a
+ * family name ("fp-determinism").  Returns false for an unknown id (the
  * CLI maps that to exit status 2).
  */
 bool explainDiagnostic(std::string_view idOrFamily,

@@ -7,8 +7,7 @@
  *              [--baseline <file> | --no-baseline]
  *              [--write-baseline] [--list-checks]
  *              [--explain <id>]
- *              [--sarif <file>] [--dump-index <file>]
- *              [--timings <file>] [file...]
+ *              [--sarif <file>] [--timings <file>] [file...]
  *
  * With no file arguments, lints every project source named by the
  * compile database (<build-dir>/compile_commands.json, default
@@ -54,9 +53,8 @@ struct Options
     bool useBaseline = true;
     bool writeBaseline = false;
     bool verbose = false;
-    std::string sarifPath;     ///< write SARIF 2.1.0 log here
-    std::string dumpIndexPath; ///< write symbol-index JSON here
-    std::string timingsPath;   ///< write wall/per-family JSON here
+    std::string sarifPath;   ///< write SARIF 2.1.0 log here
+    std::string timingsPath; ///< write wall/per-family JSON here
     std::vector<Check> checks{std::begin(kAllChecks),
                               std::end(kAllChecks)};
     std::vector<std::string> files;
@@ -68,8 +66,7 @@ usage(std::ostream &os)
     os << "usage: vsgpu_lint [-p build-dir] [--checks a,b,...]\n"
           "                  [--baseline file | --no-baseline]\n"
           "                  [--write-baseline] [--verbose]\n"
-          "                  [--sarif file] [--dump-index file]\n"
-          "                  [--timings file]\n"
+          "                  [--sarif file] [--timings file]\n"
           "                  [--explain id] [--list-checks] "
           "[file...]\n";
     return 2;
@@ -168,11 +165,6 @@ main(int argc, char **argv)
             if (!v)
                 return usage(std::cerr);
             opt.sarifPath = v;
-        } else if (arg == "--dump-index") {
-            const char *v = next();
-            if (!v)
-                return usage(std::cerr);
-            opt.dumpIndexPath = v;
         } else if (arg == "--timings") {
             const char *v = next();
             if (!v)
@@ -237,9 +229,9 @@ main(int argc, char **argv)
                     targets.push_back(canon);
             }
             // Headers never appear in the compile database; the
-            // unit-safety family lives in src/ headers and the
-            // concurrency families cover bench/ and tools/ (they
-            // submit to pools too).
+            // unit-safety family lives in src/ headers and
+            // fp-determinism covers bench/ and tools/ (they submit
+            // to pools too).
             if (!repoRoot.empty()) {
                 for (const char *tree : {"src", "bench", "tools"}) {
                     const fs::path dir = repoRoot / tree;
@@ -275,20 +267,10 @@ main(int argc, char **argv)
         }
 
         // The Project owns the sources: it tokenizes every file
-        // once and builds the symbol index + call graph the
-        // semantic families (and --dump-index) consume.
+        // once and builds the symbol index the semantic families
+        // consume.
         Project project(std::move(loaded));
         const std::vector<SourceFile> &sources = project.sources();
-
-        if (!opt.dumpIndexPath.empty()) {
-            std::ofstream out(opt.dumpIndexPath);
-            if (!out) {
-                std::cerr << "vsgpu_lint: cannot write index "
-                          << opt.dumpIndexPath << "\n";
-                return 2;
-            }
-            dumpIndexJson(project, out);
-        }
 
         if (opt.verbose)
             for (const SourceFile &src : sources)
@@ -333,7 +315,6 @@ main(int argc, char **argv)
             famTimes.push_back({checkName(check), secondsSince(t0),
                                 diags.size() - before});
         }
-        dedupeFamilyOverlap(diags);
 
         std::sort(diags.begin(), diags.end(),
                   [](const Diagnostic &a, const Diagnostic &b) {

@@ -3,7 +3,7 @@
  * SARIF 2.1.0 output for vsgpu_lint (GitHub code scanning).
  *
  * One run, one driver ("vsgpu_lint"), one rule per distinct
- * diagnostic id — the dotted semantic ids (pool-escape.global-write)
+ * diagnostic id — the dotted semantic ids (unit-flow.mixed-units)
  * or the family name for the token-level families.  Locations use
  * the repo-relative display paths with uriBaseId %SRCROOT% so code
  * scanning anchors them to the checkout root.

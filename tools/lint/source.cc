@@ -23,20 +23,14 @@ checkName(Check check)
         return "unit-safety";
       case Check::Determinism:
         return "determinism";
-      case Check::PoolConcurrency:
-        return "pool-concurrency";
       case Check::Contracts:
         return "contracts";
       case Check::RawEscape:
         return "raw-escape";
-      case Check::PoolEscape:
-        return "pool-escape";
       case Check::UnitFlow:
         return "unit-flow";
       case Check::DeterminismTaint:
         return "determinism-taint";
-      case Check::PoolHappensBefore:
-        return "pool-happens-before";
       case Check::FpDeterminism:
         return "fp-determinism";
     }
@@ -58,9 +52,8 @@ parseCheckName(std::string_view name, Check &out)
 bool
 isProjectCheck(Check check)
 {
-    return check == Check::PoolEscape || check == Check::UnitFlow ||
+    return check == Check::UnitFlow ||
            check == Check::DeterminismTaint ||
-           check == Check::PoolHappensBefore ||
            check == Check::FpDeterminism;
 }
 
@@ -306,13 +299,9 @@ checkAppliesTo(Check check, std::string_view display)
         // Simulation code: everything under src/.  Benches and tests
         // may time themselves; the simulator must not.
         return pathContains(display, "src/");
-      case Check::PoolConcurrency:
-      case Check::PoolEscape:
-      case Check::PoolHappensBefore:
       case Check::FpDeterminism:
-        // The concurrency families cover everything that runs
-        // threaded code: the library, the scenario drivers, and the
-        // tools.
+        // Everything that runs pool tasks: the library, the scenario
+        // drivers, and the tools.
         return pathContains(display, "src/") ||
                pathContains(display, "bench/") ||
                pathContains(display, "tools/");
@@ -361,19 +350,14 @@ runChecks(const SourceFile &src, const std::vector<Check> &checks,
           case Check::Determinism:
             checkDeterminism(src, opts, out);
             break;
-          case Check::PoolConcurrency:
-            checkPoolConcurrency(src, out);
-            break;
           case Check::Contracts:
             checkContracts(src, out);
             break;
           case Check::RawEscape:
             checkRawEscape(src, out);
             break;
-          case Check::PoolEscape:
           case Check::UnitFlow:
           case Check::DeterminismTaint:
-          case Check::PoolHappensBefore:
           case Check::FpDeterminism:
             // Project-wide semantic families: runProjectChecks.
             break;

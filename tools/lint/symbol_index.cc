@@ -1,10 +1,10 @@
 /**
  * @file
  * Project-wide symbol index for vsgpu_lint's semantic families
- * (semantic.hh): function/method definitions with parameter lists and
- * side-effect summaries, globals, class fields, and the const /
- * atomic / pointer / unordered name sets.  Also the Project façade,
- * the semantic-family dispatcher, and the index JSON dump.
+ * (semantic.hh): function/method definitions with parameter lists,
+ * callee names, lock-taking and FP-accumulation summaries, and the
+ * atomic / FP / unordered name sets.  Also the Project façade and
+ * the semantic-family dispatcher.
  *
  * The parser is the same dependency-free token scan as the rest of
  * the linter.  It tracks a brace-context stack (namespace / class /
@@ -22,7 +22,6 @@
 #include "dataflow.hh"
 
 #include <algorithm>
-#include <ostream>
 
 namespace vsgpu::lint
 {
@@ -73,7 +72,6 @@ isReservedWord(std::string_view t)
 
 using cm::isFpTypeName;
 using cm::isLockType;
-using cm::isMutatingMember;
 using cm::skipBalanced;
 
 /** Parse one parameter list into ParamInfo records. */
@@ -107,12 +105,6 @@ parseParams(const TokenVec &tokens, std::size_t open,
                     ++d;
                 else if (s == ">" || s == ")" || s == "]")
                     --d;
-                else if (s == "&" || s == "&&")
-                    info.byRef = true;
-                else if (s == "*")
-                    info.isPointer = true;
-                else if (s == "const")
-                    info.isConst = true;
                 if (d == 0 &&
                     tokens[k].kind == Token::Kind::Identifier &&
                     s != "std" && !isDeclQualifier(s))
@@ -295,7 +287,7 @@ scanFile(int fileIndex, const SourceFile &src, const TokenVec &toks,
         const std::string_view prev =
             i > 0 ? toks[i - 1].text : std::string_view{};
 
-        // ---- atomic / unordered / pointer name sets -------------
+        // ---- atomic / unordered name sets ------------------------
         if ((t == "atomic" || t == "atomic_flag" ||
              t == "unordered_map" || t == "unordered_set" ||
              t == "unordered_multimap" ||
@@ -370,7 +362,6 @@ scanFile(int fileIndex, const SourceFile &src, const TokenVec &toks,
                     else if (current().ctx == Ctx::Class)
                         fn.className = current().className;
                     fn.fileIndex = fileIndex;
-                    fn.line = src.lineOf(tok.offset);
                     fn.params =
                         parseParams(toks, i + 1, closeParen);
                     fn.bodyBegin = body + 1;
@@ -381,7 +372,7 @@ scanFile(int fileIndex, const SourceFile &src, const TokenVec &toks,
                     index.byName[fn.name].push_back(id);
                     index.functions.push_back(std::move(fn));
                     // The body is scanned by the main loop too (for
-                    // const/pointer/atomic names); mark its context.
+                    // atomic/unordered names); mark its context.
                     pending = Ctx::Function;
                     havePending = true;
                     continue;
@@ -396,21 +387,7 @@ scanFile(int fileIndex, const SourceFile &src, const TokenVec &toks,
               !isReservedWord(prev)) ||
              isTypeKeyword(prev) || prev == ">" || prev == "&" ||
              prev == "*");
-        // A VSGPU_GUARDED_BY(mu) annotation sits between the name
-        // and the initializer/semicolon; look through it for the
-        // effective next token.
-        std::string_view declNext = next;
-        if (typeBefore && next == "VSGPU_GUARDED_BY" &&
-            i + 2 < toks.size() && toks[i + 2].text == "(") {
-            const std::size_t close =
-                skipBalanced(toks, i + 2, "(", ")");
-            declNext = close + 1 < toks.size()
-                           ? toks[close + 1].text
-                           : std::string_view{};
-        }
-        if (!typeBefore ||
-            !(declNext == "=" || declNext == ";" ||
-              declNext == "{"))
+        if (!typeBefore || !(next == "=" || next == ";" || next == "{"))
             continue;
         // `foo} name =` style misparses guard: statement window.
         const std::size_t start = stmtStart(toks, i);
@@ -429,32 +406,19 @@ scanFile(int fileIndex, const SourceFile &src, const TokenVec &toks,
             if (isFpTypeName(s))
                 fpType = true;
         }
-        if (skip || chained)
+        // Const FP state is read-only: never an accumulator.
+        if (skip || chained || hasConst || !fpType)
             continue;
-        const std::string name(t);
-        const std::string className =
-            current().ctx == Ctx::Class ? current().className
-                                        : std::string{};
-        if (prev == "*")
-            index.pointerNames.insert(name);
-        if (hasConst) {
-            index.constNames.insert(name);
-            continue;
-        }
-        if (current().ctx == Ctx::Namespace) {
-            index.globals.insert(name);
-            if (fpType)
-                index.fpNames.insert(name);
-        } else if (current().ctx == Ctx::Class &&
-                   !className.empty()) {
-            index.classFields[className].insert(name);
-            if (fpType)
-                index.fpNames.insert(className + "::" + name);
-        }
+        if (current().ctx == Ctx::Namespace)
+            index.fpNames.insert(std::string(t));
+        else if (current().ctx == Ctx::Class &&
+                 !current().className.empty())
+            index.fpNames.insert(current().className +
+                                 "::" + std::string(t));
     }
 }
 
-/** Pass 2: per-body side-effect summaries. */
+/** Pass 2: per-body callee, lock, and FP-accumulation summaries. */
 void
 summarizeBody(FunctionDef &fn, const TokenVec &toks,
               const SymbolIndex &index)
@@ -467,76 +431,17 @@ summarizeBody(FunctionDef &fn, const TokenVec &toks,
     const df::Cfg cfg = df::buildCfg(toks, fn.bodyBegin, fn.bodyEnd);
 
     std::set<std::string> locals;
-    std::map<std::string, int> paramIndex;
-    for (std::size_t p = 0; p < fn.params.size(); ++p)
-        if (!fn.params[p].name.empty())
-            paramIndex[fn.params[p].name] = static_cast<int>(p);
+    std::set<std::string> paramNames;
+    for (const ParamInfo &p : fn.params)
+        if (!p.name.empty())
+            paramNames.insert(p.name);
     for (const df::Block &block : cfg.blocks)
-        for (const df::Stmt &stmt : block.stmts)
+        for (const df::Stmt &stmt : block.stmts) {
             if (stmt.declares)
                 locals.insert(stmt.defs.begin(), stmt.defs.end());
-
-    auto classifyWrite = [&](const std::string &name,
-                             bool through) {
-        if (name == "this") {
-            fn.writesFields = true;
-            return;
-        }
-        if (index.atomics.count(name) ||
-            index.constNames.count(name))
-            return;
-        const auto pit = paramIndex.find(name);
-        if (pit != paramIndex.end()) {
-            const ParamInfo &p =
-                fn.params[static_cast<std::size_t>(pit->second)];
-            if (p.isConst)
-                return;
-            if ((p.byRef && !p.isPointer) ||
-                (p.isPointer && through))
-                fn.writesParams.insert(pit->second);
-            return;
-        }
-        if (locals.count(name))
-            return;
-        if (index.globals.count(name)) {
-            fn.writesGlobals.insert(name);
-            return;
-        }
-        if (!fn.className.empty()) {
-            const auto cit = index.classFields.find(fn.className);
-            if (cit != index.classFields.end() &&
-                cit->second.count(name))
-                fn.writesFields = true;
-        }
-    };
-
-    for (const df::Block &block : cfg.blocks) {
-        for (const df::Stmt &stmt : block.stmts) {
-            for (const std::string &def : stmt.defs) {
-                if (stmt.declares)
-                    continue;
-                classifyWrite(def, stmt.defThrough);
-            }
-            for (const df::CallRef &call : stmt.calls) {
+            for (const df::CallRef &call : stmt.calls)
                 fn.calls.insert(call.callee);
-                if (!call.receiver.empty() &&
-                    isMutatingMember(call.callee))
-                    classifyWrite(call.receiver, true);
-                for (std::size_t a = 0; a < call.args.size(); ++a)
-                    for (const std::string &root : call.args[a]) {
-                        const auto pit = paramIndex.find(root);
-                        if (pit != paramIndex.end())
-                            fn.forwards.push_back(
-                                {pit->second, call.callee,
-                                 static_cast<int>(a)});
-                    }
-            }
         }
-    }
-
-    for (const std::string &callee : fn.calls)
-        if (cm::isPoolSubmitName(callee))
-            fn.submitsToPool = true;
 
     // FP accumulations into shared state: `x += e`, `x -= e`,
     // `x *= e`, `x /= e`, and the spelled-out `x = x + e` — where x
@@ -553,7 +458,7 @@ summarizeBody(FunctionDef &fn, const TokenVec &toks,
         if (!accum)
             continue;
         const std::string name(toks[i].text);
-        if (locals.count(name) || paramIndex.count(name))
+        if (locals.count(name) || paramNames.count(name))
             continue;
         if (index.fpNames.count(name))
             fn.fpAccumulates.insert(name);
@@ -586,8 +491,7 @@ Project::Project(std::vector<SourceFile> sources)
     for (const SourceFile &src : sources_)
         tokens_.push_back(tokenize(src.code()));
     index_ = buildSymbolIndex(sources_, tokens_);
-    graph_ = buildCallGraph(index_);
-    propagateEffects(index_, graph_);
+    propagateEffects(index_);
 }
 
 const std::vector<int> &
@@ -606,17 +510,11 @@ runProjectChecks(const Project &project,
     std::vector<Diagnostic> raw;
     for (Check check : checks) {
         switch (check) {
-          case Check::PoolEscape:
-            checkPoolEscape(project, raw);
-            break;
           case Check::UnitFlow:
             checkUnitFlow(project, raw);
             break;
           case Check::DeterminismTaint:
             checkDeterminismTaint(project, raw);
-            break;
-          case Check::PoolHappensBefore:
-            checkPoolHappensBefore(project, raw);
             break;
           case Check::FpDeterminism:
             checkFpDeterminism(project, raw);
@@ -628,92 +526,6 @@ runProjectChecks(const Project &project,
     for (Diagnostic &diag : raw)
         if (ignoreScope || checkAppliesTo(diag.check, diag.file))
             out.push_back(std::move(diag));
-}
-
-namespace
-{
-
-void
-jsonEscapeTo(std::ostream &os, std::string_view s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            os << c;
-        }
-    }
-}
-
-} // namespace
-
-void
-dumpIndexJson(const Project &project, std::ostream &os)
-{
-    const SymbolIndex &index = project.index();
-    os << "{\n  \"functions\": [\n";
-    for (std::size_t i = 0; i < index.functions.size(); ++i) {
-        const FunctionDef &fn = index.functions[i];
-        os << "    {\"name\": \"";
-        jsonEscapeTo(os, fn.name);
-        os << "\", \"class\": \"";
-        jsonEscapeTo(os, fn.className);
-        os << "\", \"file\": \"";
-        jsonEscapeTo(
-            os,
-            project.sources()[static_cast<std::size_t>(fn.fileIndex)]
-                .display());
-        os << "\", \"line\": " << fn.line
-           << ", \"params\": " << fn.params.size()
-           << ", \"writesFields\": "
-           << (fn.writesFields ? "true" : "false")
-           << ", \"takesLock\": "
-           << (fn.takesLock ? "true" : "false")
-           << ", \"writesGlobals\": [";
-        bool first = true;
-        for (const std::string &g : fn.writesGlobals) {
-            os << (first ? "\"" : ", \"");
-            jsonEscapeTo(os, g);
-            os << "\"";
-            first = false;
-        }
-        os << "], \"writesParams\": [";
-        first = true;
-        for (int p : fn.writesParams) {
-            os << (first ? "" : ", ") << p;
-            first = false;
-        }
-        os << "]}";
-        os << (i + 1 < index.functions.size() ? ",\n" : "\n");
-    }
-    os << "  ],\n  \"globals\": [";
-    bool first = true;
-    for (const std::string &g : index.globals) {
-        os << (first ? "\"" : ", \"");
-        jsonEscapeTo(os, g);
-        os << "\"";
-        first = false;
-    }
-    os << "],\n  \"atomics\": [";
-    first = true;
-    for (const std::string &a : index.atomics) {
-        os << (first ? "\"" : ", \"");
-        jsonEscapeTo(os, a);
-        os << "\"";
-        first = false;
-    }
-    os << "],\n  \"files\": " << project.sources().size() << "\n}\n";
 }
 
 } // namespace vsgpu::lint

@@ -210,7 +210,6 @@ cmdRun(const std::map<std::string, std::string> &flags)
         subject = "run trace " + flags.at("trace");
         CoSimulator sim(cache.withSetup(cfg));
         pool.parallelFor(1, [&](int) {
-            // vsgpu-lint: shared-ok(single task on a one-worker pool)
             result = sim.run(factory, 0.6);
         });
     } else {
@@ -222,7 +221,6 @@ cmdRun(const std::map<std::string, std::string> &flags)
         spec = scaledToInstrs(
             spec, std::stoi(flagOr(flags, "instrs", "1500")));
         CoSimulator sim(cache.withSetup(cfg));
-        // vsgpu-lint: shared-ok(single task on a one-worker pool)
         pool.parallelFor(1, [&](int) { result = sim.run(spec); });
     }
 
