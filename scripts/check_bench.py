@@ -26,13 +26,11 @@ heavyweight disabled path still fails somewhere.
 
 The lint gate reads the JSON written by `vsgpu_lint --timings` and
 applies two checks: a hard wall-clock budget (trajectory
-"budget_seconds", the CI timeout contract) and a >tolerance
-regression against the last recorded entry's wall time (trajectory
-"regression_tolerance").  Raw wall seconds are machine-dependent, so
-the regression gate only arms above "grace_floor_seconds" — a
-sub-second run that doubles from scheduler noise is not a
-regression, but a run that blows past the floor AND the recorded
-baseline by >25% is.
+"budget_seconds", the CI timeout contract) and a regression gate
+against the last recorded entry's wall time: a run fails when it is
+slower than both the recorded time plus "regression_tolerance" (a
+fraction) and the recorded time plus "regression_slack_seconds" (an
+absolute slack that absorbs scheduler noise on sub-second runs).
 
 Wall-clock times are not comparable across machines, so the gate
 works on *ratios* (dense time / sparse time for the same kernel on
@@ -213,7 +211,7 @@ def lint_fresh(path: str) -> dict:
 def lint_gate(trajectory: dict, fresh: dict) -> None:
     budget = float(trajectory.get("budget_seconds", 120.0))
     tolerance = float(trajectory.get("regression_tolerance", 0.25))
-    floor = float(trajectory.get("grace_floor_seconds", 5.0))
+    slack = float(trajectory.get("regression_slack_seconds", 0.5))
     wall = fresh["wall_seconds"]
 
     print(f"check_bench: lint wall {wall:.3f}s over "
@@ -226,17 +224,14 @@ def lint_gate(trajectory: dict, fresh: dict) -> None:
     if not entries:
         fail("trajectory has no entries to compare against")
     ref = float(entries[-1]["wall_seconds"])
-    limit = ref * (1.0 + tolerance)
-    if wall <= floor:
-        print(f"check_bench: under the {floor:.0f}s grace floor — "
-              f"regression gate not armed")
-    else:
-        status = "ok" if wall <= limit else "REGRESSION"
-        print(f"check_bench: recorded {ref:.3f}s, fresh "
-              f"{wall:.3f}s (limit {limit:.3f}s) {status}")
-        if wall > limit:
-            fail(f"lint wall regressed: {wall:.3f}s > {limit:.3f}s "
-                 f"({ref:.3f}s + {tolerance:.0%})")
+    limit = max(ref * (1.0 + tolerance), ref + slack)
+    status = "ok" if wall <= limit else "REGRESSION"
+    print(f"check_bench: recorded {ref:.3f}s, fresh "
+          f"{wall:.3f}s (limit {limit:.3f}s) {status}")
+    if wall > limit:
+        fail(f"lint wall regressed: {wall:.3f}s > {limit:.3f}s "
+             f"(max of {ref:.3f}s + {tolerance:.0%} and "
+             f"{ref:.3f}s + {slack:.2f}s)")
 
     slowest = sorted(fresh["families"].items(),
                      key=lambda kv: -kv[1])[:3]

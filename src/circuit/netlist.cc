@@ -131,9 +131,6 @@ Netlist::renumberMinDegree()
     const std::size_t nVerts =
         static_cast<std::size_t>(numNodes_ + numVsrc);
     std::vector<std::set<int>> adj(nVerts);
-    const auto vertexOf = [this](NodeId node, int vsrcIdx) {
-        return node != ground ? node - 1 : numNodes_ + vsrcIdx;
-    };
     const auto link = [&adj](int u, int v) {
         if (u == v)
             return;

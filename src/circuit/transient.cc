@@ -40,43 +40,62 @@ TransientSim::TransientSim(const Netlist &netlist, double dt,
 
     solution_.assign(static_cast<std::size_t>(numUnknowns_), 0.0);
     rhs_.assign(static_cast<std::size_t>(numUnknowns_), 0.0);
-    sourceAmps_.resize(netlist_.currentSources().size());
-    for (std::size_t i = 0; i < sourceAmps_.size(); ++i)
-        sourceAmps_[i] = netlist_.currentSources()[i].amps;
-    switchClosed_.resize(netlist_.switches().size());
-    for (std::size_t i = 0; i < switchClosed_.size(); ++i)
-        switchClosed_[i] = netlist_.switches()[i].initiallyClosed;
-    sourceVolts_.resize(netlist_.voltageSources().size());
-    for (std::size_t i = 0; i < sourceVolts_.size(); ++i)
-        sourceVolts_[i] = netlist_.voltageSources()[i].volts;
+    for (const auto &src : netlist_.currentSources()) {
+        sourceAmps_.push_back(src.amps);
+        isrc_.push_back({checkedIndex(src.from), checkedIndex(src.to)});
+    }
+    const auto &switches = netlist_.switches();
+    for (std::size_t i = 0; i < switches.size(); ++i) {
+        if (switches[i].initiallyClosed)
+            switchKey_ |= 1ull << i;
+        switches_.push_back({checkedIndex(switches[i].a),
+                             checkedIndex(switches[i].b),
+                             switches[i].onOhms, switches[i].offOhms});
+    }
+    for (const auto &v : netlist_.voltageSources())
+        sourceVolts_.push_back(v.volts);
 
-    capVolts_.resize(netlist_.capacitors().size());
-    capAmps_.assign(netlist_.capacitors().size(), 0.0);
-    for (std::size_t i = 0; i < capVolts_.size(); ++i)
-        capVolts_[i] = netlist_.capacitors()[i].initialVolts;
-    indAmps_.resize(netlist_.inductors().size());
-    indVolts_.assign(netlist_.inductors().size(), 0.0);
-    for (std::size_t i = 0; i < indAmps_.size(); ++i)
-        indAmps_[i] = netlist_.inductors()[i].initialAmps;
+    // The companion conductances with the expressions the matrix
+    // stamps use, so each step's right-hand side has the same bits.
+    for (const auto &c : netlist_.capacitors()) {
+        caps_.push_back({checkedIndex(c.a), checkedIndex(c.b),
+                         2.0 * c.farads / dt_});
+        capVolts_.push_back(c.initialVolts);
+    }
+    capAmps_.assign(caps_.size(), 0.0);
+    for (const auto &l : netlist_.inductors()) {
+        inds_.push_back({checkedIndex(l.a), checkedIndex(l.b),
+                         dt_ / (2.0 * l.henries)});
+        indAmps_.push_back(l.initialAmps);
+    }
+    indVolts_.assign(inds_.size(), 0.0);
+    for (const auto &r : netlist_.resistors())
+        resistors_.push_back({checkedIndex(r.a), checkedIndex(r.b), r.ohms});
+    for (const auto &e : netlist_.equalizers())
+        equalizers_.push_back({checkedIndex(e.top), checkedIndex(e.mid),
+                               checkedIndex(e.bottom), e.effOhms});
 }
 
-void
-TransientSim::setCurrent(int sourceIdx, double amps)
+int
+TransientSim::checkedIndex(NodeId node) const
 {
-    panicIfNot(sourceIdx >= 0 &&
-               sourceIdx < static_cast<int>(sourceAmps_.size()),
-               "bad current source index ", sourceIdx);
-    VSGPU_CHECK_FINITE(amps);
-    sourceAmps_[static_cast<std::size_t>(sourceIdx)] = amps;
+    panicIfNot(node >= 0 && node <= numNodes_, "bad node id ", node);
+    return node - 1;
 }
 
 void
 TransientSim::setSwitch(int switchIdx, bool closed)
 {
     panicIfNot(switchIdx >= 0 &&
-               switchIdx < static_cast<int>(switchClosed_.size()),
+               switchIdx < static_cast<int>(switches_.size()),
                "bad switch index ", switchIdx);
-    switchClosed_[static_cast<std::size_t>(switchIdx)] = closed;
+    const std::uint64_t bit = 1ull << switchIdx;
+    const std::uint64_t key = closed ? switchKey_ | bit : switchKey_ & ~bit;
+    if (key == switchKey_)
+        return;
+    switchKey_ = key;
+    sparseNow_ = nullptr;
+    denseNow_ = nullptr;
 }
 
 void
@@ -92,8 +111,10 @@ TransientSim::setSourceVolts(int vsrcIdx, double volts)
 void
 TransientSim::initToDc()
 {
-    initFromDc(solveDc(netlist_, sourceAmps_, switchClosed_, solver_,
-                       pattern_));
+    std::vector<bool> closed(switches_.size());
+    for (std::size_t i = 0; i < closed.size(); ++i)
+        closed[i] = switchClosed(i);
+    initFromDc(solveDc(netlist_, sourceAmps_, closed, solver_, pattern_));
 }
 
 std::size_t
@@ -162,16 +183,6 @@ TransientSim::stampEqualizer(Matrix &g, const Netlist::Equalizer &e)
                 coeff[i] * coeff[j] * gEff;
         }
     }
-}
-
-std::uint64_t
-TransientSim::switchKey() const
-{
-    std::uint64_t key = 0;
-    for (std::size_t i = 0; i < switchClosed_.size(); ++i)
-        if (switchClosed_[i])
-            key |= (1ull << i);
-    return key;
 }
 
 const LuFactor<double> &
@@ -270,50 +281,43 @@ TransientSim::step()
         tMark = now;
     };
 
-    std::vector<double> &rhs = rhs_;
-    std::fill(rhs.begin(), rhs.end(), 0.0);
-
-    const auto inject = [&](NodeId node, double amps) {
-        if (node > 0)
-            rhs[static_cast<std::size_t>(node - 1)] += amps;
-    };
+    std::fill(rhs_.begin(), rhs_.end(), 0.0);
 
     // Load current sources: draw from 'from', return at 'to'.
-    const auto &isrc = netlist_.currentSources();
-    for (std::size_t i = 0; i < isrc.size(); ++i) {
-        inject(isrc[i].from, -sourceAmps_[i]);
-        inject(isrc[i].to, sourceAmps_[i]);
+    for (std::size_t i = 0; i < isrc_.size(); ++i) {
+        inject(isrc_[i].a, -sourceAmps_[i]);
+        inject(isrc_[i].b, sourceAmps_[i]);
     }
 
     // Capacitor companions.
-    const auto &caps = netlist_.capacitors();
-    for (std::size_t i = 0; i < caps.size(); ++i) {
-        const double geq = 2.0 * caps[i].farads / dt_;
-        const double ieq = geq * capVolts_[i] + capAmps_[i];
-        inject(caps[i].a, ieq);
-        inject(caps[i].b, -ieq);
+    for (std::size_t i = 0; i < caps_.size(); ++i) {
+        const double ieq = caps_[i].geq * capVolts_[i] + capAmps_[i];
+        inject(caps_[i].a, ieq);
+        inject(caps_[i].b, -ieq);
     }
 
     // Inductor companions.
-    const auto &inds = netlist_.inductors();
-    for (std::size_t i = 0; i < inds.size(); ++i) {
-        const double geq = dt_ / (2.0 * inds[i].henries);
-        const double ieq = indAmps_[i] + geq * indVolts_[i];
-        inject(inds[i].a, -ieq);
-        inject(inds[i].b, ieq);
+    for (std::size_t i = 0; i < inds_.size(); ++i) {
+        const double ieq = indAmps_[i] + inds_[i].geq * indVolts_[i];
+        inject(inds_[i].a, -ieq);
+        inject(inds_[i].b, ieq);
     }
 
     // Voltage source constraint rows (runtime setpoints).
-    for (std::size_t k = 0; k < sourceVolts_.size(); ++k)
-        rhs[static_cast<std::size_t>(numNodes_) + k] =
-            sourceVolts_[k];
+    std::copy(sourceVolts_.begin(), sourceVolts_.end(),
+              rhs_.begin() + numNodes_);
 
     subMark(obs::StageCircuitAssemble);
     const std::uint64_t buildsBefore = luBuilds_;
-    if (solver_ == SolverKind::Sparse)
-        sparseFor(switchKey()).solve(rhs, solution_);
-    else
-        solution_ = factorFor(switchKey()).solve(rhs);
+    if (solver_ == SolverKind::Sparse) {
+        if (sparseNow_ == nullptr)
+            sparseNow_ = &sparseFor(switchKey_);
+        sparseNow_->solve(rhs_, solution_);
+    } else {
+        if (denseNow_ == nullptr)
+            denseNow_ = &factorFor(switchKey_);
+        solution_ = denseNow_->solve(rhs_);
+    }
     subMark(buildsBefore != luBuilds_ ? obs::StageCircuitRefactor
                                       : obs::StageCircuitSolve);
 
@@ -323,21 +327,19 @@ TransientSim::step()
     VSGPU_CHECK_ALL_FINITE(solution_, "transient MNA solution");
 
     // Update reactive element states from the new node voltages.
-    const auto nodeV = [&](NodeId node) {
-        return node > 0 ? solution_[static_cast<std::size_t>(node - 1)]
-                        : 0.0;
-    };
-    for (std::size_t i = 0; i < caps.size(); ++i) {
-        const double geq = 2.0 * caps[i].farads / dt_;
+    for (std::size_t i = 0; i < caps_.size(); ++i) {
+        const double geq = caps_[i].geq;
         const double ieqPrev = geq * capVolts_[i] + capAmps_[i];
-        const double vNew = nodeV(caps[i].a) - nodeV(caps[i].b);
+        const double vNew =
+            voltageAt(caps_[i].a) - voltageAt(caps_[i].b);
         capAmps_[i] = geq * vNew - ieqPrev;
         capVolts_[i] = vNew;
     }
-    for (std::size_t i = 0; i < inds.size(); ++i) {
-        const double geq = dt_ / (2.0 * inds[i].henries);
+    for (std::size_t i = 0; i < inds_.size(); ++i) {
+        const double geq = inds_[i].geq;
         const double ieqPrev = indAmps_[i] + geq * indVolts_[i];
-        const double vNew = nodeV(inds[i].a) - nodeV(inds[i].b);
+        const double vNew =
+            voltageAt(inds_[i].a) - voltageAt(inds_[i].b);
         indAmps_[i] = geq * vNew + ieqPrev;
         indVolts_[i] = vNew;
     }
@@ -360,21 +362,11 @@ TransientSim::sourceCurrent(int vsrcIdx) const
 }
 
 double
-TransientSim::resistorCurrent(int resIdx) const
-{
-    const auto &rs = netlist_.resistors();
-    panicIfNot(resIdx >= 0 && resIdx < static_cast<int>(rs.size()),
-               "bad resistor index ", resIdx);
-    const auto &r = rs[static_cast<std::size_t>(resIdx)];
-    return (nodeVoltage(r.a) - nodeVoltage(r.b)) / r.ohms;
-}
-
-double
 TransientSim::totalResistivePower() const
 {
     double watts = 0.0;
-    for (const auto &r : netlist_.resistors()) {
-        const double v = nodeVoltage(r.a) - nodeVoltage(r.b);
+    for (const Conductor &r : resistors_) {
+        const double v = voltageAt(r.a) - voltageAt(r.b);
         watts += v * v / r.ohms;
     }
     return watts;
@@ -384,12 +376,11 @@ double
 TransientSim::totalSwitchPower() const
 {
     double watts = 0.0;
-    const auto &switches = netlist_.switches();
-    for (std::size_t i = 0; i < switches.size(); ++i) {
-        const double ohms = switchClosed_[i] ? switches[i].onOhms
-                                             : switches[i].offOhms;
-        const double v = nodeVoltage(switches[i].a) -
-                         nodeVoltage(switches[i].b);
+    for (std::size_t i = 0; i < switches_.size(); ++i) {
+        const double ohms = switchClosed(i) ? switches_[i].onOhms
+                                            : switches_[i].offOhms;
+        const double v =
+            voltageAt(switches_[i].a) - voltageAt(switches_[i].b);
         watts += v * v / ohms;
     }
     return watts;
@@ -399,9 +390,9 @@ double
 TransientSim::totalSourcePower() const
 {
     double watts = 0.0;
-    for (int k = 0; k < numVsrc_; ++k)
-        watts += sourceVolts_[static_cast<std::size_t>(k)] *
-                 sourceCurrent(k);
+    for (std::size_t k = 0; k < sourceVolts_.size(); ++k)
+        watts += sourceVolts_[k] *
+                 -solution_[static_cast<std::size_t>(numNodes_) + k];
     return watts;
 }
 
@@ -417,29 +408,26 @@ TransientSim::inductorCurrent(int indIdx) const
 double
 TransientSim::equalizerCurrent(int eqIdx) const
 {
-    const auto &eqs = netlist_.equalizers();
-    panicIfNot(eqIdx >= 0 && eqIdx < static_cast<int>(eqs.size()),
+    panicIfNot(eqIdx >= 0 &&
+               eqIdx < static_cast<int>(equalizers_.size()),
                "bad equalizer index ", eqIdx);
-    const auto &e = eqs[static_cast<std::size_t>(eqIdx)];
-    return (nodeVoltage(e.top) - 2.0 * nodeVoltage(e.mid) +
-            nodeVoltage(e.bottom)) / e.effOhms;
+    const EqualizerRow &e = equalizers_[static_cast<std::size_t>(eqIdx)];
+    return (voltageAt(e.top) - 2.0 * voltageAt(e.mid) +
+            voltageAt(e.bottom)) / e.effOhms;
 }
 
 double
 TransientSim::equalizerPower(int eqIdx) const
 {
-    const auto &eqs = netlist_.equalizers();
-    panicIfNot(eqIdx >= 0 && eqIdx < static_cast<int>(eqs.size()),
-               "bad equalizer index ", eqIdx);
     const double ix = equalizerCurrent(eqIdx);
-    return eqs[static_cast<std::size_t>(eqIdx)].effOhms * ix * ix;
+    return equalizers_[static_cast<std::size_t>(eqIdx)].effOhms * ix * ix;
 }
 
 double
 TransientSim::totalEqualizerPower() const
 {
     double watts = 0.0;
-    const int n = static_cast<int>(netlist_.equalizers().size());
+    const int n = static_cast<int>(equalizers_.size());
     for (int i = 0; i < n; ++i)
         watts += equalizerPower(i);
     return watts;

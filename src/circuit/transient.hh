@@ -7,7 +7,12 @@
  * unknowns.  Because the PDN topology and timestep are fixed during a
  * run, the system matrix only changes when a switch toggles; the LU
  * factorization is cached per switch-state so the per-step cost is a
- * right-hand-side build plus one back-substitution.
+ * right-hand-side build plus one back-substitution.  The elements a
+ * step touches are copied once, at construction, into flat tables of
+ * solution indices (ground = -1, bounds-checked there), with each
+ * reactive element's companion conductance (2C/dt, dt/2L) divided
+ * out, and the factor of the current switch state is held by pointer
+ * until a switch changes.
  *
  * Two interchangeable linear-solver backends exist (circuit/solver.hh):
  * the default sparse engine assembles through an MnaPattern (symbolic
@@ -28,6 +33,7 @@
 #include "circuit/netlist.hh"
 #include "circuit/solver.hh"
 #include "circuit/stamping.hh"
+#include "common/check.hh"
 #include "numeric/matrix.hh"
 #include "numeric/sparse.hh"
 #include "obs/profile.hh"
@@ -57,7 +63,15 @@ class TransientSim
                  std::shared_ptr<const MnaPattern> pattern = nullptr);
 
     /** Set a current source's value for subsequent steps (amps). */
-    void setCurrent(int sourceIdx, double amps); // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+    void
+    setCurrent(int sourceIdx, double amps) // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+    {
+        panicIfNot(sourceIdx >= 0 &&
+                       sourceIdx < static_cast<int>(sourceAmps_.size()),
+                   "bad current source index ", sourceIdx);
+        VSGPU_CHECK_FINITE(amps);
+        sourceAmps_[static_cast<std::size_t>(sourceIdx)] = amps;
+    }
 
     /** Open or close a switch for subsequent steps. */
     void setSwitch(int switchIdx, bool closed);
@@ -149,7 +163,19 @@ class TransientSim
     double sourceCurrent(int vsrcIdx) const;
 
     /** @return current a -> b through a resistor. */
-    double resistorCurrent(int resIdx) const;
+    double
+    resistorCurrent(int resIdx) const
+    {
+        const Conductor &r = resistor(resIdx);
+        return (voltageAt(r.a) - voltageAt(r.b)) / r.ohms;
+    }
+
+    /** @return a resistor's resistance (ohms). */
+    double
+    resistorOhms(int resIdx) const // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+    {
+        return resistor(resIdx).ohms;
+    }
 
     /** @return instantaneous power dissipated in all resistors (W). */
     double totalResistivePower() const;
@@ -196,14 +222,90 @@ class TransientSim
     /** Assemble and refactor the sparse system for a switch state. */
     const SparseLu &sparseFor(std::uint64_t key);
 
+    /** A two-terminal element as solution indices (ground = -1). */
+    struct Terminals
+    {
+        int a;
+        int b;
+    };
+
+    /** A reactive element with its trapezoidal companion
+     *  conductance (2C/dt for a capacitor, dt/2L for an inductor). */
+    struct Companion
+    {
+        int a;
+        int b;
+        double geq;
+    };
+
+    /** A resistor. */
+    struct Conductor
+    {
+        int a;
+        int b;
+        double ohms; // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+    };
+
+    /** A switch and its two resistances. */
+    struct SwitchRow
+    {
+        int a;
+        int b;
+        double onOhms; // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+        double offOhms; // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+    };
+
+    /** An averaged charge-recycling equalizer. */
+    struct EqualizerRow
+    {
+        int top;
+        int mid;
+        int bottom;
+        double effOhms; // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+    };
+
+    /** @return resistor @p resIdx's table row. */
+    const Conductor &
+    resistor(int resIdx) const
+    {
+        panicIfNot(resIdx >= 0 &&
+                       resIdx < static_cast<int>(resistors_.size()),
+                   "bad resistor index ", resIdx);
+        return resistors_[static_cast<std::size_t>(resIdx)];
+    }
+
+    /** @return the solution index of a node, checked once here. */
+    int checkedIndex(NodeId node) const;
+
+    /** @return the voltage at a solution index (-1 = ground). */
+    double
+    voltageAt(int idx) const
+    {
+        return idx >= 0 ? solution_[static_cast<std::size_t>(idx)]
+                        : 0.0;
+    }
+
+    /** Add a current into the right-hand side at a solution index. */
+    void
+    inject(int idx, double current)
+    {
+        if (idx >= 0)
+            rhs_[static_cast<std::size_t>(idx)] += current;
+    }
+
+    /** @return true when switch @p i is closed. */
+    bool
+    switchClosed(std::size_t i) const
+    {
+        return ((switchKey_ >> i) & 1ull) != 0;
+    }
+
     /** Stamp a conductance into the MNA matrix. */
     static void stampConductance(Matrix &g, NodeId a, NodeId b,
                                  double siemens); // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
 
     /** Stamp an averaged charge-recycling equalizer. */
     static void stampEqualizer(Matrix &g, const Netlist::Equalizer &e);
-
-    std::uint64_t switchKey() const;
 
     const Netlist &netlist_;
     double dt_;
@@ -224,7 +326,15 @@ class TransientSim
     std::vector<double> rhs_;         ///< per-step right-hand side
     std::vector<double> sourceAmps_;  ///< current-source setpoints
     std::vector<double> sourceVolts_; ///< voltage-source setpoints
-    std::vector<bool> switchClosed_;
+    std::uint64_t switchKey_ = 0;     ///< bit i set = switch i closed
+
+    // Flat element tables, built once at construction.
+    std::vector<Terminals> isrc_;     ///< current sources: from, to
+    std::vector<Companion> caps_;
+    std::vector<Companion> inds_;
+    std::vector<Conductor> resistors_;
+    std::vector<SwitchRow> switches_;
+    std::vector<EqualizerRow> equalizers_;
 
     // Reactive element states.
     std::vector<double> capVolts_;    ///< v across each capacitor
@@ -237,9 +347,15 @@ class TransientSim
     std::shared_ptr<const MnaPattern> pattern_;
     std::unique_ptr<MnaAssembler> assembler_;
     std::map<std::uint64_t, std::unique_ptr<SparseLu>> sparseCache_;
+    /** sparseCache_'s factor for switchKey_, or null after a switch
+     *  changed. */
+    const SparseLu *sparseNow_ = nullptr;
 
     // Dense backend: factorizations keyed by switch-state bitmask.
     std::map<std::uint64_t, std::unique_ptr<LuFactor<double>>> luCache_;
+    /** luCache_'s factor for switchKey_, or null after a switch
+     *  changed. */
+    const LuFactor<double> *denseNow_ = nullptr;
 };
 
 /**

@@ -52,7 +52,7 @@ std::string
 concat(Args &&...args)
 {
     std::ostringstream oss;
-    (oss << ... << std::forward<Args>(args));
+    ((oss << std::forward<Args>(args)), ...);
     return oss.str();
 }
 

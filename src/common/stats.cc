@@ -15,17 +15,6 @@ namespace vsgpu
 {
 
 void
-RunningStats::add(double x)
-{
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-}
-
-void
 RunningStats::merge(const RunningStats &other)
 {
     if (other.n_ == 0)
@@ -93,7 +82,8 @@ fromOrderedKey(std::uint64_t key)
  * std::sort exactly.
  */
 void
-sortKeys(std::vector<std::uint64_t> &keys)
+sortKeys(std::vector<std::uint64_t> &keys,
+         std::vector<std::uint64_t> &scratch)
 {
     const std::size_t n = keys.size();
     // The digit counts are 32-bit: 64-bit counts could alias the keys
@@ -110,7 +100,7 @@ sortKeys(std::vector<std::uint64_t> &keys)
             ++counts[static_cast<std::size_t>(d)][(key >> (8 * d)) &
                                                   0xffu];
     }
-    std::vector<std::uint64_t> scratch(n);
+    scratch.resize(n);
     for (int d = 0; d < digits; ++d) {
         auto &offsets = counts[static_cast<std::size_t>(d)];
         const int shift = 8 * d;
@@ -128,17 +118,35 @@ sortKeys(std::vector<std::uint64_t> &keys)
     }
 }
 
-/** A sample set sorted ascending, held as order-preserving keys. */
+/** The sort's key and scratch buffers, kept per thread: a run's
+ *  box statistics sort one sample set per SM, and fresh buffers of
+ *  that size are fresh pages that fault in on every sort. */
+struct SortBuffers
+{
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint64_t> scratch;
+};
+
+SortBuffers &
+sortBuffers()
+{
+    thread_local SortBuffers buffers;
+    return buffers;
+}
+
+/** A sample set sorted ascending, held as order-preserving keys in
+ *  this thread's sort buffers (one SortedSamples at a time). */
 class SortedSamples
 {
   public:
     explicit SortedSamples(const std::vector<double> &samples)
+        : keys_(sortBuffers().keys)
     {
         VSGPU_CHECK_ALL_FINITE(samples, "statistics sample set");
-        keys_.reserve(samples.size());
+        keys_.clear();
         for (double x : samples)
             keys_.push_back(orderedKey(x));
-        sortKeys(keys_);
+        sortKeys(keys_, sortBuffers().scratch);
     }
 
     std::size_t size() const { return keys_.size(); }
@@ -161,7 +169,7 @@ class SortedSamples
     }
 
   private:
-    std::vector<std::uint64_t> keys_;
+    std::vector<std::uint64_t> &keys_;
 };
 
 } // namespace
@@ -204,13 +212,8 @@ ReservoirSampler::ReservoirSampler(std::size_t capacity)
 }
 
 void
-ReservoirSampler::add(double x)
+ReservoirSampler::replace(double x)
 {
-    ++seen_;
-    if (samples_.size() < capacity_) {
-        samples_.push_back(x);
-        return;
-    }
     // xorshift64 for the replacement index; determinism matters more
     // than statistical perfection here.
     state_ ^= state_ << 13;

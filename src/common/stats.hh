@@ -8,7 +8,9 @@
 #ifndef VSGPU_COMMON_STATS_HH
 #define VSGPU_COMMON_STATS_HH
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -24,7 +26,16 @@ class RunningStats
 {
   public:
     /** Add one sample. */
-    void add(double x);
+    void
+    add(double x)
+    {
+        ++n_;
+        const double delta = x - mean_;
+        mean_ += delta / static_cast<double>(n_);
+        m2_ += delta * (x - mean_);
+        min_ = std::min(min_, x);
+        max_ = std::max(max_, x);
+    }
 
     /** Merge another accumulator into this one. */
     void merge(const RunningStats &other);
@@ -106,7 +117,15 @@ class ReservoirSampler
     ReservoirSampler(std::size_t capacity = 65536);
 
     /** Offer one sample to the reservoir. */
-    void add(double x);
+    void
+    add(double x)
+    {
+        ++seen_;
+        if (samples_.size() < capacity_)
+            samples_.push_back(x);
+        else
+            replace(x);
+    }
 
     /** @return retained samples (order unspecified). */
     const std::vector<double> &samples() const { return samples_; }
@@ -118,6 +137,10 @@ class ReservoirSampler
     BoxStats box() const { return boxStats(samples_); }
 
   private:
+    /** The full reservoir's step: keep @p x with probability
+     *  capacity / seen, in place of a random sample. */
+    void replace(double x);
+
     std::size_t capacity_;
     std::size_t seen_ = 0;
     std::uint64_t state_;

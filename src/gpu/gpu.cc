@@ -7,6 +7,16 @@
 namespace vsgpu
 {
 
+namespace
+{
+
+constexpr SmCycleEvents beforeFirstStep{};
+/** Events of a cycle whose clock was masked. */
+constexpr SmCycleEvents maskedActive{.active = true, .clocked = false};
+constexpr SmCycleEvents maskedDone{.active = false, .clocked = false};
+
+} // namespace
+
 Gpu::Gpu(const GpuConfig &cfg)
     : cfg_(cfg), mem_(cfg.memory)
 {
@@ -16,7 +26,7 @@ Gpu::Gpu(const GpuConfig &cfg)
     freqFraction_.assign(static_cast<std::size_t>(config::numSMs), 1.0);
     clockAccum_.assign(static_cast<std::size_t>(config::numSMs), 0.0);
     lastEvents_.assign(static_cast<std::size_t>(config::numSMs),
-                       SmCycleEvents{});
+                       &beforeFirstStep);
 }
 
 void
@@ -41,12 +51,10 @@ Gpu::step()
         clockAccum_[idx] += freqFraction_[idx];
         if (clockAccum_[idx] >= 1.0) {
             clockAccum_[idx] -= 1.0;
-            lastEvents_[idx] = sms_[idx]->step(cycle_);
+            lastEvents_[idx] = &sms_[idx]->step(cycle_);
         } else {
-            SmCycleEvents idle;
-            idle.active = !sms_[idx]->done();
-            idle.clocked = false;
-            lastEvents_[idx] = idle;
+            lastEvents_[idx] =
+                sms_[idx]->done() ? &maskedDone : &maskedActive;
         }
     }
     ++cycle_;
@@ -85,7 +93,7 @@ const SmCycleEvents &
 Gpu::smEvents(int idx) const
 {
     panicIfNot(idx >= 0 && idx < numSMs(), "bad SM index ", idx);
-    return lastEvents_[static_cast<std::size_t>(idx)];
+    return *lastEvents_[static_cast<std::size_t>(idx)];
 }
 
 } // namespace vsgpu

@@ -68,6 +68,16 @@ class Gpu
      */
     const SmCycleEvents &smEvents(int idx) const;
 
+    /** @return true when SM @p idx was stalled in the last global
+     *  cycle: clocked, active, and with nothing issued, fetched or
+     *  injected (its events are Sm::stalledCycle). */
+    bool
+    smStalled(int idx) const
+    {
+        return lastEvents_[static_cast<std::size_t>(idx)] ==
+               &Sm::stalledCycle;
+    }
+
     /** @return number of SMs. */
     int numSMs() const { return static_cast<int>(sms_.size()); }
 
@@ -77,7 +87,9 @@ class Gpu
     std::vector<std::unique_ptr<Sm>> sms_;
     std::vector<double> freqFraction_;
     std::vector<double> clockAccum_;
-    std::vector<SmCycleEvents> lastEvents_;
+    /** Each SM's events of the last cycle: the record its step
+     *  returned, or a shared record for a masked clock. */
+    std::vector<const SmCycleEvents *> lastEvents_;
     Cycle cycle_ = 0;
 };
 

@@ -34,6 +34,7 @@ Sm::launch(const ProgramFactory &factory, Cycle now)
     // Every warp fetches its first instruction on the first step.
     readyAt_.fill(neverReady);
     barrierMask_ = 0;
+    nextReady_ = 0;
     refillMask_ = numWarps == 64 ? ~std::uint64_t{0}
                                  : (std::uint64_t{1} << numWarps) - 1;
     activeWarps_ = numWarps;
@@ -149,7 +150,7 @@ Sm::schedule(std::uint64_t ready, Cycle now) const
 }
 
 const SmCycleEvents &
-Sm::step(Cycle now)
+Sm::stepFull(Cycle now)
 {
     events_ = SmCycleEvents{};
     events_.active = activeWarps_ > 0;
@@ -158,10 +159,7 @@ Sm::step(Cycle now)
     if (activeWarps_ == 0)
         return events_;
 
-    // DIWS token bucket: average issue rate <= issueLimit_.
-    issueTokens_ = std::min(
-        issueTokens_ + issueLimit_,
-        static_cast<double>(cfg_.maxIssueWidth));
+    fillIssueTokens();
 
     int slots = cfg_.maxIssueWidth;
     bool throttledThisCycle = false;
@@ -176,6 +174,14 @@ Sm::step(Cycle now)
     std::uint64_t ready = 0;
     for (std::size_t w = 0; w < warps_.size(); ++w)
         ready |= static_cast<std::uint64_t>(readyAt_[w] <= now) << w;
+    // With no warp ready nothing issues, and an SM with unfinished
+    // warps sleeps until the earliest ready cycle (the fetch above
+    // may just have retired the last warp).  An SM that issues pays
+    // no extra pass.
+    nextReady_ = ready == 0 && activeWarps_ > 0
+                     ? *std::min_element(readyAt_.begin(),
+                                         readyAt_.begin() + warps_.size())
+                     : 0;
     IssueOrder order = schedule(ready, now);
 
     int wIdx = order.pop();

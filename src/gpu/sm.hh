@@ -30,11 +30,20 @@
  * rest, each ascending), and a warp is refetched only when it issues
  * or leaves a barrier.  Apart from that one branch-free compare per
  * warp, per-cycle cost follows issue events, not resident warps.
+ *
+ * A stalled SM sleeps until its next wake cycle.  When the ready-mask
+ * pass finds no ready warp, nothing issues, so the earliest ready
+ * cycle, taken right after that pass, stays exact until a refill or
+ * an issue writes readyAt again (a barrier release goes through the
+ * refill mask).  Until then a cycle with nothing to fetch and no fake
+ * injection only fills the DIWS token bucket, so step() does that
+ * inline and returns the shared stalled-cycle record.
  */
 
 #ifndef VSGPU_GPU_SM_HH
 #define VSGPU_GPU_SM_HH
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -130,11 +139,22 @@ class Sm
     /** @return true when every warp has drained. */
     bool done() const { return activeWarps_ == 0; }
 
-    /** Advance one core cycle; @return the cycle's events. */
-    const SmCycleEvents &step(Cycle now);
+    /** Advance one core cycle; @return the cycle's events, valid
+     *  until the next step. */
+    const SmCycleEvents &
+    step(Cycle now)
+    {
+        if (refillMask_ == 0 && fakeRate_ == 0.0 && now < nextReady_) {
+            ++cyclesRun_;
+            fillIssueTokens();
+            fakeTokens_ = 0.0;
+            return stalledCycle;
+        }
+        return stepFull(now);
+    }
 
-    /** @return events of the most recent step. */
-    const SmCycleEvents &lastEvents() const { return events_; }
+    /** The events of every stalled cycle: nothing issued, active. */
+    static constexpr SmCycleEvents stalledCycle{.active = true};
 
     // --- voltage-smoothing actuators ---
 
@@ -158,6 +178,16 @@ class Sm
 
     /** Gate a block using the configured blackout. */
     void requestGate(ExecUnitKind kind, Cycle now);
+
+    /** @return true when any block is gated at @p now. */
+    bool
+    anyGated(Cycle now) const
+    {
+        return std::any_of(units_.begin(), units_.end(),
+                           [now](const ExecUnit &u) {
+                               return u.gated(now);
+                           });
+    }
 
     // --- statistics ---
 
@@ -190,6 +220,17 @@ class Sm
     /** Ready cycle of a warp that cannot issue (finished, at a
      *  barrier, or waiting to refetch). */
     static constexpr Cycle neverReady = std::numeric_limits<Cycle>::max();
+
+    /** step() of a cycle that may fetch, issue or inject. */
+    const SmCycleEvents &stepFull(Cycle now);
+
+    /** DIWS token bucket: average issue rate <= issueLimit_. */
+    void
+    fillIssueTokens()
+    {
+        issueTokens_ = std::min(issueTokens_ + issueLimit_,
+                                static_cast<double>(cfg_.maxIssueWidth));
+    }
 
     /** Fetch a warp's next instruction and its ready cycle; retires
      *  the warp at program end. */
@@ -256,6 +297,9 @@ class Sm
     /** Warps to refetch at the start of the next step (launch and
      *  barrier release). */
     std::uint64_t refillMask_ = 0;
+    /** Earliest ready cycle of a stalled SM; 0 while it is not
+     *  stalled. */
+    Cycle nextReady_ = 0;
 
     int activeWarps_ = 0;
     int lastIssuedWarp_ = -1;

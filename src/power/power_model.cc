@@ -6,8 +6,10 @@ namespace vsgpu
 {
 
 SmPowerModel::SmPowerModel(const EnergyParams &params)
-    : params_(params)
+    : params_(params), allUngatedLeakage_(params_.baseLeakage)
 {
+    for (Watts l : params_.unitLeakage)
+        allUngatedLeakage_ += l;
 }
 
 Joules
@@ -54,8 +56,16 @@ Watts
 SmPowerModel::cyclePower(const SmCycleEvents &events, const Sm &sm,
                          Cycle now) const
 {
+    const bool clockRuns = events.clocked && events.active;
+    if (events.totalIssued() == 0 && events.fakeIssued == 0 &&
+        !sm.anyGated(now)) {
+        // No dynamic energy: the full sum below starts from 0 J over
+        // the period, +0.0, so skipping it leaves the same bits.
+        return (clockRuns ? params_.clockPower : Watts{}) +
+               allUngatedLeakage_;
+    }
     Watts watts = dynamicEnergy(events) / config::clockPeriod;
-    if (events.clocked && events.active)
+    if (clockRuns)
         watts += params_.clockPower;
     watts += leakagePower(sm, now);
     return watts;

@@ -37,6 +37,16 @@ class SmPowerModel
     Watts cyclePower(const SmCycleEvents &events, const Sm &sm,
                      Cycle now) const;
 
+    /**
+     * @return cyclePower() of a stalled cycle (Sm::stalledCycle) on
+     * an SM with no gated block: clock-tree power plus every block's
+     * leakage.
+     */
+    Watts stalledPower() const
+    {
+        return params_.clockPower + allUngatedLeakage_;
+    }
+
     /** @return the parameter set. */
     const EnergyParams &params() const { return params_; }
 
@@ -45,6 +55,8 @@ class SmPowerModel
 
   private:
     EnergyParams params_;
+    /** leakagePower() with no block gated, summed in its order. */
+    Watts allUngatedLeakage_;
 };
 
 } // namespace vsgpu

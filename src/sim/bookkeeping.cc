@@ -28,15 +28,20 @@ RailSummary
 Bookkeeper::rails(const std::array<double, config::numSMs> &volts)
 {
     RailSummary r;
+    // The pooled statistics update in a local copy: a reservoir
+    // append may alias a member double and would force each update of
+    // the pooled mean through memory.
+    RunningStats pooled = pooledVolts_;
     for (std::size_t sm = 0; sm < config::numSMs; ++sm) {
         const double v = volts[sm];
         VSGPU_CHECK_FINITE(v); // the PDS solve went unstable
         r.sum += v;
         noise_[sm].add(v);
-        pooledVolts_.add(v);
+        pooled.add(v);
         r.min = std::min(r.min, v);
         r.max = std::max(r.max, v);
     }
+    pooledVolts_ = pooled;
     minVoltage_ = std::min(minVoltage_, r.min);
     return r;
 }
@@ -82,12 +87,10 @@ Bookkeeper::book(const TransientSim &sim, const CycleLoad &load,
     energy.fake += load.fake * dt;
 
     // PDN resistive loss excludes the linearized load resistors.
-    const auto &resistors = setup_.netlist().resistors();
     double loadResWatts = 0.0;
     for (int i : setup_.loadResistors) {
         const double amps = sim.resistorCurrent(i);
-        loadResWatts +=
-            amps * amps * resistors[static_cast<std::size_t>(i)].ohms;
+        loadResWatts += amps * amps * sim.resistorOhms(i);
     }
     const double pdnWatts =
         std::max(0.0, sim.totalResistivePower() +

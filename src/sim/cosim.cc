@@ -154,24 +154,36 @@ class CosimRun
     void
     power(Cycle now)
     {
-        load_.total = 0.0;
-        load_.fake = 0.0;
+        // The sums build in locals: stores into the per-SM arrays and
+        // the solver may alias members, which would force every add
+        // through memory.
+        double total = 0.0;
+        double fake = 0.0;
         for (int sm = 0; sm < config::numSMs; ++sm) {
-            const auto &events = gpu_.smEvents(sm);
-            double watts =
-                powerModel_.cyclePower(events, gpu_.sm(sm), now).raw();
+            double watts = stalledWatts_;
+            // A stalled SM has no dynamic or fake energy; only gating
+            // moves its power off the stalled value.
+            if (!gpu_.smStalled(sm) || gpu_.sm(sm).anyGated(now)) {
+                const auto &events = gpu_.smEvents(sm);
+                watts = powerModel_.cyclePower(events, gpu_.sm(sm), now)
+                            .raw();
+                fake += static_cast<double>(events.fakeIssued) *
+                        cfg_.energy.fakeEnergy.raw() / dt;
+            }
             if (now >= gateLayerAt_ &&
                 VsPdn::smLayer(sm) == cfg_.gatedLayer)
                 watts = cfg_.gatedLayerWatts.raw();
             load_.sm[static_cast<std::size_t>(sm)] = watts;
-            load_.total += watts;
-            load_.fake += static_cast<double>(events.fakeIssued) *
-                          cfg_.energy.fakeEnergy.raw() / dt;
+            total += watts;
         }
+        load_.total = total;
+        load_.fake = fake;
 
         const double loadOhms = setup_->loadOhms.raw();
-        load_.electrical = 0.0;
-        load_.dccDrawn = 0.0;
+        const double nominalRail = setup_->nominalRail;
+        const auto &rails = setup_->rails;
+        double electrical = 0.0;
+        double dccDrawn = 0.0;
         for (std::size_t sm = 0; sm < config::numSMs; ++sm) {
             const double rail = railNow_[sm];
             vSlow_[sm] += 0.01 * (rail - vSlow_[sm]); // ~100 cycles
@@ -179,14 +191,15 @@ class CosimRun
             const double knee = 0.6 * config::smVoltage.raw();
             const double foldback = std::clamp(v / knee, 0.0, 1.0);
             const double loadAmps =
-                load_.sm[sm] / setup_->nominalRail * foldback - v / loadOhms;
-            tr_.setCurrent(setup_->rails[sm].source,
-                           loadAmps + dccAmps_[sm]);
+                load_.sm[sm] / nominalRail * foldback - v / loadOhms;
+            tr_.setCurrent(rails[sm].source, loadAmps + dccAmps_[sm]);
             // Book what the load draws electrically (source plus
             // linearized conductance), so load + losses = wall.
-            load_.electrical += rail * (loadAmps + rail / loadOhms);
-            load_.dccDrawn += rail * dccAmps_[sm];
+            electrical += rail * (loadAmps + rail / loadOhms);
+            dccDrawn += rail * dccAmps_[sm];
         }
+        load_.electrical = electrical;
+        load_.dccDrawn = dccDrawn;
     }
 
     /** Advance the PDS one clock period; remote sense then servos
@@ -267,6 +280,7 @@ class CosimRun
             ? static_cast<Cycle>(cfg_.gateLayerAtSec.raw() / dt)
             : std::numeric_limits<Cycle>::max();
     double vrmSetVolts_ = setup_->regulatorVolts.raw();
+    const double stalledWatts_ = powerModel_.stalledPower().raw();
     CycleLoad load_;
     std::array<double, config::numSMs> vSlow_{};
     std::array<double, config::numSMs> dccAmps_{};

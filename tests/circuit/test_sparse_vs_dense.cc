@@ -253,6 +253,49 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SparseVsDenseRandom,
                                            8ull, 13ull, 21ull, 34ull,
                                            55ull, 89ull));
 
+TEST(SparseVsDense, CachedFactorFollowsSwitchToggles)
+{
+    // An RLC divider whose lower leg a switch shorts; toggling it
+    // A -> B -> A -> B must swap the held factor each time, reuse
+    // the two cached ones after the first visit, and keep the sparse
+    // steps bit-equal to the dense oracle throughout.
+    Netlist net;
+    const NodeId top = net.allocNode();
+    const NodeId mid = net.allocNode();
+    const NodeId out = net.allocNode();
+    net.addVoltageSource(top, Netlist::ground, Volts{1.0});
+    net.addInductor(top, mid, Henries{1e-9});
+    net.addResistor(mid, out, Ohms{1.0});
+    net.addResistor(out, Netlist::ground, Ohms{1.0});
+    net.addCapacitor(out, Netlist::ground, Farads{1e-10});
+    net.addCurrentSource(out, Netlist::ground, Amps{0.01});
+    const int sw = net.addSwitch(out, Netlist::ground, Ohms{1e-6},
+                                 Ohms{1e9}, false);
+    const double dt = 1e-9;
+    TransientSim sparse(net, dt, SolverKind::Sparse);
+    TransientSim dense(net, dt, SolverKind::Dense);
+    sparse.initToDc();
+    dense.initToDc();
+    for (const bool closed : {false, true, false, true}) {
+        sparse.setSwitch(sw, closed);
+        dense.setSwitch(sw, closed);
+        for (int step = 0; step < 40; ++step) {
+            sparse.step();
+            dense.step();
+            ASSERT_TRUE(bitsEqual(sparse.solution(), dense.solution()))
+                << "closed " << closed << " step " << step;
+        }
+        // The factor in use is the toggled topology's: a closed
+        // switch pulls the output to ground.
+        if (closed)
+            EXPECT_LT(std::abs(sparse.nodeVoltage(out)), 1e-3);
+        else
+            EXPECT_GT(sparse.nodeVoltage(out), 0.3);
+    }
+    EXPECT_EQ(sparse.luBuilds(), 2u);
+    EXPECT_EQ(dense.luBuilds(), 2u);
+}
+
 /**
  * The eight golden configurations: the four Table III PDS presets
  * and the four fig09 worst-transient variants.

@@ -110,9 +110,10 @@ TEST(ControllerProperties, TriggerCountMonotonicInThreshold)
             SmoothingController ctl(cfg);
             for (const Rails &rails : trace)
                 ctl.step(rails);
-            if (!first)
+            if (!first) {
                 EXPECT_GE(ctl.triggeredDecisions(), lastTriggered)
                     << "seed " << seed << " threshold " << threshold;
+            }
             lastTriggered = ctl.triggeredDecisions();
             first = false;
         }

@@ -9,6 +9,8 @@
  * straightforward full-scan scheduler, so any change to issue order,
  * scoreboard timing, barrier release, DIWS/FII accounting, demand
  * wake-ups or DFS clock masking shows up as a digest mismatch.
+ * ActuatorsToggledMidStall was recorded before stalled SMs skipped
+ * their step, so it pins that shortcut against the full step.
  */
 
 #include <gtest/gtest.h>
@@ -198,6 +200,35 @@ TEST(SmEventDigest, FractionalDiwsWithFii)
     EXPECT_GT(run.throttledCycles, 0u);
     EXPECT_GT(run.fakeIssued, 0u);
     EXPECT_EQ(run.digest, 0xa35ad41c138eb2f6ull);
+}
+
+TEST(SmEventDigest, ActuatorsToggledMidStall)
+{
+    // A stall-bound kernel whose SMs get FII and a fractional DIWS
+    // limit while every warp waits on memory, then lose them again:
+    // fake issue must start inside the stall, and the token bucket
+    // must keep filling through it at whatever limit is set.
+    const Actuate toggle = [](Gpu &gpu, Cycle now) {
+        for (int i = 0; i < gpu.numSMs(); ++i) {
+            Sm &sm = gpu.sm(i);
+            const SmCycleEvents &last = gpu.smEvents(i);
+            const bool stalled = last.active && last.totalIssued() == 0;
+            const Cycle phase = (now + 37 * static_cast<Cycle>(i)) % 300;
+            if (phase < 40 && stalled && sm.fakeInjectRate() == 0.0) {
+                sm.setFakeInjectRate(0.4);
+                sm.setIssueWidthLimit(0.3);
+            } else if (phase == 60) {
+                sm.setFakeInjectRate(0.0);
+            } else if (phase == 200) {
+                sm.setIssueWidthLimit(config::maxIssueWidth);
+            }
+        }
+    };
+    const DigestRun run = runDigest(small(Benchmark::Simpleatomic, 1000),
+                                    GpuConfig{}, toggle);
+    EXPECT_GT(run.throttledCycles, 0u);
+    EXPECT_GT(run.fakeIssued, 0u);
+    EXPECT_EQ(run.digest, 0xcd48a8c74eb410e7ull);
 }
 
 TEST(SmEventDigest, DfsClockMasking)

@@ -15,6 +15,8 @@
  * the box statistics moved to a radix sort, so any change to rail
  * sampling order, P->I coupling, controller arithmetic, energy
  * bookkeeping or quantile selection shows up as a mismatch.
+ * GatedUnitsOnStallBoundKernel was recorded before stalled SMs skipped
+ * the power model, next to gated and waking blocks.
  *
  * AllObserversArmed turns every observation path on at once.  It
  * checks that the core digest does not move, and pins what those
@@ -341,6 +343,25 @@ TEST(CosimDigest, StuckAtDetector)
         CoSimulator(cfg).run(small(Benchmark::Heartwall));
     EXPECT_GT(r.throttleRate, 0.0);
     EXPECT_EQ(digest(r), 0xeb1bd65186752e76ull);
+}
+
+TEST(CosimDigest, GatedUnitsOnStallBoundKernel)
+{
+    // Mostly idle SMs next to gated and waking blocks: the idle SM
+    // power must follow each block's gating state.
+    CosimConfig cfg = crossLayer();
+    cfg.gpu.sm.scheduler = SchedulerKind::Gates;
+    cfg.maxCycles = 60000;
+    PgGovernor pg;
+    VsAwareHypervisor hv;
+    CoSimulator sim(cfg);
+    sim.attachPg(&pg);
+    sim.attachHypervisor(&hv);
+    const CosimResult r = sim.run(small(Benchmark::Simpleatomic, 400));
+    EXPECT_TRUE(r.finished);
+    EXPECT_GT(r.counters.pgGateRequests, 0u);
+    EXPECT_GT(r.counters.gateEvents, 0u);
+    EXPECT_EQ(digest(r), 0xafa4c1118bce7ac3ull);
 }
 
 /** Every observation path armed at once must leave the run's

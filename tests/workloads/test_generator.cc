@@ -164,12 +164,15 @@ TEST(Generator, SourceRegistersNeverExceedWrittenRange)
     WorkloadFactory factory(spec);
     auto instrs = drainProgram(*factory.makeProgram(1, 2));
     for (const auto &i : instrs) {
-        if (i.dest != noReg)
+        if (i.dest != noReg) {
             EXPECT_LT(i.dest, 48);
-        if (i.src0 != noReg)
+        }
+        if (i.src0 != noReg) {
             EXPECT_LT(i.src0, 48);
-        if (i.src1 != noReg)
+        }
+        if (i.src1 != noReg) {
             EXPECT_LT(i.src1, 48);
+        }
     }
 }
 
