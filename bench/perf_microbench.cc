@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark micro-benchmarks of the simulation engines
- * themselves: transient step throughput, AC solve, SM cycle rate, and
- * the full co-simulation loop.  These guard the performance the
- * experiment harnesses depend on.
+ * themselves: transient step throughput, AC solve, SM cycle rate,
+ * workload generation, and the tracing/profiling scopes.  These guard
+ * the performance the experiment harnesses depend on; the
+ * co-simulation loop's steady-state rate is bench/perf/run_bench.py's.
  */
 
 #include <benchmark/benchmark.h>
@@ -244,25 +245,6 @@ BM_SmCycle(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * config::numSMs);
 }
 BENCHMARK(BM_SmCycle);
-
-void
-BM_CosimCycle(benchmark::State &state)
-{
-    // One full co-simulation cycle (GPU + power + circuit +
-    // controller), measured via short batched runs.
-    for (auto _ : state) {
-        state.PauseTiming();
-        CosimConfig cfg;
-        cfg.pds = defaultPds(PdsKind::VsCrossLayer);
-        cfg.maxCycles = 2000;
-        CoSimulator sim(cfg);
-        const WorkloadSpec wl = uniformWorkload(4000);
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(sim.run(wl).cycles);
-    }
-    state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_CosimCycle)->Unit(benchmark::kMillisecond);
 
 void
 BM_WorkloadGeneration(benchmark::State &state)

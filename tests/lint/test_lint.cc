@@ -255,9 +255,9 @@ TEST(LintScope, FamiliesScopeByPath)
         checkAppliesTo(Check::Determinism, "src/gpu/sm.cc"));
     EXPECT_FALSE(
         checkAppliesTo(Check::Determinism, "bench/fig07.cc"));
-    // fp-determinism includes bench/ and tools/.
-    EXPECT_TRUE(
-        checkAppliesTo(Check::FpDeterminism, "bench/fig07.cc"));
+    // unit-flow stays in src/ even where bench/ does the unit math.
+    EXPECT_FALSE(
+        checkAppliesTo(Check::UnitFlow, "bench/fig07.cc"));
     // contracts apply everywhere.
     EXPECT_TRUE(
         checkAppliesTo(Check::Contracts, "tests/foo/bar.cc"));
@@ -397,11 +397,11 @@ TEST(LintChecks, NameRoundTrip)
 
 TEST(LintChecks, ProjectChecksAreTheSemanticFamilies)
 {
-    EXPECT_TRUE(isProjectCheck(Check::UnitFlow));
-    EXPECT_TRUE(isProjectCheck(Check::DeterminismTaint));
-    EXPECT_TRUE(isProjectCheck(Check::FpDeterminism));
-    EXPECT_FALSE(isProjectCheck(Check::UnitSafety));
-    EXPECT_FALSE(isProjectCheck(Check::Contracts));
+    // unit-flow is the one project-wide family; every other family
+    // runs file by file.
+    for (Check c : kAllChecks)
+        EXPECT_EQ(isProjectCheck(c), c == Check::UnitFlow)
+            << checkName(c);
 }
 
 // ================= runChecks plumbing =================
@@ -426,22 +426,15 @@ TEST(LintRunChecks, ScopedSweepSkipsOutOfScopeFamilies)
 
 TEST(LintScope, SemanticFamiliesScopeByPath)
 {
-    EXPECT_TRUE(
-        checkAppliesTo(Check::FpDeterminism, "src/exec/pool.cc"));
-    EXPECT_TRUE(
-        checkAppliesTo(Check::FpDeterminism, "bench/fig07.cc"));
-    EXPECT_FALSE(
-        checkAppliesTo(Check::FpDeterminism, "tests/exec/t.cc"));
     // unit-flow shares the raw-escape scope: the numeric core is
     // allowed to work in raw doubles.
     EXPECT_TRUE(
         checkAppliesTo(Check::UnitFlow, "src/control/controller.cc"));
     EXPECT_FALSE(
         checkAppliesTo(Check::UnitFlow, "src/circuit/transient.cc"));
-    EXPECT_TRUE(
-        checkAppliesTo(Check::DeterminismTaint, "src/sim/engine.cc"));
-    EXPECT_FALSE(
-        checkAppliesTo(Check::DeterminismTaint, "bench/fig07.cc"));
+    EXPECT_FALSE(checkAppliesTo(Check::UnitFlow, "src/verify/erc.cc"));
+    EXPECT_FALSE(checkAppliesTo(Check::UnitFlow, "src/sim/cosim.cc"));
+    EXPECT_FALSE(checkAppliesTo(Check::UnitFlow, "tests/exec/t.cc"));
 }
 
 // ================= SARIF output =================
@@ -449,8 +442,8 @@ TEST(LintScope, SemanticFamiliesScopeByPath)
 TEST(LintSarif, EmitsRulesAndResults)
 {
     const std::vector<Diagnostic> diags = {
-        {"src/a.cc", 3, Check::FpDeterminism, "locked sum 'x'",
-         "fp-determinism.locked-reduction"},
+        {"src/a.cc", 3, Check::UnitFlow, "mixed sum 'x'",
+         "unit-flow.mixed-units"},
         {"src/b.cc", 9, Check::UnitSafety, "raw double", ""},
     };
     std::ostringstream os;
@@ -459,10 +452,9 @@ TEST(LintSarif, EmitsRulesAndResults)
     EXPECT_NE(sarif.find("\"version\": \"2.1.0\""),
               std::string::npos);
     // Rules: the diagnostic id when present, family name otherwise.
-    EXPECT_NE(sarif.find("fp-determinism.locked-reduction"),
-              std::string::npos);
+    EXPECT_NE(sarif.find("unit-flow.mixed-units"), std::string::npos);
     EXPECT_NE(sarif.find("\"unit-safety\""), std::string::npos);
-    EXPECT_NE(sarif.find("locked sum 'x'"), std::string::npos);
+    EXPECT_NE(sarif.find("mixed sum 'x'"), std::string::npos);
     EXPECT_NE(sarif.find("\"uri\": \"src/a.cc\""),
               std::string::npos);
     EXPECT_NE(sarif.find("\"startLine\": 3"), std::string::npos);
@@ -485,10 +477,10 @@ TEST(LintSarif, EscapesJsonSpecials)
 
 TEST(LintBaseline, DiagnosticIdHeadsTheFingerprint)
 {
-    const Diagnostic d{"src/a.cc", 4, Check::FpDeterminism, "msg",
-                       "fp-determinism.locked-reduction"};
-    EXPECT_EQ(fingerprint(d, "g += 1.0;")
-                  .find("fp-determinism.locked-reduction|"),
+    const Diagnostic d{"src/a.cc", 4, Check::UnitFlow, "msg",
+                       "unit-flow.mixed-units"};
+    EXPECT_EQ(fingerprint(d, "double s = v + i;")
+                  .find("unit-flow.mixed-units|"),
               0U);
 }
 

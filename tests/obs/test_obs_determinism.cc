@@ -1,16 +1,18 @@
 /**
  * @file
- * Cross-layer observability integration tests: stats dumps must be
- * bitwise identical for --jobs 1 and --jobs 8 (the schedule-
- * dependent stats are excluded by default), the run manifest must
- * not vary with the job count, and enabling tracing must not perturb
- * simulation results.
+ * Cross-layer observability integration tests: for every registered
+ * scenario, the summary JSON, the stats dumps (the schedule-dependent
+ * stats are excluded by default), the manifest fingerprint, and the
+ * time-series dump must be bitwise identical for --jobs 1 and
+ * --jobs 8; enabling tracing, sampling, or profiling must not
+ * perturb simulation results.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench/scenarios/scenarios.hh"
 #include "obs/timeseries.hh"
@@ -35,7 +37,7 @@ struct ScenarioDump
 };
 
 ScenarioDump
-runWithJobs(const char *scenario, int jobs,
+runWithJobs(const std::string &scenario, int jobs,
             double sampleEverySec = 0.0, bool profile = false)
 {
     const ScenarioInfo *info = findScenario(scenario);
@@ -69,17 +71,43 @@ runWithJobs(const char *scenario, int jobs,
     return dump;
 }
 
-TEST(ObsDeterminism, StatsDumpsIdenticalAcrossJobCounts)
+/** Parameter: a registered scenario's name. */
+class ObsDeterminism : public ::testing::TestWithParam<std::string>
 {
-    const ScenarioDump one = runWithJobs("fig12_threshold_sweep", 1);
+};
+
+TEST_P(ObsDeterminism, StatsDumpsIdenticalAcrossJobCounts)
+{
+    // The sampling cadence derives from simulated time only, so the
+    // windowed series dump is gated alongside the stats dumps.
+    constexpr double kSampleEvery = 2e-7;
+    const ScenarioDump one = runWithJobs(GetParam(), 1, kSampleEvery);
     const ScenarioDump eight =
-        runWithJobs("fig12_threshold_sweep", 8);
+        runWithJobs(GetParam(), 8, kSampleEvery);
+    EXPECT_FALSE(one.summaryJson.empty());
+    EXPECT_EQ(one.summaryJson, eight.summaryJson);
     EXPECT_EQ(one.statsJson, eight.statsJson);
     EXPECT_EQ(one.statsText, eight.statsText);
-    EXPECT_EQ(one.summaryJson, eight.summaryJson);
     EXPECT_EQ(one.manifest.configFingerprint,
               eight.manifest.configFingerprint);
+    EXPECT_EQ(one.seriesJson, eight.seriesJson);
 }
+
+std::vector<std::string>
+scenarioNames()
+{
+    std::vector<std::string> names;
+    for (const ScenarioInfo &info : allScenarios())
+        names.emplace_back(info.name);
+    return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryScenario, ObsDeterminism,
+    ::testing::ValuesIn(scenarioNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(ObsDeterminism, StatsDumpCoversEveryLayer)
 {
@@ -109,19 +137,6 @@ TEST(ObsDeterminism, TracingDoesNotPerturbResults)
 
     EXPECT_EQ(quiet.summaryJson, traced.summaryJson);
     EXPECT_EQ(quiet.statsJson, traced.statsJson);
-}
-
-TEST(ObsDeterminism, TimeSeriesDumpsIdenticalAcrossJobCounts)
-{
-    // The sampling cadence derives from simulated time only, so the
-    // windowed dumps must be bitwise identical for any --jobs value.
-    constexpr double kSampleEvery = 2e-7;
-    const ScenarioDump one =
-        runWithJobs("fig14_penalty_saving", 1, kSampleEvery);
-    const ScenarioDump eight =
-        runWithJobs("fig14_penalty_saving", 8, kSampleEvery);
-    EXPECT_FALSE(one.telemetry.series.runs.empty());
-    EXPECT_EQ(one.seriesJson, eight.seriesJson);
 }
 
 TEST(ObsDeterminism, SeriesChannelsCoverEveryLayer)

@@ -30,11 +30,9 @@
  *          // vsgpu-lint: iostream-ok(<reason>) for direct stdio.
  */
 
-#include "dataflow.hh"
-#include "semantic.hh"
+#include "lint.hh"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <string>
 
@@ -324,322 +322,6 @@ checkDeterminism(const SourceFile &src, const CheckOptions &opts,
              "index",
              ""});
     }
-}
-
-// ====================================================================
-// Family 8: determinism-taint (semantic, project-wide)
-// ====================================================================
-//
-// The token family above bans the nondeterminism *sources* it can
-// recognize syntactically.  This family instead tracks where a
-// nondeterministic value actually GOES: wall-clock reads, RNG draws,
-// addresses reinterpreted as values, and unordered-iteration order
-// are taint sources; stats-registry writes, trace events, and
-// JSON/golden/summary serialization calls are sinks.  Taint flows
-// through assignments via the dataflow core and across function
-// boundaries via two summary fixpoint rounds (tainted return values,
-// parameters that reach a sink inside the callee).
-//
-//   determinism-taint.sink      a tainted value reaches a sink in
-//                               the same function
-//   determinism-taint.cross-fn  a tainted value is passed to a
-//                               function whose parameter reaches a
-//                               sink internally
-//
-// Waiver: // vsgpu-lint: det-taint-ok(<reason>).
-
-namespace
-{
-
-using TokenVec = std::vector<Token>;
-
-/** Pseudo-tag marking values derived from parameter k. */
-std::string
-paramTag(int k)
-{
-    return "param#" + std::to_string(k);
-}
-
-bool
-isPseudoTag(const std::string &tag)
-{
-    return tag.rfind("param#", 0) == 0;
-}
-
-class DetTaint
-{
-  public:
-    DetTaint(const Project &project, std::vector<Diagnostic> &out)
-        : project_(project), out_(out)
-    {
-    }
-
-    void
-    run()
-    {
-        const auto &functions = project_.index().functions;
-        // Two summary rounds (tainted returns / sink parameters
-        // become visible one call deeper each round), then a final
-        // emitting pass using the converged summaries.
-        for (int round = 0; round < 3; ++round)
-            for (std::size_t id = 0; id < functions.size(); ++id)
-                analyze(static_cast<int>(id), round == 2);
-    }
-
-  private:
-    df::TagSet
-    realTags(const df::TagSet &tags) const
-    {
-        df::TagSet real;
-        for (const std::string &t : tags)
-            if (!isPseudoTag(t))
-                real.insert(t);
-        return real;
-    }
-
-    /** Source tags contributed by the statement's own tokens. */
-    df::TagSet
-    sourceTags(const df::Stmt &stmt, const TokenVec &toks,
-               const std::set<std::string> &unordered) const
-    {
-        df::TagSet tags;
-        for (std::size_t i = stmt.tokBegin; i < stmt.tokEnd; ++i) {
-            const Token &tok = toks[i];
-            if (tok.kind != Token::Kind::Identifier)
-                continue;
-            const std::string_view prev =
-                i > stmt.tokBegin ? toks[i - 1].text
-                                  : std::string_view{};
-            const std::string_view next =
-                i + 1 < stmt.tokEnd ? toks[i + 1].text
-                                    : std::string_view{};
-            if (tok.text == "now" && prev == "::" &&
-                i >= stmt.tokBegin + 2 && next == "(") {
-                const std::string_view qual = toks[i - 2].text;
-                if (qual.size() >= 6 &&
-                    qual.substr(qual.size() - 6) == "_clock")
-                    tags.insert("wall-clock");
-            }
-            if ((tok.text == "rand" || tok.text == "srand" ||
-                 tok.text == "random_device") &&
-                (next == "(" || tok.text == "random_device"))
-                tags.insert("rng");
-            if (tok.text == "reinterpret_cast" ||
-                (tok.text == "uintptr_t" && next == "("))
-                tags.insert("address");
-        }
-        if (!stmt.rangeContainer.empty() &&
-            unordered.count(stmt.rangeContainer))
-            tags.insert("iteration-order");
-        return tags;
-    }
-
-    /** Sink description for a call ("" when not a sink). */
-    std::string
-    sinkKind(const df::CallRef &call, const df::Stmt &stmt,
-             const TokenVec &toks) const
-    {
-        if (call.callee == "set" || call.callee == "add") {
-            for (std::size_t i = stmt.tokBegin; i < stmt.tokEnd;
-                 ++i)
-                if (toks[i].kind == Token::Kind::Identifier &&
-                    (toks[i].text == "scalar" ||
-                     toks[i].text == "counter" ||
-                     toks[i].text == "distribution") &&
-                    i + 1 < stmt.tokEnd &&
-                    toks[i + 1].text == "(")
-                    return "stats registry write";
-            return {};
-        }
-        if (call.callee == "instant" || call.callee == "span")
-            return "trace event";
-        if (call.callee.find("Json") != std::string::npos ||
-            call.callee.find("Golden") != std::string::npos ||
-            call.callee.find("Summary") != std::string::npos ||
-            call.callee.find("Manifest") != std::string::npos)
-            return "serialized output";
-        return {};
-    }
-
-    void
-    analyze(int id, bool emit)
-    {
-        const SymbolIndex &index = project_.index();
-        const FunctionDef &fn =
-            index.functions[static_cast<std::size_t>(id)];
-        const TokenVec &toks = project_.tokens(fn.fileIndex);
-        const SourceFile &src =
-            project_.sources()[static_cast<std::size_t>(
-                fn.fileIndex)];
-
-        std::map<std::string, int> paramIndex;
-        for (std::size_t p = 0; p < fn.params.size(); ++p)
-            if (!fn.params[p].name.empty())
-                paramIndex[fn.params[p].name] =
-                    static_cast<int>(p);
-
-        std::set<std::string> unordered;
-        const auto uit = index.unorderedVars.find(fn.fileIndex);
-        if (uit != index.unorderedVars.end())
-            unordered = uit->second;
-
-        const df::Cfg cfg =
-            df::buildCfg(toks, fn.bodyBegin, fn.bodyEnd);
-
-        auto lookupTags = [&](const std::string &name,
-                              const df::TaintEnv &env) {
-            const auto it = env.find(name);
-            if (it != env.end())
-                return it->second;
-            const auto pit = paramIndex.find(name);
-            if (pit != paramIndex.end())
-                return df::TagSet{paramTag(pit->second)};
-            return df::TagSet{};
-        };
-
-        auto flowTags = [&](const df::Stmt &stmt,
-                            const df::TaintEnv &env) {
-            df::TagSet tags = sourceTags(stmt, toks, unordered);
-            for (const std::string &use : stmt.uses) {
-                const df::TagSet t = lookupTags(use, env);
-                tags.insert(t.begin(), t.end());
-            }
-            for (const df::CallRef &call : stmt.calls)
-                for (int cid : project_.lookup(call.callee)) {
-                    const auto rit = returnTags_.find(cid);
-                    if (rit != returnTags_.end())
-                        tags.insert(rit->second.begin(),
-                                    rit->second.end());
-                }
-            return tags;
-        };
-
-        df::TagSet newReturn;
-        std::set<int> newSinkParams;
-
-        df::solveTaint(
-            cfg, flowTags,
-            [&](const df::Stmt &stmt, const df::TaintEnv &env) {
-                if (stmt.isReturn) {
-                    const df::TagSet tags = flowTags(stmt, env);
-                    const df::TagSet real = realTags(tags);
-                    newReturn.insert(real.begin(), real.end());
-                }
-                for (const df::CallRef &call : stmt.calls) {
-                    const std::string kind =
-                        sinkKind(call, stmt, toks);
-                    if (!kind.empty()) {
-                        df::TagSet tags = sourceTags(stmt, toks,
-                                                     unordered);
-                        for (const auto &arg : call.args)
-                            for (const std::string &root : arg) {
-                                const df::TagSet t =
-                                    lookupTags(root, env);
-                                tags.insert(t.begin(), t.end());
-                            }
-                        for (const std::string &t : tags)
-                            if (isPseudoTag(t))
-                                newSinkParams.insert(std::stoi(
-                                    t.substr(t.find('#') + 1)));
-                        const df::TagSet real = realTags(tags);
-                        if (emit && !real.empty())
-                            diagnose(src, call.nameOffset,
-                                     "determinism-taint.sink",
-                                     joinTags(real) +
-                                         " taint reaches a " +
-                                         kind +
-                                         " — observable outputs "
-                                         "must not depend on "
-                                         "wall-clock, RNG, "
-                                         "addresses, or hash "
-                                         "ordering");
-                        continue;
-                    }
-                    // Cross-function: tainted argument into a
-                    // parameter that reaches a sink in the callee.
-                    if (!emit)
-                        continue;
-                    for (int cid : project_.lookup(call.callee)) {
-                        const auto sit = sinkParams_.find(cid);
-                        if (sit == sinkParams_.end())
-                            continue;
-                        for (int p : sit->second) {
-                            if (static_cast<std::size_t>(p) >=
-                                call.args.size())
-                                continue;
-                            df::TagSet tags;
-                            for (const std::string &root :
-                                 call.args[static_cast<
-                                     std::size_t>(p)]) {
-                                const df::TagSet t =
-                                    lookupTags(root, env);
-                                tags.insert(t.begin(), t.end());
-                            }
-                            const df::TagSet real =
-                                realTags(tags);
-                            if (!real.empty())
-                                diagnose(
-                                    src, call.nameOffset,
-                                    "determinism-taint.cross-fn",
-                                    joinTags(real) +
-                                        " taint flows into '" +
-                                        call.callee +
-                                        "', whose parameter "
-                                        "reaches a stats/trace/"
-                                        "serialization sink");
-                        }
-                    }
-                }
-            });
-
-        returnTags_[id] = std::move(newReturn);
-        if (!newSinkParams.empty())
-            sinkParams_[id] = std::move(newSinkParams);
-    }
-
-    static std::string
-    joinTags(const df::TagSet &tags)
-    {
-        std::string joined;
-        for (const std::string &t : tags) {
-            if (!joined.empty())
-                joined += "/";
-            joined += t;
-        }
-        return joined;
-    }
-
-    void
-    diagnose(const SourceFile &src, std::size_t offset,
-             const std::string &id, std::string message)
-    {
-        const int line = src.lineOf(offset);
-        if (src.hasWaiver(line, "vsgpu-lint: det-taint-ok"))
-            return;
-        const std::string key =
-            src.display() + ":" + std::to_string(line) + ":" + id;
-        if (!seen_.insert(key).second)
-            return;
-        out_.push_back({src.display(), line,
-                        Check::DeterminismTaint, std::move(message),
-                        id});
-    }
-
-    const Project &project_;
-    std::vector<Diagnostic> &out_;
-    std::map<int, df::TagSet> returnTags_;
-    std::map<int, std::set<int>> sinkParams_;
-    std::set<std::string> seen_;
-};
-
-} // namespace
-
-void
-checkDeterminismTaint(const Project &project,
-                      std::vector<Diagnostic> &out)
-{
-    DetTaint taint(project, out);
-    taint.run();
 }
 
 } // namespace vsgpu::lint

@@ -1,15 +1,15 @@
 /**
  * @file
  * Dataflow core: token-stream -> statement IR -> CFG lowering, plus
- * the reaching-definitions and generic taint solvers (dataflow.hh).
+ * the generic taint solver (dataflow.hh).
  *
  * Lowering approximations (documented so the families can reason
  * about them): switch bodies are lowered linearly with a bypass edge
  * (every case may or may not run); break/continue do not cut edges
  * (conservative for may-analyses: more paths, never fewer); return
  * keeps its linear successor for the same reason; exceptional flow
- * is ignored.  The solvers are exact over the IR they receive —
- * tests/lint/test_dataflow.cc pins them down on hand-built CFGs.
+ * is ignored.  The solver is exact over the IR it receives —
+ * tests/lint/test_dataflow.cc pins it down on hand-built CFGs.
  */
 
 #include "dataflow.hh"
@@ -584,12 +584,6 @@ class Builder
                                 head.uses);
                     collectCalls(toks_, colon + 1, close,
                                  head.calls);
-                    for (std::size_t k = colon + 1; k < close; ++k)
-                        if (isVarUse(toks_, k, colon + 1, close)) {
-                            head.rangeContainer =
-                                std::string(toks_[k].text);
-                            break;
-                        }
                     append(header, std::move(head));
                 } else {
                     // Classic for: init ; cond ; incr.
@@ -700,54 +694,6 @@ buildCfg(const std::vector<Token> &tokens, std::size_t begin,
          std::size_t end)
 {
     return Builder(tokens).take(begin, std::min(end, tokens.size()));
-}
-
-std::vector<ReachEnv>
-reachingDefs(const Cfg &cfg)
-{
-    const std::size_t n = cfg.blocks.size();
-    std::vector<ReachEnv> in(n), out(n);
-
-    auto transfer = [&](std::size_t b) {
-        ReachEnv env = in[b];
-        const Block &block = cfg.blocks[b];
-        for (std::size_t s = 0; s < block.stmts.size(); ++s) {
-            const Stmt &st = block.stmts[s];
-            for (const std::string &d : st.defs) {
-                auto &sites = env[d];
-                if (!st.defThrough)
-                    sites.clear(); // strong update kills
-                sites.insert({static_cast<int>(b),
-                              static_cast<int>(s)});
-            }
-        }
-        return env;
-    };
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::size_t b = 0; b < n; ++b) {
-            // in[b] = union of out[p] over predecessors.
-            ReachEnv merged;
-            for (std::size_t p = 0; p < n; ++p)
-                for (int succ : cfg.blocks[p].succs)
-                    if (static_cast<std::size_t>(succ) == b)
-                        for (const auto &[var, sites] : out[p])
-                            merged[var].insert(sites.begin(),
-                                               sites.end());
-            if (merged != in[b]) {
-                in[b] = std::move(merged);
-                changed = true;
-            }
-            ReachEnv next = transfer(b);
-            if (next != out[b]) {
-                out[b] = std::move(next);
-                changed = true;
-            }
-        }
-    }
-    return in;
 }
 
 TagSet

@@ -1,6 +1,6 @@
 /**
  * @file
- * Intraprocedural dataflow core for vsgpu_lint's semantic families.
+ * Intraprocedural dataflow core for vsgpu_lint's unit-flow family.
  *
  * A function body is lowered from the token stream into a simplified
  * statement IR: each statement records the variable it defines (if
@@ -10,27 +10,19 @@
  * def/use granularity.  Statements are grouped into basic blocks
  * forming a CFG over if/else, loops, and switches.
  *
- * Two solvers run over the CFG:
- *
- *   reachingDefs   classic forward reaching-definitions (gen/kill by
- *                  defined name; writes through a pointer or member
- *                  chain are may-defs and do not kill).
- *
- *   solveTaint     a generic forward tag propagation: a caller-
- *                  supplied transfer function computes the tag set a
- *                  statement's definitions acquire from the incoming
- *                  environment, the engine iterates block entry
- *                  environments to a fixpoint (set-union join), and a
- *                  final in-order visit pass lets the family emit
- *                  diagnostics against the converged environments.
- *                  unit-flow and determinism-taint are both instances
- *                  of this solver with different transfer functions.
+ * One solver runs over the CFG: solveTaint, a generic forward tag
+ * propagation.  A caller-supplied transfer function computes the tag
+ * set a statement's definitions acquire from the incoming
+ * environment (writes through a pointer or member chain add to the
+ * target's tags instead of replacing them), the engine iterates
+ * block entry environments to a fixpoint (set-union join), and a
+ * final in-order visit pass lets the family emit diagnostics against
+ * the converged environments.  unit-flow is its instance.
  *
  * The lowering is deliberately approximate (it is built on the same
  * dependency-free tokenizer as the rest of vsgpu_lint, not a C++
- * frontend); the solvers themselves are exact over the IR they are
- * given, which is what tests/lint/test_dataflow.cc pins down
- * table-driven.
+ * frontend); the solver itself is exact over the IR it is given,
+ * which is what tests/lint/test_dataflow.cc pins down table-driven.
  */
 
 #ifndef VSGPU_TOOLS_LINT_DATAFLOW_HH
@@ -71,8 +63,6 @@ struct Stmt
     std::vector<std::string> uses; ///< identifier roots read
     std::vector<CallRef> calls;
     bool isReturn = false;
-    /** Range-for loop header: container the loop iterates. */
-    std::string rangeContainer;
     std::size_t tokBegin = 0; ///< token index range in the file's
     std::size_t tokEnd = 0;   ///< token vector (end exclusive)
     std::size_t offset = 0;   ///< byte offset of the first token
@@ -96,32 +86,6 @@ struct Cfg
  */
 Cfg buildCfg(const std::vector<Token> &tokens, std::size_t begin,
              std::size_t end);
-
-/** A definition site: (block index, statement index). */
-struct DefSite
-{
-    int block = 0;
-    int stmt = 0;
-    bool operator<(const DefSite &o) const
-    {
-        return block != o.block ? block < o.block : stmt < o.stmt;
-    }
-    bool operator==(const DefSite &o) const
-    {
-        return block == o.block && stmt == o.stmt;
-    }
-};
-
-/** Variable name -> definition sites that may reach a point. */
-using ReachEnv = std::map<std::string, std::set<DefSite>>;
-
-/**
- * Forward reaching-definitions: returns the environment at the entry
- * of each block.  A non-through definition of x kills prior defs of
- * x; a through-write (p->x = ..., *p = ...) is a may-def and only
- * adds.
- */
-std::vector<ReachEnv> reachingDefs(const Cfg &cfg);
 
 /** Tag sets used by the taint instantiation of the solver. */
 using TagSet = std::set<std::string>;

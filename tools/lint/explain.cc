@@ -9,7 +9,7 @@
  * program a family fires on and the *_clean twin the smallest fix —
  * so --explain stays in sync with what the analysis actually
  * accepts.  Explanations are keyed by family; asking for a dotted id
- * ("fp-determinism.locked-reduction") prints the family entry with the
+ * ("unit-flow.mixed-units") prints the family entry with the
  * sub-rule's specifics first.
  */
 
@@ -80,32 +80,11 @@ const Explanation kExplanations[] = {
      "another.",
      "    double r = volts.raw(); solver.setCurrent(r);",
      "    solver.setCurrent(amps);  // keep the Quantity type",
-     "// vsgpu-lint: raw-ok(<reason>)",
-     {}},
-    {"determinism-taint",
-     "Taint tracking from nondeterminism sources (clock, RNG, "
-     "pointer-as-value, unordered iteration) into observable "
-     "outputs: stats, traces, summary JSON.",
-     "    stats.set(\"elapsed\", clock::now() - t0);",
-     "    stats.set(\"steps\", stepCount);  // logical time only",
-     "// vsgpu-lint: nondet-ok(<reason>)",
-     {}},
-    {"fp-determinism",
-     "FP addition is not associative: a lock or atomic makes a "
-     "reduction race-free but leaves its order up to the scheduler, "
-     "silently breaking the jobs-1-vs-N bitwise-identity invariant "
-     "the sweep tests enforce.",
-     "    pool.parallelFor(n, [&](std::size_t i) {\n"
-     "        std::lock_guard<std::mutex> g(mu);\n"
-     "        total += contribution(i); });   // order = schedule",
-     "    pool.parallelFor(n, [&](std::size_t i) {\n"
-     "        part[i] = contribution(i); });\n"
-     "    for (double p : part) total += p;   // index order, stable",
-     "// vsgpu-lint: fp-order-ok(<reason>)",
-     {{"locked-reduction", "a serialized FP accumulation from a "
-       "pool task (lock or atomic; order still unstable)"},
-      {"unordered-reduction", "an FP sum iterating a container "
-       "whose unordered-ness is declared in another TU"}}},
+     "// vsgpu-lint: unit-flow-ok(<reason>)",
+     {{"mixed-units", "an additive expression mixes values tagged "
+       "with different units"},
+      {"arg-mismatch", "a unit-tagged argument flows into a "
+       "parameter declared with another unit"}}},
 };
 // clang-format on
 

@@ -2,7 +2,7 @@
  * @file
  * vsgpu_lint — project-specific static analysis for the vsgpu tree.
  *
- * Seven check families enforce the invariants the codebase's tests
+ * Five check families enforce the invariants the codebase's tests
  * and type system rely on, as machine-checked rules instead of
  * convention.  Each encodes something specific to this project that
  * no stock tool (compiler warnings, clang-tidy, ASan/UBSan/TSan)
@@ -18,8 +18,10 @@
  *   raw-escape        Quantity::raw() called outside the numeric
  *                     core (circuit/verify/solver boundary files)
  *
- * plus the three project-wide semantic families declared in
- * semantic.hh (unit-flow, determinism-taint, fp-determinism).
+ * plus the project-wide semantic family declared in semantic.hh
+ * (unit-flow).  Bitwise identity across --jobs is not a lint
+ * family: the jobs-1-vs-N byte-identity gate over every scenario
+ * (tests/obs/test_obs_determinism.cc) tests it directly.
  *
  * The analysis is a deliberately small token-level frontend: it scrubs
  * comments and string literals, tokenizes, and pattern-matches — no
@@ -32,7 +34,7 @@
  *   // vsgpu-lint: unordered-ok(<reason>)  determinism (iteration)
  *   // vsgpu-lint: iostream-ok(<reason>)   determinism (direct stdio)
  *   // vsgpu-lint: raw-escape-ok(<reason>) raw-escape
- *   // vsgpu-lint: fp-order-ok(<reason>)   fp-determinism
+ *   // vsgpu-lint: unit-flow-ok(<reason>)  unit-flow
  * A waiver on the diagnosed line or the line above it applies.
  */
 
@@ -49,11 +51,9 @@ namespace vsgpu::lint
 {
 
 /** Check families, in severity-neutral declaration order.  The
- *  first four are per-file token-level families; the rest are
- *  project-wide semantic families built on the symbol index /
- *  dataflow core (semantic.hh, dataflow.hh).  The last one
- *  (fp-determinism) guards the jobs-1-vs-N bitwise-identity
- *  invariant of the pool-parallel sweeps. */
+ *  first four are per-file token-level families; the last is the
+ *  project-wide semantic family built on the symbol index /
+ *  dataflow core (semantic.hh, dataflow.hh). */
 enum class Check
 {
     UnitSafety,
@@ -61,18 +61,15 @@ enum class Check
     Contracts,
     RawEscape,
     UnitFlow,
-    DeterminismTaint,
-    FpDeterminism,
 };
 
 /** Every family, in declaration order (CLI listings, round-trips). */
 inline constexpr Check kAllChecks[] = {
-    Check::UnitSafety, Check::Determinism,      Check::Contracts,
-    Check::RawEscape,  Check::UnitFlow,         Check::DeterminismTaint,
-    Check::FpDeterminism,
+    Check::UnitSafety, Check::Determinism, Check::Contracts,
+    Check::RawEscape,  Check::UnitFlow,
 };
 
-/** True for the project-wide semantic families. */
+/** True for the project-wide semantic family (unit-flow). */
 bool isProjectCheck(Check check);
 
 /** Stable kebab-case name used on the CLI and in baseline files. */
@@ -90,7 +87,7 @@ struct Diagnostic
     std::string message;
     /**
      * Stable dotted diagnostic id ("unit-flow.mixed-units"),
-     * set by the semantic families.  Empty for the token-level
+     * set by the semantic family.  Empty for the token-level
      * families, whose fingerprints predate ids and must stay stable;
      * when set, it replaces the family name in fingerprints and is
      * the SARIF ruleId.
@@ -261,8 +258,8 @@ void writeSarif(std::ostream &os,
 /**
  * Print the rationale, a minimal violating/fixed example pair (from
  * the fixture corpus), and the waiver syntax for @p idOrFamily — a
- * dotted diagnostic id ("fp-determinism.locked-reduction") or a
- * family name ("fp-determinism").  Returns false for an unknown id (the
+ * dotted diagnostic id ("unit-flow.mixed-units") or a family name
+ * ("unit-flow").  Returns false for an unknown id (the
  * CLI maps that to exit status 2).
  */
 bool explainDiagnostic(std::string_view idOrFamily,

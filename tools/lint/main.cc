@@ -13,7 +13,8 @@
  * compile database (<build-dir>/compile_commands.json, default
  * build dir "build") plus every header under src/, bench/, and
  * tools/ — headers never appear in a compile database but carry the
- * interfaces the unit-safety family polices.  Explicit file
+ * interfaces the unit-safety family polices and the contract tags
+ * the contracts family checks everywhere.  Explicit file
  * arguments are linted with every enabled check regardless of path
  * scoping (fixture tests rely on this).  --timings writes
  * wall-clock and per-family seconds/finding counts as JSON for the
@@ -229,9 +230,8 @@ main(int argc, char **argv)
                     targets.push_back(canon);
             }
             // Headers never appear in the compile database; the
-            // unit-safety family lives in src/ headers and
-            // fp-determinism covers bench/ and tools/ (they submit
-            // to pools too).
+            // unit-safety family lives in src/ headers and contracts
+            // applies everywhere, bench/ and tools/ included.
             if (!repoRoot.empty()) {
                 for (const char *tree : {"src", "bench", "tools"}) {
                     const fs::path dir = repoRoot / tree;
@@ -267,8 +267,7 @@ main(int argc, char **argv)
         }
 
         // The Project owns the sources: it tokenizes every file
-        // once and builds the symbol index the semantic families
-        // consume.
+        // once and builds the symbol index unit-flow consumes.
         Project project(std::move(loaded));
         const std::vector<SourceFile> &sources = project.sources();
 

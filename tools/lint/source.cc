@@ -29,10 +29,6 @@ checkName(Check check)
         return "raw-escape";
       case Check::UnitFlow:
         return "unit-flow";
-      case Check::DeterminismTaint:
-        return "determinism-taint";
-      case Check::FpDeterminism:
-        return "fp-determinism";
     }
     return "unknown";
 }
@@ -52,9 +48,7 @@ parseCheckName(std::string_view name, Check &out)
 bool
 isProjectCheck(Check check)
 {
-    return check == Check::UnitFlow ||
-           check == Check::DeterminismTaint ||
-           check == Check::FpDeterminism;
+    return check == Check::UnitFlow;
 }
 
 namespace
@@ -299,12 +293,6 @@ checkAppliesTo(Check check, std::string_view display)
         // Simulation code: everything under src/.  Benches and tests
         // may time themselves; the simulator must not.
         return pathContains(display, "src/");
-      case Check::FpDeterminism:
-        // Everything that runs pool tasks: the library, the scenario
-        // drivers, and the tools.
-        return pathContains(display, "src/") ||
-               pathContains(display, "bench/") ||
-               pathContains(display, "tools/");
       case Check::Contracts:
         return true;
       case Check::RawEscape:
@@ -327,10 +315,6 @@ checkAppliesTo(Check check, std::string_view display)
         }
         return true;
       }
-      case Check::DeterminismTaint:
-        // Observable outputs are produced by src/; benches and tests
-        // route everything through the library sinks.
-        return pathContains(display, "src/");
     }
     return false;
 }
@@ -357,9 +341,7 @@ runChecks(const SourceFile &src, const std::vector<Check> &checks,
             checkRawEscape(src, out);
             break;
           case Check::UnitFlow:
-          case Check::DeterminismTaint:
-          case Check::FpDeterminism:
-            // Project-wide semantic families: runProjectChecks.
+            // Project-wide semantic family: runProjectChecks.
             break;
         }
     }

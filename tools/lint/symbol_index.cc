@@ -1,15 +1,14 @@
 /**
  * @file
- * Project-wide symbol index for vsgpu_lint's semantic families
- * (semantic.hh): function/method definitions with parameter lists,
- * callee names, lock-taking and FP-accumulation summaries, and the
- * atomic / FP / unordered name sets.  Also the Project façade and
- * the semantic-family dispatcher.
+ * Project-wide symbol index for vsgpu_lint's semantic family
+ * (semantic.hh): function/method definitions with their class and
+ * parameter lists.  Also the Project façade and the semantic-family
+ * dispatcher.
  *
  * The parser is the same dependency-free token scan as the rest of
  * the linter.  It tracks a brace-context stack (namespace / class /
- * function / other) so namespace-scope variables and member fields
- * are told apart, and recognizes function definitions by the shape
+ * function / other) so only namespace- and class-scope names can
+ * start a definition, and recognizes function definitions by the shape
  * `name ( params ) qualifiers { body }` — including constructor
  * initializer lists and trailing return types.  Misparses degrade to
  * missing index entries, which suppress findings; they never invent
@@ -17,9 +16,6 @@
  */
 
 #include "semantic.hh"
-
-#include "concurrency_model.hh"
-#include "dataflow.hh"
 
 #include <algorithm>
 
@@ -70,9 +66,20 @@ isReservedWord(std::string_view t)
            t == "decltype" || t == "requires" || t == "concept";
 }
 
-using cm::isFpTypeName;
-using cm::isLockType;
-using cm::skipBalanced;
+/** Index of the token closing the group opened by tokens[open]. */
+std::size_t
+skipBalanced(const TokenVec &tokens, std::size_t open,
+             std::string_view openText, std::string_view closeText)
+{
+    int depth = 0;
+    for (std::size_t i = open; i < tokens.size(); ++i) {
+        if (tokens[i].text == openText)
+            ++depth;
+        else if (tokens[i].text == closeText && --depth == 0)
+            return i;
+    }
+    return tokens.size();
+}
 
 /** Parse one parameter list into ParamInfo records. */
 std::vector<ParamInfo>
@@ -203,23 +210,9 @@ findBodyBrace(const TokenVec &tokens, std::size_t closeParen)
     return npos;
 }
 
-/** Statement start: walk back to the nearest ; { or }. */
-std::size_t
-stmtStart(const TokenVec &tokens, std::size_t i)
-{
-    while (i > 0) {
-        const std::string_view t = tokens[i - 1].text;
-        if (t == ";" || t == "{" || t == "}")
-            break;
-        --i;
-    }
-    return i;
-}
-
-/** Pass 1: declarations, contexts, and function shells. */
+/** Scan one file's contexts and function definitions. */
 void
-scanFile(int fileIndex, const SourceFile &src, const TokenVec &toks,
-         SymbolIndex &index)
+scanFile(int fileIndex, const TokenVec &toks, SymbolIndex &index)
 {
     std::vector<Frame> stack{{Ctx::Namespace, ""}};
     Ctx pending = Ctx::Other;
@@ -287,53 +280,6 @@ scanFile(int fileIndex, const SourceFile &src, const TokenVec &toks,
         const std::string_view prev =
             i > 0 ? toks[i - 1].text : std::string_view{};
 
-        // ---- atomic / unordered name sets ------------------------
-        if ((t == "atomic" || t == "atomic_flag" ||
-             t == "unordered_map" || t == "unordered_set" ||
-             t == "unordered_multimap" ||
-             t == "unordered_multiset")) {
-            std::size_t j = i + 1;
-            bool fpArg = false;
-            if (j < toks.size() && toks[j].text == "<") {
-                int depth = 0;
-                for (; j < toks.size(); ++j) {
-                    if (toks[j].text == "<")
-                        ++depth;
-                    else if (toks[j].text == ">")
-                        --depth;
-                    else if (toks[j].text == ">>")
-                        depth -= 2;
-                    else if (isFpTypeName(toks[j].text))
-                        fpArg = true;
-                    if (depth <= 0) {
-                        ++j;
-                        break;
-                    }
-                }
-            }
-            while (j < toks.size() && (toks[j].text == "&" ||
-                                       toks[j].text == "*"))
-                ++j;
-            if (j < toks.size() &&
-                toks[j].kind == Token::Kind::Identifier) {
-                const std::string name(toks[j].text);
-                const DeclSite site{fileIndex,
-                                    src.lineOf(toks[j].offset)};
-                if (t == "atomic" || t == "atomic_flag") {
-                    index.atomics.insert(name);
-                    // atomic<double> accumulations are race-free
-                    // but still scheduling-order-dependent.
-                    if (fpArg)
-                        index.fpNames.insert(name);
-                } else {
-                    index.unorderedVars[fileIndex].insert(name);
-                    index.unorderedDecl.emplace(name, site);
-                }
-            }
-            continue;
-        }
-
-        // ---- function definition? -------------------------------
         const bool callCtx = prev == "." || prev == "->";
         if (next == "(" && !callCtx &&
             (current().ctx == Ctx::Namespace ||
@@ -371,100 +317,13 @@ scanFile(int fileIndex, const SourceFile &src, const TokenVec &toks,
                         index.functions.size());
                     index.byName[fn.name].push_back(id);
                     index.functions.push_back(std::move(fn));
-                    // The body is scanned by the main loop too (for
-                    // atomic/unordered names); mark its context.
+                    // The body is scanned by the main loop too;
+                    // mark its context.
                     pending = Ctx::Function;
                     havePending = true;
-                    continue;
                 }
             }
         }
-
-        // ---- variable declarations ------------------------------
-        const bool typeBefore =
-            i > 0 &&
-            ((toks[i - 1].kind == Token::Kind::Identifier &&
-              !isReservedWord(prev)) ||
-             isTypeKeyword(prev) || prev == ">" || prev == "&" ||
-             prev == "*");
-        if (!typeBefore || !(next == "=" || next == ";" || next == "{"))
-            continue;
-        // `foo} name =` style misparses guard: statement window.
-        const std::size_t start = stmtStart(toks, i);
-        bool hasConst = false, skip = false, chained = false;
-        bool fpType = false;
-        for (std::size_t k = start; k < i; ++k) {
-            const std::string_view s = toks[k].text;
-            if (s == "const" || s == "constexpr")
-                hasConst = true;
-            if (s == "using" || s == "return" || s == "namespace" ||
-                s == "template" || s == "typedef" ||
-                s == "operator" || s == "=")
-                skip = true;
-            if (s == "." || s == "->")
-                chained = true;
-            if (isFpTypeName(s))
-                fpType = true;
-        }
-        // Const FP state is read-only: never an accumulator.
-        if (skip || chained || hasConst || !fpType)
-            continue;
-        if (current().ctx == Ctx::Namespace)
-            index.fpNames.insert(std::string(t));
-        else if (current().ctx == Ctx::Class &&
-                 !current().className.empty())
-            index.fpNames.insert(current().className +
-                                 "::" + std::string(t));
-    }
-}
-
-/** Pass 2: per-body callee, lock, and FP-accumulation summaries. */
-void
-summarizeBody(FunctionDef &fn, const TokenVec &toks,
-              const SymbolIndex &index)
-{
-    for (std::size_t i = fn.bodyBegin; i < fn.bodyEnd; ++i)
-        if (toks[i].kind == Token::Kind::Identifier &&
-            isLockType(toks[i].text))
-            fn.takesLock = true;
-
-    const df::Cfg cfg = df::buildCfg(toks, fn.bodyBegin, fn.bodyEnd);
-
-    std::set<std::string> locals;
-    std::set<std::string> paramNames;
-    for (const ParamInfo &p : fn.params)
-        if (!p.name.empty())
-            paramNames.insert(p.name);
-    for (const df::Block &block : cfg.blocks)
-        for (const df::Stmt &stmt : block.stmts) {
-            if (stmt.declares)
-                locals.insert(stmt.defs.begin(), stmt.defs.end());
-            for (const df::CallRef &call : stmt.calls)
-                fn.calls.insert(call.callee);
-        }
-
-    // FP accumulations into shared state: `x += e`, `x -= e`,
-    // `x *= e`, `x /= e`, and the spelled-out `x = x + e` — where x
-    // is an FP-typed global, a field of this class, or an FP atomic.
-    for (std::size_t i = fn.bodyBegin; i + 1 < fn.bodyEnd; ++i) {
-        if (toks[i].kind != Token::Kind::Identifier)
-            continue;
-        const std::string_view op = toks[i + 1].text;
-        bool accum = cm::isAccumOp(op);
-        if (!accum && op == "=" && i + 3 < fn.bodyEnd)
-            accum = toks[i + 2].text == toks[i].text &&
-                    (toks[i + 3].text == "+" ||
-                     toks[i + 3].text == "-");
-        if (!accum)
-            continue;
-        const std::string name(toks[i].text);
-        if (locals.count(name) || paramNames.count(name))
-            continue;
-        if (index.fpNames.count(name))
-            fn.fpAccumulates.insert(name);
-        else if (!fn.className.empty() &&
-                 index.fpNames.count(fn.className + "::" + name))
-            fn.fpAccumulates.insert(fn.className + "::" + name);
     }
 }
 
@@ -476,11 +335,7 @@ buildSymbolIndex(const std::vector<SourceFile> &sources,
 {
     SymbolIndex index;
     for (std::size_t f = 0; f < sources.size(); ++f)
-        scanFile(static_cast<int>(f), sources[f], tokens[f], index);
-    for (FunctionDef &fn : index.functions)
-        summarizeBody(
-            fn, tokens[static_cast<std::size_t>(fn.fileIndex)],
-            index);
+        scanFile(static_cast<int>(f), tokens[f], index);
     return index;
 }
 
@@ -491,7 +346,6 @@ Project::Project(std::vector<SourceFile> sources)
     for (const SourceFile &src : sources_)
         tokens_.push_back(tokenize(src.code()));
     index_ = buildSymbolIndex(sources_, tokens_);
-    propagateEffects(index_);
 }
 
 const std::vector<int> &
@@ -508,21 +362,9 @@ runProjectChecks(const Project &project,
                  std::vector<Diagnostic> &out)
 {
     std::vector<Diagnostic> raw;
-    for (Check check : checks) {
-        switch (check) {
-          case Check::UnitFlow:
-            checkUnitFlow(project, raw);
-            break;
-          case Check::DeterminismTaint:
-            checkDeterminismTaint(project, raw);
-            break;
-          case Check::FpDeterminism:
-            checkFpDeterminism(project, raw);
-            break;
-          default:
-            break;
-        }
-    }
+    if (std::find(checks.begin(), checks.end(), Check::UnitFlow) !=
+        checks.end())
+        checkUnitFlow(project, raw);
     for (Diagnostic &diag : raw)
         if (ignoreScope || checkAppliesTo(diag.check, diag.file))
             out.push_back(std::move(diag));
