@@ -18,6 +18,7 @@
 #include "pdn/impedance.hh"
 #include "pdn/vs_pdn.hh"
 #include "sim/cosim.hh"
+#include "sim/pds_setup.hh"
 #include "workloads/suite.hh"
 
 namespace
@@ -215,6 +216,61 @@ BM_SolverSolveDense(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SolverSolveDense);
+
+/**
+ * The circuit-engine share of paper Fig. 9's worst case: the same
+ * imbalance event (all SMs loaded, layer 0 dropped to zero half way
+ * through) replayed through TransientSim alone on the cross-layer
+ * 0.2x netlist, for the 16,800 steps the fig09_worst_transient
+ * scenario simulates.  One iteration is one whole replay; the
+ * transient setup and DC start are excluded from the timing.
+ * check_bench.py gates the dense/sparse ratio (fig09_circuit_speedup)
+ * against a hard floor in BENCH_circuit.json.
+ */
+void
+fig09Replay(benchmark::State &state, SolverKind solver)
+{
+    constexpr int kSteps = 16800;
+    CosimConfig cfg;
+    cfg.pds = defaultPds(PdsKind::VsCrossLayer);
+    cfg.pds.ivrAreaFraction = 0.2;
+    const std::shared_ptr<const PdsSetup> setup = buildPdsSetup(cfg);
+    const VsPdn &pdn = *setup->vs;
+    for (auto _ : state) {
+        state.PauseTiming();
+        TransientSim sim(setup->netlist(), config::clockPeriod.raw(),
+                         solver, setup->mnaPattern);
+        sim.initFromDc(setup->dcNodeVolts);
+        for (int sm = 0; sm < config::numSMs; ++sm)
+            sim.setCurrent(pdn.smCurrentSource(sm), 5.0);
+        state.ResumeTiming();
+        for (int i = 0; i < kSteps; ++i) {
+            if (i == kSteps / 2) {
+                // The fig09 event: one full layer of SMs halts.
+                for (int sm = 0; sm < config::numSMs; ++sm)
+                    if (pdn.smLayer(sm) == 0)
+                        sim.setCurrent(pdn.smCurrentSource(sm), 0.0);
+            }
+            sim.step();
+        }
+        benchmark::DoNotOptimize(sim.nodeVoltage(1));
+    }
+    state.SetItemsProcessed(state.iterations() * kSteps);
+}
+
+void
+BM_Fig09ReplaySparse(benchmark::State &state)
+{
+    fig09Replay(state, SolverKind::Sparse);
+}
+BENCHMARK(BM_Fig09ReplaySparse);
+
+void
+BM_Fig09ReplayDense(benchmark::State &state)
+{
+    fig09Replay(state, SolverKind::Dense);
+}
+BENCHMARK(BM_Fig09ReplayDense);
 
 void
 BM_AcSolve(benchmark::State &state)

@@ -16,23 +16,9 @@ namespace vsgpu::scen
 namespace
 {
 
-struct KindRow
-{
-    PdsKind kind;
-    const char *id; // metric-name stem
-};
-
-constexpr KindRow kKinds[] = {
-    {PdsKind::ConventionalVrm, "conventional_vrm"},
-    {PdsKind::SingleLayerIvr, "single_layer_ivr"},
-    {PdsKind::VsCircuitOnly, "vs_circuit_only"},
-    {PdsKind::VsCrossLayer, "vs_cross_layer"},
-};
-constexpr int kNumKinds = 4;
-
 struct Run
 {
-    int kind; // index into kKinds
+    int kind; // index into kPdsKinds
     Benchmark bench;
 };
 
@@ -45,7 +31,7 @@ runTable3PdsComparison(ScenarioContext &ctx)
     const int nb = static_cast<int>(benches.size());
 
     std::vector<Run> runs;
-    for (int k = 0; k < kNumKinds; ++k)
+    for (int k = 0; k < kNumPdsKinds; ++k)
         for (Benchmark b : benches)
             runs.push_back({k, b});
 
@@ -53,10 +39,10 @@ runTable3PdsComparison(ScenarioContext &ctx)
         ctx.pool, runs, /*sweepSeed=*/3,
         [&ctx](const Run &run, exec::TaskContext &) {
             CosimConfig cfg;
-            cfg.pds = defaultPds(kKinds[run.kind].kind);
+            cfg.pds = defaultPds(kPdsKinds[run.kind].kind);
             cfg.maxCycles = ctx.cycles(defaultMaxCycles);
             const std::string label =
-                std::string(kKinds[run.kind].id) + "/" +
+                std::string(kPdsKinds[run.kind].id) + "/" +
                 benchmarkName(run.bench);
             return runPoint(ctx, cfg, run.bench, label);
         });
@@ -67,7 +53,7 @@ runTable3PdsComparison(ScenarioContext &ctx)
 
     Summary summary;
     double pdeVrm = 0.0, pdeCross = 0.0, pdeCircuit = 0.0;
-    for (int k = 0; k < kNumKinds; ++k) {
+    for (int k = 0; k < kNumPdsKinds; ++k) {
         double loadJ = 0.0, wallJ = 0.0;
         for (int j = 0; j < nb; ++j) {
             const CosimResult &r =
@@ -76,7 +62,7 @@ runTable3PdsComparison(ScenarioContext &ctx)
             wallJ += r.energy.wall;
         }
         const double pde = loadJ / wallJ;
-        const PdsKind kind = kKinds[k].kind;
+        const PdsKind kind = kPdsKinds[k].kind;
         const PdsOptions options = defaultPds(kind);
         const Area area = pdsAreaOverhead(options);
         table.beginRow()
@@ -85,7 +71,7 @@ runTable3PdsComparison(ScenarioContext &ctx)
             .cell(area / 1.0_mm2, 1)
             .cell(area / config::gpuDieArea, 2)
             .endRow();
-        const std::string stem = kKinds[k].id;
+        const std::string stem = kPdsKinds[k].id;
         summary.add("pde_" + stem, pde, 0.02);
         summary.add("area_mm2_" + stem, area / 1.0_mm2, 1e-6);
         if (kind == PdsKind::ConventionalVrm)

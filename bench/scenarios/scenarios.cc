@@ -18,11 +18,27 @@ const std::vector<ScenarioInfo> &
 allScenarios()
 {
     static const std::vector<ScenarioInfo> scenarios = {
+        {"fig03_impedance", "effective impedance of the VS GPU",
+         &runFig03Impedance},
         {"table2_detectors", "voltage detector options",
          &runTable2Detectors},
         {"table3_pds_comparison",
          "comparison of power delivery subsystems (all 12 benchmarks)",
          &runTable3PdsComparison},
+        {"fig08_pde_breakdown",
+         "PDE and power breakdown across benchmarks",
+         &runFig08PdeBreakdown},
+        {"fig09_worst_transient",
+         "transient waveforms under worst-case imbalance (layer "
+         "halted at 3 us)",
+         &runFig09WorstTransient},
+        {"fig10_sensitivity",
+         "worst droop vs CR-IVR area and control latency",
+         &runFig10Sensitivity},
+        {"fig11_noise_distribution",
+         "noise distribution across benchmarks and the worst case "
+         "(0.2x CR-IVR)",
+         &runFig11NoiseDistribution},
         {"fig12_threshold_sweep",
          "performance penalty vs controller threshold",
          &runFig12ThresholdSweep},
@@ -42,6 +58,25 @@ allScenarios()
          "vertical-pair current-imbalance distribution under power "
          "management",
          &runFig17Imbalance},
+        {"ctl_stability",
+         "closed-loop stability and disturbance-gain analysis",
+         &runCtlStability},
+        {"spectrum_analysis",
+         "spectral split of layer-imbalance currents (basis of "
+         "Section IV)",
+         &runSpectrumAnalysis},
+        {"ablation_stacking",
+         "stacking geometry: re-partitioning 16 SMs into 2x8 / 4x4 / "
+         "8x2",
+         &runAblationStacking},
+        {"ablation_pi_controller",
+         "P vs PI smoothing: integral action against sustained "
+         "imbalance",
+         &runAblationPiController},
+        {"ablation_loadline",
+         "VRM load-line regulation: remote-sense servo on the "
+         "conventional baseline",
+         &runAblationLoadline},
     };
     return scenarios;
 }

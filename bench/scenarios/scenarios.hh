@@ -3,12 +3,10 @@
  * Registry of the paper's figure/table scenarios as library
  * functions.
  *
- * Each hot bench binary used to be a standalone main() with a serial
- * loop over co-simulation runs.  The scenario library factors those
- * loops into functions of a ScenarioContext, so the same code backs
- * three frontends:
- *   - the bench binaries (bench/fig12_threshold_sweep etc., now thin
- *     wrappers over scenarioMain()),
+ * Every paper experiment is a function of a ScenarioContext, so the
+ * same code backs three frontends:
+ *   - the bench binaries (bench/fig12_threshold_sweep etc.), each
+ *     bench/scenario_main.cc compiled with its scenario's name,
  *   - tools/record_golden, which dumps each scenario's Summary into
  *     tests/golden/<scenario>.json,
  *   - the tier-1 golden regression tests, which replay scenarios at
@@ -213,7 +211,7 @@ Summary runScenario(const ScenarioInfo &info,
                     ScenarioTelemetry *telemetry = nullptr);
 
 /**
- * Shared main() for the thin bench binaries.  Flags:
+ * Shared main() of the bench binaries.  Flags:
  *   --jobs N              worker threads (default: hw concurrency)
  *   --scale X             workload scale (default 1.0)
  *   --json PATH           also write the Summary as JSON to PATH
@@ -229,6 +227,11 @@ Summary runScenario(const ScenarioInfo &info,
 int scenarioMain(const char *name, int argc, char **argv);
 
 // Scenario implementations (one translation unit each).
+Summary runFig03Impedance(ScenarioContext &ctx);
+Summary runFig08PdeBreakdown(ScenarioContext &ctx);
+Summary runFig09WorstTransient(ScenarioContext &ctx);
+Summary runFig10Sensitivity(ScenarioContext &ctx);
+Summary runFig11NoiseDistribution(ScenarioContext &ctx);
 Summary runFig12ThresholdSweep(ScenarioContext &ctx);
 Summary runFig13ActuatorTradeoff(ScenarioContext &ctx);
 Summary runFig14PenaltySaving(ScenarioContext &ctx);
@@ -237,6 +240,11 @@ Summary runFig16Pg(ScenarioContext &ctx);
 Summary runFig17Imbalance(ScenarioContext &ctx);
 Summary runTable2Detectors(ScenarioContext &ctx);
 Summary runTable3PdsComparison(ScenarioContext &ctx);
+Summary runCtlStability(ScenarioContext &ctx);
+Summary runSpectrumAnalysis(ScenarioContext &ctx);
+Summary runAblationStacking(ScenarioContext &ctx);
+Summary runAblationPiController(ScenarioContext &ctx);
+Summary runAblationLoadline(ScenarioContext &ctx);
 
 } // namespace vsgpu::scen
 

@@ -1,12 +1,11 @@
 #include "bench/scenarios/summary.hh"
 
-#include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "common/check.hh"
+#include "obs/json.hh"
 
 namespace vsgpu::scen
 {
@@ -20,241 +19,13 @@ Summary::find(const std::string &name) const
     return nullptr;
 }
 
-namespace
-{
-
-/** Shortest round-trip-exact representation of a double. */
-std::string
-formatDouble(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // Prefer a shorter form when it round-trips exactly.
-    for (int prec = 1; prec < 17; ++prec) {
-        char shorter[40];
-        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-        double back = 0.0;
-        std::sscanf(shorter, "%lf", &back);
-        if (back == v)
-            return shorter;
-    }
-    return buf;
-}
-
-std::string
-quote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-/** Minimal parser for the JSON subset writeSummaryJson emits. */
-class Parser
-{
-  public:
-    explicit Parser(std::istream &is)
-    {
-        std::ostringstream buf;
-        buf << is.rdbuf();
-        text_ = buf.str();
-    }
-
-    Summary
-    parse()
-    {
-        Summary out;
-        expect('{');
-        bool first = true;
-        while (peek() != '}') {
-            if (!first)
-                expect(',');
-            first = false;
-            const std::string key = parseString();
-            expect(':');
-            if (key == "scenario") {
-                out.scenario = parseString();
-            } else if (key == "scale") {
-                out.scale = parseNumber();
-            } else if (key == "manifest") {
-                parseManifest(out.manifest);
-            } else if (key == "metrics") {
-                parseMetrics(out);
-            } else if (key == "tasks") {
-                parseTasks(out);
-            } else {
-                panic("summary JSON: unknown key '", key, "'");
-            }
-        }
-        expect('}');
-        return out;
-    }
-
-  private:
-    void
-    parseManifest(obs::Manifest &m)
-    {
-        m.valid = true;
-        expect('{');
-        bool first = true;
-        while (peek() != '}') {
-            if (!first)
-                expect(',');
-            first = false;
-            const std::string key = parseString();
-            expect(':');
-            const std::string value = parseString();
-            if (key == "tool")
-                m.tool = value;
-            else if (key == "version")
-                m.version = value;
-            else if (key == "build")
-                m.build = value;
-            else if (key == "subject")
-                m.subject = value;
-            else if (key == "config_fingerprint")
-                m.configFingerprint = value;
-            else if (key == "seed")
-                m.seed = std::stoull(value);
-            else if (key == "scale")
-                m.scale = std::stod(value);
-            else
-                panic("summary JSON: unknown manifest key '", key,
-                      "'");
-        }
-        expect('}');
-    }
-
-    void
-    parseMetrics(Summary &out)
-    {
-        expect('[');
-        while (peek() != ']') {
-            if (!out.metrics.empty())
-                expect(',');
-            SummaryMetric m;
-            expect('{');
-            bool first = true;
-            while (peek() != '}') {
-                if (!first)
-                    expect(',');
-                first = false;
-                const std::string key = parseString();
-                expect(':');
-                if (key == "name")
-                    m.name = parseString();
-                else if (key == "value")
-                    m.value = parseNumber();
-                else if (key == "tol")
-                    m.tol = parseNumber();
-                else
-                    panic("summary JSON: unknown metric key '", key,
-                          "'");
-            }
-            expect('}');
-            out.metrics.push_back(std::move(m));
-        }
-        expect(']');
-    }
-
-    void
-    parseTasks(Summary &out)
-    {
-        expect('[');
-        while (peek() != ']') {
-            if (!out.taskRecords.empty())
-                expect(',');
-            SummaryTask t;
-            expect('{');
-            bool first = true;
-            while (peek() != '}') {
-                if (!first)
-                    expect(',');
-                first = false;
-                const std::string key = parseString();
-                expect(':');
-                if (key == "batch")
-                    t.batch = static_cast<int>(parseNumber());
-                else if (key == "task")
-                    t.task = static_cast<int>(parseNumber());
-                else if (key == "wall_ms")
-                    t.wallMs = parseNumber();
-                else
-                    panic("summary JSON: unknown task key '", key,
-                          "'");
-            }
-            expect('}');
-            out.taskRecords.push_back(t);
-        }
-        expect(']');
-    }
-
-    char
-    peek()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-        panicIfNot(pos_ < text_.size(),
-                   "summary JSON: unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        panicIfNot(peek() == c, "summary JSON: expected '", c,
-                   "' at byte ", pos_);
-        ++pos_;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\')
-                ++pos_;
-            panicIfNot(pos_ < text_.size(),
-                       "summary JSON: unterminated string");
-            out += text_[pos_++];
-        }
-        panicIfNot(pos_ < text_.size(),
-                   "summary JSON: unterminated string");
-        ++pos_; // closing quote
-        return out;
-    }
-
-    double
-    parseNumber()
-    {
-        peek(); // skip whitespace
-        std::size_t used = 0;
-        const double v = std::stod(text_.substr(pos_), &used);
-        panicIfNot(used != 0, "summary JSON: expected number at byte ",
-                   pos_);
-        pos_ += used;
-        return v;
-    }
-
-    std::string text_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
 void
 writeSummaryJson(const Summary &summary, std::ostream &os)
 {
     os << "{\n"
-       << "  \"scenario\": " << quote(summary.scenario) << ",\n"
-       << "  \"scale\": " << formatDouble(summary.scale) << ",\n";
+       << "  \"scenario\": " << obs::jsonQuote(summary.scenario)
+       << ",\n"
+       << "  \"scale\": " << obs::jsonNumber(summary.scale) << ",\n";
     if (summary.manifest.valid) {
         os << "  \"manifest\": ";
         obs::writeManifestJson(summary.manifest, os, "  ");
@@ -264,9 +35,9 @@ writeSummaryJson(const Summary &summary, std::ostream &os)
     for (std::size_t i = 0; i < summary.metrics.size(); ++i) {
         const SummaryMetric &m = summary.metrics[i];
         os << (i ? ",\n" : "\n")
-           << "    {\"name\": " << quote(m.name)
-           << ", \"value\": " << formatDouble(m.value)
-           << ", \"tol\": " << formatDouble(m.tol) << "}";
+           << "    {\"name\": " << obs::jsonQuote(m.name)
+           << ", \"value\": " << obs::jsonNumber(m.value)
+           << ", \"tol\": " << obs::jsonNumber(m.tol) << "}";
     }
     os << "\n  ]";
     if (!summary.taskRecords.empty()) {
@@ -275,7 +46,8 @@ writeSummaryJson(const Summary &summary, std::ostream &os)
             const SummaryTask &t = summary.taskRecords[i];
             os << (i ? ",\n" : "\n") << "    {\"batch\": " << t.batch
                << ", \"task\": " << t.task
-               << ", \"wall_ms\": " << formatDouble(t.wallMs) << "}";
+               << ", \"wall_ms\": " << obs::jsonNumber(t.wallMs)
+               << "}";
         }
         os << "\n  ]";
     }
@@ -285,8 +57,50 @@ writeSummaryJson(const Summary &summary, std::ostream &os)
 Summary
 readSummaryJson(std::istream &is)
 {
-    Parser parser(is);
-    return parser.parse();
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    obs::JsonReader in(buf.str(), "summary JSON");
+    Summary out;
+    in.object([&](const std::string &key) {
+        if (key == "scenario") {
+            out.scenario = in.string();
+        } else if (key == "scale") {
+            out.scale = in.number();
+        } else if (key == "manifest") {
+            out.manifest = obs::readManifestJson(in);
+        } else if (key == "metrics") {
+            in.array([&](std::size_t) {
+                SummaryMetric &m = out.metrics.emplace_back();
+                in.object([&](const std::string &field) {
+                    if (field == "name")
+                        m.name = in.string();
+                    else if (field == "value")
+                        m.value = in.number();
+                    else if (field == "tol")
+                        m.tol = in.number();
+                    else
+                        in.fail("unknown metric key '", field, "'");
+                });
+            });
+        } else if (key == "tasks") {
+            in.array([&](std::size_t) {
+                SummaryTask &t = out.taskRecords.emplace_back();
+                in.object([&](const std::string &field) {
+                    if (field == "batch")
+                        t.batch = static_cast<int>(in.uint());
+                    else if (field == "task")
+                        t.task = static_cast<int>(in.uint());
+                    else if (field == "wall_ms")
+                        t.wallMs = in.number();
+                    else
+                        in.fail("unknown task key '", field, "'");
+                });
+            });
+        } else {
+            in.fail("unknown key '", key, "'");
+        }
+    });
+    return out;
 }
 
 Summary

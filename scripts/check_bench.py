@@ -4,7 +4,7 @@ fail on regressions.
 
 Usage (solver benches, BENCH_circuit.json):
   check_bench.py --trajectory BENCH_circuit.json
-                 [--fig09 FIG09.json] [--microbench GBENCH.json]
+                 --microbench GBENCH.json
                  [--tolerance 0.10] [--record --note "..."]
 
 Usage (lint wall-clock, BENCH_lint.json):
@@ -39,12 +39,13 @@ recorded speedup ratio fails the check, as does violating a hard
 floor from the trajectory's "floors" table (e.g. the fig09
 worst-transient circuit engine must stay >= 5x).
 
-Inputs (stdlib only, no third-party deps):
-  fig09       JSON written by `fig09_worst_transient --json PATH`
-              (cosim + circuit-engine replay wall clocks).
-  microbench  google-benchmark JSON written by
-              `perf_microbench --benchmark_out=PATH
-               --benchmark_out_format=json`.
+Input (stdlib only, no third-party deps): the google-benchmark JSON
+written by `perf_microbench --benchmark_out=PATH
+--benchmark_out_format=json`.  fig09_circuit_speedup is the ratio of
+BM_Fig09ReplayDense to BM_Fig09ReplaySparse: paper Fig. 9's
+worst-case imbalance (layer 0 halted half way through 16,800 steps)
+replayed through the circuit engine alone on the cross-layer 0.2x
+netlist.
 
 --record appends the fresh numbers as a new trajectory entry instead
 of gating, so the trajectory file is grown by the same tool that
@@ -62,6 +63,8 @@ KERNEL_RATIOS = {
     "step_speedup": ("BM_TransientStepDense", "BM_TransientStep"),
     "refactor_speedup": ("BM_SolverRefactorDense",
                          "BM_SolverRefactorSparse"),
+    "fig09_circuit_speedup": ("BM_Fig09ReplayDense",
+                              "BM_Fig09ReplaySparse"),
 }
 # raw kernel times recorded (ns) for human trend-reading only
 KERNEL_TIMES = (
@@ -98,35 +101,18 @@ def bench_times(doc: dict, path: str) -> dict:
     return times
 
 
-def fresh_metrics(args: argparse.Namespace) -> dict:
-    """Collect {metric: value} from whichever inputs were given."""
+def fresh_metrics(path: str) -> dict:
+    """Collect {metric: value} from a microbench JSON file."""
+    times = bench_times(load_json(path), path)
     fresh = {}
-    if args.fig09:
-        doc = load_json(args.fig09)
-        for key in ("timesteps", "circuit_sparse_sec",
-                    "circuit_dense_sec", "circuit_speedup"):
-            if key not in doc:
-                fail(f"{args.fig09}: missing '{key}'")
-        fresh["fig09_circuit_speedup"] = float(doc["circuit_speedup"])
-        fresh["fig09"] = {
-            "timesteps": doc["timesteps"],
-            "cosim_elapsed_sec": doc.get("cosim_elapsed_sec"),
-            "solver": doc.get("solver"),
-            "circuit_sparse_sec": doc["circuit_sparse_sec"],
-            "circuit_dense_sec": doc["circuit_dense_sec"],
-            "circuit_speedup": doc["circuit_speedup"],
-        }
-    if args.microbench:
-        times = bench_times(load_json(args.microbench),
-                            args.microbench)
-        for ratio, (num, den) in KERNEL_RATIOS.items():
-            if num not in times or den not in times:
-                fail(f"{args.microbench}: missing {num} or {den}")
-            fresh[ratio] = times[num] / times[den]
-        fresh["kernels_ns"] = {
-            name: round(times[name], 1)
-            for name in KERNEL_TIMES if name in times
-        }
+    for ratio, (num, den) in KERNEL_RATIOS.items():
+        if num not in times or den not in times:
+            fail(f"{path}: missing {num} or {den}")
+        fresh[ratio] = times[num] / times[den]
+    fresh["kernels_ns"] = {
+        name: round(times[name], 1)
+        for name in KERNEL_TIMES if name in times
+    }
     return fresh
 
 
@@ -134,11 +120,7 @@ def gate(trajectory: dict, fresh: dict, tolerance: float) -> None:
     entries = trajectory.get("entries", [])
     if not entries:
         fail("trajectory has no entries to compare against")
-    ref = entries[-1]
-    ref_ratios = dict(ref.get("kernel_ratios", {}))
-    if "fig09" in ref:
-        ref_ratios["fig09_circuit_speedup"] = \
-            ref["fig09"]["circuit_speedup"]
+    ref_ratios = entries[-1].get("kernel_ratios", {})
 
     checked = 0
     for name, want in sorted(ref_ratios.items()):
@@ -154,8 +136,7 @@ def gate(trajectory: dict, fresh: dict, tolerance: float) -> None:
                  f"{limit:.2f}x ({want:.2f}x - {tolerance:.0%})")
         checked += 1
     if checked == 0:
-        fail("no fresh metrics overlap the recorded trajectory "
-             "(pass --fig09 and/or --microbench)")
+        fail("no fresh metrics overlap the recorded trajectory")
 
     for name, floor in trajectory.get("floors", {}).items():
         if name not in fresh:
@@ -176,8 +157,6 @@ def record(trajectory: dict, fresh: dict, path: str,
         "date": datetime.date.today().isoformat(),
         "note": note,
     }
-    if "fig09" in fresh:
-        entry["fig09"] = fresh["fig09"]
     ratios = {k: round(v, 3) for k, v in fresh.items()
               if k in KERNEL_RATIOS}
     if ratios:
@@ -316,7 +295,6 @@ def obs_record(trajectory: dict, fresh: dict, path: str,
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trajectory", required=True)
-    parser.add_argument("--fig09")
     parser.add_argument("--microbench")
     parser.add_argument("--lint",
                         help="vsgpu_lint --timings JSON to gate "
@@ -345,7 +323,9 @@ def main() -> None:
         else:
             lint_gate(trajectory, fresh)
         return
-    fresh = fresh_metrics(args)
+    if not args.microbench:
+        fail("pass --microbench, --lint or --obs")
+    fresh = fresh_metrics(args.microbench)
     if args.record:
         record(trajectory, fresh, args.trajectory, args.note)
     else:

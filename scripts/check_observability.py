@@ -46,7 +46,7 @@ import sys
 
 REQUIRED_LAYERS = ("gpu.", "sim.", "circuit.", "control.",
                    "hypervisor.", "exec.")
-KNOWN_KINDS = {"scalar", "counter", "distribution", "formula"}
+KNOWN_KINDS = {"scalar", "counter", "formula"}
 KNOWN_CATEGORIES = {"phase", "pool", "ctl", "hv"}
 MIN_PHASE_SPAN_KINDS = 4
 

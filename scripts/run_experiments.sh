@@ -10,7 +10,7 @@ ctest --test-dir build -j "$(nproc)"
 
 mkdir -p results
 for bench in build/bench/*; do
-    [ -x "$bench" ] || continue
+    [ -f "$bench" ] && [ -x "$bench" ] || continue
     name="$(basename "$bench")"
     case "$name" in
         perf_microbench)

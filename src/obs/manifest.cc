@@ -105,4 +105,31 @@ writeManifestJson(const Manifest &manifest, std::ostream &os,
     os << "\n" << indent << "}";
 }
 
+Manifest
+readManifestJson(JsonReader &in)
+{
+    Manifest m;
+    m.valid = true;
+    in.object([&](const std::string &key) {
+        const std::string value = in.string();
+        if (key == "tool")
+            m.tool = value;
+        else if (key == "version")
+            m.version = value;
+        else if (key == "build")
+            m.build = value;
+        else if (key == "subject")
+            m.subject = value;
+        else if (key == "config_fingerprint")
+            m.configFingerprint = value;
+        else if (key == "seed")
+            m.seed = std::stoull(value);
+        else if (key == "scale")
+            m.scale = std::stod(value);
+        else
+            in.fail("unknown manifest key '", key, "'");
+    });
+    return m;
+}
+
 } // namespace vsgpu::obs

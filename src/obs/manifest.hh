@@ -62,6 +62,12 @@ Manifest makeManifest(std::string tool);
 void writeManifestJson(const Manifest &manifest, std::ostream &os,
                        const std::string &indent);
 
+class JsonReader;
+
+/** Read an object written by writeManifestJson() (panics on an
+ *  unknown key). */
+Manifest readManifestJson(JsonReader &in);
+
 } // namespace vsgpu::obs
 
 #endif // VSGPU_OBS_MANIFEST_HH

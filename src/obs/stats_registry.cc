@@ -17,23 +17,9 @@ statKindName(StatKind kind)
     switch (kind) {
       case StatKind::Scalar:       return "scalar";
       case StatKind::Counter:      return "counter";
-      case StatKind::Distribution: return "distribution";
       case StatKind::Formula:      return "formula";
     }
     return "?";
-}
-
-void
-DistributionStat::add(double x)
-{
-    if (stats_.count() == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    stats_.add(x);
 }
 
 // ---------------- StatsGroup ----------------
@@ -57,14 +43,6 @@ StatsGroup::counter(const std::string &name, const std::string &unit,
 {
     return registry_.addCounter(qualify(name), unit, desc,
                                 scheduleDependent);
-}
-
-DistributionStat &
-StatsGroup::distribution(const std::string &name,
-                         const std::string &unit,
-                         const std::string &desc)
-{
-    return registry_.addDistribution(qualify(name), unit, desc);
 }
 
 FormulaStat &
@@ -94,7 +72,7 @@ StatsRegistry::checkUnique(const std::string &name) const
                            });
     };
     panicIfNot(!clash(scalars_) && !clash(counters_) &&
-                   !clash(distributions_) && !clash(formulas_),
+                   !clash(formulas_),
                "duplicate stat registration: ", name);
 }
 
@@ -120,16 +98,6 @@ StatsRegistry::addCounter(const std::string &name,
     return counters_.back();
 }
 
-DistributionStat &
-StatsRegistry::addDistribution(const std::string &name,
-                               const std::string &unit,
-                               const std::string &desc)
-{
-    checkUnique(name);
-    distributions_.emplace_back(StatInfo{name, unit, desc, false});
-    return distributions_.back();
-}
-
 FormulaStat &
 StatsRegistry::addFormula(const std::string &name,
                           const std::string &unit,
@@ -145,8 +113,7 @@ StatsRegistry::addFormula(const std::string &name,
 std::size_t
 StatsRegistry::size() const
 {
-    return scalars_.size() + counters_.size() +
-           distributions_.size() + formulas_.size();
+    return scalars_.size() + counters_.size() + formulas_.size();
 }
 
 StatsSnapshot
@@ -174,15 +141,6 @@ StatsRegistry::snapshot(bool includeScheduleDependent) const
     for (const CounterStat &c : counters_)
         if (SnapshotEntry *e = entry(StatKind::Counter, c.info()))
             e->count = c.count();
-    for (const DistributionStat &d : distributions_) {
-        if (SnapshotEntry *e = entry(StatKind::Distribution, d.info())) {
-            e->count = d.count();
-            e->mean = d.mean();
-            e->stddev = d.stddev();
-            e->min = d.min();
-            e->max = d.max();
-        }
-    }
     for (const FormulaStat &f : formulas_)
         if (SnapshotEntry *e = entry(StatKind::Formula, f.info()))
             e->value = f.value();
@@ -242,18 +200,6 @@ writeStatsText(const StatsSnapshot &snapshot, std::ostream &os)
           case StatKind::Counter:
             line(e.name, std::to_string(e.count), e.desc, e.unit);
             break;
-          case StatKind::Distribution:
-            line(e.name + ".count", std::to_string(e.count), e.desc,
-                 "samples");
-            line(e.name + ".mean", jsonNumber(e.mean), e.desc,
-                 e.unit);
-            line(e.name + ".stddev", jsonNumber(e.stddev), e.desc,
-                 e.unit);
-            line(e.name + ".min", jsonNumber(e.min), e.desc,
-                 e.unit);
-            line(e.name + ".max", jsonNumber(e.max), e.desc,
-                 e.unit);
-            break;
         }
     }
     os << "---------- End Simulation Statistics   ----------\n";
@@ -285,13 +231,6 @@ writeStatsJson(const StatsSnapshot &snapshot, std::ostream &os)
           case StatKind::Counter:
             os << ", \"value\": " << e.count;
             break;
-          case StatKind::Distribution:
-            os << ", \"count\": " << e.count
-               << ", \"mean\": " << jsonNumber(e.mean)
-               << ", \"stddev\": " << jsonNumber(e.stddev)
-               << ", \"min\": " << jsonNumber(e.min)
-               << ", \"max\": " << jsonNumber(e.max);
-            break;
         }
         os << "}";
     }
@@ -305,28 +244,6 @@ readStatsJson(std::istream &is)
     buf << is.rdbuf();
     JsonReader in(buf.str(), "stats JSON");
     StatsSnapshot out;
-    const auto manifest = [&in](Manifest &m) {
-        m.valid = true;
-        in.object([&](const std::string &key) {
-            const std::string value = in.string();
-            if (key == "tool")
-                m.tool = value;
-            else if (key == "version")
-                m.version = value;
-            else if (key == "build")
-                m.build = value;
-            else if (key == "subject")
-                m.subject = value;
-            else if (key == "config_fingerprint")
-                m.configFingerprint = value;
-            else if (key == "seed")
-                m.seed = std::stoull(value);
-            else if (key == "scale")
-                m.scale = std::stod(value);
-            else
-                in.fail("unknown manifest key '", key, "'");
-        });
-    };
     const auto entry = [&in](SnapshotEntry &e) {
         double value = 0.0;
         in.object([&](const std::string &key) {
@@ -336,7 +253,6 @@ readStatsJson(std::istream &is)
                 const std::string kind = in.string();
                 bool known = false;
                 for (StatKind k : {StatKind::Scalar, StatKind::Counter,
-                                   StatKind::Distribution,
                                    StatKind::Formula}) {
                     if (kind == statKindName(k)) {
                         e.kind = k;
@@ -351,16 +267,6 @@ readStatsJson(std::istream &is)
                 e.desc = in.string();
             } else if (key == "value") {
                 value = in.number();
-            } else if (key == "count") {
-                e.count = static_cast<std::uint64_t>(in.number());
-            } else if (key == "mean") {
-                e.mean = in.number();
-            } else if (key == "stddev") {
-                e.stddev = in.number();
-            } else if (key == "min") {
-                e.min = in.number();
-            } else if (key == "max") {
-                e.max = in.number();
             } else {
                 in.fail("unknown entry key '", key, "'");
             }
@@ -372,7 +278,7 @@ readStatsJson(std::istream &is)
     };
     in.object([&](const std::string &key) {
         if (key == "manifest")
-            manifest(out.manifest);
+            out.manifest = readManifestJson(in);
         else if (key == "profile")
             // Owned by obs/profile.hh: stored and re-emitted
             // byte-exactly, never interpreted here.

@@ -3,8 +3,8 @@
  * Hierarchical statistics registry in the gem5 tradition.
  *
  * Every instrumented layer (gpu, control, hypervisor, sim, exec)
- * registers named statistics — scalars, counters, distributions, and
- * formulas — with a unit and a one-line description.  Hierarchy is
+ * registers named statistics — scalars, counters, and formulas —
+ * with a unit and a one-line description.  Hierarchy is
  * expressed with dotted names ("control.detector_trips"); the
  * StatsGroup helper scopes registration under one prefix.  The
  * registry dumps as gem5-style text (name value # description) and
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/quantity.hh"
-#include "common/stats.hh"
 #include "obs/manifest.hh"
 
 namespace vsgpu::obs
@@ -62,7 +61,6 @@ enum class StatKind
 {
     Scalar,
     Counter,
-    Distribution,
     Formula,
 };
 
@@ -117,29 +115,6 @@ class CounterStat
     std::uint64_t count_ = 0;
 };
 
-/** Sample distribution (Welford accumulation + min/max). */
-class DistributionStat
-{
-  public:
-    explicit DistributionStat(StatInfo info) : info_(std::move(info))
-    {
-    }
-
-    void add(double x);
-    std::size_t count() const { return stats_.count(); }
-    double mean() const { return stats_.mean(); }
-    double stddev() const { return stats_.stddev(); }
-    double min() const { return count() ? min_ : 0.0; }
-    double max() const { return count() ? max_ : 0.0; }
-    const StatInfo &info() const { return info_; }
-
-  private:
-    StatInfo info_;
-    RunningStats stats_;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /** A derived value computed from other stats at dump time. */
 class FormulaStat
 {
@@ -165,12 +140,8 @@ struct SnapshotEntry
     std::string unit;
     std::string desc;
 
-    double value = 0.0;        ///< scalar / formula value
-    std::uint64_t count = 0;   ///< counter value or sample count
-    double mean = 0.0;         ///< distribution only
-    double stddev = 0.0;       ///< distribution only
-    double min = 0.0;          ///< distribution only
-    double max = 0.0;          ///< distribution only
+    double value = 0.0;      ///< scalar / formula value
+    std::uint64_t count = 0; ///< counter value
 };
 
 /** Snapshot of a whole registry, ready for (de)serialization. */
@@ -211,9 +182,6 @@ class StatsGroup
                          const std::string &unit,
                          const std::string &desc,
                          bool scheduleDependent = false);
-    DistributionStat &distribution(const std::string &name,
-                                   const std::string &unit,
-                                   const std::string &desc);
     FormulaStat &formula(const std::string &name,
                          const std::string &unit,
                          const std::string &desc,
@@ -247,9 +215,6 @@ class StatsRegistry
                             const std::string &unit,
                             const std::string &desc,
                             bool scheduleDependent = false);
-    DistributionStat &addDistribution(const std::string &name,
-                                      const std::string &unit,
-                                      const std::string &desc);
     FormulaStat &addFormula(const std::string &name,
                             const std::string &unit,
                             const std::string &desc,
@@ -303,7 +268,6 @@ class StatsRegistry
     std::string profileJson_;
     std::deque<ScalarStat> scalars_;
     std::deque<CounterStat> counters_;
-    std::deque<DistributionStat> distributions_;
     std::deque<FormulaStat> formulas_;
 };
 

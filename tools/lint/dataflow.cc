@@ -142,54 +142,6 @@ collectCalls(const TokenVec &toks, std::size_t s, std::size_t e,
         CallRef call;
         call.callee = std::string(toks[i].text);
         call.nameOffset = toks[i].offset;
-        // Receiver chain root: x.f() / x->f() / g(...).f().
-        std::size_t back = i;
-        while (back > s && (toks[back - 1].text == "." ||
-                            toks[back - 1].text == "->")) {
-            std::size_t prev = back - 2;
-            if (prev < s)
-                break;
-            if (toks[prev].text == ")") {
-                // Chained off a call: name that call as receiver.
-                int depth = 0;
-                std::size_t k = prev;
-                for (;; --k) {
-                    if (toks[k].text == ")")
-                        ++depth;
-                    else if (toks[k].text == "(" && --depth == 0)
-                        break;
-                    if (k == s)
-                        break;
-                }
-                if (k > s &&
-                    toks[k - 1].kind == Token::Kind::Identifier) {
-                    back = k - 1;
-                    continue;
-                }
-                break;
-            }
-            if (toks[prev].text == "]") {
-                std::size_t k = prev;
-                int depth = 0;
-                for (;; --k) {
-                    if (toks[k].text == "]")
-                        ++depth;
-                    else if (toks[k].text == "[" && --depth == 0)
-                        break;
-                    if (k == s)
-                        break;
-                }
-                back = k;
-                continue;
-            }
-            if (toks[prev].kind == Token::Kind::Identifier) {
-                back = prev;
-                continue;
-            }
-            break;
-        }
-        if (back != i)
-            call.receiver = std::string(toks[back].text);
         // Arguments: split [open+1, close) at depth-1 commas.
         const std::size_t open = i + 1;
         const std::size_t close = closeOf(toks, open, e, "(", ")");
@@ -694,18 +646,6 @@ buildCfg(const std::vector<Token> &tokens, std::size_t begin,
          std::size_t end)
 {
     return Builder(tokens).take(begin, std::min(end, tokens.size()));
-}
-
-TagSet
-tagsOf(const TaintEnv &env, const std::vector<std::string> &names)
-{
-    TagSet tags;
-    for (const std::string &n : names) {
-        const auto it = env.find(n);
-        if (it != env.end())
-            tags.insert(it->second.begin(), it->second.end());
-    }
-    return tags;
 }
 
 void

@@ -42,8 +42,7 @@ namespace vsgpu::lint::df
 /** One call made by a statement. */
 struct CallRef
 {
-    std::string callee;   ///< unqualified callee name
-    std::string receiver; ///< chain root of x.f()/x->f(); "" if free
+    std::string callee; ///< unqualified callee name
     /**
      * Root identifiers of each top-level argument (an argument like
      * "a + b.c" contributes {a, b}).
@@ -107,10 +106,6 @@ void solveTaint(
         &transfer,
     const std::function<void(const Stmt &, const TaintEnv &)>
         &visit);
-
-/** Union of the environment tags of every name in @p names. */
-TagSet tagsOf(const TaintEnv &env,
-              const std::vector<std::string> &names);
 
 } // namespace vsgpu::lint::df
 

@@ -266,6 +266,15 @@ main(int argc, char **argv)
                 t.string(), displayPath(t, repoRoot)));
         }
 
+        // The --timings wall clock covers tokenizing and indexing
+        // too, not only the family passes.
+        using Clock = std::chrono::steady_clock;
+        const auto secondsSince = [](Clock::time_point t0) {
+            return std::chrono::duration<double>(Clock::now() - t0)
+                .count();
+        };
+        const auto wallStart = Clock::now();
+
         // The Project owns the sources: it tokenizes every file
         // once and builds the symbol index unit-flow consumes.
         Project project(std::move(loaded));
@@ -284,12 +293,6 @@ main(int argc, char **argv)
             double seconds = 0.0;
             std::size_t diagnostics = 0;
         };
-        using Clock = std::chrono::steady_clock;
-        const auto secondsSince = [](Clock::time_point t0) {
-            return std::chrono::duration<double>(Clock::now() - t0)
-                .count();
-        };
-        const auto wallStart = Clock::now();
 
         CheckOptions checkOpts;
         std::vector<Diagnostic> diags;

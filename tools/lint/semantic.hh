@@ -39,9 +39,8 @@ struct ParamInfo
 /** One function or method definition found in a source file. */
 struct FunctionDef
 {
-    std::string name;      ///< unqualified name
-    std::string className; ///< qualifying/enclosing class, "" if free
-    int fileIndex = 0;     ///< into Project::sources()
+    std::string name;          ///< unqualified name
+    int fileIndex = 0;         ///< into Project::sources()
     std::size_t bodyBegin = 0; ///< token index just past the '{'
     std::size_t bodyEnd = 0;   ///< token index of the closing '}'
     std::vector<ParamInfo> params;

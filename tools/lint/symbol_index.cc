@@ -302,11 +302,6 @@ scanFile(int fileIndex, const TokenVec &toks, SymbolIndex &index)
                 if (body != npos && body < toks.size()) {
                     FunctionDef fn;
                     fn.name = std::string(t);
-                    if (qualified && i >= 2 &&
-                        toks[i - 2].kind == Token::Kind::Identifier)
-                        fn.className = std::string(toks[i - 2].text);
-                    else if (current().ctx == Ctx::Class)
-                        fn.className = current().className;
                     fn.fileIndex = fileIndex;
                     fn.params =
                         parseParams(toks, i + 1, closeParen);
