@@ -46,6 +46,7 @@ ExecUnit::gate(Cycle now, Cycle blackoutCycles)
     if (gatedFlag_)
         return;
     gatedFlag_ = true;
+    gatedUntil_ = std::numeric_limits<Cycle>::max();
     gatedSince_ = now;
     blackoutUntil_ = now + blackoutCycles;
     ++gateEvents_;
@@ -61,6 +62,7 @@ ExecUnit::ungate(Cycle now, Cycle wakeCycles)
     gatedTotal_ += start - gatedSince_;
     gatedFlag_ = false;
     wakeUntil_ = start + wakeCycles;
+    gatedUntil_ = wakeUntil_;
     lastBusy_ = wakeUntil_;
     ++wakeEvents_;
     return wakeUntil_;
@@ -80,6 +82,7 @@ ExecUnit::reset(Cycle now)
     gatedFlag_ = false;
     blackoutUntil_ = now;
     wakeUntil_ = now;
+    gatedUntil_ = now;
 }
 
 } // namespace vsgpu

@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 
 #include "common/units.hh"
 #include "gpu/isa.hh"
@@ -86,9 +87,7 @@ class ExecUnit
     bool
     canAccept(Cycle now) const
     {
-        if (gatedFlag_ || wakeUntil_ > now)
-            return false;
-        return busyUntil_ <= now;
+        return gatedUntil_ <= now && busyUntil_ <= now;
     }
 
     /** Occupy the block for the instruction issued at @p now. */
@@ -103,7 +102,12 @@ class ExecUnit
     // --- power gating ---
 
     /** @return true when the block's supply is gated at @p now. */
-    bool gated(Cycle now) const { return gatedFlag_ || wakeUntil_ > now; }
+    bool gated(Cycle now) const { return now < gatedUntil_; }
+
+    /** @return the first cycle from which gated() stays false until
+     *  the next gate(): never while a gate is pending, else the end
+     *  of the wake-up. */
+    Cycle gatedUntil() const { return gatedUntil_; }
 
     /**
      * Gate the block (drops its leakage).  A gated block refuses
@@ -143,6 +147,8 @@ class ExecUnit
     Cycle lastBusy_ = 0;
 
     bool gatedFlag_ = false;
+    /** gatedFlag_ ? never : wakeUntil_, kept by gate/ungate/reset. */
+    Cycle gatedUntil_ = 0;
     Cycle gatedSince_ = 0;
     Cycle blackoutUntil_ = 0;
     Cycle wakeUntil_ = 0;

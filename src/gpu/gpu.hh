@@ -78,6 +78,15 @@ class Gpu
                &Sm::stalledCycle;
     }
 
+    /** @return true when SM @p idx was drained and clocked in the
+     *  last global cycle (its events are Sm::drainedCycle). */
+    bool
+    smDrained(int idx) const
+    {
+        return lastEvents_[static_cast<std::size_t>(idx)] ==
+               &Sm::drainedCycle;
+    }
+
     /** @return number of SMs. */
     int numSMs() const { return static_cast<int>(sms_.size()); }
 

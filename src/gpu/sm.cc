@@ -33,6 +33,7 @@ Sm::launch(const ProgramFactory &factory, Cycle now)
     }
     // Every warp fetches its first instruction on the first step.
     readyAt_.fill(neverReady);
+    warpsByUnit_.fill(0);
     barrierMask_ = 0;
     nextReady_ = 0;
     refillMask_ = numWarps == 64 ? ~std::uint64_t{0}
@@ -43,6 +44,7 @@ Sm::launch(const ProgramFactory &factory, Cycle now)
     fakeTokens_ = 0.0;
     for (auto &u : units_)
         u.reset(now);
+    refreshGatedUntil();
 }
 
 void
@@ -57,6 +59,10 @@ Sm::refill(int warp)
     }
     warps_[w].pending = *next;
     readyAt_[w] = scoreboard_.readyAt(warp, *next);
+    const std::uint64_t bit = std::uint64_t{1} << warp;
+    for (std::uint64_t &m : warpsByUnit_)
+        m &= ~bit;
+    warpsByUnit_[static_cast<std::size_t>(primaryUnit(next->op))] |= bit;
 }
 
 void
@@ -106,6 +112,7 @@ Sm::findUnit(OpClass op, Cycle now)
             // Demand wake-up: the instruction waits for the block.
             if (u.gateRequested()) {
                 u.ungate(now, cfg_.pgWakeLatency);
+                refreshGatedUntil();
                 ++events_.wakeEvents;
             }
         }
@@ -128,15 +135,11 @@ Sm::schedule(std::uint64_t ready, Cycle now) const
         // Gating-aware: first the warps whose next op targets an
         // un-gated block (keeps idle blocks idle so they can gate),
         // then the rest, each group in oldest-first order.
-        std::uint64_t hot = 0;
-        for (std::uint64_t m = ready; m != 0; m &= m - 1) {
-            const int w = std::countr_zero(m);
-            const OpClass op =
-                warps_[static_cast<std::size_t>(w)].pending.op;
-            if (!unit(primaryUnit(op)).gated(now))
-                hot |= std::uint64_t{1} << w;
-        }
-        order.queue = {hot, ready & ~hot};
+        std::uint64_t cold = 0;
+        for (unsigned m = gatedMask(now); m != 0; m &= m - 1)
+            cold |= warpsByUnit_[static_cast<std::size_t>(
+                std::countr_zero(m))];
+        order.queue = {ready & ~cold, ready & cold};
         return order;
     }
 
@@ -152,13 +155,10 @@ Sm::schedule(std::uint64_t ready, Cycle now) const
 const SmCycleEvents &
 Sm::stepFull(Cycle now)
 {
+    // step() handles a drained SM inline.
     events_ = SmCycleEvents{};
-    events_.active = activeWarps_ > 0;
+    events_.active = true;
     ++cyclesRun_;
-
-    if (activeWarps_ == 0)
-        return events_;
-
     fillIssueTokens();
 
     int slots = cfg_.maxIssueWidth;
@@ -292,6 +292,23 @@ void
 Sm::requestGate(ExecUnitKind kind, Cycle now)
 {
     unit(kind).gate(now, cfg_.pgBlackout);
+    gatedUntil_ = std::max(gatedUntil_, unit(kind).gatedUntil());
+}
+
+Cycle
+Sm::wake(ExecUnitKind kind, Cycle now, Cycle wakeCycles)
+{
+    const Cycle usable = unit(kind).ungate(now, wakeCycles);
+    refreshGatedUntil();
+    return usable;
+}
+
+void
+Sm::refreshGatedUntil()
+{
+    gatedUntil_ = 0;
+    for (const ExecUnit &u : units_)
+        gatedUntil_ = std::max(gatedUntil_, u.gatedUntil());
 }
 
 double

@@ -37,7 +37,17 @@
  * an issue writes readyAt again (a barrier release goes through the
  * refill mask).  Until then a cycle with nothing to fetch and no fake
  * injection only fills the DIWS token bucket, so step() does that
- * inline and returns the shared stalled-cycle record.
+ * inline and returns the shared stalled-cycle record.  A drained SM
+ * (no unfinished warp) sleeps for good: step() only counts the cycle
+ * and returns the shared drained-cycle record.
+ *
+ * Gating checks cost one compare on an SM with no gated block.  The
+ * SM keeps one summary of its blocks, the cycle from which none is
+ * gated (the latest wake-up end, or never while a gate is pending),
+ * refreshed where the SM gates or wakes a block; only before it does
+ * gatedMask() look at the blocks.  GATES classifies ready warps by
+ * per-block masks of the warps whose fetched op targets that block,
+ * kept by refill().
  */
 
 #ifndef VSGPU_GPU_SM_HH
@@ -150,11 +160,18 @@ class Sm
             fakeTokens_ = 0.0;
             return stalledCycle;
         }
+        if (activeWarps_ == 0) {
+            ++cyclesRun_;
+            return drainedCycle;
+        }
         return stepFull(now);
     }
 
     /** The events of every stalled cycle: nothing issued, active. */
     static constexpr SmCycleEvents stalledCycle{.active = true};
+
+    /** The events of every cycle after the SM drained. */
+    static constexpr SmCycleEvents drainedCycle{.active = false};
 
     // --- voltage-smoothing actuators ---
 
@@ -172,22 +189,37 @@ class Sm
 
     // --- power gating ---
 
-    /** @return an execution block (for gating policies and stats). */
+    /** @return an execution block (for gating policies and stats).
+     *  Gate a block through requestGate(), never unit().gate(): the
+     *  gating summary behind gatedMask() only follows the former. */
     ExecUnit &unit(ExecUnitKind kind);
     const ExecUnit &unit(ExecUnitKind kind) const;
 
     /** Gate a block using the configured blackout. */
     void requestGate(ExecUnitKind kind, Cycle now);
 
-    /** @return true when any block is gated at @p now. */
-    bool
-    anyGated(Cycle now) const
+    /** Begin waking a gated block from outside the SM (a gating
+     *  veto); @return the cycle it becomes usable. */
+    Cycle wake(ExecUnitKind kind, Cycle now, Cycle wakeCycles);
+
+    /** @return the blocks gated at @p now: bit k is ExecUnitKind k. */
+    unsigned
+    gatedMask(Cycle now) const
     {
-        return std::any_of(units_.begin(), units_.end(),
-                           [now](const ExecUnit &u) {
-                               return u.gated(now);
-                           });
+        // The summary is exact while blocks are gated and woken
+        // through the SM, and never too early: a block woken through
+        // unit() directly leaves it late until the next refresh, and
+        // the per-block scan behind it stays exact.
+        if (now >= gatedUntil_)
+            return 0;
+        unsigned mask = 0;
+        for (std::size_t k = 0; k < units_.size(); ++k)
+            mask |= static_cast<unsigned>(units_[k].gated(now)) << k;
+        return mask;
     }
+
+    /** @return true when any block is gated at @p now. */
+    bool anyGated(Cycle now) const { return gatedMask(now) != 0; }
 
     // --- statistics ---
 
@@ -245,6 +277,9 @@ class Sm
     /** Try to find an execution block for the op. */
     ExecUnit *findUnit(OpClass op, Cycle now);
 
+    /** Recompute gatedUntil_ from the blocks. */
+    void refreshGatedUntil();
+
     /**
      * One cycle's scheduler candidates in visit order: the head warp
      * (if any), then each queue mask lowest slot first.
@@ -300,6 +335,12 @@ class Sm
     /** Earliest ready cycle of a stalled SM; 0 while it is not
      *  stalled. */
     Cycle nextReady_ = 0;
+    /** Per block, the warps whose fetched op targets it
+     *  (primaryUnit); exact for every warp with a ready cycle. */
+    std::array<std::uint64_t, numExecUnits> warpsByUnit_{};
+    /** No block is gated from this cycle on (ExecUnit::gatedUntil
+     *  over the blocks). */
+    Cycle gatedUntil_ = 0;
 
     int activeWarps_ = 0;
     int lastIssuedWarp_ = -1;

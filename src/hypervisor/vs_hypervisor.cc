@@ -136,9 +136,9 @@ VsAwareHypervisor::gate(Gpu &gpu, PgGovernor &pg, Cycle now,
             const auto k = static_cast<std::size_t>(u);
             const bool denied = wish[s][k] && !plan[s][k];
             pg.setVeto(sm, kind, denied);
-            auto &unit = gpu.sm(sm).unit(kind);
+            const ExecUnit &unit = gpu.sm(sm).unit(kind);
             if (denied && unit.gated(now) && unit.gateRequested())
-                unit.ungate(now, wakeLatency);
+                gpu.sm(sm).wake(kind, now, wakeLatency);
         }
     }
 }

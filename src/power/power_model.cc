@@ -6,10 +6,20 @@ namespace vsgpu
 {
 
 SmPowerModel::SmPowerModel(const EnergyParams &params)
-    : params_(params), allUngatedLeakage_(params_.baseLeakage)
+    : params_(params)
 {
-    for (Watts l : params_.unitLeakage)
-        allUngatedLeakage_ += l;
+    for (std::size_t mask = 0; mask < numGatedMasks; ++mask) {
+        Watts watts = params_.baseLeakage;
+        for (std::size_t u = 0; u < params_.unitLeakage.size(); ++u) {
+            if (((mask >> u) & 1u) == 0)
+                watts += params_.unitLeakage[u];
+        }
+        leakage_[mask] = watts;
+        // An idle cycle's full sum: 0 J over the period is +0.0, and
+        // +0.0 plus a positive power is that power, bit for bit.
+        idlePower_[0][mask] = Watts{} + watts;
+        idlePower_[1][mask] = params_.clockPower + watts;
+    }
 }
 
 Joules
@@ -43,13 +53,7 @@ SmPowerModel::dynamicEnergy(const SmCycleEvents &events) const
 Watts
 SmPowerModel::leakagePower(const Sm &sm, Cycle now) const
 {
-    Watts watts = params_.baseLeakage;
-    for (int u = 0; u < numExecUnits; ++u) {
-        const auto kind = static_cast<ExecUnitKind>(u);
-        if (!sm.unit(kind).gated(now))
-            watts += params_.unitLeakage[static_cast<std::size_t>(u)];
-    }
-    return watts;
+    return leakage_[sm.gatedMask(now)];
 }
 
 Watts
@@ -57,17 +61,13 @@ SmPowerModel::cyclePower(const SmCycleEvents &events, const Sm &sm,
                          Cycle now) const
 {
     const bool clockRuns = events.clocked && events.active;
-    if (events.totalIssued() == 0 && events.fakeIssued == 0 &&
-        !sm.anyGated(now)) {
-        // No dynamic energy: the full sum below starts from 0 J over
-        // the period, +0.0, so skipping it leaves the same bits.
-        return (clockRuns ? params_.clockPower : Watts{}) +
-               allUngatedLeakage_;
-    }
+    const unsigned gated = sm.gatedMask(now);
+    if (events.totalIssued() == 0 && events.fakeIssued == 0)
+        return idlePower(clockRuns, gated);
     Watts watts = dynamicEnergy(events) / config::clockPeriod;
     if (clockRuns)
         watts += params_.clockPower;
-    watts += leakagePower(sm, now);
+    watts += leakage_[gated];
     return watts;
 }
 

@@ -8,6 +8,9 @@
 #ifndef VSGPU_POWER_POWER_MODEL_HH
 #define VSGPU_POWER_POWER_MODEL_HH
 
+#include <array>
+#include <cstddef>
+
 #include "power/energy_model.hh"
 
 namespace vsgpu
@@ -38,13 +41,14 @@ class SmPowerModel
                      Cycle now) const;
 
     /**
-     * @return cyclePower() of a stalled cycle (Sm::stalledCycle) on
-     * an SM with no gated block: clock-tree power plus every block's
-     * leakage.
+     * @return cyclePower() of a cycle with no real or fake issue:
+     * clock-tree power if @p clockRuns, plus the leakage of the
+     * blocks outside @p gatedMask (Sm::gatedMask).
      */
-    Watts stalledPower() const
+    Watts
+    idlePower(bool clockRuns, unsigned gatedMask) const
     {
-        return params_.clockPower + allUngatedLeakage_;
+        return idlePower_[clockRuns ? 1 : 0][gatedMask];
     }
 
     /** @return the parameter set. */
@@ -54,9 +58,13 @@ class SmPowerModel
     Watts peakPower() const;
 
   private:
+    static constexpr std::size_t numGatedMasks = 1u << numExecUnits;
+
     EnergyParams params_;
-    /** leakagePower() with no block gated, summed in its order. */
-    Watts allUngatedLeakage_;
+    /** leakagePower() per Sm::gatedMask, summed in block order. */
+    std::array<Watts, numGatedMasks> leakage_{};
+    /** idlePower() per clock state and Sm::gatedMask. */
+    std::array<std::array<Watts, numGatedMasks>, 2> idlePower_{};
 };
 
 } // namespace vsgpu

@@ -160,10 +160,16 @@ class CosimRun
         double total = 0.0;
         double fake = 0.0;
         for (int sm = 0; sm < config::numSMs; ++sm) {
-            double watts = stalledWatts_;
-            // A stalled SM has no dynamic or fake energy; only gating
-            // moves its power off the stalled value.
-            if (!gpu_.smStalled(sm) || gpu_.sm(sm).anyGated(now)) {
+            // A stalled or drained SM has no dynamic or fake energy,
+            // so its power is the model's idle value for its gating.
+            const bool stalled = gpu_.smStalled(sm);
+            double watts = 0.0;
+            if (stalled || gpu_.smDrained(sm)) {
+                watts = powerModel_
+                            .idlePower(stalled,
+                                       gpu_.sm(sm).gatedMask(now))
+                            .raw();
+            } else {
                 const auto &events = gpu_.smEvents(sm);
                 watts = powerModel_.cyclePower(events, gpu_.sm(sm), now)
                             .raw();
@@ -280,7 +286,6 @@ class CosimRun
             ? static_cast<Cycle>(cfg_.gateLayerAtSec.raw() / dt)
             : std::numeric_limits<Cycle>::max();
     double vrmSetVolts_ = setup_->regulatorVolts.raw();
-    const double stalledWatts_ = powerModel_.stalledPower().raw();
     CycleLoad load_;
     std::array<double, config::numSMs> vSlow_{};
     std::array<double, config::numSMs> dccAmps_{};

@@ -333,6 +333,54 @@ TEST(SmTest, RelaunchResetsState)
     EXPECT_EQ(sm.retired(), firstRetired + 20u);
 }
 
+TEST(SmTest, DrainedSmSleepsButCountsCycles)
+{
+    MemorySystem mem;
+    Sm sm(0, SmConfig{}, mem);
+    sm.setFakeInjectRate(1.0); // a drained SM injects nothing
+    FixedFactory factory(std::vector<WarpInstr>(10, alu()), 2);
+    sm.launch(factory);
+    Cycle now = 0;
+    while (!sm.done())
+        sm.step(now++);
+    const std::uint64_t fakeAtDrain = sm.fakeIssuedTotal();
+    for (int i = 0; i < 50; ++i) {
+        const SmCycleEvents &ev = sm.step(now++);
+        EXPECT_EQ(&ev, &Sm::drainedCycle);
+    }
+    EXPECT_FALSE(Sm::drainedCycle.active);
+    EXPECT_TRUE(Sm::drainedCycle.clocked);
+    EXPECT_EQ(Sm::drainedCycle.totalIssued(), 0);
+    EXPECT_EQ(sm.stats().cycles, now);
+    EXPECT_EQ(sm.fakeIssuedTotal(), fakeAtDrain);
+    EXPECT_EQ(sm.retired(), 20u);
+}
+
+TEST(SmTest, AnyGatedFollowsGateAndWake)
+{
+    MemorySystem mem;
+    SmConfig cfg;
+    cfg.pgBlackout = 5;
+    Sm sm(0, cfg, mem);
+    FixedFactory factory(std::vector<WarpInstr>(10, alu()), 1);
+    sm.launch(factory);
+    EXPECT_FALSE(sm.anyGated(0));
+    sm.requestGate(ExecUnitKind::Sfu, 2);
+    EXPECT_TRUE(sm.anyGated(2));
+    EXPECT_TRUE(sm.anyGated(1000));
+    // Woken through the SM: gated until the wake-up ends.
+    const Cycle usable = sm.wake(ExecUnitKind::Sfu, 3, 4);
+    EXPECT_EQ(usable, 7u + 4u); // the blackout ends at 7
+    EXPECT_TRUE(sm.anyGated(usable - 1));
+    EXPECT_FALSE(sm.anyGated(usable));
+    // Woken through the block directly: still exact.
+    sm.requestGate(ExecUnitKind::Lsu, 20);
+    EXPECT_TRUE(sm.anyGated(30));
+    sm.unit(ExecUnitKind::Lsu).ungate(30, 2);
+    EXPECT_TRUE(sm.anyGated(31));
+    EXPECT_FALSE(sm.anyGated(32));
+}
+
 TEST(SmDeath, LaunchRejectsBadWarpCounts)
 {
     setLogQuiet(true);

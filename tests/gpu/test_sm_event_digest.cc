@@ -11,6 +11,10 @@
  * wake-ups or DFS clock masking shows up as a digest mismatch.
  * ActuatorsToggledMidStall was recorded before stalled SMs skipped
  * their step, so it pins that shortcut against the full step.
+ * PgGovernorGatesAndWakes and StaggeredDrainWithFii also fold each
+ * SM's anyGated() after every step; they were recorded while
+ * anyGated() scanned every block, GATES classified each ready warp
+ * by scanning it, and a drained SM still took the full step.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +22,10 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "gpu/gpu.hh"
+#include "hypervisor/pg.hh"
 #include "workloads/generator.hh"
 #include "workloads/suite.hh"
 
@@ -102,10 +108,11 @@ struct DigestRun
     std::uint64_t fakeIssued = 0;
 };
 
-/** Run @p spec to completion. */
+/** Run @p spec to completion; with @p hashGating, each SM's
+ *  anyGated() at the stepped cycle joins the digest. */
 DigestRun
 runDigest(const WorkloadSpec &spec, const GpuConfig &cfg,
-          const Actuate &actuate = {})
+          const Actuate &actuate = {}, bool hashGating = false)
 {
     Gpu gpu(cfg);
     gpu.memory().setL1HitRate(spec.l1HitRate);
@@ -115,9 +122,14 @@ runDigest(const WorkloadSpec &spec, const GpuConfig &cfg,
     while (!gpu.done() && gpu.cycle() < 400000) {
         if (actuate)
             actuate(gpu, gpu.cycle());
+        const Cycle now = gpu.cycle();
         gpu.step();
-        for (int i = 0; i < gpu.numSMs(); ++i)
+        for (int i = 0; i < gpu.numSMs(); ++i) {
             hashEvents(h, gpu.smEvents(i));
+            if (hashGating)
+                h.add(static_cast<std::uint64_t>(
+                    gpu.sm(i).anyGated(now)));
+        }
     }
     EXPECT_TRUE(gpu.done());
     hashFinal(h, gpu);
@@ -245,6 +257,75 @@ TEST(SmEventDigest, DfsClockMasking)
     const DigestRun run =
         runDigest(small(Benchmark::Backprop, 700), GpuConfig{}, dfs);
     EXPECT_EQ(run.digest, 0xe27ed03a8b90646aull);
+}
+
+TEST(SmEventDigest, PgGovernorGatesAndWakes)
+{
+    // GATES issue under the idle-driven PgGovernor: blocks gate when
+    // idle and warps wake them on demand.  Every 96 cycles half the
+    // SMs also have their gated blocks woken from outside the SM, by
+    // ExecUnit::ungate, the way a gating veto does.
+    GpuConfig cfg;
+    cfg.sm.scheduler = SchedulerKind::Gates;
+    PgGovernor pg;
+    std::uint64_t vetoWakes = 0;
+    const Cycle wake = cfg.sm.pgWakeLatency;
+    const Actuate govern = [&](Gpu &gpu, Cycle now) {
+        if (now % 96 == 48) {
+            for (int i = static_cast<int>((now / 96) % 2);
+                 i < gpu.numSMs(); i += 2) {
+                for (int u = 0; u < numExecUnits; ++u) {
+                    ExecUnit &unit =
+                        gpu.sm(i).unit(static_cast<ExecUnitKind>(u));
+                    if (unit.gated(now) && unit.gateRequested()) {
+                        unit.ungate(now, wake);
+                        ++vetoWakes;
+                    }
+                }
+            }
+        }
+        pg.step(gpu, now);
+    };
+    const DigestRun run = runDigest(small(Benchmark::Srad, 900), cfg,
+                                    govern, true);
+    EXPECT_GT(pg.gateRequests(), 0u);
+    EXPECT_GT(vetoWakes, 0u);
+    EXPECT_GT(run.wakeEvents, vetoWakes);
+    EXPECT_EQ(run.digest, 0x18a0257e7d30cc20ull);
+}
+
+TEST(SmEventDigest, StaggeredDrainWithFii)
+{
+    // FII on every SM and a different DIWS limit per SM, so the SMs
+    // drain hundreds of cycles apart and the early ones sit drained
+    // with injection still armed.  Blocks gated just before an SM
+    // drains stay gated on the drained SM.
+    PgGovernor pg;
+    std::vector<Cycle> drainedAt; // the hook never sees the last SM
+    std::vector<bool> seen(static_cast<std::size_t>(config::numSMs));
+    const Actuate throttle = [&](Gpu &gpu, Cycle now) {
+        for (int i = 0; i < gpu.numSMs(); ++i) {
+            if (!seen[static_cast<std::size_t>(i)] && gpu.sm(i).done()) {
+                seen[static_cast<std::size_t>(i)] = true;
+                drainedAt.push_back(now);
+            }
+        }
+        if (now == 0) {
+            for (int i = 0; i < gpu.numSMs(); ++i) {
+                gpu.sm(i).setIssueWidthLimit(
+                    0.4 + 0.1 * static_cast<double>(i % 8));
+                gpu.sm(i).setFakeInjectRate(0.6);
+            }
+        }
+        pg.step(gpu, now);
+    };
+    const DigestRun run = runDigest(small(Benchmark::Hotspot, 500),
+                                    GpuConfig{}, throttle, true);
+    ASSERT_GE(drainedAt.size(), 8u);
+    EXPECT_GT(drainedAt.back() - drainedAt.front(), 200u);
+    EXPECT_GT(run.fakeIssued, 0u);
+    EXPECT_GT(pg.gateRequests(), 0u);
+    EXPECT_EQ(run.digest, 0x3bf0ae10b7038c0bull);
 }
 
 } // namespace

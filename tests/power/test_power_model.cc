@@ -111,6 +111,39 @@ TEST_F(PowerModelTest, ClockPowerOnlyWhenActiveAndClocked)
                 1e-12);
 }
 
+TEST_F(PowerModelTest, IdlePowerMatchesTheFullSumBitForBit)
+{
+    // For every gated-block set, the idle-power table must equal the
+    // full sum an idle cycle used to take: 0 J over the period, plus
+    // the clock tree if it runs, plus the ungated blocks' leakage
+    // added in block order.
+    const EnergyParams &p = model_.params();
+    for (unsigned mask = 0; mask < (1u << numExecUnits); ++mask) {
+        Sm sm(0, SmConfig{}, mem_);
+        for (int u = 0; u < numExecUnits; ++u) {
+            if (((mask >> u) & 1u) != 0)
+                sm.requestGate(static_cast<ExecUnitKind>(u), 5);
+        }
+        ASSERT_EQ(sm.gatedMask(6), mask);
+        Watts leak = p.baseLeakage;
+        for (int u = 0; u < numExecUnits; ++u) {
+            if (((mask >> u) & 1u) == 0)
+                leak += p.unitLeakage[static_cast<std::size_t>(u)];
+        }
+        for (const bool clocked : {false, true}) {
+            Watts full = Joules{} / config::clockPeriod;
+            if (clocked)
+                full += p.clockPower;
+            full += leak;
+            SmCycleEvents idle;
+            idle.active = clocked;
+            EXPECT_EQ(model_.idlePower(clocked, mask).raw(), full.raw());
+            EXPECT_EQ(model_.cyclePower(idle, sm, 6).raw(), full.raw());
+        }
+        EXPECT_EQ(model_.leakagePower(sm, 6).raw(), leak.raw());
+    }
+}
+
 TEST_F(PowerModelTest, CyclePowerInPlausibleRange)
 {
     Sm sm(0, SmConfig{}, mem_);

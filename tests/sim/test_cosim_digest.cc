@@ -17,6 +17,9 @@
  * bookkeeping or quantile selection shows up as a mismatch.
  * GatedUnitsOnStallBoundKernel was recorded before stalled SMs skipped
  * the power model, next to gated and waking blocks.
+ * GatesPgOnComputeKernel and StaggeredDrainWithFii were recorded
+ * while anyGated() scanned every block and a drained SM still took
+ * the full step and the power model.
  *
  * AllObserversArmed turns every observation path on at once.  It
  * checks that the core digest does not move, and pins what those
@@ -362,6 +365,46 @@ TEST(CosimDigest, GatedUnitsOnStallBoundKernel)
     EXPECT_GT(r.counters.pgGateRequests, 0u);
     EXPECT_GT(r.counters.gateEvents, 0u);
     EXPECT_EQ(digest(r), 0xafa4c1118bce7ac3ull);
+}
+
+TEST(CosimDigest, GatesPgOnComputeKernel)
+{
+    // GATES issue on a compute kernel with the PG governor and the
+    // VS-aware hypervisor: blocks gate, wake on demand, and the
+    // hypervisor's vetoes wake some from outside the SM.
+    CosimConfig cfg = crossLayer();
+    cfg.gpu.sm.scheduler = SchedulerKind::Gates;
+    cfg.maxCycles = 60000;
+    PgGovernor pg;
+    VsAwareHypervisor hv;
+    CoSimulator sim(cfg);
+    sim.attachPg(&pg);
+    sim.attachHypervisor(&hv);
+    const CosimResult r = sim.run(small(Benchmark::Srad, 400));
+    EXPECT_TRUE(r.finished);
+    EXPECT_GT(r.counters.gateEvents, 0u);
+    EXPECT_GT(r.counters.hvGatingDenials, 0u);
+    EXPECT_EQ(digest(r), 0x74b87c54febf835dull);
+}
+
+TEST(CosimDigest, StaggeredDrainWithFii)
+{
+    // An irregular kernel whose SMs drain at different cycles, with
+    // the controller injecting fake instructions and the PG governor
+    // leaving blocks gated on SMs as they drain.
+    CosimConfig cfg = crossLayer();
+    ControllerConfig &ctl = cfg.pds.controller;
+    ctl.w2 = 0.5;
+    ctl.vThreshold = Volts{0.99};
+    cfg.maxCycles = 60000;
+    PgGovernor pg;
+    CoSimulator sim(cfg);
+    sim.attachPg(&pg);
+    const CosimResult r = sim.run(small(Benchmark::Bfs, 300));
+    EXPECT_TRUE(r.finished);
+    EXPECT_GT(r.counters.fiiEngagements, 0u);
+    EXPECT_GT(r.counters.gateEvents, 0u);
+    EXPECT_EQ(digest(r), 0x1b987389a850aeebull);
 }
 
 /** Every observation path armed at once must leave the run's

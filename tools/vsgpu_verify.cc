@@ -189,10 +189,12 @@ allSubjects()
     add("vs_circuit_only_area0", "fig03_impedance,ablation_stacking",
         [] { return atArea(PdsKind::VsCircuitOnly, 0.0); });
 
-    // Fig. 9: the 2x circuit-only CR-IVR budget.  The 1x budget is
-    // not registered: its audit raises erc.crivr-undersized (the
-    // 14 A single-SM imbalance droops 0.28 V through Reff), which
-    // has no reviewed baseline rationale for that subject yet.
+    // Fig. 9: the 1x and 2x circuit-only CR-IVR budgets.  The 1x
+    // audit raises erc.crivr-undersized (the 14 A single-SM imbalance
+    // droops 0.28 V through Reff); it is baselined, because that
+    // unregulated worst case is the transient Fig. 9 exists to show.
+    add("vs_circuit_only_area10", "fig09_worst_transient",
+        [] { return atArea(PdsKind::VsCircuitOnly, 1.0); });
     add("vs_circuit_only_area20", "fig09_worst_transient",
         [] { return atArea(PdsKind::VsCircuitOnly, 2.0); });
 
