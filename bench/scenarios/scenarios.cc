@@ -92,7 +92,7 @@ findScenario(const std::string &name)
 
 Summary
 runScenario(const ScenarioInfo &info, const ScenarioOptions &opts,
-            std::ostream &out, obs::StatsRegistry *stats,
+            std::ostream &out, obs::StatsSnapshot *stats,
             obs::Manifest *manifest, ScenarioTelemetry *telemetry)
 {
     exec::Pool pool(opts.jobs);
@@ -140,9 +140,9 @@ runScenario(const ScenarioInfo &info, const ScenarioOptions &opts,
     }
 
     if (stats != nullptr) {
-        registerCounters(*stats, ctx.counters);
-        registerExecStats(
-            *stats, pool.tasksRun(), pool.steals(),
+        appendCounters(*stats, ctx.counters);
+        appendExecStats(
+            *stats, pool.tasksRun(),
             static_cast<std::uint64_t>(cache.setupsBuilt()),
             static_cast<std::uint64_t>(cache.setupHits()));
     }
@@ -217,8 +217,8 @@ scenarioMain(const char *name, int argc, char **argv)
                 << "  --scale X    workload scale (default 1.0)\n"
                 << "  --json PATH  write the summary metrics as "
                    "JSON\n"
-                << "  --stats-out PATH  write the stats registry "
-                   "dump as JSON\n"
+                << "  --stats-out PATH  write the stats dump as "
+                   "JSON\n"
                 << "  --trace-out PATH  write a Chrome trace_event "
                    "JSON file\n"
                 << "  --trace-categories LIST  comma list of phase,"
@@ -254,11 +254,11 @@ scenarioMain(const char *name, int argc, char **argv)
         obs::setFlightDumpPath(flightPath);
 
     setLogQuiet(true);
-    obs::StatsRegistry registry;
+    obs::StatsSnapshot stats;
     obs::Manifest manifest;
     ScenarioTelemetry telemetry;
     const Summary summary =
-        runScenario(*info, opts, std::cout, &registry, &manifest,
+        runScenario(*info, opts, std::cout, &stats, &manifest,
                     &telemetry);
 
     std::cout << "\nSummary metrics:\n";
@@ -266,8 +266,8 @@ scenarioMain(const char *name, int argc, char **argv)
         std::cout << "  " << m.name << " = " << m.value << "\n";
 
     if (opts.profile && telemetry.profile.runs > 0) {
-        registry.setProfileJson(
-            obs::writeProfileJson(telemetry.profile, "  "));
+        stats.profileJson =
+            obs::writeProfileJson(telemetry.profile, "  ");
         std::cout << "\n"
                   << obs::renderProfileReport(telemetry.profile);
     }
@@ -282,18 +282,13 @@ scenarioMain(const char *name, int argc, char **argv)
         std::cout << "\nwrote " << jsonPath << "\n";
     }
     if (!statsPath.empty()) {
-        if (!tracePath.empty()) {
-            registerTraceStats(
-                registry, obs::Tracer::instance().numEvents(),
-                obs::Tracer::instance().droppedEvents());
-        }
         std::ofstream out(statsPath);
         if (!out.good()) {
             std::cerr << "cannot write " << statsPath << "\n";
             return 1;
         }
-        registry.setManifest(manifest);
-        registry.dumpJson(out);
+        stats.manifest = manifest;
+        obs::writeStatsJson(stats, out);
         std::cout << "wrote " << statsPath << "\n";
     }
     if (!timeseriesPath.empty()) {

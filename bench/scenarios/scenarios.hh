@@ -41,7 +41,7 @@
 #include "exec/setup_cache.hh"
 #include "exec/sweep.hh"
 #include "obs/profile.hh"
-#include "obs/stats_registry.hh"
+#include "obs/stats_snapshot.hh"
 #include "obs/timeseries.hh"
 #include "sim/metrics.hh"
 
@@ -124,21 +124,13 @@ struct ScenarioContext
 
     /**
      * Accumulated event counters over every co-simulation the
-     * scenario ran.  Counters are unsigned integers and record()
+     * scenario ran.  Counters are unsigned integers and recordObs()
      * sums element-wise under the mutex, so the totals are exact
      * and independent of pool scheduling: stats dumps built from
      * them are bitwise identical for --jobs 1 and --jobs N.
      */
     CosimCounters counters{};
     std::mutex countersMutex{};
-
-    /** Record one run's counters (thread-safe; call from tasks). */
-    void
-    record(const CosimCounters &c)
-    {
-        std::lock_guard<std::mutex> lock(countersMutex);
-        counters.add(c);
-    }
 
     /**
      * Per-run time series keyed by sweep-point label, and the
@@ -193,7 +185,7 @@ const ScenarioInfo *findScenario(const std::string &name);
  *
  * When @p stats is non-null, the scenario's aggregated counters
  * (gpu / sim / control / hypervisor) and exec-layer stats (pool,
- * setup cache) are registered into it after the run.  When
+ * setup cache) are appended to it after the run.  When
  * @p manifest is non-null it is filled with the run's provenance
  * (config fingerprint over every cached pdsSetupKey) and stamped
  * into the returned summary.  Both default to null so the golden
@@ -206,7 +198,7 @@ const ScenarioInfo *findScenario(const std::string &name);
  */
 Summary runScenario(const ScenarioInfo &info,
                     const ScenarioOptions &opts, std::ostream &out,
-                    obs::StatsRegistry *stats = nullptr,
+                    obs::StatsSnapshot *stats = nullptr,
                     obs::Manifest *manifest = nullptr,
                     ScenarioTelemetry *telemetry = nullptr);
 
@@ -215,7 +207,7 @@ Summary runScenario(const ScenarioInfo &info,
  *   --jobs N              worker threads (default: hw concurrency)
  *   --scale X             workload scale (default 1.0)
  *   --json PATH           also write the Summary as JSON to PATH
- *   --stats-out PATH      write the stats registry dump as JSON
+ *   --stats-out PATH      write the stats dump as JSON
  *   --trace-out PATH      write a Chrome trace_event JSON file
  *   --trace-categories C  comma list: phase,pool,ctl,hv,all
  *   --sample-every SEC    windowed time-series telemetry cadence

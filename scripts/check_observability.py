@@ -29,8 +29,8 @@ Checks (stdlib only, no third-party deps):
           align with window_cycles, every channel carries all four
           aggregate arrays of the right length, "count"-unit
           channels are monotone across windows (they record
-          cumulative counters), and no schedule-dependent channel
-          leaked into the determinism-gated default dump.
+          cumulative counters), and no channel carries an unknown
+          key.
   profile the stats dump embeds a vsgpu-profile-v2 section whose
           named loop stages attribute >= 95% of the sampled loop
           time (--profile-required makes its absence an error).
@@ -54,8 +54,8 @@ STATS_TOP_KEYS = {"manifest", "profile", "stats"}
 SERIES_TOP_KEYS = {"schema", "sample_every_sec", "dt_sec",
                    "window_cycles", "runs"}
 SERIES_RUN_KEYS = {"label", "time_sec", "cycles", "channels"}
-SERIES_CHANNEL_KEYS = {"name", "unit", "desc", "schedule_dependent",
-                       "min", "max", "mean", "p99"}
+SERIES_CHANNEL_KEYS = {"name", "unit", "desc", "min", "max", "mean",
+                       "p99"}
 PROFILE_TOP_KEYS = {"schema", "runs", "stride_cycles", "cycles",
                     "sampled_cycles", "loop_ns", "wall_ns", "stages"}
 PROFILE_LOOP_STAGES = ("gpu", "power", "circuit", "control",
@@ -206,8 +206,7 @@ def check_channel(ch: dict, windows: int, context: str) -> None:
                      f"dips below the previous window's max")
 
 
-def check_timeseries(path: str,
-                     allow_schedule_dependent: bool) -> None:
+def check_timeseries(path: str) -> None:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     check_no_unknown_keys(doc, SERIES_TOP_KEYS, path)
@@ -248,11 +247,6 @@ def check_timeseries(path: str,
         if not isinstance(channels, list) or not channels:
             fail(f"{context}: no channels")
         for ch in channels:
-            if ch.get("schedule_dependent") and \
-                    not allow_schedule_dependent:
-                fail(f"{context}: schedule-dependent channel "
-                     f"'{ch.get('name')}' in a determinism-gated "
-                     f"dump")
             check_channel(ch, len(cycles), context)
         total_channels += len(channels)
     print(f"check_observability: {path}: {len(runs)} runs, "
@@ -331,8 +325,6 @@ def main() -> None:
     parser.add_argument("--trace")
     parser.add_argument("--summary")
     parser.add_argument("--timeseries")
-    parser.add_argument("--allow-schedule-dependent",
-                        action="store_true")
     parser.add_argument("--profile-required", action="store_true")
     parser.add_argument("--flight")
     args = parser.parse_args()
@@ -358,8 +350,7 @@ def main() -> None:
     if args.trace:
         check_trace(args.trace)
     if args.timeseries:
-        check_timeseries(args.timeseries,
-                         args.allow_schedule_dependent)
+        check_timeseries(args.timeseries)
     if args.flight:
         check_flight(args.flight)
     print("check_observability: OK")

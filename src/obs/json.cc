@@ -102,20 +102,6 @@ JsonReader::uint()
     return std::stoull(text_.substr(start, pos_ - start));
 }
 
-bool
-JsonReader::boolean()
-{
-    skipSpace();
-    for (const bool value : {true, false}) {
-        const std::string word = value ? "true" : "false";
-        if (text_.compare(pos_, word.size(), word) == 0) {
-            pos_ += word.size();
-            return value;
-        }
-    }
-    fail("expected boolean");
-}
-
 std::vector<double>
 JsonReader::numbers()
 {

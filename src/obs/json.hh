@@ -66,7 +66,6 @@ class JsonReader
     std::string string();
     double number();
     std::uint64_t uint();
-    bool boolean();
     std::vector<double> numbers();
 
     /** @return one balanced object, verbatim. */

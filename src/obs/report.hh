@@ -14,7 +14,7 @@
 
 #include <iosfwd>
 
-#include "obs/stats_registry.hh"
+#include "obs/stats_snapshot.hh"
 #include "obs/timeseries.hh"
 
 namespace vsgpu::obs

@@ -87,8 +87,7 @@ TimeSeriesRecorder::TimeSeriesRecorder(double dtSec,
 
 int
 TimeSeriesRecorder::addChannel(std::string name, std::string unit,
-                               std::string desc,
-                               bool scheduleDependent)
+                               std::string desc)
 {
     VSGPU_REQUIRES(cycle_ == 0,
                    "time-series channels must be registered before "
@@ -97,7 +96,6 @@ TimeSeriesRecorder::addChannel(std::string name, std::string unit,
     ch.name = std::move(name);
     ch.unit = std::move(unit);
     ch.desc = std::move(desc);
-    ch.scheduleDependent = scheduleDependent;
     run_->channels.push_back(std::move(ch));
     accums_.emplace_back();
     return static_cast<int>(run_->channels.size()) - 1;
@@ -229,8 +227,6 @@ writeChannel(std::ostream &os, const TimeSeriesChannel &ch,
     os << indent << "  \"name\": " << jsonQuote(ch.name) << ",\n";
     os << indent << "  \"unit\": " << jsonQuote(ch.unit) << ",\n";
     os << indent << "  \"desc\": " << jsonQuote(ch.desc) << ",\n";
-    if (ch.scheduleDependent)
-        os << indent << "  \"schedule_dependent\": true,\n";
     os << indent << "  \"min\": ";
     writeArray(os, ch.min);
     os << ",\n";
@@ -249,8 +245,7 @@ writeChannel(std::ostream &os, const TimeSeriesChannel &ch,
 } // namespace
 
 void
-writeTimeSeriesJson(const TimeSeriesDoc &doc, std::ostream &os,
-                    bool includeScheduleDependent)
+writeTimeSeriesJson(const TimeSeriesDoc &doc, std::ostream &os)
 {
     std::vector<const TimeSeriesRun *> runs;
     runs.reserve(doc.runs.size());
@@ -284,8 +279,6 @@ writeTimeSeriesJson(const TimeSeriesDoc &doc, std::ostream &os,
         os << "      \"channels\": [";
         bool firstCh = true;
         for (const TimeSeriesChannel &ch : run->channels) {
-            if (ch.scheduleDependent && !includeScheduleDependent)
-                continue;
             if (!firstCh)
                 os << ",";
             firstCh = false;
@@ -318,8 +311,6 @@ readTimeSeriesJson(std::istream &is)
                 ch.unit = in.string();
             else if (key == "desc")
                 ch.desc = in.string();
-            else if (key == "schedule_dependent")
-                ch.scheduleDependent = in.boolean();
             else if (key == "min")
                 ch.min = in.numbers();
             else if (key == "max")

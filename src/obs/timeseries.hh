@@ -11,12 +11,6 @@
  * state only, the resulting dump is bitwise identical for --jobs 1
  * and --jobs N (docs/parallel_exec.md).
  *
- * Wall-clock-derived channels (e.g. wall microseconds per window)
- * are registered with scheduleDependent = true and are excluded from
- * dumps by default, following the exec.pool.steals precedent in the
- * stats registry, so determinism-gated dumps stay comparable across
- * job counts while the diagnostic data remains reachable on demand.
- *
  * Memory stays bounded for any cadence: exact min/max/mean come from
  * streaming accumulators; p99 comes from a per-window sample buffer
  * capped at p99SampleCap samples via a deterministic stride.
@@ -40,10 +34,6 @@ struct TimeSeriesChannel
     std::string name;
     std::string unit;
     std::string desc;
-
-    /** True when the values derive from wall clock / scheduling;
-     *  excluded from dumps by default (determinism contract). */
-    bool scheduleDependent = false;
 
     std::vector<double> min;
     std::vector<double> max;
@@ -100,7 +90,7 @@ class TimeSeriesRecorder
 
     /** Register a channel; @return its dense id. */
     int addChannel(std::string name, std::string unit,
-                   std::string desc, bool scheduleDependent = false);
+                   std::string desc);
 
     /** @return cycles per full aggregation window (>= 1). */
     std::uint64_t windowCycles() const { return windowCycles_; }
@@ -178,17 +168,14 @@ class TimeSeriesRecorder
 
 /**
  * Write the document as compact columnar JSON.  Runs are emitted
- * sorted by label; schedule-dependent channels are omitted unless
- * asked for, so default dumps compare bitwise across --jobs values.
+ * sorted by label, so dumps compare bitwise across --jobs values.
  */
-void writeTimeSeriesJson(const TimeSeriesDoc &doc, std::ostream &os,
-                         bool includeScheduleDependent = false);
+void writeTimeSeriesJson(const TimeSeriesDoc &doc, std::ostream &os);
 
 /**
  * Parse a document previously produced by writeTimeSeriesJson().
  * Panics on malformed input;
- * writeTimeSeriesJson(readTimeSeriesJson(x)) == x when x was written
- * with the same includeScheduleDependent setting.
+ * writeTimeSeriesJson(readTimeSeriesJson(x)) == x.
  */
 TimeSeriesDoc readTimeSeriesJson(std::istream &is);
 

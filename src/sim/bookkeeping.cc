@@ -28,20 +28,24 @@ RailSummary
 Bookkeeper::rails(const std::array<double, config::numSMs> &volts)
 {
     RailSummary r;
-    // The pooled statistics update in a local copy: a reservoir
-    // append may alias a member double and would force each update of
-    // the pooled mean through memory.
-    RunningStats pooled = pooledVolts_;
+    // The pooled mean updates in local copies: a reservoir append may
+    // alias a member double and would force each update of the pooled
+    // mean through memory.  The recurrence is RunningStats::add's, so
+    // meanVoltage keeps its bits.
+    std::size_t pooledCount = pooledCount_;
+    double pooledMean = pooledMean_;
     for (std::size_t sm = 0; sm < config::numSMs; ++sm) {
         const double v = volts[sm];
         VSGPU_CHECK_FINITE(v); // the PDS solve went unstable
         r.sum += v;
         noise_[sm].add(v);
-        pooled.add(v);
+        ++pooledCount;
+        pooledMean += (v - pooledMean) / static_cast<double>(pooledCount);
         r.min = std::min(r.min, v);
         r.max = std::max(r.max, v);
     }
-    pooledVolts_ = pooled;
+    pooledCount_ = pooledCount;
+    pooledMean_ = pooledMean;
     minVoltage_ = std::min(minVoltage_, r.min);
     return r;
 }
@@ -74,7 +78,7 @@ Bookkeeper::fill(CosimResult &result) const
     for (std::size_t sm = 0; sm < config::numSMs; ++sm)
         result.smNoise[sm] = noise_[sm].box();
     result.minVoltage = minVoltage_;
-    result.meanVoltage = pooledVolts_.mean();
+    result.meanVoltage = pooledMean_;
     for (std::size_t b = 0; b < 4; ++b)
         result.imbalanceBins[b] = imbalance_.fraction(b);
 }

@@ -92,7 +92,8 @@ class Bookkeeper
     const SingleIvrModel singleIvr_;
 
     std::array<ReservoirSampler, config::numSMs> noise_{};
-    RunningStats pooledVolts_;
+    std::size_t pooledCount_ = 0; ///< rail samples in pooledMean_
+    double pooledMean_ = 0.0;     ///< running mean of every SM rail
     double minVoltage_ = 1e9;
     Histogram imbalance_{{0.0, 0.10, 0.20, 0.40, 10.0}};
     std::array<double, config::numSMs> windowPower_{};

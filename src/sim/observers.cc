@@ -7,7 +7,6 @@
 #include "control/controller.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/manifest.hh"
-#include "obs/profile.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
 #include "pdn/vs_pdn.hh"
@@ -111,11 +110,6 @@ class SeriesRecorder final : public CycleObserver
         if (pg)
             pgGated_ = add("hv.gated_units", "units",
                            "execution units currently power-gated");
-        // Wall-clock channel: schedule-dependent, so default dumps
-        // (and the jobs=1 vs jobs=N determinism gate) exclude it.
-        wallUs_ = series_.addChannel(
-            "wall.sample_us", "us", "wall microseconds per sampled cycle",
-            /*scheduleDependent=*/true);
     }
 
     void
@@ -164,23 +158,16 @@ class SeriesRecorder final : public CycleObserver
                                  .gated(v.cycle);
             series_.record(pgGated_, static_cast<double>(gated));
         }
-        // Wall cost per sampled cycle, amortized over the stride.
-        const std::int64_t nowNs = obs::profileNowNs();
-        series_.record(wallUs_,
-                       static_cast<double>(nowNs - lastSampleNs_) * 1e-3 /
-                           static_cast<double>(series_.sampleStride()));
-        lastSampleNs_ = nowNs;
     }
 
     obs::TimeSeriesRecorder series_;
     double vThreshold_;
     std::array<int, config::numSMs> railSm_{};
-    int railMin_, railMax_, powerLoad_, luBuilds_, wallUs_;
+    int railMin_, railMax_, powerLoad_, luBuilds_;
     int ctlMargin_ = -1;
     int ctlTriggered_ = -1;
     int dfsFreq_ = -1;
     int pgGated_ = -1;
-    std::int64_t lastSampleNs_ = obs::profileNowNs();
 };
 
 /** Kernel launches and per-cycle rail extremes into this thread's

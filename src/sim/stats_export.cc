@@ -45,7 +45,7 @@ collectCounters(const Gpu &gpu, const TransientSim &sim,
 namespace
 {
 
-/** One event counter: its registry name, unit and description. */
+/** One event counter: its stat name, unit and description. */
 struct CounterField
 {
     const char *name;
@@ -127,6 +127,15 @@ static_assert(sizeof(CosimCounters) ==
                   std::size(counterFields) * sizeof(std::uint64_t),
               "every CosimCounters field needs a counterFields entry");
 
+/** Append one entry; the caller sets its value or count. */
+obs::SnapshotEntry &
+append(obs::StatsSnapshot &stats, obs::StatKind kind, const char *name,
+       const char *unit, const char *desc)
+{
+    return stats.entries.emplace_back(
+        obs::SnapshotEntry{kind, name, unit, desc});
+}
+
 } // namespace
 
 void
@@ -137,110 +146,68 @@ CosimCounters::add(const CosimCounters &o)
 }
 
 void
-registerCounters(obs::StatsRegistry &registry,
-                 const CosimCounters &counters)
+appendCounters(obs::StatsSnapshot &stats, const CosimCounters &counters)
 {
     for (const CounterField &f : counterFields)
-        registry.addCounter(f.name, f.unit, f.desc).set(counters.*f.field);
+        append(stats, obs::StatKind::Counter, f.name, f.unit, f.desc)
+            .count = counters.*f.field;
 }
 
 void
-registerRunStats(obs::StatsRegistry &registry,
-                 const CosimResult &result)
+appendRunStats(obs::StatsSnapshot &stats, const CosimResult &result)
 {
-    registerCounters(registry, result.counters);
+    appendCounters(stats, result.counters);
 
-    obs::StatsGroup gpu = registry.group("gpu");
-    gpu.scalar("min_voltage", obs::unitName<Volts>(),
-               "worst per-SM rail voltage over the run")
-        .set(result.minVoltage);
-    gpu.scalar("mean_voltage", obs::unitName<Volts>(),
-               "mean per-SM rail voltage over the run")
-        .set(result.meanVoltage);
-    gpu.scalar("throttle_rate", "",
-               "fraction of SM-cycles under DIWS throttling")
-        .set(result.throttleRate);
-    gpu.scalar("trigger_rate", "",
-               "fraction of control decisions that triggered")
-        .set(result.triggerRate);
-    gpu.scalar("avg_load_power", obs::unitName<Watts>(),
-               "average SM load power over the run")
-        .set(result.avgLoadPower());
+    const auto scalar = [&stats](const char *name, const char *unit,
+                                 const char *desc, double value) {
+        append(stats, obs::StatKind::Scalar, name, unit, desc).value =
+            value;
+    };
+    const char *volts = obs::unitName<Volts>();
+    scalar("gpu.min_voltage", volts,
+           "worst per-SM rail voltage over the run", result.minVoltage);
+    scalar("gpu.mean_voltage", volts,
+           "mean per-SM rail voltage over the run", result.meanVoltage);
+    scalar("gpu.throttle_rate", "",
+           "fraction of SM-cycles under DIWS throttling",
+           result.throttleRate);
+    scalar("gpu.trigger_rate", "",
+           "fraction of control decisions that triggered",
+           result.triggerRate);
+    scalar("gpu.avg_load_power", obs::unitName<Watts>(),
+           "average SM load power over the run", result.avgLoadPower());
 
-    obs::StatsGroup energy = registry.group("energy");
+    const EnergyBreakdown &e = result.energy;
     const char *joules = obs::unitName<Joules>();
-    energy.scalar("load", joules, "energy delivered to SM loads")
-        .set(result.energy.load);
-    energy.scalar("fake", joules, "load energy spent on FII")
-        .set(result.energy.fake);
-    energy.scalar("pdn", joules, "resistive PDN loss")
-        .set(result.energy.pdn);
-    energy
-        .scalar("conversion", joules,
-                "VRM / single-layer IVR conversion loss")
-        .set(result.energy.conversion);
-    energy
-        .scalar("cr_ivr", joules,
-                "CR-IVR charge-transfer and switching loss")
-        .set(result.energy.crIvr);
-    energy
-        .scalar("overhead", joules,
-                "detector, controller, DCC, shifter overheads")
-        .set(result.energy.overhead);
-    energy.scalar("wall", joules, "total board-supply energy")
-        .set(result.energy.wall);
-    energy
-        .formula("pde", "",
-                 "power delivery efficiency (load / wall)",
-                 [load = result.energy.load,
-                  wall = result.energy.wall] {
-                     return wall > 0.0 ? load / wall : 0.0;
-                 })
-        .value();
+    scalar("energy.load", joules, "energy delivered to SM loads", e.load);
+    scalar("energy.fake", joules, "load energy spent on FII", e.fake);
+    scalar("energy.pdn", joules, "resistive PDN loss", e.pdn);
+    scalar("energy.conversion", joules,
+           "VRM / single-layer IVR conversion loss", e.conversion);
+    scalar("energy.cr_ivr", joules,
+           "CR-IVR charge-transfer and switching loss", e.crIvr);
+    scalar("energy.overhead", joules,
+           "detector, controller, DCC, shifter overheads", e.overhead);
+    scalar("energy.wall", joules, "total board-supply energy", e.wall);
+    append(stats, obs::StatKind::Formula, "energy.pde", "",
+           "power delivery efficiency (load / wall)")
+        .value = e.wall > 0.0 ? e.load / e.wall : 0.0;
 }
 
 void
-registerExecStats(obs::StatsRegistry &registry,
-                  std::uint64_t poolTasksRun,
-                  std::uint64_t poolSteals,
-                  std::uint64_t setupsBuilt,
-                  std::uint64_t setupHits)
+appendExecStats(obs::StatsSnapshot &stats, std::uint64_t poolTasksRun,
+                std::uint64_t setupsBuilt, std::uint64_t setupHits)
 {
-    obs::StatsGroup exec = registry.group("exec");
-    exec.counter("pool.tasks_run", "tasks",
-                 "pool tasks executed to completion")
-        .set(poolTasksRun);
-    exec.counter("pool.steals", "steals",
-                 "tasks taken from another worker's queue "
-                 "(schedule-dependent; excluded from default dumps)",
-                 /*scheduleDependent=*/true)
-        .set(poolSteals);
-    exec.counter("setup_cache.built", "setups",
-                 "electrical setups built (cache misses)")
-        .set(setupsBuilt);
-    exec.counter("setup_cache.hits", "setups",
-                 "setup requests answered from the cache")
-        .set(setupHits);
-}
-
-void
-registerTraceStats(obs::StatsRegistry &registry,
-                   std::uint64_t traceEvents,
-                   std::uint64_t traceDropped)
-{
-    obs::StatsGroup obsGroup = registry.group("obs");
-    obsGroup
-        .counter("trace.events", "events",
-                 "trace events retained in the in-memory ring "
-                 "(schedule-dependent; excluded from default dumps)",
-                 /*scheduleDependent=*/true)
-        .set(traceEvents);
-    obsGroup
-        .counter("trace.dropped_events", "events",
-                 "oldest trace events evicted by ring wraparound "
-                 "(schedule-dependent; excluded from default dumps)",
-                 /*scheduleDependent=*/true)
-        .set(traceDropped);
+    const obs::StatKind counter = obs::StatKind::Counter;
+    append(stats, counter, "exec.pool.tasks_run", "tasks",
+           "pool tasks executed to completion")
+        .count = poolTasksRun;
+    append(stats, counter, "exec.setup_cache.built", "setups",
+           "electrical setups built (cache misses)")
+        .count = setupsBuilt;
+    append(stats, counter, "exec.setup_cache.hits", "setups",
+           "setup requests answered from the cache")
+        .count = setupHits;
 }
 
 } // namespace vsgpu

@@ -1,10 +1,9 @@
 /**
  * @file
  * Cross-layer observability integration tests: for every registered
- * scenario, the summary JSON, the stats dumps (the schedule-dependent
- * stats are excluded by default), the manifest fingerprint, and the
- * time-series dump must be bitwise identical for --jobs 1 and
- * --jobs 8; enabling tracing, sampling, or profiling must not
+ * scenario, the summary JSON, the stats dump, the manifest
+ * fingerprint, and the time-series dump must be bitwise identical for
+ * --jobs 1 and --jobs 8; enabling tracing, sampling, or profiling must not
  * perturb simulation results.
  */
 
@@ -29,7 +28,6 @@ constexpr double kScale = 0.05;
 struct ScenarioDump
 {
     std::string statsJson;
-    std::string statsText;
     std::string summaryJson;
     std::string seriesJson;
     obs::Manifest manifest;
@@ -49,22 +47,19 @@ runWithJobs(const std::string &scenario, int jobs,
     opts.profile = profile;
 
     std::ostringstream tables;
-    obs::StatsRegistry registry;
+    obs::StatsSnapshot stats;
     ScenarioDump dump;
     const Summary summary =
-        runScenario(*info, opts, tables, &registry, &dump.manifest,
+        runScenario(*info, opts, tables, &stats, &dump.manifest,
                     &dump.telemetry);
     std::ostringstream seriesJson;
     obs::writeTimeSeriesJson(dump.telemetry.series, seriesJson);
     dump.seriesJson = seriesJson.str();
 
-    registry.setManifest(dump.manifest);
+    stats.manifest = dump.manifest;
     std::ostringstream statsJson;
-    registry.dumpJson(statsJson);
+    obs::writeStatsJson(stats, statsJson);
     dump.statsJson = statsJson.str();
-    std::ostringstream statsText;
-    registry.dumpText(statsText);
-    dump.statsText = statsText.str();
     std::ostringstream summaryJson;
     writeSummaryJson(summary, summaryJson);
     dump.summaryJson = summaryJson.str();
@@ -87,7 +82,6 @@ TEST_P(ObsDeterminism, StatsDumpsIdenticalAcrossJobCounts)
     EXPECT_FALSE(one.summaryJson.empty());
     EXPECT_EQ(one.summaryJson, eight.summaryJson);
     EXPECT_EQ(one.statsJson, eight.statsJson);
-    EXPECT_EQ(one.statsText, eight.statsText);
     EXPECT_EQ(one.manifest.configFingerprint,
               eight.manifest.configFingerprint);
     EXPECT_EQ(one.seriesJson, eight.seriesJson);
@@ -152,10 +146,6 @@ TEST(ObsDeterminism, SeriesChannelsCoverEveryLayer)
         EXPECT_NE(dump.seriesJson.find(needle), std::string::npos)
             << needle;
     }
-    // The wall-clock channel is schedule-dependent and must stay out
-    // of the default (determinism-gated) dump.
-    EXPECT_EQ(dump.seriesJson.find("wall.sample_us"),
-              std::string::npos);
 }
 
 TEST(ObsDeterminism, SamplingAndProfilingDoNotPerturbResults)

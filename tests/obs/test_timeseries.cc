@@ -178,12 +178,8 @@ sampleDoc()
     for (const char *label : {"b/run", "a/run"}) {
         TimeSeriesRecorder rec(1.0, 4.0);
         const int v = rec.addChannel("rail.min", "V", "window min");
-        const int w = rec.addChannel("wall.sample_us", "us",
-                                     "wall clock per window",
-                                     /*scheduleDependent=*/true);
         for (int i = 0; i < 8; ++i) {
             rec.record(v, 1.0 + 0.1 * i);
-            rec.record(w, 42.0);
             rec.endCycle();
         }
         auto run = rec.finish();
@@ -193,7 +189,7 @@ sampleDoc()
     return doc;
 }
 
-TEST(TimeSeries, JsonDumpSortsRunsAndOmitsScheduleDependent)
+TEST(TimeSeries, JsonDumpSortsRuns)
 {
     const TimeSeriesDoc doc = sampleDoc();
     std::ostringstream os;
@@ -203,12 +199,6 @@ TEST(TimeSeries, JsonDumpSortsRunsAndOmitsScheduleDependent)
               std::string::npos);
     // Runs sorted by label regardless of insertion order.
     EXPECT_LT(json.find("\"a/run\""), json.find("\"b/run\""));
-    // Schedule-dependent channels are excluded by default...
-    EXPECT_EQ(json.find("wall.sample_us"), std::string::npos);
-    // ...and included on request.
-    std::ostringstream all;
-    writeTimeSeriesJson(doc, all, /*includeScheduleDependent=*/true);
-    EXPECT_NE(all.str().find("wall.sample_us"), std::string::npos);
 }
 
 TEST(TimeSeries, JsonRoundTripsThroughParser)

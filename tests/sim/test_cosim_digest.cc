@@ -142,10 +142,6 @@ digest(const CosimResult &r)
         for (std::uint64_t c : ts.cycles)
             h.add(c);
         for (const obs::TimeSeriesChannel &ch : ts.channels) {
-            // Wall-clock channels are excluded from every
-            // determinism contract.
-            if (ch.scheduleDependent)
-                continue;
             h.add(ch.min);
             h.add(ch.max);
             h.add(ch.mean);

@@ -349,45 +349,57 @@ class UnitFlow
             checkCallArgs(call, env);
     }
 
+    /**
+     * @return the overload a call is checked against: the first one
+     * of the call's arity, else the first with parameters, else
+     * null.  Calls resolve by unqualified name, so a same-named
+     * method of another class must not stand in for the callee.
+     */
+    const FunctionDef *
+    resolveCallee(const df::CallRef &call) const
+    {
+        const FunctionDef *first = nullptr;
+        for (int id : project_.lookup(call.callee)) {
+            const FunctionDef &f =
+                project_.index()
+                    .functions[static_cast<std::size_t>(id)];
+            if (f.params.size() == call.args.size())
+                return &f;
+            if (first == nullptr && !f.params.empty())
+                first = &f;
+        }
+        return first;
+    }
+
     void
     checkCallArgs(const df::CallRef &call, const df::TaintEnv &env)
     {
-        for (int id : project_.lookup(call.callee)) {
-            const FunctionDef &callee =
-                project_.index()
-                    .functions[static_cast<std::size_t>(id)];
-            if (callee.params.empty())
+        const FunctionDef *callee = resolveCallee(call);
+        if (callee == nullptr)
+            return;
+        for (std::size_t a = 0;
+             a < call.args.size() && a < callee->params.size(); ++a) {
+            const ParamInfo &param = callee->params[a];
+            std::string expected;
+            if (isQuantityAlias(param.type))
+                expected = param.type;
+            else if (param.type == "double" || param.type == "float")
+                expected = suffixTag(param.name);
+            if (expected.empty())
                 continue;
-            for (std::size_t a = 0;
-                 a < call.args.size() &&
-                 a < callee.params.size();
-                 ++a) {
-                const ParamInfo &param = callee.params[a];
-                std::string expected;
-                if (isQuantityAlias(param.type))
-                    expected = param.type;
-                else if (param.type == "double" ||
-                         param.type == "float")
-                    expected = suffixTag(param.name);
-                if (expected.empty())
-                    continue;
-                df::TagSet tags;
-                for (const std::string &root : call.args[a]) {
-                    const df::TagSet vt = varTags(root, env);
-                    tags.insert(vt.begin(), vt.end());
-                }
-                if (tags.size() == 1 && *tags.begin() != expected)
-                    diagnose(call.nameOffset,
-                             "unit-flow.arg-mismatch",
-                             "argument tagged '" + *tags.begin() +
-                                 "' flows into parameter '" +
-                                 param.name + "' of '" +
-                                 callee.name + "' which expects '" +
-                                 expected +
-                                 "' — unit mismatch across the "
-                                 "call boundary");
+            df::TagSet tags;
+            for (const std::string &root : call.args[a]) {
+                const df::TagSet vt = varTags(root, env);
+                tags.insert(vt.begin(), vt.end());
             }
-            break; // first overload with parameters is enough
+            if (tags.size() == 1 && *tags.begin() != expected)
+                diagnose(call.nameOffset, "unit-flow.arg-mismatch",
+                         "argument tagged '" + *tags.begin() +
+                             "' flows into parameter '" + param.name +
+                             "' of '" + callee->name +
+                             "' which expects '" + expected +
+                             "' — unit mismatch across the call "
+                             "boundary");
         }
     }
 

@@ -25,8 +25,8 @@
  *   --wave-out FILE             per-SM rail waveforms (VCD, or CSV
  *                               when FILE ends in .csv)
  *   --wave-stride N             record every Nth timestep [16]
- *   --stats-out FILE            stats registry dump as JSON, with
- *                               the run manifest
+ *   --stats-out FILE            stats dump as JSON with the run
+ *                               manifest
  *   --trace-out FILE            Chrome trace_event JSON (open in
  *                               Perfetto / chrome://tracing)
  *   --trace-categories LIST     comma list of phase,pool,ctl,hv,all
@@ -67,7 +67,7 @@
 #include "obs/manifest.hh"
 #include "obs/profile.hh"
 #include "obs/report.hh"
-#include "obs/stats_registry.hh"
+#include "obs/stats_snapshot.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
 #include "pdn/impedance.hh"
@@ -329,23 +329,23 @@ cmdRun(const std::map<std::string, std::string> &flags)
         manifest.seed = seed;
         manifest.scale = 1.0;
 
-        obs::StatsRegistry registry;
-        registerRunStats(registry, result);
-        registerExecStats(
-            registry, pool.tasksRun(), pool.steals(),
+        obs::StatsSnapshot stats;
+        stats.manifest = manifest;
+        appendRunStats(stats, result);
+        appendExecStats(
+            stats, pool.tasksRun(),
             static_cast<std::uint64_t>(cache.setupsBuilt()),
             static_cast<std::uint64_t>(cache.setupHits()));
         if (wantProfile && result.profile) {
-            registry.setProfileJson(
-                obs::writeProfileJson(*result.profile, "  "));
+            stats.profileJson =
+                obs::writeProfileJson(*result.profile, "  ");
         }
-        registry.setManifest(manifest);
 
         const std::string &path = flags.at("stats-out");
         std::ofstream out(path);
         fatalIf(!out, "cannot open '", path, "'");
-        registry.dumpJson(out);
-        std::cout << "wrote " << registry.size() << " stats to "
+        obs::writeStatsJson(stats, out);
+        std::cout << "wrote " << stats.entries.size() << " stats to "
                   << path << "\n";
     }
 
