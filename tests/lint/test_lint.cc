@@ -255,9 +255,6 @@ TEST(LintScope, FamiliesScopeByPath)
         checkAppliesTo(Check::Determinism, "src/gpu/sm.cc"));
     EXPECT_FALSE(
         checkAppliesTo(Check::Determinism, "bench/fig07.cc"));
-    // unit-flow stays in src/ even where bench/ does the unit math.
-    EXPECT_FALSE(
-        checkAppliesTo(Check::UnitFlow, "bench/fig07.cc"));
     // contracts apply everywhere.
     EXPECT_TRUE(
         checkAppliesTo(Check::Contracts, "tests/foo/bar.cc"));
@@ -276,6 +273,21 @@ TEST(LintScope, FamiliesScopeByPath)
         checkAppliesTo(Check::RawEscape, "bench/ctl_stability.cc"));
 }
 
+TEST(LintScope, SemanticFamiliesScopeByPath)
+{
+    // The numeric core may work in raw doubles, so the raw-escape
+    // scope leaves it out; it stays in src/ even where bench/ does the
+    // unit math, and never reaches tests/.
+    EXPECT_TRUE(
+        checkAppliesTo(Check::RawEscape, "src/control/controller.cc"));
+    EXPECT_FALSE(
+        checkAppliesTo(Check::RawEscape, "src/circuit/transient.cc"));
+    EXPECT_FALSE(checkAppliesTo(Check::RawEscape, "src/verify/erc.cc"));
+    EXPECT_FALSE(checkAppliesTo(Check::RawEscape, "src/sim/cosim.cc"));
+    EXPECT_FALSE(checkAppliesTo(Check::RawEscape, "bench/fig07.cc"));
+    EXPECT_FALSE(checkAppliesTo(Check::RawEscape, "tests/exec/t.cc"));
+}
+
 TEST(LintScope, EntropyAllowlistPermitsSeededFactory)
 {
     const std::string code = "std::random_device rd;\n";
@@ -292,7 +304,7 @@ TEST(LintScope, EntropyAllowlistPermitsSeededFactory)
 
 TEST(LintBaseline, FingerprintSqueezesWhitespace)
 {
-    const Diagnostic d{"src/a.hh", 7, Check::UnitSafety, "msg", ""};
+    const Diagnostic d{"src/a.hh", 7, Check::UnitSafety, "msg"};
     EXPECT_EQ(fingerprint(d, "  double   x ;"),
               fingerprint(d, "double x ;"));
     EXPECT_EQ(fingerprint(d, "double x;").find("unit-safety|"), 0U);
@@ -395,15 +407,6 @@ TEST(LintChecks, NameRoundTrip)
     EXPECT_FALSE(parseCheckName("no-such-check", parsed));
 }
 
-TEST(LintChecks, ProjectChecksAreTheSemanticFamilies)
-{
-    // unit-flow is the one project-wide family; every other family
-    // runs file by file.
-    for (Check c : kAllChecks)
-        EXPECT_EQ(isProjectCheck(c), c == Check::UnitFlow)
-            << checkName(c);
-}
-
 // ================= runChecks plumbing =================
 
 TEST(LintRunChecks, ScopedSweepSkipsOutOfScopeFamilies)
@@ -422,19 +425,43 @@ TEST(LintRunChecks, ScopedSweepSkipsOutOfScopeFamilies)
     EXPECT_EQ(diags.size(), 1U);
 }
 
-// ================= semantic-family scoping =================
-
-TEST(LintScope, SemanticFamiliesScopeByPath)
+TEST(LintRunChecks, ScopingFiltersFixturePaths)
 {
-    // unit-flow shares the raw-escape scope: the numeric core is
-    // allowed to work in raw doubles.
-    EXPECT_TRUE(
-        checkAppliesTo(Check::UnitFlow, "src/control/controller.cc"));
-    EXPECT_FALSE(
-        checkAppliesTo(Check::UnitFlow, "src/circuit/transient.cc"));
-    EXPECT_FALSE(checkAppliesTo(Check::UnitFlow, "src/verify/erc.cc"));
-    EXPECT_FALSE(checkAppliesTo(Check::UnitFlow, "src/sim/cosim.cc"));
-    EXPECT_FALSE(checkAppliesTo(Check::UnitFlow, "tests/exec/t.cc"));
+    // Fixture displays live under tests/, which raw-escape does not
+    // cover — a scoped sweep stays clean, explicit files fire.
+    const SourceFile src = fixture("raw_violate.cc");
+    std::vector<Diagnostic> scoped;
+    runChecks(src, {Check::RawEscape}, CheckOptions{},
+              /*ignoreScope=*/false, scoped);
+    EXPECT_TRUE(scoped.empty());
+
+    std::vector<Diagnostic> explicitRun;
+    runChecks(src, {Check::RawEscape}, CheckOptions{},
+              /*ignoreScope=*/true, explicitRun);
+    EXPECT_EQ(explicitRun.size(), 2U);
+}
+
+// ================= --explain =================
+
+TEST(Explain, FamilyDottedIdAndUnknownIds)
+{
+    for (Check c : kAllChecks) {
+        std::ostringstream family;
+        EXPECT_TRUE(explainDiagnostic(checkName(c), family))
+            << checkName(c);
+        EXPECT_NE(family.str().find("Waiver"), std::string::npos);
+    }
+
+    // Diagnostics carry their family name only; a dotted id names
+    // nothing, even with a known family in front.
+    std::ostringstream sink;
+    EXPECT_FALSE(explainDiagnostic("raw-escape.leak", sink));
+    EXPECT_FALSE(explainDiagnostic("no-such-family", sink));
+    EXPECT_FALSE(explainDiagnostic("pool-escape", sink))
+        << "the pool families are retired";
+    EXPECT_FALSE(explainDiagnostic("fp-determinism", sink))
+        << "the jobs-1-vs-N identity gate replaced fp-determinism";
+    EXPECT_TRUE(sink.str().empty());
 }
 
 // ================= SARIF output =================
@@ -442,29 +469,57 @@ TEST(LintScope, SemanticFamiliesScopeByPath)
 TEST(LintSarif, EmitsRulesAndResults)
 {
     const std::vector<Diagnostic> diags = {
-        {"src/a.cc", 3, Check::UnitFlow, "mixed sum 'x'",
-         "unit-flow.mixed-units"},
-        {"src/b.cc", 9, Check::UnitSafety, "raw double", ""},
+        {"src/a.cc", 3, Check::RawEscape, "leaked raw 'x'"},
+        {"src/b.hh", 9, Check::UnitSafety, "raw double"},
     };
     std::ostringstream os;
     writeSarif(os, diags);
     const std::string sarif = os.str();
     EXPECT_NE(sarif.find("\"version\": \"2.1.0\""),
               std::string::npos);
-    // Rules: the diagnostic id when present, family name otherwise.
-    EXPECT_NE(sarif.find("unit-flow.mixed-units"), std::string::npos);
-    EXPECT_NE(sarif.find("\"unit-safety\""), std::string::npos);
-    EXPECT_NE(sarif.find("mixed sum 'x'"), std::string::npos);
+    // One rule per family that fired, named after the family.
+    EXPECT_NE(sarif.find("{\"id\": \"raw-escape\""), std::string::npos);
+    EXPECT_NE(sarif.find("{\"id\": \"unit-safety\""), std::string::npos);
+    EXPECT_EQ(sarif.find("{\"id\": \"determinism\""), std::string::npos);
+    EXPECT_NE(sarif.find("leaked raw 'x'"), std::string::npos);
     EXPECT_NE(sarif.find("\"uri\": \"src/a.cc\""),
               std::string::npos);
     EXPECT_NE(sarif.find("\"startLine\": 3"), std::string::npos);
+    EXPECT_EQ(sarif.find("startColumn"), std::string::npos)
+        << "every family is line-granular";
+}
+
+TEST(LintSarif, SortsAndDedupes)
+{
+    // Out of order, with an exact duplicate: the log must come out
+    // sorted by (ruleId, file, line) with the duplicate collapsed.
+    const std::vector<Diagnostic> diags = {
+        {"src/b.cc", 9, Check::RawEscape, "m2"},
+        {"src/c.cc", 3, Check::Determinism, "m1"},
+        {"src/c.cc", 3, Check::Determinism, "m1"},
+        {"src/a.cc", 4, Check::RawEscape, "m3"},
+    };
+    std::ostringstream os;
+    writeSarif(os, diags);
+    const std::string sarif = os.str();
+    const std::size_t det = sarif.find("\"ruleId\": \"determinism\"");
+    const std::size_t rawA = sarif.find("\"uri\": \"src/a.cc\"");
+    const std::size_t rawB = sarif.find("\"uri\": \"src/b.cc\"");
+    ASSERT_NE(det, std::string::npos);
+    ASSERT_NE(rawA, std::string::npos);
+    ASSERT_NE(rawB, std::string::npos);
+    EXPECT_LT(det, rawA) << "results must sort by ruleId";
+    EXPECT_LT(rawA, rawB) << "then by file";
+    EXPECT_EQ(sarif.find("\"ruleId\": \"determinism\"", det + 1),
+              std::string::npos)
+        << "identical locations must deduplicate";
 }
 
 TEST(LintSarif, EscapesJsonSpecials)
 {
     const std::vector<Diagnostic> diags = {
         {"src/a.cc", 1, Check::Determinism,
-         "quote \" backslash \\ newline \n done", ""},
+         "quote \" backslash \\ newline \n done"},
     };
     std::ostringstream os;
     writeSarif(os, diags);
@@ -473,28 +528,17 @@ TEST(LintSarif, EscapesJsonSpecials)
               std::string::npos);
 }
 
-// ================= fingerprints with ids =================
-
-TEST(LintBaseline, DiagnosticIdHeadsTheFingerprint)
-{
-    const Diagnostic d{"src/a.cc", 4, Check::UnitFlow, "msg",
-                       "unit-flow.mixed-units"};
-    EXPECT_EQ(fingerprint(d, "double s = v + i;")
-                  .find("unit-flow.mixed-units|"),
-              0U);
-}
-
 TEST(LintBaseline, FingerprintSurvivesWhitespaceRefactor)
 {
     // Re-indenting a file must not invalidate baseline entries: the
     // fingerprint squeezes runs of whitespace in the quoted line and
     // never includes the line number.
-    const Diagnostic before{"src/a.cc", 10, Check::UnitFlow, "m",
-                            "unit-flow.mixed-units"};
-    const Diagnostic after{"src/a.cc", 42, Check::UnitFlow, "m",
-                           "unit-flow.mixed-units"};
-    EXPECT_EQ(fingerprint(before, "total = r   + l;"),
-              fingerprint(after, "    total = r + l;"));
+    const Diagnostic before{"src/a.cc", 10, Check::RawEscape, "m"};
+    const Diagnostic after{"src/a.cc", 42, Check::RawEscape, "m"};
+    EXPECT_EQ(fingerprint(before, "total = r.raw()   + l;"),
+              fingerprint(after, "    total = r.raw() + l;"));
+    EXPECT_EQ(fingerprint(after, "x").find("raw-escape|src/a.cc|"),
+              0U);
 }
 
 } // namespace

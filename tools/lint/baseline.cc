@@ -46,13 +46,8 @@ squeeze(std::string_view text)
 std::string
 fingerprint(const Diagnostic &diag, std::string_view lineText)
 {
-    // Semantic families carry dotted ids (unit-flow.mixed-units)
-    // that subdivide the family; the id is the stable head so a
-    // family can grow new sub-rules without invalidating baselines.
-    const std::string head =
-        diag.id.empty() ? std::string(checkName(diag.check))
-                        : diag.id;
-    return head + "|" + diag.file + "|" + squeeze(lineText);
+    return std::string(checkName(diag.check)) + "|" + diag.file +
+           "|" + squeeze(lineText);
 }
 
 std::vector<std::string>

@@ -104,8 +104,7 @@ checkContracts(const SourceFile &src, std::vector<Diagnostic> &out)
         if (body == tokens.size()) {
             out.push_back({src.display(), tagLine, Check::Contracts,
                            "VSGPU_CONTRACT tag is not followed by a "
-                           "function definition",
-                           ""});
+                           "function definition"});
             continue;
         }
         const std::size_t bodyEnd = matchBrace(tokens, body);
@@ -123,8 +122,7 @@ checkContracts(const SourceFile &src, std::vector<Diagnostic> &out)
                  "function tagged [[vsgpu::contract]] states no "
                  "VSGPU_REQUIRES / VSGPU_ENSURES in its definition "
                  "— add the contract or drop the tag "
-                 "(src/common/check.hh)",
-                 ""});
+                 "(src/common/check.hh)"});
         i = body;
     }
 }

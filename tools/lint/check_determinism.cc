@@ -102,7 +102,7 @@ checkDeterminism(const SourceFile &src, const CheckOptions &opts,
         if (src.hasWaiver(line, waiver))
             return;
         out.push_back({src.display(), line, Check::Determinism,
-                       std::move(message), ""});
+                       std::move(message)});
     };
 
     // --- Sub-rule 1: banned calls -------------------------------
@@ -319,8 +319,7 @@ checkDeterminism(const SourceFile &src, const CheckOptions &opts,
              "iteration over an unordered container feeds an "
              "accumulation — the result depends on hash ordering; "
              "iterate a sorted copy, use std::map, or reduce by "
-             "index",
-             ""});
+             "index"});
     }
 }
 

@@ -11,8 +11,8 @@
  * entity as Volts/Amps/Ohms/... and call .raw() at the boundary to
  * dimension-unaware code instead.
  *
- * `vsgpu_lint --checks unit-safety,unit-flow` runs the unit families
- * alone.  The waiver comment is
+ * `vsgpu_lint --checks unit-safety` runs the family alone.  The
+ * waiver comment is
  *   // vsgpu-lint: raw-ok(<reason>)
  * and the legacy "check_units:allow" spelling stays honoured so old
  * waivers do not break.
@@ -133,7 +133,7 @@ checkUnitSafety(const SourceFile &src, std::vector<Diagnostic> &out)
                    "(src/common/quantity.hh) or waive with "
                    "'// vsgpu-lint: raw-ok(<reason>)'";
         out.push_back({src.display(), line, Check::UnitSafety,
-                       std::move(message), ""});
+                       std::move(message)});
     }
 }
 

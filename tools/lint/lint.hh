@@ -2,7 +2,7 @@
  * @file
  * vsgpu_lint — project-specific static analysis for the vsgpu tree.
  *
- * Five check families enforce the invariants the codebase's tests
+ * Four check families enforce the invariants the codebase's tests
  * and type system rely on, as machine-checked rules instead of
  * convention.  Each encodes something specific to this project that
  * no stock tool (compiler warnings, clang-tidy, ASan/UBSan/TSan)
@@ -18,9 +18,8 @@
  *   raw-escape        Quantity::raw() called outside the numeric
  *                     core (circuit/verify/solver boundary files)
  *
- * plus the project-wide semantic family declared in semantic.hh
- * (unit-flow).  Bitwise identity across --jobs is not a lint
- * family: the jobs-1-vs-N byte-identity gate over every scenario
+ * Bitwise identity across --jobs is not a lint family: the
+ * jobs-1-vs-N byte-identity gate over every scenario
  * (tests/obs/test_obs_determinism.cc) tests it directly.
  *
  * The analysis is a deliberately small token-level frontend: it scrubs
@@ -34,7 +33,6 @@
  *   // vsgpu-lint: unordered-ok(<reason>)  determinism (iteration)
  *   // vsgpu-lint: iostream-ok(<reason>)   determinism (direct stdio)
  *   // vsgpu-lint: raw-escape-ok(<reason>) raw-escape
- *   // vsgpu-lint: unit-flow-ok(<reason>)  unit-flow
  * A waiver on the diagnosed line or the line above it applies.
  */
 
@@ -50,27 +48,21 @@
 namespace vsgpu::lint
 {
 
-/** Check families, in severity-neutral declaration order.  The
- *  first four are per-file token-level families; the last is the
- *  project-wide semantic family built on the symbol index /
- *  dataflow core (semantic.hh, dataflow.hh). */
+/** Check families, in severity-neutral declaration order.  Each
+ *  runs file by file over the token stream. */
 enum class Check
 {
     UnitSafety,
     Determinism,
     Contracts,
     RawEscape,
-    UnitFlow,
 };
 
 /** Every family, in declaration order (CLI listings, round-trips). */
 inline constexpr Check kAllChecks[] = {
     Check::UnitSafety, Check::Determinism, Check::Contracts,
-    Check::RawEscape,  Check::UnitFlow,
+    Check::RawEscape,
 };
-
-/** True for the project-wide semantic family (unit-flow). */
-bool isProjectCheck(Check check);
 
 /** Stable kebab-case name used on the CLI and in baseline files. */
 std::string_view checkName(Check check);
@@ -85,19 +77,6 @@ struct Diagnostic
     int line = 0;     ///< 1-based
     Check check = Check::UnitSafety;
     std::string message;
-    /**
-     * Stable dotted diagnostic id ("unit-flow.mixed-units"),
-     * set by the semantic family.  Empty for the token-level
-     * families, whose fingerprints predate ids and must stay stable;
-     * when set, it replaces the family name in fingerprints and is
-     * the SARIF ruleId.
-     */
-    std::string id;
-    /** 1-based column of the finding; 0 = unknown (line-granular
-     *  families).  Participates in the SARIF sort key.  Last so the
-     *  established {file, line, check, message, id} aggregate
-     *  initializers stay valid. */
-    int column = 0;
 };
 
 /**
@@ -248,22 +227,20 @@ std::vector<CompileCommand>
 readCompileCommands(const std::string &path);
 
 /**
- * Write @p diags as a SARIF 2.1.0 log (GitHub code scanning).  Rules
- * are derived from the diagnostic ids (falling back to the family
- * name); locations use the display paths as repository-relative URIs.
+ * Write @p diags as a SARIF 2.1.0 log (GitHub code scanning).  Each
+ * family is one rule, its id the family name; locations use the
+ * display paths as repository-relative URIs.
  */
 void writeSarif(std::ostream &os,
                 const std::vector<Diagnostic> &diags);
 
 /**
  * Print the rationale, a minimal violating/fixed example pair (from
- * the fixture corpus), and the waiver syntax for @p idOrFamily — a
- * dotted diagnostic id ("unit-flow.mixed-units") or a family name
- * ("unit-flow").  Returns false for an unknown id (the
+ * the fixture corpus), and the waiver syntax for the family named
+ * @p family ("raw-escape").  Returns false for an unknown name (the
  * CLI maps that to exit status 2).
  */
-bool explainDiagnostic(std::string_view idOrFamily,
-                       std::ostream &os);
+bool explainDiagnostic(std::string_view family, std::ostream &os);
 
 } // namespace vsgpu::lint
 

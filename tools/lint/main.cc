@@ -6,7 +6,7 @@
  *   vsgpu_lint [-p <build-dir>] [--checks a,b,...]
  *              [--baseline <file> | --no-baseline]
  *              [--write-baseline] [--list-checks]
- *              [--explain <id>]
+ *              [--explain <family>]
  *              [--sarif <file>] [--timings <file>] [file...]
  *
  * With no file arguments, lints every project source named by the
@@ -26,16 +26,13 @@
  */
 
 #include "lint.hh"
-#include "semantic.hh"
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -68,7 +65,7 @@ usage(std::ostream &os)
           "                  [--baseline file | --no-baseline]\n"
           "                  [--write-baseline] [--verbose]\n"
           "                  [--sarif file] [--timings file]\n"
-          "                  [--explain id] [--list-checks] "
+          "                  [--explain family] [--list-checks] "
           "[file...]\n";
     return 2;
 }
@@ -176,9 +173,8 @@ main(int argc, char **argv)
             if (!v)
                 return usage(std::cerr);
             if (!explainDiagnostic(v, std::cout)) {
-                std::cerr << "vsgpu_lint: unknown diagnostic id '"
-                          << v
-                          << "' (see --list-checks for families)\n";
+                std::cerr << "vsgpu_lint: unknown family '" << v
+                          << "' (see --list-checks)\n";
                 return 2;
             }
             return 0;
@@ -254,31 +250,26 @@ main(int argc, char **argv)
 
         std::sort(targets.begin(), targets.end());
 
-        std::vector<SourceFile> loaded;
-        loaded.reserve(targets.size());
+        std::vector<SourceFile> sources;
+        sources.reserve(targets.size());
         for (const fs::path &t : targets) {
             if (!fs::exists(t)) {
                 std::cerr << "vsgpu_lint: no such file: " << t
                           << "\n";
                 return 2;
             }
-            loaded.push_back(loadSource(
+            sources.push_back(loadSource(
                 t.string(), displayPath(t, repoRoot)));
         }
 
-        // The --timings wall clock covers tokenizing and indexing
-        // too, not only the family passes.
+        // The --timings wall clock covers the family passes, which
+        // tokenize each file themselves.
         using Clock = std::chrono::steady_clock;
         const auto secondsSince = [](Clock::time_point t0) {
             return std::chrono::duration<double>(Clock::now() - t0)
                 .count();
         };
         const auto wallStart = Clock::now();
-
-        // The Project owns the sources: it tokenizes every file
-        // once and builds the symbol index unit-flow consumes.
-        Project project(std::move(loaded));
-        const std::vector<SourceFile> &sources = project.sources();
 
         if (opt.verbose)
             for (const SourceFile &src : sources)
@@ -313,7 +304,6 @@ main(int argc, char **argv)
                                              err.what());
                 }
             }
-            runProjectChecks(project, one, explicitFiles, diags);
             famTimes.push_back({checkName(check), secondsSince(t0),
                                 diags.size() - before});
         }
@@ -322,11 +312,7 @@ main(int argc, char **argv)
                   [](const Diagnostic &a, const Diagnostic &b) {
                       if (a.file != b.file)
                           return a.file < b.file;
-                      if (a.line != b.line)
-                          return a.line < b.line;
-                      if (a.id != b.id)
-                          return a.id < b.id;
-                      return a.column < b.column;
+                      return a.line < b.line;
                   });
 
         std::string baselinePath = opt.baselinePath;
@@ -413,10 +399,8 @@ main(int argc, char **argv)
 
         for (const Diagnostic &d : fresh)
             std::cerr << d.file << ":" << d.line << ": ["
-                      << (d.id.empty() ? std::string(checkName(
-                                             d.check))
-                                       : d.id)
-                      << "] " << d.message << "\n";
+                      << checkName(d.check) << "] " << d.message
+                      << "\n";
 
         std::cout << "vsgpu_lint: " << sources.size()
                   << " file(s), " << fresh.size()

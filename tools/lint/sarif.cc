@@ -2,18 +2,18 @@
  * @file
  * SARIF 2.1.0 output for vsgpu_lint (GitHub code scanning).
  *
- * One run, one driver ("vsgpu_lint"), one rule per distinct
- * diagnostic id — the dotted semantic ids (unit-flow.mixed-units)
- * or the family name for the token-level families.  Locations use
- * the repo-relative display paths with uriBaseId %SRCROOT% so code
- * scanning anchors them to the checkout root.
+ * One run, one driver ("vsgpu_lint"), one rule per family that
+ * fired, its id the family name.  Locations use the repo-relative
+ * display paths with uriBaseId %SRCROOT% so code scanning anchors
+ * them to the checkout root.
  */
 
 #include "lint.hh"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
+#include <set>
+#include <string>
 #include <vector>
 
 namespace vsgpu::lint
@@ -56,53 +56,41 @@ jsonString(std::ostream &os, std::string_view s)
     os << '"';
 }
 
-std::string
-ruleIdOf(const Diagnostic &diag)
-{
-    return diag.id.empty() ? std::string(checkName(diag.check))
-                           : diag.id;
-}
-
 } // namespace
 
 void
 writeSarif(std::ostream &os, const std::vector<Diagnostic> &diags)
 {
     // Deterministic output regardless of family execution order:
-    // results sorted by (ruleId, file, line, column), identical
-    // locations deduplicated (two scan paths reaching one finding
-    // must not double-report to code scanning).
+    // results sorted by (ruleId, file, line), identical locations
+    // deduplicated (two scan paths reaching one finding must not
+    // double-report to code scanning).
     std::vector<Diagnostic> sorted = diags;
     std::stable_sort(
         sorted.begin(), sorted.end(),
         [](const Diagnostic &a, const Diagnostic &b) {
-            const std::string ra = ruleIdOf(a);
-            const std::string rb = ruleIdOf(b);
+            const std::string_view ra = checkName(a.check);
+            const std::string_view rb = checkName(b.check);
             if (ra != rb)
                 return ra < rb;
             if (a.file != b.file)
                 return a.file < b.file;
-            if (a.line != b.line)
-                return a.line < b.line;
-            return a.column < b.column;
+            return a.line < b.line;
         });
     sorted.erase(std::unique(sorted.begin(), sorted.end(),
                              [](const Diagnostic &a,
                                 const Diagnostic &b) {
-                                 return ruleIdOf(a) ==
-                                            ruleIdOf(b) &&
+                                 return a.check == b.check &&
                                         a.file == b.file &&
                                         a.line == b.line &&
-                                        a.column == b.column &&
                                         a.message == b.message;
                              }),
                  sorted.end());
 
-    // Rules: one per distinct ruleId, in sorted order.
-    std::map<std::string, std::string> rules; // id -> family name
+    // Rules: one per family that fired, in ruleId order.
+    std::set<std::string_view> rules;
     for (const Diagnostic &diag : sorted)
-        rules.emplace(ruleIdOf(diag),
-                      std::string(checkName(diag.check)));
+        rules.insert(checkName(diag.check));
 
     os << "{\n"
           "  \"$schema\": "
@@ -118,11 +106,11 @@ writeSarif(std::ostream &os, const std::vector<Diagnostic> &diags)
           "          \"rules\": [\n";
     {
         bool first = true;
-        for (const auto &[id, family] : rules) {
+        for (std::string_view id : rules) {
             os << (first ? "" : ",\n") << "            {\"id\": ";
             jsonString(os, id);
             os << ", \"shortDescription\": {\"text\": ";
-            jsonString(os, family + " family");
+            jsonString(os, std::string(id) + " family");
             os << "}}";
             first = false;
         }
@@ -134,7 +122,7 @@ writeSarif(std::ostream &os, const std::vector<Diagnostic> &diags)
     for (std::size_t i = 0; i < sorted.size(); ++i) {
         const Diagnostic &diag = sorted[i];
         os << "        {\"ruleId\": ";
-        jsonString(os, ruleIdOf(diag));
+        jsonString(os, checkName(diag.check));
         os << ", \"level\": \"warning\", \"message\": {\"text\": ";
         jsonString(os, diag.message);
         os << "}, \"locations\": [{\"physicalLocation\": "
@@ -142,10 +130,7 @@ writeSarif(std::ostream &os, const std::vector<Diagnostic> &diags)
         jsonString(os, diag.file);
         os << ", \"uriBaseId\": \"%SRCROOT%\"}, \"region\": "
               "{\"startLine\": "
-           << (diag.line > 0 ? diag.line : 1);
-        if (diag.column > 0)
-            os << ", \"startColumn\": " << diag.column;
-        os << "}}}]}";
+           << (diag.line > 0 ? diag.line : 1) << "}}}]}";
         os << (i + 1 < sorted.size() ? ",\n" : "\n");
     }
     os << "      ]\n"

@@ -27,8 +27,6 @@ checkName(Check check)
         return "contracts";
       case Check::RawEscape:
         return "raw-escape";
-      case Check::UnitFlow:
-        return "unit-flow";
     }
     return "unknown";
 }
@@ -43,12 +41,6 @@ parseCheckName(std::string_view name, Check &out)
         }
     }
     return false;
-}
-
-bool
-isProjectCheck(Check check)
-{
-    return check == Check::UnitFlow;
 }
 
 namespace
@@ -295,15 +287,12 @@ checkAppliesTo(Check check, std::string_view display)
         return pathContains(display, "src/");
       case Check::Contracts:
         return true;
-      case Check::RawEscape:
-      case Check::UnitFlow: {
+      case Check::RawEscape: {
         // Simulation and modelling code only; the numeric core is
         // the legitimate home of raw() conversions.  cosim.cc and
         // pds_setup.cc sit at the solver boundary (they assemble the
         // per-step current vectors and netlist stamps), as do the
-        // verifier and the circuit layer itself.  unit-flow polices
-        // the same boundary from the dataflow side: where raw() is
-        // legitimate, mixing raw doubles is the solver's business.
+        // verifier and the circuit layer itself.
         if (!pathContains(display, "src/"))
             return false;
         for (std::string_view allowed :
@@ -339,9 +328,6 @@ runChecks(const SourceFile &src, const std::vector<Check> &checks,
             break;
           case Check::RawEscape:
             checkRawEscape(src, out);
-            break;
-          case Check::UnitFlow:
-            // Project-wide semantic family: runProjectChecks.
             break;
         }
     }
