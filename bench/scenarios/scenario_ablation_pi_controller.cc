@@ -107,9 +107,9 @@ runAblationPiController(ScenarioContext &ctx)
            "design.\n";
 
     Summary summary;
-    summary.add("worst_floor_v_p_only", floors[0], 0.02);
-    summary.add("worst_floor_v_strong_pi", floors[2], 0.02);
-    summary.add("floor_gap_v_pi_vs_p", gap, 0.02);
+    summary.add("worst_floor_v_p_only", floors[0]);
+    summary.add("worst_floor_v_strong_pi", floors[2]);
+    summary.add("floor_gap_v_pi_vs_p", gap);
     return summary;
 }
 

@@ -154,10 +154,9 @@ runAblationStacking(ScenarioContext &ctx)
                "choice balances the two for a 16-SM device.\n";
 
     Summary summary;
-    summary.add("supply_current_ratio_2v8", currentRatio, 0.05);
-    summary.add("pdn_loss_ratio_2v8",
-                shallow.pdnLossW / deep.pdnLossW, 0.5);
-    summary.add("residual_impedance_ratio_8v2", residualRatio, 0.05);
+    summary.add("supply_current_ratio_2v8", currentRatio);
+    summary.add("pdn_loss_ratio_2v8", shallow.pdnLossW / deep.pdnLossW);
+    summary.add("residual_impedance_ratio_8v2", residualRatio);
     return summary;
 }
 

@@ -81,15 +81,14 @@ runCtlStability(ScenarioContext &ctx)
           product, "");
 
     Summary summary;
-    summary.add("stability_product", product, 1e-3);
+    summary.add("stability_product", product);
     // Max stable gain per farad at 4 uF over that at 100 nF: 1 when
     // the usable gain grows linearly with boundary capacitance.
     summary.add("gain_cap_linearity",
                 (maxStableGain(Farads{4e-6}, 60) /
                  maxStableGain(Farads{100e-9}, 60)) /
-                    40.0,
-                1e-3);
-    summary.add("worst_stable_peak_gain", worstStablePeak, 0.01);
+                    40.0);
+    summary.add("worst_stable_peak_gain", worstStablePeak);
     return summary;
 }
 

@@ -108,14 +108,14 @@ runFig03Impedance(ScenarioContext &ctx)
         low.zResidualDiffLayer > low.zGlobal;
 
     Summary summary;
-    summary.add("zg_resonance_mhz", peakF / 1.0_MHz, 1.0);
-    summary.add("zr_same_plateau_ohm", plateau.raw(), 1e-3);
-    summary.add("low_freq_ordering_holds", ordered ? 1.0 : 0.0, 0.0);
-    summary.add("peak_ohm_area172", largePeak.raw(), 1e-3);
+    summary.add("zg_resonance_mhz", peakF / 1.0_MHz);
+    summary.add("zr_same_plateau_ohm", plateau.raw());
+    summary.add("low_freq_ordering_holds", ordered ? 1.0 : 0.0);
+    summary.add("peak_ohm_area172", largePeak.raw());
     summary.add("zr_same_1mhz_ohm_area02",
-                sweeps[1]->front().zResidualSameLayer.raw(), 1e-3);
+                sweeps[1]->front().zResidualSameLayer.raw());
     summary.add("zr_same_1mhz_ohm_area172",
-                sweeps[2]->front().zResidualSameLayer.raw(), 1e-3);
+                sweeps[2]->front().zResidualSameLayer.raw());
     return summary;
 }
 

@@ -90,17 +90,15 @@ runFig08PdeBreakdown(ScenarioContext &ctx)
         ctx.out << "\n";
 
         const std::string stem = kPdsKinds[k].id;
-        summary.add("pde_" + stem, total.load / total.wall, 0.02);
-        summary.add("pde_spread_pts_" + stem,
-                    (pdeMax - pdeMin) * 100.0, 2.0);
+        summary.add("pde_" + stem, total.load / total.wall);
+        summary.add("pde_spread_pts_" + stem, (pdeMax - pdeMin) * 100.0);
         summary.add("conv_share_pct_" + stem,
-                    total.conversion / total.wall * 100.0, 2.0);
+                    total.conversion / total.wall * 100.0);
         summary.add("crivr_share_pct_" + stem,
-                    total.crIvr / total.wall * 100.0, 2.0);
+                    total.crIvr / total.wall * 100.0);
         summary.add("overhead_share_pct_" + stem,
-                    total.overhead / total.wall * 100.0, 2.0);
-        summary.add("pdn_share_pct_" + stem,
-                    total.pdn / total.wall * 100.0, 2.0);
+                    total.overhead / total.wall * 100.0);
+        summary.add("pdn_share_pct_" + stem, total.pdn / total.wall * 100.0);
     }
     return summary;
 }

@@ -85,10 +85,9 @@ runFig09WorstTransient(ScenarioContext &ctx)
         const CosimResult &r = results[static_cast<std::size_t>(c)];
         ctx.out << "  " << kConfigs[c].label << ": min "
                 << formatFixed(r.minVoltage, 3) << " V\n";
-        summary.add(std::string("min_v_") + kConfigs[c].id,
-                    r.minVoltage, 0.02);
+        summary.add(std::string("min_v_") + kConfigs[c].id, r.minVoltage);
         summary.add(std::string("final_v_") + kConfigs[c].id,
-                    r.trace.back().minSmVolts.raw(), 0.02);
+                    r.trace.back().minSmVolts.raw());
     }
 
     std::uint64_t timesteps = 0;
@@ -96,7 +95,7 @@ runFig09WorstTransient(ScenarioContext &ctx)
         timesteps += r.counters.timesteps;
     ctx.out << "\nSolver: " << solverName(defaultSolver()) << ", "
             << timesteps << " timesteps\n";
-    summary.add("timesteps", static_cast<double>(timesteps), 0.0);
+    summary.add("timesteps", static_cast<double>(timesteps));
 
     claim(ctx.out, "circuit-only 2.0x stays above", 0.8,
           results[0].minVoltage, " V");

@@ -120,7 +120,7 @@ runFig10Sensitivity(ScenarioContext &ctx)
     Summary summary;
     for (double area : kAreaSweep)
         summary.add("worst_v_area" + formatFixed(area, 1) + "_lat60",
-                    worstVoltage(area, 60), 0.02);
+                    worstVoltage(area, 60));
     // Fig. 10(b) at the chosen 0.2x area: how far the worst voltage
     // moves across the whole latency sweep (the recorded deviation).
     double lo = 1e9, hi = -1e9;
@@ -128,7 +128,7 @@ runFig10Sensitivity(ScenarioContext &ctx)
         lo = std::min(lo, worstVoltage(0.2, l));
         hi = std::max(hi, worstVoltage(0.2, l));
     }
-    summary.add("latency_spread_v_area0.2", hi - lo, 0.02);
+    summary.add("latency_spread_v_area0.2", hi - lo);
     return summary;
 }
 

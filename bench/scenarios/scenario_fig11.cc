@@ -131,11 +131,10 @@ runFig11NoiseDistribution(ScenarioContext &ctx)
         ctx.out << "\n";
 
         const std::string stem = kKinds[k].id;
-        summary.add("lowest_min_v_" + stem, lowestMin, 0.03);
-        summary.add("highest_min_v_" + stem, highestMin, 0.03);
+        summary.add("lowest_min_v_" + stem, lowestMin);
+        summary.add("highest_min_v_" + stem, highestMin);
         summary.add("mean_median_v_" + stem,
-                    meanMedian / static_cast<double>(benches.size()),
-                    0.03);
+                    meanMedian / static_cast<double>(benches.size()));
     }
 
     const double floorBare = settledFloor(results[perKind - 1]);
@@ -148,8 +147,8 @@ runFig11NoiseDistribution(ScenarioContext &ctx)
           "worst-case settled floor, cross-layer 0.2x "
           "(holds)",
           0.8, floorSmooth, " V");
-    summary.add("settled_floor_v_circuit_only", floorBare, 0.02);
-    summary.add("settled_floor_v_cross_layer", floorSmooth, 0.02);
+    summary.add("settled_floor_v_circuit_only", floorBare);
+    summary.add("settled_floor_v_cross_layer", floorSmooth);
     return summary;
 }
 

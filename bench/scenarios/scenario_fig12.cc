@@ -97,7 +97,7 @@ runFig12ThresholdSweep(ScenarioContext &ctx)
                 meanPenaltyAtDefault += penalty;
                 summary.add("penalty_pct_vth090_" +
                                 std::string(benchmarkName(b)),
-                            penalty, 2.0);
+                            penalty);
             }
         }
         row.cell(formatPercent(throttleAtDefault));
@@ -112,9 +112,8 @@ runFig12ThresholdSweep(ScenarioContext &ctx)
     claim(ctx.out, "mean penalty at Vth=0.9 (paper: 2-4%)", 3.0,
           meanPenaltyAtDefault, "%");
 
-    summary.add("mean_penalty_pct_vth090", meanPenaltyAtDefault, 1.0);
-    summary.add("mean_throttle_rate_vth090", meanThrottleAtDefault,
-                0.05);
+    summary.add("mean_penalty_pct_vth090", meanPenaltyAtDefault);
+    summary.add("mean_throttle_rate_vth090", meanThrottleAtDefault);
     return summary;
 }
 

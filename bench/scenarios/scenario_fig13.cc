@@ -125,10 +125,9 @@ runFig13ActuatorTradeoff(ScenarioContext &ctx)
             .cell(o.penaltyPct, 2)
             .cell(o.netSavingPct, 2)
             .endRow();
-        summary.add(std::string("penalty_pct_") + kPoints[w].id,
-                    o.penaltyPct, 1.5);
+        summary.add(std::string("penalty_pct_") + kPoints[w].id, o.penaltyPct);
         summary.add(std::string("saving_pct_") + kPoints[w].id,
-                    o.netSavingPct, 1.5);
+                    o.netSavingPct);
         if (w == 0)
             diws = o;
         if (w == 1)

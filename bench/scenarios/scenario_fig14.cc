@@ -84,10 +84,8 @@ runFig14PenaltySaving(ScenarioContext &ctx)
             .cell(formatPercent(rt.throttleRate))
             .cell(formatPercent(rt.triggerRate))
             .endRow();
-        summary.add("penalty_pct_" + std::string(benchmarkName(b)),
-                    penalty, 2.0);
-        summary.add("saving_pct_" + std::string(benchmarkName(b)),
-                    saving, 2.5);
+        summary.add("penalty_pct_" + std::string(benchmarkName(b)), penalty);
+        summary.add("saving_pct_" + std::string(benchmarkName(b)), saving);
         meanPenalty += penalty;
         meanSaving += saving;
     }
@@ -101,8 +99,8 @@ runFig14PenaltySaving(ScenarioContext &ctx)
     claim(ctx.out, "mean net energy saving (paper: 10-15%)", 12.5,
           meanSaving, "%");
 
-    summary.add("mean_penalty_pct", meanPenalty, 1.0);
-    summary.add("mean_saving_pct", meanSaving, 1.5);
+    summary.add("mean_penalty_pct", meanPenalty);
+    summary.add("mean_saving_pct", meanSaving);
     return summary;
 }
 

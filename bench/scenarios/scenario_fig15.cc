@@ -125,8 +125,8 @@ runFig15Dfs(ScenarioContext &ctx)
             .endRow();
         const std::string stem =
             "target_" + formatFixed(kTargets[t], 1);
-        summary.add(stem + "_conv_norm", convNorm, 0.05);
-        summary.add(stem + "_vs_norm", vsNorm, 0.05);
+        summary.add(stem + "_conv_norm", convNorm);
+        summary.add(stem + "_vs_norm", vsNorm);
         if (kTargets[t] == 0.7)
             savingAt70 = saving;
     }
@@ -135,7 +135,7 @@ runFig15Dfs(ScenarioContext &ctx)
     ctx.out << "\n";
     claim(ctx.out, "VS energy saving under DFS (paper: 7-13%)", 10.0,
           savingAt70, "%");
-    summary.add("saving_pct_at_target_0.7", savingAt70, 3.0);
+    summary.add("saving_pct_at_target_0.7", savingAt70);
     return summary;
 }
 

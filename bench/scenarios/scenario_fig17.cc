@@ -148,7 +148,7 @@ runFig17Imbalance(ScenarioContext &ctx)
                avg);
         summary.add("dfs_" + formatFixed(kDfsTargets[t], 1) +
                         "_avg_bin0",
-                    avg[0], 0.10);
+                    avg[0]);
     }
     const Bins pgAvg = averageOf(1 + kNumDfsTargets);
     addRow("PG: average", pgAvg);
@@ -161,11 +161,9 @@ runFig17Imbalance(ScenarioContext &ctx)
           93.0, (noPmAvg[0] + noPmAvg[1] + noPmAvg[2]) * 100.0, "%");
 
     for (std::size_t i = 0; i < 4; ++i)
-        summary.add("nopm_avg_bin" + std::to_string(i), noPmAvg[i],
-                    0.08);
-    summary.add("nopm_under40_frac",
-                noPmAvg[0] + noPmAvg[1] + noPmAvg[2], 0.08);
-    summary.add("pg_avg_bin0", pgAvg[0], 0.10);
+        summary.add("nopm_avg_bin" + std::to_string(i), noPmAvg[i]);
+    summary.add("nopm_under40_frac", noPmAvg[0] + noPmAvg[1] + noPmAvg[2]);
+    summary.add("pg_avg_bin0", pgAvg[0]);
     return summary;
 }
 

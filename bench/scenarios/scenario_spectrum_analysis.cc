@@ -163,11 +163,9 @@ runSpectrumAnalysis(ScenarioContext &ctx)
            "by decap and CR-IVR before it\never reaches the rails.\n";
 
     Summary summary;
-    summary.add("benchmarks_counted", counted, 0.0);
-    summary.add("mean_below_nyquist_pct", meanBelowNyquist * 100.0,
-                3.0);
-    summary.add("max_below_nyquist_pct", maxBelowNyquist * 100.0,
-                5.0);
+    summary.add("benchmarks_counted", counted);
+    summary.add("mean_below_nyquist_pct", meanBelowNyquist * 100.0);
+    summary.add("max_below_nyquist_pct", maxBelowNyquist * 100.0);
     return summary;
 }
 

@@ -57,11 +57,9 @@ runTable2Detectors(ScenarioContext &ctx)
             .endRow();
         const std::string stem = row.id;
         summary.add(stem + "_latency_cycles",
-                    static_cast<double>(spec.latency), 0.0);
-        summary.add(stem + "_power_mW",
-                    spec.powerWatts.raw() * 1e3, 1e-6);
-        summary.add(stem + "_resolution_mV",
-                    spec.resolutionVolts.raw() * 1e3, 1e-6);
+                    static_cast<double>(spec.latency));
+        summary.add(stem + "_power_mW", spec.powerWatts.raw() * 1e3);
+        summary.add(stem + "_resolution_mV", spec.resolutionVolts.raw() * 1e3);
     }
     table.print(ctx.out);
 
@@ -99,8 +97,8 @@ runTable2Detectors(ScenarioContext &ctx)
             .endRow();
         const std::string stem = kRows[i].id;
         summary.add(stem + "_cycles_to_resolve",
-                    static_cast<double>(r.cycles), 0.5);
-        summary.add(stem + "_resolved_V", r.resolvedVolts, 2e-3);
+                    static_cast<double>(r.cycles));
+        summary.add(stem + "_resolved_V", r.resolvedVolts);
     }
     resp.print(ctx.out);
     return summary;

@@ -72,8 +72,8 @@ runTable3PdsComparison(ScenarioContext &ctx)
             .cell(area / config::gpuDieArea, 2)
             .endRow();
         const std::string stem = kPdsKinds[k].id;
-        summary.add("pde_" + stem, pde, 0.02);
-        summary.add("area_mm2_" + stem, area / 1.0_mm2, 1e-6);
+        summary.add("pde_" + stem, pde);
+        summary.add("area_mm2_" + stem, area / 1.0_mm2);
         if (kind == PdsKind::ConventionalVrm)
             pdeVrm = pde;
         if (kind == PdsKind::VsCircuitOnly)
@@ -99,11 +99,9 @@ runTable3PdsComparison(ScenarioContext &ctx)
     claim(ctx.out, "area reduction vs circuit-only", 88.0,
           (1.0 - areaCross / areaCircuit) * 100.0, "%");
 
-    summary.add("pde_improvement_pts", (pdeCross - pdeVrm) * 100.0,
-                2.0);
+    summary.add("pde_improvement_pts", (pdeCross - pdeVrm) * 100.0);
     summary.add("loss_eliminated_pct",
-                (1.0 - (1.0 - pdeCross) / (1.0 - pdeVrm)) * 100.0,
-                5.0);
+                (1.0 - (1.0 - pdeCross) / (1.0 - pdeVrm)) * 100.0);
     return summary;
 }
 

@@ -7,6 +7,7 @@
 
 #include "circuit/solver.hh"
 #include "common/logging.hh"
+#include "exec/progress.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/trace.hh"
 #include "sim/stats_export.hh"
@@ -101,7 +102,7 @@ runScenario(const ScenarioInfo &info, const ScenarioOptions &opts,
     ctx.sampleEverySec = opts.sampleEverySec;
 
     exec::ProgressTracker progress(opts.progress);
-    if (opts.progress || telemetry != nullptr)
+    if (opts.progress)
         pool.setHooks(progress.hooks());
     if (opts.profile)
         obs::setProfiling(true);
@@ -131,12 +132,6 @@ runScenario(const ScenarioInfo &info, const ScenarioOptions &opts,
                 telemetry->series.runs.push_back(*entry.second);
         }
         telemetry->profile = ctx.profile;
-        telemetry->taskRecords = progress.records();
-    }
-    if (opts.progress) {
-        for (const exec::TaskRecord &t : progress.records())
-            summary.taskRecords.push_back(
-                SummaryTask{t.batch, t.task, t.wallMs});
     }
 
     if (stats != nullptr) {

@@ -10,7 +10,7 @@
  *   - tools/record_golden, which dumps each scenario's Summary into
  *     tests/golden/<scenario>.json,
  *   - the tier-1 golden regression tests, which replay scenarios at
- *     reduced scale and compare against the recorded summaries.
+ *     goldenScale and byte-compare the recorded summaries.
  *
  * Scenarios shard their independent co-simulation runs across
  * ctx.pool (exec::runSweep) and share per-configuration electrical
@@ -37,7 +37,6 @@
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "exec/pool.hh"
-#include "exec/progress.hh"
 #include "exec/setup_cache.hh"
 #include "exec/sweep.hh"
 #include "obs/profile.hh"
@@ -83,10 +82,6 @@ struct ScenarioTelemetry
 
     /** Aggregated stage-cost profile (runs == 0 when off). */
     obs::Profile profile;
-
-    /** Per-task progress records, sorted by (batch, task).  Wall
-     *  timings are schedule-dependent: diagnostics only. */
-    std::vector<exec::TaskRecord> taskRecords;
 };
 
 /** Scale used when recording and replaying golden summaries. */
@@ -193,8 +188,8 @@ const ScenarioInfo *findScenario(const std::string &name);
  * to the recorded files.
  *
  * When @p telemetry is non-null it receives the time-series dump
- * (opts.sampleEverySec > 0), the aggregated stage-cost profile
- * (opts.profile), and the per-task progress records.
+ * (opts.sampleEverySec > 0) and the aggregated stage-cost profile
+ * (opts.profile).
  */
 Summary runScenario(const ScenarioInfo &info,
                     const ScenarioOptions &opts, std::ostream &out,

@@ -1,10 +1,9 @@
 #include "bench/scenarios/summary.hh"
 
-#include <fstream>
+#include <cmath>
 #include <ostream>
 #include <sstream>
 
-#include "common/check.hh"
 #include "obs/json.hh"
 
 namespace vsgpu::scen
@@ -36,22 +35,9 @@ writeSummaryJson(const Summary &summary, std::ostream &os)
         const SummaryMetric &m = summary.metrics[i];
         os << (i ? ",\n" : "\n")
            << "    {\"name\": " << obs::jsonQuote(m.name)
-           << ", \"value\": " << obs::jsonNumber(m.value)
-           << ", \"tol\": " << obs::jsonNumber(m.tol) << "}";
+           << ", \"value\": " << obs::jsonNumber(m.value) << "}";
     }
-    os << "\n  ]";
-    if (!summary.taskRecords.empty()) {
-        os << ",\n  \"tasks\": [";
-        for (std::size_t i = 0; i < summary.taskRecords.size(); ++i) {
-            const SummaryTask &t = summary.taskRecords[i];
-            os << (i ? ",\n" : "\n") << "    {\"batch\": " << t.batch
-               << ", \"task\": " << t.task
-               << ", \"wall_ms\": " << obs::jsonNumber(t.wallMs)
-               << "}";
-        }
-        os << "\n  ]";
-    }
-    os << "\n}\n";
+    os << "\n  ]\n}\n";
 }
 
 Summary
@@ -76,24 +62,8 @@ readSummaryJson(std::istream &is)
                         m.name = in.string();
                     else if (field == "value")
                         m.value = in.number();
-                    else if (field == "tol")
-                        m.tol = in.number();
                     else
                         in.fail("unknown metric key '", field, "'");
-                });
-            });
-        } else if (key == "tasks") {
-            in.array([&](std::size_t) {
-                SummaryTask &t = out.taskRecords.emplace_back();
-                in.object([&](const std::string &field) {
-                    if (field == "batch")
-                        t.batch = static_cast<int>(in.uint());
-                    else if (field == "task")
-                        t.task = static_cast<int>(in.uint());
-                    else if (field == "wall_ms")
-                        t.wallMs = in.number();
-                    else
-                        in.fail("unknown task key '", field, "'");
                 });
             });
         } else {
@@ -103,12 +73,28 @@ readSummaryJson(std::istream &is)
     return out;
 }
 
-Summary
-readSummaryFile(const std::string &path)
+std::string
+summaryDiff(const Summary &recorded, const Summary &measured)
 {
-    std::ifstream in(path);
-    panicIfNot(in.good(), "cannot open summary file ", path);
-    return readSummaryJson(in);
+    std::ostringstream os;
+    for (const SummaryMetric &want : recorded.metrics) {
+        const SummaryMetric *got = measured.find(want.name);
+        if (got == nullptr) {
+            os << want.name << ": removed (recorded "
+               << obs::jsonNumber(want.value) << ")\n";
+        } else if (got->value != want.value) {
+            os << want.name << ": recorded "
+               << obs::jsonNumber(want.value) << ", measured "
+               << obs::jsonNumber(got->value) << ", relative change "
+               << (got->value - want.value) / std::abs(want.value)
+               << "\n";
+        }
+    }
+    for (const SummaryMetric &got : measured.metrics)
+        if (recorded.find(got.name) == nullptr)
+            os << got.name << ": added (measured "
+               << obs::jsonNumber(got.value) << ")\n";
+    return os.str();
 }
 
 } // namespace vsgpu::scen

@@ -3,12 +3,10 @@
  * Machine-readable summary of a bench scenario run.
  *
  * Every scenario distills its tables into a flat list of named
- * headline metrics, each with an absolute comparison tolerance.  The
- * golden-trace harness records these summaries as JSON
- * (tests/golden/<scenario>.json) and later replays the scenario,
- * failing if any metric moved by more than its recorded tolerance.
- * Tolerances exist for cross-platform floating-point slack (libm,
- * FMA contraction) — on one machine replays are bitwise-identical.
+ * headline metrics.  The golden-trace harness records these
+ * summaries as JSON (tests/golden/<scenario>.json) and later replays
+ * the scenario, failing unless writeSummaryJson() gives the recorded
+ * bytes; summaryDiff() names the metrics that moved.
  */
 
 #ifndef VSGPU_BENCH_SCENARIOS_SUMMARY_HH
@@ -28,22 +26,6 @@ struct SummaryMetric
 {
     std::string name;
     double value = 0.0;
-
-    /** Absolute tolerance for golden comparison. */
-    double tol = 0.0;
-};
-
-/**
- * One completed pool task (mirrors exec::TaskRecord without the exec
- * dependency).  Wall times are schedule-dependent diagnostics; the
- * block is only emitted when progress tracking was on, so recorded
- * goldens and determinism-gated summaries never contain it.
- */
-struct SummaryTask
-{
-    int batch = 0;
-    int task = 0;
-    double wallMs = 0.0;
 };
 
 /** All headline metrics of one scenario run. */
@@ -52,8 +34,7 @@ struct Summary
     std::string scenario;
 
     /** Workload scale the metrics were measured at (see
-     *  ScenarioOptions::scale); goldens only compare at equal
-     *  scale. */
+     *  ScenarioOptions::scale); goldens are all at goldenScale. */
     double scale = 1.0;
 
     /** Run provenance (obs/manifest.hh), stamped by scenarioMain.
@@ -63,15 +44,11 @@ struct Summary
 
     std::vector<SummaryMetric> metrics;
 
-    /** Per-task wall-clock diagnostics (empty unless --progress;
-     *  omitted from JSON while empty). */
-    std::vector<SummaryTask> taskRecords;
-
     /** Append one metric. */
     void
-    add(std::string name, double value, double tol)
+    add(std::string name, double value)
     {
-        metrics.push_back({std::move(name), value, tol});
+        metrics.push_back({std::move(name), value});
     }
 
     /** @return the named metric, or nullptr. */
@@ -87,8 +64,14 @@ void writeSummaryJson(const Summary &summary, std::ostream &os);
  */
 Summary readSummaryJson(std::istream &is);
 
-/** Convenience: read a summary from a file path. */
-Summary readSummaryFile(const std::string &path);
+/**
+ * Describe how the metrics of @p measured differ from those of
+ * @p recorded, one line per difference: each metric whose value
+ * changed (recorded, measured, relative change), and each metric
+ * added or removed.  Empty when every value is identical.
+ */
+std::string summaryDiff(const Summary &recorded,
+                        const Summary &measured);
 
 } // namespace vsgpu::scen
 

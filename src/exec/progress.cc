@@ -1,6 +1,5 @@
 #include "exec/progress.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <iostream> // vsgpu-lint: iostream-ok(live progress line writes straight to stderr, bypassing the pluggable log sink on purpose)
 
@@ -57,9 +56,7 @@ ProgressTracker::hooks()
     hooks.batchStart = [this](int numTasks) {
         batchStart(numTasks);
     };
-    hooks.taskDone = [this](int task, double wallMs) {
-        taskDone(task, wallMs);
-    };
+    hooks.taskDone = [this](int, double wallMs) { taskDone(wallMs); };
     return hooks;
 }
 
@@ -67,18 +64,15 @@ void
 ProgressTracker::batchStart(int numTasks)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++batch_;
     total_ += numTasks;
     if (startNs_ == 0)
         startNs_ = obs::profileNowNs();
 }
 
 void
-ProgressTracker::taskDone(int task, double wallMs)
+ProgressTracker::taskDone(double wallMs)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    records_.push_back(TaskRecord{batch_ < 0 ? 0 : batch_, task,
-                                  wallMs});
     ++completed_;
     wallMsSum_ += wallMs;
     if (!live_)
@@ -125,22 +119,6 @@ ProgressTracker::total() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return total_;
-}
-
-std::vector<TaskRecord>
-ProgressTracker::records() const
-{
-    std::vector<TaskRecord> out;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        out = records_;
-    }
-    std::sort(out.begin(), out.end(),
-              [](const TaskRecord &a, const TaskRecord &b) {
-                  return a.batch != b.batch ? a.batch < b.batch
-                                            : a.task < b.task;
-              });
-    return out;
 }
 
 } // namespace vsgpu::exec

@@ -2,18 +2,15 @@
  * @file
  * Per-task progress tracking for sweep/batch runs.
  *
- * A ProgressTracker plugs into exec::Pool via PoolHooks and records
- * one TaskRecord per completed task (batch number, task index, wall
- * milliseconds).  With live rendering enabled it also maintains a
- * single carriage-return stderr status line — completed/total,
- * percentage, mean task cost, and a wall-clock ETA — rate-limited so
- * even millisecond tasks cost nothing measurable.
+ * A ProgressTracker plugs into exec::Pool via PoolHooks and counts
+ * announced and completed tasks across batches.  With live rendering
+ * enabled it also maintains a single carriage-return stderr status
+ * line — completed/total, percentage, mean task cost, and a
+ * wall-clock ETA — rate-limited so even millisecond tasks cost
+ * nothing measurable.
  *
- * Determinism contract: wall timings are schedule-dependent, so the
- * records feed the scenario summary's optional diagnostics block and
- * the live line only — never results, never determinism-gated dumps.
- * The snapshot is sorted by (batch, task), so the record *ordering*
- * is stable across job counts even though the timings are not.
+ * Determinism contract: wall timings are schedule-dependent, so they
+ * feed the live line only — never results, never dumps.
  */
 
 #ifndef VSGPU_EXEC_PROGRESS_HH
@@ -21,20 +18,11 @@
 
 #include <cstdint>
 #include <mutex>
-#include <vector>
 
 #include "exec/pool.hh"
 
 namespace vsgpu::exec
 {
-
-/** One completed pool task (wall time is schedule-dependent). */
-struct TaskRecord
-{
-    int batch = 0;  ///< parallelFor() batch number (0-based)
-    int task = 0;   ///< task index within the batch
-    double wallMs = 0.0; ///< wall-clock task duration
-};
 
 /**
  * Thread-safe progress sink for one or more sequential pool batches.
@@ -51,8 +39,8 @@ class ProgressTracker
     /** Begin a batch of @p numTasks tasks. */
     void batchStart(int numTasks);
 
-    /** Record one completed task (thread-safe). */
-    void taskDone(int task, double wallMs);
+    /** Count one completed task (thread-safe). */
+    void taskDone(double wallMs);
 
     /** Finish: print the closing summary line when live. */
     void finish();
@@ -63,15 +51,10 @@ class ProgressTracker
     /** Tasks announced across all batches so far. */
     int total() const;
 
-    /** Snapshot of all records, sorted by (batch, task). */
-    std::vector<TaskRecord> records() const;
-
   private:
     const bool live_;
 
     mutable std::mutex mutex_;
-    std::vector<TaskRecord> records_;
-    int batch_ = -1;
     int total_ = 0;
     int completed_ = 0;
     double wallMsSum_ = 0.0;

@@ -110,16 +110,6 @@ runIndexSweep(Pool &pool, int n, std::uint64_t sweepSeed, Fn &&fn)
     return results;
 }
 
-/** Ordered fold over sweep results (explicit reduction helper). */
-template <typename Result, typename Acc, typename Op>
-Acc
-foldOrdered(const std::vector<Result> &results, Acc acc, Op &&op)
-{
-    for (const Result &r : results)
-        acc = op(std::move(acc), r);
-    return acc;
-}
-
 } // namespace vsgpu::exec
 
 #endif // VSGPU_EXEC_SWEEP_HH

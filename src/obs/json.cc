@@ -1,7 +1,7 @@
 #include "obs/json.hh"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 
 namespace vsgpu::obs
@@ -10,17 +10,30 @@ namespace vsgpu::obs
 std::string
 jsonNumber(double v)
 {
+    // The shortest scientific form has the fewest significant digits
+    // that round-trip; %.{prec}g may still need one more near a
+    // power of two, so step up from there.  NaN never compares equal
+    // and falls through to the 17-digit form ("nan", "-nan").
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (int prec = 1; prec < 17; ++prec) {
-        char shorter[40];
-        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
+    char *end = std::to_chars(buf, buf + sizeof buf, v,
+                              std::chars_format::scientific)
+                    .ptr;
+    int prec = 0;
+    for (const char *p = buf; p != end && *p != 'e'; ++p)
+        prec += *p >= '0' && *p <= '9';
+    for (; prec < 17; ++prec) {
+        end = std::to_chars(buf, buf + sizeof buf, v,
+                            std::chars_format::general, prec)
+                  .ptr;
         double back = 0.0;
-        std::sscanf(shorter, "%lf", &back);
+        std::from_chars(buf, end, back);
         if (back == v)
-            return shorter;
+            return std::string(buf, end);
     }
-    return buf;
+    end = std::to_chars(buf, buf + sizeof buf, v,
+                        std::chars_format::general, 17)
+              .ptr;
+    return std::string(buf, end);
 }
 
 std::string

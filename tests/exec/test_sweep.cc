@@ -69,20 +69,5 @@ TEST(Sweep, RngStreamsAreBitwiseIdenticalAcrossJobCounts)
         EXPECT_EQ(serial[i], wide[i]) << "index " << i;
 }
 
-TEST(Sweep, FoldOrderedVisitsInOrder)
-{
-    Pool pool(2);
-    const auto results =
-        runIndexSweep(pool, 10, 0,
-                      [](int i, TaskContext &) { return i + 1; });
-    // Non-commutative fold: order matters, so this checks ordering.
-    const double folded = foldOrdered(
-        results, 0.0, [](double acc, int v) { return acc * 2 + v; });
-    double expect = 0.0;
-    for (int i = 0; i < 10; ++i)
-        expect = expect * 2 + (i + 1);
-    EXPECT_EQ(folded, expect);
-}
-
 } // namespace
 } // namespace vsgpu::exec

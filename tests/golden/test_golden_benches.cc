@@ -1,23 +1,23 @@
 /**
  * @file
- * Golden-trace regression tests over the bench scenarios.
+ * Golden-trace regression gate over the bench scenarios.
  *
- * Each registered scenario (bench/scenarios/) is replayed at the
- * recorded golden scale and its Summary metrics are compared against
- * tests/golden/<scenario>.json within the tolerances stored there.
- * On one machine replays are bitwise-identical, so any in-tolerance
- * slack only covers cross-platform floating-point differences; a
- * metric drifting past its tolerance means a behavioural change in
- * the simulator — either a regression, or an intentional change that
- * requires re-recording:
+ * Each registered scenario (bench/scenarios/) runs once at
+ * scen::goldenScale, and its Summary as writeSummaryJson() prints it
+ * must equal tests/golden/<scenario>.json byte for byte.  Any
+ * difference is a behavioural change in the simulator: either a
+ * regression, or an intended change that requires re-recording
  *
  *     build/tools/record_golden
  *
  * and reviewing the resulting JSON diff like any other code change.
+ * On a mismatch the failure names every metric that moved (recorded
+ * and measured value, relative change) and every metric added or
+ * removed (scen::summaryDiff).
  */
 
-#include <cmath>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -36,10 +36,27 @@ class GoldenBench
 {
 };
 
+/** The first line where two texts differ, for a mismatch that no
+ *  metric value shows (the file's layout, or a value spelled other
+ *  than the shortest round-trip form). */
 std::string
-goldenPath(const std::string &scenario)
+firstDifferentLine(const std::string &recorded,
+                   const std::string &measured)
 {
-    return std::string(VSGPU_GOLDEN_DIR) + "/" + scenario + ".json";
+    std::istringstream want(recorded), got(measured);
+    std::string a, b;
+    for (int line = 1;; ++line) {
+        const bool moreWant = static_cast<bool>(std::getline(want, a));
+        const bool moreGot = static_cast<bool>(std::getline(got, b));
+        if (!moreWant && !moreGot)
+            return "no line differs\n";
+        if (!moreWant || !moreGot || a != b) {
+            std::ostringstream os;
+            os << "line " << line << ": recorded '" << a
+               << "', measured '" << b << "'\n";
+            return os.str();
+        }
+    }
 }
 
 TEST_P(GoldenBench, MatchesRecordedSummary)
@@ -53,33 +70,35 @@ TEST_P(GoldenBench, MatchesRecordedSummary)
     ASSERT_EQ(defaultSolver(), SolverKind::Sparse)
         << "golden replay must run on the default sparse solver";
 
-    const std::string path = goldenPath(info.name);
+    const std::string path =
+        std::string(VSGPU_GOLDEN_DIR) + "/" + info.name + ".json";
     std::ifstream in(path);
     ASSERT_TRUE(in.good())
         << "missing golden summary " << path
         << " — record it with: build/tools/record_golden "
         << info.name;
-    const scen::Summary golden = scen::readSummaryJson(in);
-    ASSERT_EQ(golden.scenario, info.name);
+    const std::string recorded{std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>()};
 
     scen::ScenarioOptions opts;
-    opts.scale = golden.scale; // compare like with like
+    opts.scale = scen::goldenScale;
     std::ostringstream tables; // rendered but unchecked
     const scen::Summary fresh =
         scen::runScenario(info, opts, tables);
+    std::ostringstream measured;
+    scen::writeSummaryJson(fresh, measured);
+    if (measured.str() == recorded)
+        return;
 
-    EXPECT_EQ(golden.metrics.size(), fresh.metrics.size())
-        << "metric set changed — re-record the goldens";
-    for (const scen::SummaryMetric &want : golden.metrics) {
-        const scen::SummaryMetric *got = fresh.find(want.name);
-        ASSERT_NE(got, nullptr)
-            << "metric " << want.name
-            << " disappeared — re-record the goldens";
-        EXPECT_LE(std::abs(got->value - want.value), want.tol)
-            << info.name << "/" << want.name << ": recorded "
-            << want.value << " (tol " << want.tol << "), measured "
-            << got->value;
-    }
+    std::istringstream recordedIn(recorded);
+    const std::string diff =
+        scen::summaryDiff(scen::readSummaryJson(recordedIn), fresh);
+    ADD_FAILURE() << path << " differs from a fresh run:\n"
+                  << (diff.empty() ? firstDifferentLine(recorded,
+                                                        measured.str())
+                                   : diff)
+                  << "re-record with: build/tools/record_golden "
+                  << info.name;
 }
 
 std::vector<const scen::ScenarioInfo *>

@@ -174,20 +174,11 @@ TEST(ObsDeterminism, SummaryJsonRoundTripsThroughParser)
 {
     const ScenarioDump dump = runWithJobs("fig03_impedance", 2);
     std::istringstream in(dump.summaryJson);
-    Summary parsed = readSummaryJson(in);
+    const Summary parsed = readSummaryJson(in);
     EXPECT_TRUE(parsed.manifest.valid);
     std::ostringstream once;
     writeSummaryJson(parsed, once);
     EXPECT_EQ(once.str(), dump.summaryJson);
-
-    // The --progress task block reads back too.
-    parsed.taskRecords.push_back({1, 2, 0.25});
-    std::ostringstream withTasks;
-    writeSummaryJson(parsed, withTasks);
-    std::istringstream again(withTasks.str());
-    std::ostringstream twice;
-    writeSummaryJson(readSummaryJson(again), twice);
-    EXPECT_EQ(twice.str(), withTasks.str());
 }
 
 } // namespace

@@ -2,19 +2,18 @@
  * @file
  * Records golden summaries for the bench scenarios.
  *
- * Runs every registered scenario (bench/scenarios/) at the golden
- * scale and writes each Summary as tests/golden/<scenario>.json.
- * The tier-1 test_golden_benches suite replays the scenarios at the
- * same scale and fails if any metric moved by more than its recorded
- * tolerance — so refresh the goldens (and review the diff!) whenever
- * a change intentionally moves the paper-reproduction numbers:
+ * Runs every registered scenario (bench/scenarios/) at
+ * scen::goldenScale and writes each Summary as
+ * tests/golden/<scenario>.json.  The tier-1 test_golden_benches suite
+ * runs the scenarios at the same scale and fails unless each summary
+ * comes back byte for byte — so refresh the goldens (and review the
+ * diff!) whenever a change intentionally moves the
+ * paper-reproduction numbers:
  *
  *     build/tools/record_golden          # rewrite all goldens
  *     build/tools/record_golden fig15_dfs  # just one scenario
  *
- * Flags: --out DIR (default: the in-tree tests/golden), --scale X
- * (default: the golden scale — the tests only compare at that
- * scale), --jobs N.
+ * Flags: --out DIR (default: the in-tree tests/golden), --jobs N.
  */
 
 #include <algorithm>
@@ -64,14 +63,11 @@ main(int argc, char **argv)
         const bool hasValue = i + 1 < argc;
         if (arg == "--out" && hasValue) {
             outDir = argv[++i];
-        } else if (arg == "--scale" && hasValue) {
-            opts.scale = std::atof(argv[++i]);
         } else if (arg == "--jobs" && hasValue) {
             opts.jobs = std::atoi(argv[++i]);
         } else if (arg == "--help" || arg == "-h") {
             std::cout << "usage: " << argv[0]
-                      << " [--out DIR] [--scale X] [--jobs N] "
-                         "[scenario...]\n";
+                      << " [--out DIR] [--jobs N] [scenario...]\n";
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
             std::cerr << "unknown argument: " << arg
