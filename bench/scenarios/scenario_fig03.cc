@@ -10,6 +10,7 @@
  */
 
 #include "bench/scenarios/scenario_util.hh"
+#include "obs/trace.hh"
 #include "pdn/impedance.hh"
 #include "sim/pds_setup.hh"
 
@@ -53,15 +54,17 @@ runFig03Impedance(ScenarioContext &ctx)
     const auto sweeps = exec::runIndexSweep(
         ctx.pool, kNumPanels, /*sweepSeed=*/303,
         [&ctx, &grid](int i, exec::TaskContext &) {
-            return ctx.cache.impedanceSweep(panelConfig(kPanels[i]),
-                                            grid);
+            const auto setup =
+                ctx.cache.setupFor(panelConfig(kPanels[i]));
+            VSGPU_TRACE_SCOPE(obs::CatPhase, "setup.ac_scan");
+            return ImpedanceAnalyzer(*setup->vs).sweep(grid);
         });
 
     for (int i = 0; i < kNumPanels; ++i) {
         Table table(kPanels[i].title);
         table.setHeader({"freq_MHz", "Z_G", "Z_ST", "Z_R_same",
                          "Z_R_diff"});
-        for (const ImpedancePoint &p : *sweeps[i]) {
+        for (const ImpedancePoint &p : sweeps[i]) {
             table.beginRow()
                 .cell(p.freq / 1.0_MHz, 2)
                 .cell(p.zGlobal.raw(), 4)
@@ -101,7 +104,7 @@ runFig03Impedance(ScenarioContext &ctx)
           largePeak.raw(), " ohm");
 
     // Low-frequency ordering of the bare stack (first grid point).
-    const ImpedancePoint &low = sweeps[0]->front();
+    const ImpedancePoint &low = sweeps[0].front();
     const bool ordered =
         low.zResidualSameLayer > low.zResidualDiffLayer &&
         low.zResidualDiffLayer > low.zStack &&
@@ -113,9 +116,9 @@ runFig03Impedance(ScenarioContext &ctx)
     summary.add("low_freq_ordering_holds", ordered ? 1.0 : 0.0);
     summary.add("peak_ohm_area172", largePeak.raw());
     summary.add("zr_same_1mhz_ohm_area02",
-                sweeps[1]->front().zResidualSameLayer.raw());
+                sweeps[1].front().zResidualSameLayer.raw());
     summary.add("zr_same_1mhz_ohm_area172",
-                sweeps[2]->front().zResidualSameLayer.raw());
+                sweeps[2].front().zResidualSameLayer.raw());
     return summary;
 }
 

@@ -1,5 +1,6 @@
 #include "bench/scenarios/scenarios.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -96,14 +97,12 @@ runScenario(const ScenarioInfo &info, const ScenarioOptions &opts,
             std::ostream &out, obs::StatsSnapshot *stats,
             obs::Manifest *manifest, ScenarioTelemetry *telemetry)
 {
-    exec::Pool pool(opts.jobs);
+    exec::ProgressTracker progress(opts.progress);
+    exec::Pool pool(opts.jobs, &progress);
     exec::SetupCache cache;
     ScenarioContext ctx{pool, cache, opts.scale, out};
     ctx.sampleEverySec = opts.sampleEverySec;
 
-    exec::ProgressTracker progress(opts.progress);
-    if (opts.progress)
-        pool.setHooks(progress.hooks());
     if (opts.profile)
         obs::setProfiling(true);
 
@@ -173,7 +172,12 @@ scenarioMain(const char *name, int argc, char **argv)
         const std::string arg = argv[i];
         const bool hasValue = i + 1 < argc;
         if (arg == "--jobs" && hasValue) {
-            opts.jobs = std::atoi(argv[++i]);
+            const std::string text = argv[++i];
+            const char *end = text.data() + text.size();
+            const auto [ptr, ec] =
+                std::from_chars(text.data(), end, opts.jobs);
+            fatalIf(ec != std::errc{} || ptr != end || opts.jobs < 0,
+                    "--jobs must be an integer >= 0, got '", text, "'");
         } else if (arg == "--scale" && hasValue) {
             opts.scale = std::atof(argv[++i]);
         } else if (arg == "--json" && hasValue) {

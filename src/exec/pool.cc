@@ -4,6 +4,7 @@
 
 #include "common/check.hh"
 #include "common/logging.hh"
+#include "exec/progress.hh"
 #include "obs/profile.hh"
 #include "obs/trace.hh"
 
@@ -17,17 +18,14 @@ Pool::hardwareJobs()
     return std::max(1, static_cast<int>(hw));
 }
 
-Pool::Pool(int threads)
-    : threads_(threads > 0 ? threads : hardwareJobs())
+Pool::Pool(int threads, ProgressTracker *progress)
+    : threads_(threads > 0 ? threads : hardwareJobs()),
+      progress_(progress)
 {
-    queues_.reserve(static_cast<std::size_t>(threads_));
-    for (int i = 0; i < threads_; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
-    // Slot 0 belongs to the caller of parallelFor(); only the other
-    // slots get a background thread.
+    // The caller of parallelFor() is the first of the threads_.
     workers_.reserve(static_cast<std::size_t>(threads_ - 1));
-    for (int slot = 1; slot < threads_; ++slot)
-        workers_.emplace_back([this, slot] { workerMain(slot); });
+    for (int i = 1; i < threads_; ++i)
+        workers_.emplace_back([this] { workerMain(); });
 }
 
 Pool::~Pool()
@@ -42,10 +40,12 @@ Pool::~Pool()
 }
 
 void
-Pool::workerMain(int slot)
+Pool::workerMain()
 {
     std::uint64_t seenGeneration = 0;
     for (;;) {
+        const std::function<void(int)> *body;
+        int numTasks;
         {
             std::unique_lock<std::mutex> lock(batchMutex_);
             batchStart_.wait(lock, [&] {
@@ -54,9 +54,13 @@ Pool::workerMain(int slot)
             if (shutdown_)
                 return;
             seenGeneration = batchGeneration_;
+            if (body_ == nullptr)
+                continue; // woke after the batch finished
+            body = body_;
+            numTasks = numTasks_;
             ++workersActive_;
         }
-        drainBatch(slot);
+        drainBatch(*body, numTasks);
         {
             std::lock_guard<std::mutex> lock(batchMutex_);
             --workersActive_;
@@ -65,80 +69,35 @@ Pool::workerMain(int slot)
     }
 }
 
-int
-Pool::takeTask(int slot)
-{
-    // Own deque first: bottom (most recently assigned work, which
-    // for the contiguous initial split keeps each worker inside its
-    // own block of the sweep).
-    {
-        auto &own = *queues_[static_cast<std::size_t>(slot)];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.tasks.empty()) {
-            const int task = own.tasks.back();
-            own.tasks.pop_back();
-            return task;
-        }
-    }
-    // Steal from the top of the other deques, scanning in a fixed
-    // order starting after our own slot (deterministic scheduler
-    // state; task results never depend on who ran what).
-    for (int k = 1; k < threads_; ++k) {
-        const int victim = (slot + k) % threads_;
-        auto &queue = *queues_[static_cast<std::size_t>(victim)];
-        std::lock_guard<std::mutex> lock(queue.mutex);
-        if (!queue.tasks.empty()) {
-            const int task = queue.tasks.front();
-            queue.tasks.pop_front();
-            steals_.fetch_add(1, std::memory_order_relaxed);
-            return task;
-        }
-    }
-    return -1;
-}
-
 void
-Pool::drainBatch(int slot)
+Pool::drainBatch(const std::function<void(int)> &body, int numTasks)
 {
     for (;;) {
-        const int task = takeTask(slot);
-        if (task < 0)
+        const int task = next_.fetch_add(1);
+        if (task >= numTasks)
             return;
-        bool skip;
-        {
-            std::lock_guard<std::mutex> lock(batchMutex_);
-            skip = cancelled_;
-        }
-        if (!skip) {
-            try {
-                const std::int64_t taskStartNs =
-                    hooks_.taskDone ? obs::profileNowNs() : 0;
-                {
-                    obs::ScopedSpan span(obs::CatPool, "pool.task");
-                    if (span.live())
-                        span.setArg("task", std::to_string(task));
-                    (*body_)(task);
-                }
-                tasksRun_.fetch_add(1, std::memory_order_relaxed);
-                if (hooks_.taskDone) {
-                    hooks_.taskDone(
-                        task,
-                        static_cast<double>(obs::profileNowNs() -
-                                            taskStartNs) *
-                            1e-6);
-                }
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(batchMutex_);
-                if (!firstError_)
-                    firstError_ = std::current_exception();
-                cancelled_ = true;
+        try {
+            const std::int64_t taskStartNs =
+                progress_ ? obs::profileNowNs() : 0;
+            {
+                obs::ScopedSpan span(obs::CatPool, "pool.task");
+                if (span.live())
+                    span.setArg("task", std::to_string(task));
+                body(task);
             }
-        }
-        {
+            tasksRun_.fetch_add(1, std::memory_order_relaxed);
+            if (progress_) {
+                progress_->taskDone(
+                    static_cast<double>(obs::profileNowNs() -
+                                        taskStartNs) *
+                    1e-6);
+            }
+        } catch (...) {
             std::lock_guard<std::mutex> lock(batchMutex_);
-            --batchRemaining_;
+            if (!firstError_)
+                firstError_ = std::current_exception();
+            next_.store(numTasks); // cancel the unclaimed tasks
         }
-        batchDone_.notify_all();
     }
 }
 
@@ -150,81 +109,27 @@ Pool::parallelFor(int numTasks, const std::function<void(int)> &body)
     if (numTasks == 0)
         return;
 
-    if (hooks_.batchStart)
-        hooks_.batchStart(numTasks);
+    if (progress_)
+        progress_->batchStart(numTasks);
 
-    // Mark the batch in flight at every job count, so a nested
-    // submission panics on Pool(1) exactly as it does on Pool(N).
-    // The mark clears on every exit, a throwing task's included.
     {
         std::lock_guard<std::mutex> lock(batchMutex_);
         panicIfNot(body_ == nullptr,
                    "Pool::parallelFor is not reentrant");
         body_ = &body;
-    }
-    struct ClearMark
-    {
-        Pool &pool;
-        ~ClearMark()
-        {
-            std::lock_guard<std::mutex> lock(pool.batchMutex_);
-            pool.body_ = nullptr;
-        }
-    } clearMark{*this};
-
-    if (threads_ == 1) {
-        // Inline fast path: no threads — the determinism baseline
-        // every parallel run is measured against.
-        for (int i = 0; i < numTasks; ++i) {
-            const std::int64_t taskStartNs =
-                hooks_.taskDone ? obs::profileNowNs() : 0;
-            {
-                obs::ScopedSpan span(obs::CatPool, "pool.task");
-                if (span.live())
-                    span.setArg("task", std::to_string(i));
-                body(i);
-            }
-            tasksRun_.fetch_add(1, std::memory_order_relaxed);
-            if (hooks_.taskDone) {
-                hooks_.taskDone(
-                    i, static_cast<double>(obs::profileNowNs() -
-                                           taskStartNs) *
-                           1e-6);
-            }
-        }
-        return;
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(batchMutex_);
-        firstError_ = nullptr;
-        cancelled_ = false;
-        batchRemaining_ = numTasks;
-        // Contiguous initial split: slot s owns indices
-        // [s*n/k, (s+1)*n/k); stealing rebalances from the far end.
-        for (int slot = 0; slot < threads_; ++slot) {
-            const int lo = static_cast<int>(
-                static_cast<long long>(numTasks) * slot / threads_);
-            const int hi = static_cast<int>(
-                static_cast<long long>(numTasks) * (slot + 1) /
-                threads_);
-            auto &queue = *queues_[static_cast<std::size_t>(slot)];
-            std::lock_guard<std::mutex> qlock(queue.mutex);
-            for (int i = lo; i < hi; ++i)
-                queue.tasks.push_back(i);
-        }
+        numTasks_ = numTasks;
+        next_.store(0);
         ++batchGeneration_;
     }
     batchStart_.notify_all();
 
-    drainBatch(0);
+    drainBatch(body, numTasks);
 
     std::exception_ptr error;
     {
         std::unique_lock<std::mutex> lock(batchMutex_);
-        batchDone_.wait(lock, [&] {
-            return batchRemaining_ == 0 && workersActive_ == 0;
-        });
+        batchDone_.wait(lock, [&] { return workersActive_ == 0; });
+        body_ = nullptr;
         error = firstError_;
         firstError_ = nullptr;
     }

@@ -1,16 +1,14 @@
 /**
  * @file
- * Work-stealing thread pool for sharding independent simulation work.
+ * Thread pool for sharding independent simulation work.
  *
  * The sweep/batch engine's scheduling substrate: a fixed set of
- * persistent workers, each with its own deque of task indices.  A
- * worker pops from the bottom of its own deque (LIFO, cache-friendly
- * for contiguous blocks) and, when empty, steals from the top of a
- * victim's deque (FIFO, taking the work farthest from the victim's
- * hot end).  Tasks are heavyweight — one co-simulation run each, in
- * the milliseconds-to-seconds range — so per-deque mutexes cost
- * nothing measurable while keeping the scheduler easy to reason
- * about and clean under ThreadSanitizer.
+ * persistent workers that, together with the caller, claim task
+ * indices from one shared atomic cursor until it passes the batch
+ * size.  Tasks are heavyweight — one co-simulation run each, in the
+ * milliseconds-to-seconds range — so a single cursor balances the
+ * load as well as any per-worker queue would, and the protocol stays
+ * easy to reason about and clean under ThreadSanitizer.
  *
  * Determinism contract: the pool never introduces nondeterminism by
  * itself.  Tasks are identified by dense indices, every task runs
@@ -26,10 +24,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -37,35 +33,25 @@
 namespace vsgpu::exec
 {
 
-/**
- * Observability hooks around pool batches (exec/progress.hh supplies
- * the standard implementation).  batchStart fires on the
- * parallelFor() caller before any task runs; taskDone fires on
- * whichever worker completed the task, concurrently with other
- * workers, so the callback must be thread-safe.  Task wall times are
- * wall-clock derived and therefore schedule-dependent: anything
- * reported through these hooks is diagnostics, never results.
- */
-struct PoolHooks
-{
-    std::function<void(int numTasks)> batchStart;
-    std::function<void(int task, double wallMs)> taskDone;
-};
+class ProgressTracker;
 
 /**
- * Persistent work-stealing pool.
+ * Persistent pool over one shared task cursor.
  *
  * A Pool of N threads uses N - 1 background workers plus the calling
  * thread of parallelFor(), so Pool(1) runs everything inline on the
- * caller with no threads.
+ * caller, in index order, with no threads.
  */
 class Pool
 {
   public:
     /**
-     * @param threads worker count; 0 selects hardwareJobs().
+     * @param threads  worker count; 0 selects hardwareJobs().
+     * @param progress optional sink told about every batch and every
+     *                 completed task (from whichever thread ran it);
+     *                 must outlive the pool.
      */
-    explicit Pool(int threads = 0);
+    explicit Pool(int threads = 0, ProgressTracker *progress = nullptr);
 
     Pool(const Pool &) = delete;
     Pool &operator=(const Pool &) = delete;
@@ -81,75 +67,52 @@ class Pool
     /**
      * Run body(i) for every i in [0, numTasks), sharded across the
      * pool, and return when all tasks completed.  The calling thread
-     * participates as worker slot 0.  Exceptions thrown by tasks are
-     * captured; the first one (in completion order) is rethrown here
-     * after all remaining tasks have been cancelled and the pool has
-     * quiesced.  Not reentrant: a parallelFor() called from inside a
-     * task of the same pool panics, whatever the job count.
+     * claims tasks too.  Exceptions thrown by tasks are captured; the
+     * first one (in completion order) is rethrown here after the
+     * unclaimed tasks have been cancelled and the pool has quiesced.
+     * Not reentrant: a parallelFor() called from inside a task of the
+     * same pool panics, whatever the job count.
      */
     void parallelFor(int numTasks,
                      const std::function<void(int)> &body);
 
-    /**
-     * Install observability hooks.  Must not be called while a
-     * parallelFor() batch is in flight (workers read the hooks
-     * without a lock, by the same protocol as body_).
-     */
-    void setHooks(PoolHooks hooks) { hooks_ = std::move(hooks); }
-
     /** Tasks executed over the pool's lifetime (observability). */
     std::uint64_t tasksRun() const { return tasksRun_.load(); }
 
-    /** Steals performed over the pool's lifetime (observability). */
-    std::uint64_t steals() const { return steals_.load(); }
-
   private:
-    /** One worker's task queue: dense task indices. */
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<int> tasks;
-    };
+    /** Background worker main loop. */
+    void workerMain();
 
-    /** Background worker main loop (slots 1..threads-1). */
-    void workerMain(int slot);
+    /** Claim and run tasks of the current batch until none is left. */
+    void drainBatch(const std::function<void(int)> &body,
+                    int numTasks);
 
-    /** Drain the current batch from worker slot @p slot. */
-    void drainBatch(int slot);
-
-    /** Pop from own deque bottom, else steal; -1 when none left. */
-    int takeTask(int slot);
-
-    int threads_;
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
+    const int threads_;
+    ProgressTracker *const progress_;
     std::vector<std::thread> workers_;
 
     std::mutex batchMutex_;
     std::condition_variable batchStart_;
     std::condition_variable batchDone_;
-    // batchMutex_ guards the batch state below, except body_ and
-    // hooks_.
+    // batchMutex_ guards the batch state below.  A worker joins a
+    // batch only while body_ is set and the caller clears body_ in
+    // the same critical section that sees workersActive_ reach 0, so
+    // a late-waking worker never touches the cursor of a later batch.
     std::uint64_t batchGeneration_ = 0;
-    /// Tasks not yet finished.
-    int batchRemaining_ = 0;
     /// Background workers inside a batch.
     int workersActive_ = 0;
     bool shutdown_ = false;
-
-    // Workers read body_ without the lock, which is safe by
-    // protocol: it is written under the lock before the
-    // batchGeneration_ bump that releases the workers and read only
-    // while the batch it belongs to is in flight.  Non-null marks a
-    // batch in flight at every job count (the reentrancy check).
+    /// The batch in flight; non-null at every job count (the
+    /// reentrancy check).
     const std::function<void(int)> *body_ = nullptr;
+    int numTasks_ = 0;
     std::exception_ptr firstError_;
-    bool cancelled_ = false;
 
-    // Same access protocol as body_: written only between batches.
-    PoolHooks hooks_;
+    /// Next unclaimed task index of the batch in flight.  Reset under
+    /// batchMutex_; cancelling a batch moves it to the end.
+    std::atomic<int> next_{0};
 
     std::atomic<std::uint64_t> tasksRun_{0};
-    std::atomic<std::uint64_t> steals_{0};
 };
 
 } // namespace vsgpu::exec

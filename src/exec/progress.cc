@@ -49,17 +49,6 @@ ProgressTracker::ProgressTracker(bool live)
 {
 }
 
-PoolHooks
-ProgressTracker::hooks()
-{
-    PoolHooks hooks;
-    hooks.batchStart = [this](int numTasks) {
-        batchStart(numTasks);
-    };
-    hooks.taskDone = [this](int, double wallMs) { taskDone(wallMs); };
-    return hooks;
-}
-
 void
 ProgressTracker::batchStart(int numTasks)
 {

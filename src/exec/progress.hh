@@ -2,7 +2,7 @@
  * @file
  * Per-task progress tracking for sweep/batch runs.
  *
- * A ProgressTracker plugs into exec::Pool via PoolHooks and counts
+ * A ProgressTracker handed to exec::Pool's constructor counts
  * announced and completed tasks across batches.  With live rendering
  * enabled it also maintains a single carriage-return stderr status
  * line — completed/total, percentage, mean task cost, and a
@@ -19,8 +19,6 @@
 #include <cstdint>
 #include <mutex>
 
-#include "exec/pool.hh"
-
 namespace vsgpu::exec
 {
 
@@ -32,9 +30,6 @@ class ProgressTracker
   public:
     /** @param live render a live \r status line on stderr. */
     explicit ProgressTracker(bool live = false);
-
-    /** @return hooks bound to this tracker (install via setHooks). */
-    PoolHooks hooks();
 
     /** Begin a batch of @p numTasks tasks. */
     void batchStart(int numTasks);

@@ -1,67 +1,45 @@
 #include "exec/setup_cache.hh"
 
-#include <cstring>
-#include <utility>
-
-#include "common/check.hh"
 #include "obs/trace.hh"
 
 namespace vsgpu::exec
 {
 
-template <typename V, typename Build>
-std::shared_ptr<const V>
-SetupCache::getOrBuild(
-    std::map<std::string,
-             std::shared_future<std::shared_ptr<const V>>> &map,
-    const std::string &key, Build &&build, bool *hit)
-{
-    std::promise<std::shared_ptr<const V>> promise;
-    std::shared_future<std::shared_ptr<const V>> future;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = map.find(key);
-        if (it != map.end()) {
-            *hit = true;
-            future = it->second;
-        } else {
-            *hit = false;
-            future = promise.get_future().share();
-            map.emplace(key, future);
-        }
-    }
-    if (*hit)
-        return future.get();
-
-    // Build outside the lock so distinct keys build concurrently.
-    try {
-        promise.set_value(build());
-    } catch (...) {
-        promise.set_exception(std::current_exception());
-        std::lock_guard<std::mutex> lock(mutex_);
-        map.erase(key); // let a later caller retry
-    }
-    return future.get();
-}
-
 std::shared_ptr<const PdsSetup>
 SetupCache::setupFor(const CosimConfig &cfg)
 {
-    bool hit = false;
-    auto setup = getOrBuild(
-        setups_, pdsSetupKey(cfg),
-        [&cfg] {
-            VSGPU_TRACE_SCOPE(obs::CatPhase, "setup.build_pds");
-            return buildPdsSetup(cfg);
-        },
-        &hit);
+    const std::string key = pdsSetupKey(cfg);
+    std::promise<std::shared_ptr<const PdsSetup>> promise;
+    std::shared_future<std::shared_ptr<const PdsSetup>> future;
+    bool hit;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (hit)
-            ++setupHits_;
-        else
-            ++setupsBuilt_;
+        const auto it = setups_.find(key);
+        hit = it != setups_.end();
+        if (hit) {
+            future = it->second;
+        } else {
+            future = promise.get_future().share();
+            setups_.emplace(key, future);
+        }
     }
+    if (!hit) {
+        // Build outside the lock so distinct keys build concurrently.
+        try {
+            VSGPU_TRACE_SCOPE(obs::CatPhase, "setup.build_pds");
+            promise.set_value(buildPdsSetup(cfg));
+        } catch (...) {
+            promise.set_exception(std::current_exception());
+            std::lock_guard<std::mutex> lock(mutex_);
+            setups_.erase(key); // let a later caller retry
+        }
+    }
+    std::shared_ptr<const PdsSetup> setup = future.get();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (hit)
+        ++setupHits_;
+    else
+        ++setupsBuilt_;
     return setup;
 }
 
@@ -71,35 +49,6 @@ SetupCache::withSetup(const CosimConfig &cfg)
     CosimConfig out = cfg;
     out.setup = setupFor(cfg);
     return out;
-}
-
-std::shared_ptr<const std::vector<ImpedancePoint>>
-SetupCache::impedanceSweep(const CosimConfig &cfg,
-                           const std::vector<Hertz> &freqs)
-{
-    std::shared_ptr<const PdsSetup> setup = setupFor(cfg);
-    panicIfNot(setup->stacked && setup->vs,
-               "impedance sweep requires a voltage-stacked PDS");
-
-    std::string key = setup->key;
-    for (Hertz f : freqs) {
-        const double hz = f.raw(); // vsgpu-lint: raw-escape-ok(cache-key byte serialization)
-        char bytes[sizeof(double)];
-        std::memcpy(bytes, &hz, sizeof(double));
-        key.append(bytes, sizeof(double));
-    }
-
-    bool hit = false;
-    return getOrBuild(
-        impedances_, key,
-        [&] {
-            VSGPU_TRACE_SCOPE(obs::CatPhase, "setup.ac_scan");
-            ImpedanceAnalyzer analyzer(*setup->vs);
-            return std::make_shared<
-                const std::vector<ImpedancePoint>>(
-                analyzer.sweep(freqs));
-        },
-        &hit);
 }
 
 int

@@ -5,10 +5,9 @@
  * A sweep typically runs many workload / controller variations
  * against a handful of electrical configurations.  The expensive,
  * workload-independent part of each run — building the PDN netlist,
- * sizing the CR-IVR, LU-solving the DC operating point, and (for
- * impedance studies) factoring the complex MNA system per frequency —
- * depends only on the electrical configuration, so the cache computes
- * it once per distinct configuration and hands every run a shared
+ * sizing the CR-IVR and LU-solving the DC operating point — depends
+ * only on the electrical configuration, so the cache computes it
+ * once per distinct configuration and hands every run a shared
  * immutable PdsSetup.
  *
  * Concurrency contract: the first caller of a key builds the value;
@@ -28,7 +27,6 @@
 #include <mutex>
 #include <vector>
 
-#include "pdn/impedance.hh"
 #include "sim/cosim.hh"
 #include "sim/pds_setup.hh"
 
@@ -36,10 +34,9 @@ namespace vsgpu::exec
 {
 
 /**
- * Memoizes buildPdsSetup() by pdsSetupKey() and impedance sweeps by
- * configuration + frequency grid.  Safe to share across all worker
- * threads of a sweep; typically one cache lives for the duration of
- * one bench / test binary.
+ * Memoizes buildPdsSetup() by pdsSetupKey().  Safe to share across
+ * all worker threads of a sweep; typically one cache lives for the
+ * duration of one bench / test binary.
  */
 class SetupCache
 {
@@ -61,17 +58,6 @@ class SetupCache
      */
     CosimConfig withSetup(const CosimConfig &cfg);
 
-    /**
-     * Memoized effective-impedance sweep over a voltage-stacked
-     * configuration (panics if cfg is not stacked).  The underlying
-     * AC factorizations are shared across the four impedance
-     * components per frequency (ImpedanceAnalyzer::sweepPoint) and
-     * the whole sweep result is reused across repeated calls.
-     */
-    std::shared_ptr<const std::vector<ImpedancePoint>>
-    impedanceSweep(const CosimConfig &cfg,
-                   const std::vector<Hertz> &freqs);
-
     /** @return number of setups actually built (not cache hits). */
     int setupsBuilt() const;
 
@@ -87,20 +73,10 @@ class SetupCache
     std::vector<std::string> cachedKeys() const;
 
   private:
-    template <typename V, typename Build>
-    std::shared_ptr<const V>
-    getOrBuild(std::map<std::string, std::shared_future<
-                   std::shared_ptr<const V>>> &map,
-               const std::string &key, Build &&build, bool *hit);
-
     mutable std::mutex mutex_;
     std::map<std::string,
              std::shared_future<std::shared_ptr<const PdsSetup>>>
         setups_;
-    std::map<std::string,
-             std::shared_future<
-                 std::shared_ptr<const std::vector<ImpedancePoint>>>>
-        impedances_;
     int setupsBuilt_ = 0;
     int setupHits_ = 0;
 };

@@ -57,41 +57,15 @@ taskSeed(std::uint64_t sweepSeed, int index)
 }
 
 /**
- * Run fn(point, ctx) for every point, sharded across @p pool, and
- * return the results in point order.
+ * Run fn(i, ctx) for every index i in [0, n), sharded across
+ * @p pool, and return the results in index order.
  *
  * @param pool      execution pool (jobs = pool.threads()).
- * @param points    sweep points; copied references stay valid for
- *                  the duration of the call.
+ * @param n         number of sweep points.
  * @param sweepSeed base seed for the per-task RNG streams.
- * @param fn        task function: Result fn(const Point &,
- *                  TaskContext &).  Must not touch shared mutable
- *                  state; results must depend only on (point, ctx).
- */
-template <typename Point, typename Fn>
-auto
-runSweep(Pool &pool, const std::vector<Point> &points,
-         std::uint64_t sweepSeed, Fn &&fn)
-    -> std::vector<decltype(fn(points.front(),
-                               std::declval<TaskContext &>()))>
-{
-    using Result = decltype(fn(points.front(),
-                               std::declval<TaskContext &>()));
-    std::vector<Result> results(points.size());
-    pool.parallelFor(
-        static_cast<int>(points.size()), [&](int i) {
-            TaskContext ctx;
-            ctx.index = i;
-            ctx.seed = taskSeed(sweepSeed, i);
-            ctx.rng = Rng(ctx.seed);
-            results[static_cast<std::size_t>(i)] =
-                fn(points[static_cast<std::size_t>(i)], ctx);
-        });
-    return results;
-}
-
-/**
- * Convenience overload for index sweeps: fn(i, ctx) over [0, n).
+ * @param fn        task function: Result fn(int, TaskContext &).
+ *                  Must not touch shared mutable state; results
+ *                  must depend only on (i, ctx).
  */
 template <typename Fn>
 auto
@@ -108,6 +82,22 @@ runIndexSweep(Pool &pool, int n, std::uint64_t sweepSeed, Fn &&fn)
         results[static_cast<std::size_t>(i)] = fn(i, ctx);
     });
     return results;
+}
+
+/**
+ * Point-list form of runIndexSweep(): fn(points[i], ctx) for every
+ * point, results in point order.
+ */
+template <typename Point, typename Fn>
+auto
+runSweep(Pool &pool, const std::vector<Point> &points,
+         std::uint64_t sweepSeed, Fn &&fn)
+{
+    return runIndexSweep(
+        pool, static_cast<int>(points.size()), sweepSeed,
+        [&](int i, TaskContext &ctx) {
+            return fn(points[static_cast<std::size_t>(i)], ctx);
+        });
 }
 
 } // namespace vsgpu::exec

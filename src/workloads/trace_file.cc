@@ -6,6 +6,7 @@
 
 #include "common/check.hh"
 #include "common/logging.hh"
+#include "common/units.hh"
 
 namespace vsgpu
 {
@@ -83,6 +84,9 @@ TraceFile::parse(std::istream &is)
                     "trace line ", lineNo, ": malformed warp header");
             fatalIf(sm < 0 || warp < 0,
                     "trace line ", lineNo, ": negative sm/warp");
+            fatalIf(warp >= config::warpsPerSM, "trace line ", lineNo,
+                    ": warp slot ", warp, " out of range (0..",
+                    config::warpsPerSM - 1, ")");
             continue;
         }
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests of the work-stealing pool's scheduling contract: every task
- * index runs exactly once for any worker count, exceptions propagate
- * after quiescing, and a pool survives many batches.  These tests
- * are the core of the TSan CI job — they exercise the queues, the
- * batch barrier, and stealing under deliberately unbalanced loads.
+ * Tests of the pool's scheduling contract: every task index runs
+ * exactly once for any worker count, exceptions propagate after
+ * quiescing, and a pool survives many batches.  These tests are the
+ * core of the TSan CI job — they exercise the shared task cursor,
+ * the batch barrier and late-waking workers under deliberately
+ * unbalanced loads.
  */
 
 #include <atomic>
@@ -51,7 +52,6 @@ TEST(Pool, SingleThreadRunsInlineInOrder)
     ASSERT_EQ(order.size(), 64u);
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-    EXPECT_EQ(pool.steals(), 0u);
 }
 
 TEST(Pool, ZeroSelectsHardwareJobs)
@@ -66,8 +66,8 @@ TEST(Pool, EmptyAndTinyBatches)
     Pool pool(4);
     pool.parallelFor(0, [](int) { FAIL() << "no tasks expected"; });
 
-    // Fewer tasks than workers: the surplus workers find empty
-    // queues and go back to sleep.
+    // Fewer tasks than workers: the surplus workers find the cursor
+    // past the end and go back to sleep.
     std::atomic<int> ran{0};
     pool.parallelFor(2, [&](int) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 2);
@@ -127,22 +127,30 @@ TEST(PoolDeathTest, NestedParallelForPanicsAtEveryJobCount)
 
 TEST(Pool, ExceptionOnCallerThreadPropagates)
 {
-    // Slot 0 (the caller) owns the first index block, so index 0
-    // throws on the calling thread itself.
+    // Only the calling thread throws.  A worker's task blocks until
+    // the caller has thrown, so a worker holds at most one of the 8
+    // tasks and the caller is sure to claim one of the others.
     Pool pool(2);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> callerThrew{false};
     EXPECT_THROW(pool.parallelFor(
                      8,
-                     [&](int i) {
-                         if (i == 0)
+                     [&](int) {
+                         if (std::this_thread::get_id() == caller) {
+                             callerThrew = true;
                              throw std::logic_error("boom");
+                         }
+                         while (!callerThrew)
+                             std::this_thread::yield();
                      }),
                  std::logic_error);
+    EXPECT_TRUE(callerThrew);
 }
 
 TEST(Pool, UnbalancedLoadCompletes)
 {
-    // One pathologically slow task at the front of slot 0's block;
-    // with stealing the other workers drain the rest meanwhile.
+    // One pathologically slow task; the other threads drain the
+    // rest of the cursor meanwhile.
     Pool pool(4);
     std::atomic<int> ran{0};
     pool.parallelFor(64, [&](int i) {
@@ -162,6 +170,39 @@ TEST(Pool, LargeIndexSpaceStress)
     pool.parallelFor(kTasks, [&](int i) { seen[i].fetch_add(1); });
     for (int i = 0; i < kTasks; ++i)
         ASSERT_EQ(seen[i].load(), 1u) << "index " << i;
+}
+
+TEST(Pool, LateWakingWorkersNeverRunALaterBatch)
+{
+    // Many tiny batches on more workers than tasks: most workers wake
+    // after their batch has finished, while the caller is already
+    // submitting the next one.  Each body checks that its own
+    // parallelFor is still in flight, that its index is in range and
+    // that no index runs twice.
+    Pool pool(8);
+    std::atomic<int> inFlight{-1};
+    std::atomic<int> misplaced{0};
+    std::uint64_t expectRun = 0;
+    for (int batch = 0; batch < 2000; ++batch) {
+        const int numTasks = 1 + batch % 3;
+        expectRun += static_cast<std::uint64_t>(numTasks);
+        std::vector<std::atomic<int>> runs(
+            static_cast<std::size_t>(numTasks));
+        inFlight = batch;
+        pool.parallelFor(numTasks, [&, batch, numTasks](int i) {
+            if (inFlight.load() != batch || i >= numTasks) {
+                misplaced.fetch_add(1);
+                return;
+            }
+            runs[static_cast<std::size_t>(i)].fetch_add(1);
+        });
+        inFlight = -1;
+        for (int i = 0; i < numTasks; ++i)
+            ASSERT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
+                << "batch " << batch << " index " << i;
+    }
+    EXPECT_EQ(misplaced.load(), 0);
+    EXPECT_EQ(pool.tasksRun(), expectRun);
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the per-task progress tracker: hook wiring into
+ * Unit tests for the per-task progress tracker: reporting from
  * exec::Pool, completed/total accounting across batches, and thread
  * safety under a parallel pool.
  */
@@ -47,11 +47,10 @@ TEST(Progress, BatchesAccumulateTotals)
     EXPECT_EQ(tracker.total(), 3);
 }
 
-TEST(Progress, HooksRecordPoolTasks)
+TEST(Progress, PoolReportsTasks)
 {
     ProgressTracker tracker;
-    Pool pool(4);
-    pool.setHooks(tracker.hooks());
+    Pool pool(4, &tracker);
 
     std::atomic<int> ran{0};
     pool.parallelFor(16, [&ran](int) { ++ran; });
@@ -68,8 +67,7 @@ TEST(Progress, HooksRecordPoolTasks)
 TEST(Progress, SingleThreadInlinePathAlsoRecords)
 {
     ProgressTracker tracker;
-    Pool pool(1);
-    pool.setHooks(tracker.hooks());
+    Pool pool(1, &tracker);
     pool.parallelFor(5, [](int) {});
     EXPECT_EQ(tracker.completed(), 5);
     EXPECT_EQ(tracker.total(), 5);
@@ -78,8 +76,7 @@ TEST(Progress, SingleThreadInlinePathAlsoRecords)
 TEST(Progress, EmptyBatchIsIgnored)
 {
     ProgressTracker tracker;
-    Pool pool(2);
-    pool.setHooks(tracker.hooks());
+    Pool pool(2, &tracker);
     pool.parallelFor(0, [](int) {});
     EXPECT_EQ(tracker.completed(), 0);
     EXPECT_EQ(tracker.total(), 0);

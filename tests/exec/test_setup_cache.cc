@@ -126,22 +126,5 @@ TEST(SetupCache, ConcurrentLookupsShareOneBuild)
     EXPECT_EQ(cache.setupHits(), 63);
 }
 
-TEST(SetupCache, ImpedanceSweepIsMemoized)
-{
-    SetupCache cache;
-    const CosimConfig cfg = smallConfig(PdsKind::VsCrossLayer);
-    const auto freqs = logFrequencyGrid(1.0_MHz, 500.0_MHz, 8);
-
-    const auto a = cache.impedanceSweep(cfg, freqs);
-    const auto b = cache.impedanceSweep(cfg, freqs);
-    EXPECT_EQ(a.get(), b.get());
-    ASSERT_EQ(a->size(), freqs.size());
-
-    // A different grid is a different entry.
-    const auto c = cache.impedanceSweep(
-        cfg, logFrequencyGrid(1.0_MHz, 500.0_MHz, 9));
-    EXPECT_NE(a.get(), c.get());
-}
-
 } // namespace
 } // namespace vsgpu::exec

@@ -154,6 +154,9 @@ TEST(TraceFileDeath, MalformedInputIsFatal)
                 ::testing::ExitedWithCode(1), "");
     EXPECT_EXIT(parseString("# only comments\n"),
                 ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(parseString("warp 0 60\nint 8 - - 32 1 1 0\n"),
+                ::testing::ExitedWithCode(1),
+                "trace line 1: warp slot 60 out of range");
 }
 
 } // namespace

@@ -51,6 +51,7 @@
  *       human-readable report.
  */
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -110,6 +111,21 @@ flagOr(const std::map<std::string, std::string> &flags,
     return it == flags.end() ? fallback : it->second;
 }
 
+/** Integer flag --key (default @p fallback) that must be >= 1. */
+template <typename Int>
+Int
+countFlag(const std::map<std::string, std::string> &flags,
+          const std::string &key, const std::string &fallback)
+{
+    const std::string text = flagOr(flags, key, fallback);
+    const char *end = text.data() + text.size();
+    Int value = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    fatalIf(ec != std::errc{} || ptr != end || value < 1, "--", key,
+            " must be an integer >= 1, got '", text, "'");
+    return value;
+}
+
 PdsKind
 parsePds(const std::string &name)
 {
@@ -150,8 +166,7 @@ cmdRun(const std::map<std::string, std::string> &flags)
 {
     CosimConfig cfg;
     cfg.pds = defaultPds(parsePds(flagOr(flags, "pds", "cross")));
-    cfg.maxCycles = static_cast<Cycle>(
-        std::stoull(flagOr(flags, "cycles", "200000")));
+    cfg.maxCycles = countFlag<Cycle>(flags, "cycles", "200000");
     if (flags.count("area"))
         cfg.pds.ivrAreaFraction = std::stod(flags.at("area"));
     if (flags.count("threshold"))
@@ -219,7 +234,7 @@ cmdRun(const std::map<std::string, std::string> &flags)
         subject = std::string("run ") + benchmarkName(bench);
         WorkloadSpec spec = workloadFor(bench);
         spec = scaledToInstrs(
-            spec, std::stoi(flagOr(flags, "instrs", "1500")));
+            spec, countFlag<int>(flags, "instrs", "1500"));
         CoSimulator sim(cache.withSetup(cfg));
         pool.parallelFor(1, [&](int) { result = sim.run(spec); });
     }
@@ -422,9 +437,8 @@ cmdExportTrace(const std::map<std::string, std::string> &flags)
             "export-trace needs --benchmark and --out");
     WorkloadSpec spec =
         workloadFor(parseBenchmark(flags.at("benchmark")));
-    spec = scaledToInstrs(spec,
-                          std::stoi(flagOr(flags, "instrs", "500")));
-    const int sms = std::stoi(flagOr(flags, "sms", "2"));
+    spec = scaledToInstrs(spec, countFlag<int>(flags, "instrs", "500"));
+    const int sms = countFlag<int>(flags, "sms", "2");
     WorkloadFactory factory(spec);
     const TraceFile trace = recordTrace(factory, sms);
     std::ofstream out(flags.at("out"));
