@@ -1,16 +1,9 @@
 #include "bench/scenarios/scenarios.hh"
 
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
+#include <ostream>
 
-#include "circuit/solver.hh"
 #include "common/logging.hh"
 #include "exec/progress.hh"
-#include "obs/flight_recorder.hh"
-#include "obs/trace.hh"
 #include "sim/stats_export.hh"
 
 namespace vsgpu::scen
@@ -150,169 +143,6 @@ runScenario(const ScenarioInfo &info, const ScenarioOptions &opts,
         summary.manifest = *manifest;
     }
     return summary;
-}
-
-int
-scenarioMain(const char *name, int argc, char **argv)
-{
-    const ScenarioInfo *info = findScenario(name);
-    if (info == nullptr) {
-        std::cerr << "unknown scenario: " << name << "\n";
-        return 1;
-    }
-
-    ScenarioOptions opts;
-    std::string jsonPath;
-    std::string statsPath;
-    std::string tracePath;
-    std::string traceCategories;
-    std::string timeseriesPath;
-    std::string flightPath;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const bool hasValue = i + 1 < argc;
-        if (arg == "--jobs" && hasValue) {
-            const std::string text = argv[++i];
-            const char *end = text.data() + text.size();
-            const auto [ptr, ec] =
-                std::from_chars(text.data(), end, opts.jobs);
-            fatalIf(ec != std::errc{} || ptr != end || opts.jobs < 0,
-                    "--jobs must be an integer >= 0, got '", text, "'");
-        } else if (arg == "--scale" && hasValue) {
-            opts.scale = std::atof(argv[++i]);
-        } else if (arg == "--json" && hasValue) {
-            jsonPath = argv[++i];
-        } else if (arg == "--stats-out" && hasValue) {
-            statsPath = argv[++i];
-        } else if (arg == "--trace-out" && hasValue) {
-            tracePath = argv[++i];
-        } else if (arg == "--trace-categories" && hasValue) {
-            traceCategories = argv[++i];
-        } else if (arg == "--sample-every" && hasValue) {
-            opts.sampleEverySec = std::atof(argv[++i]);
-        } else if (arg == "--timeseries-out" && hasValue) {
-            timeseriesPath = argv[++i];
-        } else if (arg == "--profile") {
-            opts.profile = true;
-        } else if (arg == "--progress") {
-            opts.progress = true;
-        } else if (arg == "--flight-out" && hasValue) {
-            flightPath = argv[++i];
-        } else if (arg == "--solver" && hasValue) {
-            SolverKind kind;
-            if (!parseSolverKind(argv[++i], kind)) {
-                std::cerr << "--solver must be sparse or dense\n";
-                return 1;
-            }
-            setDefaultSolver(kind);
-        } else if (arg == "--help" || arg == "-h") {
-            std::cout
-                << "usage: " << argv[0]
-                << " [--jobs N] [--scale X] [--json PATH]\n"
-                << "       [--stats-out PATH] [--trace-out PATH]\n"
-                << "       [--trace-categories LIST]\n"
-                << "  --jobs N     worker threads (default: hardware "
-                   "concurrency)\n"
-                << "  --scale X    workload scale (default 1.0)\n"
-                << "  --json PATH  write the summary metrics as "
-                   "JSON\n"
-                << "  --stats-out PATH  write the stats dump as "
-                   "JSON\n"
-                << "  --trace-out PATH  write a Chrome trace_event "
-                   "JSON file\n"
-                << "  --trace-categories LIST  comma list of phase,"
-                   "pool,ctl,hv,all\n"
-                << "  --sample-every SEC  windowed time-series "
-                   "telemetry cadence (sim seconds)\n"
-                << "  --timeseries-out PATH  write the time-series "
-                   "dump as JSON\n"
-                << "  --profile    stage-cost self-profiler (report "
-                   "on stdout, JSON in --stats-out)\n"
-                << "  --progress   live per-task progress line on "
-                   "stderr\n"
-                << "  --flight-out PATH  crash-dump flight recorder "
-                   "JSON here\n"
-                << "  --solver KIND  MNA linear solver: sparse "
-                   "(default) or dense\n";
-            return 0;
-        } else {
-            std::cerr << "unknown argument: " << arg
-                      << " (try --help)\n";
-            return 1;
-        }
-    }
-    if (opts.scale <= 0.0) {
-        std::cerr << "--scale must be positive\n";
-        return 1;
-    }
-
-    if (!tracePath.empty())
-        obs::Tracer::instance().enable(
-            obs::parseTraceCategories(traceCategories));
-    if (!flightPath.empty())
-        obs::setFlightDumpPath(flightPath);
-
-    setLogQuiet(true);
-    obs::StatsSnapshot stats;
-    obs::Manifest manifest;
-    ScenarioTelemetry telemetry;
-    const Summary summary =
-        runScenario(*info, opts, std::cout, &stats, &manifest,
-                    &telemetry);
-
-    std::cout << "\nSummary metrics:\n";
-    for (const SummaryMetric &m : summary.metrics)
-        std::cout << "  " << m.name << " = " << m.value << "\n";
-
-    if (opts.profile && telemetry.profile.runs > 0) {
-        stats.profileJson =
-            obs::writeProfileJson(telemetry.profile, "  ");
-        std::cout << "\n"
-                  << obs::renderProfileReport(telemetry.profile);
-    }
-
-    if (!jsonPath.empty()) {
-        std::ofstream out(jsonPath);
-        if (!out.good()) {
-            std::cerr << "cannot write " << jsonPath << "\n";
-            return 1;
-        }
-        writeSummaryJson(summary, out);
-        std::cout << "\nwrote " << jsonPath << "\n";
-    }
-    if (!statsPath.empty()) {
-        std::ofstream out(statsPath);
-        if (!out.good()) {
-            std::cerr << "cannot write " << statsPath << "\n";
-            return 1;
-        }
-        stats.manifest = manifest;
-        obs::writeStatsJson(stats, out);
-        std::cout << "wrote " << statsPath << "\n";
-    }
-    if (!timeseriesPath.empty()) {
-        std::ofstream out(timeseriesPath);
-        if (!out.good()) {
-            std::cerr << "cannot write " << timeseriesPath << "\n";
-            return 1;
-        }
-        obs::writeTimeSeriesJson(telemetry.series, out);
-        std::cout << "wrote " << timeseriesPath << " ("
-                  << telemetry.series.runs.size() << " runs)\n";
-    }
-    if (!tracePath.empty()) {
-        obs::Tracer::instance().disable();
-        std::ofstream out(tracePath);
-        if (!out.good()) {
-            std::cerr << "cannot write " << tracePath << "\n";
-            return 1;
-        }
-        obs::Tracer::instance().writeJson(out);
-        std::cout << "wrote " << tracePath << " ("
-                  << obs::Tracer::instance().numEvents()
-                  << " events)\n";
-    }
-    return 0;
 }
 
 } // namespace vsgpu::scen

@@ -4,10 +4,9 @@
  * functions.
  *
  * Every paper experiment is a function of a ScenarioContext, so the
- * same code backs three frontends:
- *   - the bench binaries (bench/fig12_threshold_sweep etc.), each
- *     bench/scenario_main.cc compiled with its scenario's name,
- *   - tools/record_golden, which dumps each scenario's Summary into
+ * same code backs two frontends:
+ *   - tools/vsgpu_cli.cc: `vsgpu scenario NAME` runs one scenario and
+ *     `vsgpu record-golden` dumps each Summary into
  *     tests/golden/<scenario>.json,
  *   - the tier-1 golden regression tests, which replay scenarios at
  *     goldenScale and byte-compare the recorded summaries.
@@ -196,22 +195,6 @@ Summary runScenario(const ScenarioInfo &info,
                     obs::StatsSnapshot *stats = nullptr,
                     obs::Manifest *manifest = nullptr,
                     ScenarioTelemetry *telemetry = nullptr);
-
-/**
- * Shared main() of the bench binaries.  Flags:
- *   --jobs N              worker threads (default: hw concurrency)
- *   --scale X             workload scale (default 1.0)
- *   --json PATH           also write the Summary as JSON to PATH
- *   --stats-out PATH      write the stats dump as JSON
- *   --trace-out PATH      write a Chrome trace_event JSON file
- *   --trace-categories C  comma list: phase,pool,ctl,hv,all
- *   --sample-every SEC    windowed time-series telemetry cadence
- *   --timeseries-out PATH write the time-series dump as JSON
- *   --profile             stage-cost self-profiler + report
- *   --progress            live per-task progress line on stderr
- *   --flight-out PATH     crash-dump flight recorder JSON here
- */
-int scenarioMain(const char *name, int argc, char **argv);
 
 // Scenario implementations (one translation unit each).
 Summary runFig03Impedance(ScenarioContext &ctx);

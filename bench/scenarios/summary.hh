@@ -37,7 +37,7 @@ struct Summary
      *  ScenarioOptions::scale); goldens are all at goldenScale. */
     double scale = 1.0;
 
-    /** Run provenance (obs/manifest.hh), stamped by scenarioMain.
+    /** Run provenance (obs/manifest.hh), stamped by runScenario.
      *  Omitted from JSON while !manifest.valid, so recorded goldens
      *  (which carry no manifest) stay byte-stable. */
     obs::Manifest manifest;

@@ -9,20 +9,13 @@ cmake --build build
 ctest --test-dir build -j "$(nproc)"
 
 mkdir -p results
-for bench in build/bench/*; do
-    [ -f "$bench" ] && [ -x "$bench" ] || continue
-    name="$(basename "$bench")"
-    case "$name" in
-        perf_microbench)
-            echo ">>> $name"
-            "$bench" --benchmark_min_time=0.2 | tee "results/$name.txt"
-            ;;
-        *)
-            echo ">>> $name"
-            "$bench" | tee "results/$name.txt"
-            ;;
-    esac
+for name in $(./build/tools/vsgpu list | sed -n 's/^scenarios: //p'); do
+    echo ">>> $name"
+    ./build/tools/vsgpu scenario "$name" | tee "results/$name.txt"
 done
+echo ">>> perf_microbench"
+./build/bench/perf_microbench --benchmark_min_time=0.2 |
+    tee results/perf_microbench.txt
 
 echo
 echo "All claims:"

@@ -84,6 +84,9 @@ TraceFile::parse(std::istream &is)
                     "trace line ", lineNo, ": malformed warp header");
             fatalIf(sm < 0 || warp < 0,
                     "trace line ", lineNo, ": negative sm/warp");
+            fatalIf(sm >= config::numSMs, "trace line ", lineNo,
+                    ": SM ", sm, " out of range (0..",
+                    config::numSMs - 1, ")");
             fatalIf(warp >= config::warpsPerSM, "trace line ", lineNo,
                     ": warp slot ", warp, " out of range (0..",
                     config::warpsPerSM - 1, ")");

@@ -8,7 +8,7 @@
  * difference is a behavioural change in the simulator: either a
  * regression, or an intended change that requires re-recording
  *
- *     build/tools/record_golden
+ *     build/tools/vsgpu record-golden
  *
  * and reviewing the resulting JSON diff like any other code change.
  * On a mismatch the failure names every metric that moved (recorded
@@ -75,7 +75,7 @@ TEST_P(GoldenBench, MatchesRecordedSummary)
     std::ifstream in(path);
     ASSERT_TRUE(in.good())
         << "missing golden summary " << path
-        << " — record it with: build/tools/record_golden "
+        << " — record it with: build/tools/vsgpu record-golden "
         << info.name;
     const std::string recorded{std::istreambuf_iterator<char>(in),
                                std::istreambuf_iterator<char>()};
@@ -97,7 +97,7 @@ TEST_P(GoldenBench, MatchesRecordedSummary)
                   << (diff.empty() ? firstDifferentLine(recorded,
                                                         measured.str())
                                    : diff)
-                  << "re-record with: build/tools/record_golden "
+                  << "re-record with: build/tools/vsgpu record-golden "
                   << info.name;
 }
 

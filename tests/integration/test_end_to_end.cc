@@ -5,7 +5,7 @@
  *
  * Independent co-simulation points run through exec::runSweep on a
  * shared pool with a shared setup cache — the same machinery the
- * bench binaries use — so this suite also exercises the parallel
+ * scenarios use — so this suite also exercises the parallel
  * engine against real workloads.
  */
 

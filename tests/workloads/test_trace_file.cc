@@ -157,6 +157,9 @@ TEST(TraceFileDeath, MalformedInputIsFatal)
     EXPECT_EXIT(parseString("warp 0 60\nint 8 - - 32 1 1 0\n"),
                 ::testing::ExitedWithCode(1),
                 "trace line 1: warp slot 60 out of range");
+    EXPECT_EXIT(parseString("warp 16 0\nint 8 - - 32 1 1 0\n"),
+                ::testing::ExitedWithCode(1),
+                "trace line 1: SM 16 out of range");
 }
 
 } // namespace

@@ -1,63 +1,34 @@
 /**
  * @file
- * vsgpu — command-line driver for the voltage-stacked GPU simulator.
+ * vsgpu — command-line frontend of the voltage-stacked GPU simulator
+ * and of the paper's scenarios.
  *
- * Subcommands:
- *   vsgpu list
- *       List benchmarks and PDS configurations.
- *   vsgpu run [options]
- *       Co-simulate a workload on a PDS configuration.
- *   vsgpu impedance [--area F]
- *       Effective-impedance sweep of the stacked PDN.
- *   vsgpu export-trace --benchmark NAME --out FILE [--sms N]
- *       Export a generated workload as a textual warp trace.
- *
- * run options:
- *   --pds vrm|ivr|vs|cross      PDS configuration  [cross]
- *   --benchmark NAME            paper benchmark    [hotspot]
- *   --trace FILE                replay a warp-trace file instead
- *   --instrs N                  instructions per warp [1500]
- *   --cycles N                  cycle budget       [200000]
- *   --area F                    CR-IVR area, x GPU [config default]
- *   --threshold V               smoothing trigger  [0.9]
- *   --halt-layer L@T            halt layer L at time T seconds
- *   --wave FILE.csv             dump layer-voltage trace as CSV
- *   --wave-out FILE             per-SM rail waveforms (VCD, or CSV
- *                               when FILE ends in .csv)
- *   --wave-stride N             record every Nth timestep [16]
- *   --stats-out FILE            stats dump as JSON with the run
- *                               manifest
- *   --trace-out FILE            Chrome trace_event JSON (open in
- *                               Perfetto / chrome://tracing)
- *   --trace-categories LIST     comma list of phase,pool,ctl,hv,all
- *   --sample-every SEC          windowed time-series telemetry
- *                               cadence, simulated seconds
- *   --timeseries-out FILE       time-series dump as JSON
- *   --profile                   stage-cost self-profiler: report on
- *                               stdout, JSON inside --stats-out
- *   --flight-out FILE           write the flight-recorder crash dump
- *                               as JSON here (stderr text dump is
- *                               always on)
- *   --gate-watts W              power of a halted layer's SMs
- *                               (fault injection: 'nan' trips the
- *                               solver NaN guard)
- *   --no-verify                 skip the static model verifier
- *                               (see tools/vsgpu_verify)
- *   --solver KIND               MNA linear solver: sparse (default)
- *                               or dense (docs/sparse_solver.md)
- *
+ *   vsgpu list                         benchmarks, PDS kinds, scenarios
+ *   vsgpu run [flags]                  co-simulate one workload
+ *   vsgpu scenario NAME [flags]        run one paper scenario
+ *   vsgpu record-golden [flags] [NAME...]
+ *                                      re-record tests/golden/<NAME>.json
  *   vsgpu report --stats FILE [--timeseries FILE]
- *       Render stats / profile / time-series JSON dumps as a
- *       human-readable report.
+ *   vsgpu impedance [--area F]
+ *   vsgpu export-trace --benchmark NAME --out FILE [--sms N]
+ *
+ * Each subcommand has one flag table (commands() below) that drives
+ * its parsing, its rejection of unknown flags and `vsgpu CMD --help`.
+ * Every number is read whole with std::from_chars; trailing garbage
+ * or an out-of-range value is a fatal() naming the flag.
  */
 
+#include <algorithm>
 #include <charconv>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <string>
+#include <vector>
 
+#include "bench/scenarios/scenarios.hh"
 #include "circuit/solver.hh"
 #include "circuit/wave_writer.hh"
 #include "common/logging.hh"
@@ -83,47 +54,171 @@ using namespace vsgpu;
 namespace
 {
 
-/** Minimal flag parser: --key value pairs after the subcommand. */
-std::map<std::string, std::string>
-parseFlags(int argc, char **argv, int first)
+/** One row of a subcommand's flag table. */
+struct Flag
 {
-    std::map<std::string, std::string> flags;
-    for (int i = first; i < argc; ++i) {
-        const std::string key = argv[i];
-        fatalIf(key.size() < 3 || key.substr(0, 2) != "--",
-                "expected --flag, got '", key, "'");
-        if (key == "--no-verify" || key == "--profile") {
-            // Boolean flags, no value.
-            flags.emplace(key.substr(2), "1");
-            continue;
-        }
-        fatalIf(i + 1 >= argc, "flag ", key, " needs a value");
-        flags[key.substr(2)] = argv[++i];
-    }
-    return flags;
+    const char *name; ///< without the leading "--"
+    const char *arg;  ///< value placeholder; nullptr for a switch
+    const char *help;
+};
+
+/** True when all of @p text is one T (std::from_chars: no sign
+ *  prefix, no whitespace; "nan", "inf" and exponents are floats). */
+template <typename T>
+bool
+parseWhole(const std::string &text, T &value)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    return ec == std::errc{} && ptr == end;
 }
 
-std::string
-flagOr(const std::map<std::string, std::string> &flags,
-       const std::string &key, const std::string &fallback)
-{
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-}
-
-/** Integer flag --key (default @p fallback) that must be >= 1. */
+/** @p text, the value of --@p flag, as an integer >= @p min. */
 template <typename Int>
 Int
-countFlag(const std::map<std::string, std::string> &flags,
-          const std::string &key, const std::string &fallback)
+readInt(const std::string &flag, const std::string &text, Int min)
 {
-    const std::string text = flagOr(flags, key, fallback);
-    const char *end = text.data() + text.size();
     Int value = 0;
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    fatalIf(ec != std::errc{} || ptr != end || value < 1, "--", key,
-            " must be an integer >= 1, got '", text, "'");
+    fatalIf(!parseWhole(text, value) || value < min, "--", flag,
+            " must be an integer >= ", min, ", got '", text, "'");
     return value;
+}
+
+/** @p text, the value of --@p flag, as a double (NaN allowed: it is
+ *  the fault --gate-watts injects). */
+double
+readReal(const std::string &flag, const std::string &text)
+{
+    double value = 0.0;
+    fatalIf(!parseWhole(text, value), "--", flag,
+            " must be a number, got '", text, "'");
+    return value;
+}
+
+/** One subcommand's command line, checked against its flag table. */
+struct Args
+{
+    std::map<std::string, std::string> values; ///< "" for a switch
+    std::vector<std::string> operands;
+
+    bool has(const std::string &key) const { return values.count(key) > 0; }
+
+    std::string
+    str(const std::string &key, const std::string &fallback = "") const
+    {
+        const auto it = values.find(key);
+        return it == values.end() ? fallback : it->second;
+    }
+
+    template <typename Int>
+    Int
+    integer(const std::string &key, Int fallback, Int min) const
+    {
+        return has(key) ? readInt(key, values.at(key), min) : fallback;
+    }
+
+    double
+    real(const std::string &key, double fallback) const
+    {
+        return has(key) ? readReal(key, values.at(key)) : fallback;
+    }
+};
+
+struct Command
+{
+    const char *name;
+    const char *operands; ///< usage of the operands; nullptr if none
+    const char *summary;
+    std::vector<Flag> flags;
+    int (*run)(const Args &args);
+};
+
+/** The observability flags of run and scenario. */
+const std::vector<Flag> obsFlags = {
+    {"solver", "KIND",
+     "MNA linear solver: sparse (default) or dense"},
+    {"stats-out", "FILE", "stats dump as JSON with the run manifest"},
+    {"timeseries-out", "FILE", "time-series dump as JSON"},
+    {"sample-every", "SEC",
+     "time-series window, simulated seconds [off]"},
+    {"trace-out", "FILE",
+     "Chrome trace_event JSON (Perfetto / chrome://tracing)"},
+    {"trace-categories", "LIST", "comma list of phase,pool,ctl,hv,all"},
+    {"profile", nullptr,
+     "stage-cost self-profiler: report on stdout, JSON in --stats-out"},
+    {"flight-out", "FILE",
+     "flight-recorder crash dump as JSON (stderr text dump always on)"},
+};
+
+void
+applySolver(const Args &args)
+{
+    if (!args.has("solver"))
+        return;
+    SolverKind kind;
+    fatalIf(!parseSolverKind(args.str("solver"), kind),
+            "--solver wants sparse or dense");
+    setDefaultSolver(kind);
+}
+
+/** Applies --solver, --flight-out, --trace-out and --profile; call
+ *  right before the run. */
+void
+armObservability(const Args &args)
+{
+    applySolver(args);
+    if (args.has("flight-out"))
+        obs::setFlightDumpPath(args.str("flight-out"));
+    if (args.has("trace-out"))
+        obs::Tracer::instance().enable(
+            obs::parseTraceCategories(args.str("trace-categories")));
+    if (args.has("profile"))
+        obs::setProfiling(true);
+}
+
+std::ofstream
+openOut(const std::string &path)
+{
+    std::ofstream out(path);
+    fatalIf(!out, "cannot open '", path, "'");
+    return out;
+}
+
+/** After a run: prints the profile report and writes --stats-out
+ *  (with the profile's JSON), --timeseries-out and --trace-out. */
+void
+writeArtifacts(const Args &args, obs::StatsSnapshot &stats,
+               const obs::TimeSeriesDoc &series,
+               const obs::Profile *profile)
+{
+    if (args.has("profile")) {
+        obs::setProfiling(false);
+        if (profile != nullptr) {
+            stats.profileJson = obs::writeProfileJson(*profile, "  ");
+            std::cout << "\n" << obs::renderProfileReport(*profile);
+        }
+    }
+    if (args.has("stats-out")) {
+        std::ofstream out = openOut(args.str("stats-out"));
+        obs::writeStatsJson(stats, out);
+        std::cout << "wrote " << stats.entries.size() << " stats to "
+                  << args.str("stats-out") << "\n";
+    }
+    if (args.has("timeseries-out")) {
+        std::ofstream out = openOut(args.str("timeseries-out"));
+        obs::writeTimeSeriesJson(series, out);
+        std::cout << "wrote " << series.runs.size()
+                  << " time-series runs to " << args.str("timeseries-out")
+                  << "\n";
+    }
+    if (args.has("trace-out")) {
+        obs::Tracer &tracer = obs::Tracer::instance();
+        tracer.disable();
+        std::ofstream out = openOut(args.str("trace-out"));
+        tracer.writeJson(out);
+        std::cout << "wrote " << tracer.numEvents() << " events to "
+                  << args.str("trace-out") << "\n";
+    }
 }
 
 PdsKind
@@ -149,65 +244,67 @@ parseBenchmark(const std::string &name)
     fatal("unknown benchmark '", name, "' (try 'vsgpu list')");
 }
 
+const scen::ScenarioInfo &
+parseScenario(const std::string &name)
+{
+    const scen::ScenarioInfo *info = scen::findScenario(name);
+    fatalIf(info == nullptr, "unknown scenario '", name,
+            "' (try 'vsgpu list')");
+    return *info;
+}
+
 int
-cmdList()
+cmdList(const Args &)
 {
     std::cout << "benchmarks:";
     for (Benchmark b : allBenchmarks())
         std::cout << " " << benchmarkName(b);
     std::cout << "\npds configurations: vrm (single-layer VRM), "
                  "ivr (single-layer IVR),\n  vs (VS circuit-only), "
-                 "cross (VS cross-layer)\n";
+                 "cross (VS cross-layer)\nscenarios:";
+    for (const scen::ScenarioInfo &s : scen::allScenarios())
+        std::cout << " " << s.name;
+    std::cout << "\n";
     return 0;
 }
 
 int
-cmdRun(const std::map<std::string, std::string> &flags)
+cmdRun(const Args &args)
 {
     CosimConfig cfg;
-    cfg.pds = defaultPds(parsePds(flagOr(flags, "pds", "cross")));
-    cfg.maxCycles = countFlag<Cycle>(flags, "cycles", "200000");
-    if (flags.count("area"))
-        cfg.pds.ivrAreaFraction = std::stod(flags.at("area"));
-    if (flags.count("threshold"))
+    cfg.pds = defaultPds(parsePds(args.str("pds", "cross")));
+    cfg.maxCycles = args.integer<Cycle>("cycles", 200000, 1);
+    cfg.pds.ivrAreaFraction = args.real("area", cfg.pds.ivrAreaFraction);
+    if (args.has("threshold"))
         cfg.pds.controller.vThreshold =
-            Volts{std::stod(flags.at("threshold"))};
-    if (flags.count("no-verify"))
+            Volts{args.real("threshold", 0.0)};
+    if (args.has("no-verify"))
         cfg.verifyModel = false;
-    if (flags.count("halt-layer")) {
-        const std::string spec = flags.at("halt-layer");
+    if (args.has("halt-layer")) {
+        const std::string spec = args.str("halt-layer");
         const auto at = spec.find('@');
         fatalIf(at == std::string::npos,
                 "--halt-layer wants L@seconds, e.g. 0@3e-6");
-        cfg.gatedLayer = std::stoi(spec.substr(0, at));
-        fatalIf(cfg.gatedLayer < 0 || cfg.gatedLayer >= config::numLayers,
+        cfg.gatedLayer = readInt("halt-layer", spec.substr(0, at), 0);
+        fatalIf(cfg.gatedLayer >= config::numLayers,
                 "--halt-layer: layer ", cfg.gatedLayer,
                 " is not a stacking layer (0..", config::numLayers - 1,
                 ")");
-        cfg.gateLayerAtSec = Seconds{std::stod(spec.substr(at + 1))};
+        cfg.gateLayerAtSec =
+            Seconds{readReal("halt-layer", spec.substr(at + 1))};
     }
-    if (flags.count("gate-watts"))
-        cfg.gatedLayerWatts = Watts{std::stod(flags.at("gate-watts"))};
-    if (flags.count("sample-every"))
-        cfg.sampleEvery = Seconds{std::stod(flags.at("sample-every"))};
-    if (flags.count("flight-out"))
-        obs::setFlightDumpPath(flags.at("flight-out"));
-    const bool wantProfile = flags.count("profile") > 0;
-    if (wantProfile)
-        obs::setProfiling(true);
-    const bool wantWave = flags.count("wave") > 0;
-    if (wantWave)
-        cfg.traceStride = 16;
-    const std::string waveOutPath = flagOr(flags, "wave-out", "");
-    const int waveStride = std::stoi(flagOr(flags, "wave-stride", "16"));
-    fatalIf(waveStride < 1, "--wave-stride must be >= 1, got ", waveStride);
+    if (args.has("gate-watts"))
+        cfg.gatedLayerWatts = Watts{args.real("gate-watts", 0.0)};
+    const std::string waveOutPath = args.str("wave-out");
+    const int waveStride = args.integer("wave-stride", 16, 1);
     if (!waveOutPath.empty())
         cfg.waveStride = waveStride;
-
-    const std::string tracePath = flagOr(flags, "trace-out", "");
-    if (!tracePath.empty())
-        obs::Tracer::instance().enable(obs::parseTraceCategories(
-            flagOr(flags, "trace-categories", "")));
+    const Benchmark bench =
+        parseBenchmark(args.str("benchmark", "hotspot"));
+    const int instrs = args.integer("instrs", 1500, 1);
+    const double sampleEverySec = args.real("sample-every", 0.0);
+    cfg.sampleEvery = Seconds{sampleEverySec};
+    armObservability(args);
 
     // Route through the exec layer (single-worker pool + setup
     // cache) so the exec.* stats describe a real code path and the
@@ -218,88 +315,47 @@ cmdRun(const std::map<std::string, std::string> &flags)
     CosimResult result;
     std::uint64_t seed = 0;
     std::string subject;
-    if (flags.count("trace")) {
-        std::ifstream in(flags.at("trace"));
-        fatalIf(!in, "cannot open trace '", flags.at("trace"), "'");
+    if (args.has("trace")) {
+        const std::string path = args.str("trace");
+        std::ifstream in(path);
+        fatalIf(!in, "cannot open trace '", path, "'");
         TraceFileFactory factory(TraceFile::parse(in));
-        subject = "run trace " + flags.at("trace");
+        subject = "run trace " + path;
         CoSimulator sim(cache.withSetup(cfg));
         pool.parallelFor(1, [&](int) {
             result = sim.run(factory, 0.6);
         });
     } else {
-        const Benchmark bench =
-            parseBenchmark(flagOr(flags, "benchmark", "hotspot"));
         seed = benchmarkSeed(bench);
         subject = std::string("run ") + benchmarkName(bench);
-        WorkloadSpec spec = workloadFor(bench);
-        spec = scaledToInstrs(
-            spec, countFlag<int>(flags, "instrs", "1500"));
+        WorkloadSpec spec = scaledToInstrs(workloadFor(bench), instrs);
         CoSimulator sim(cache.withSetup(cfg));
         pool.parallelFor(1, [&](int) { result = sim.run(spec); });
     }
 
-    if (wantProfile)
-        obs::setProfiling(false);
-
-    const auto &e = result.energy;
     Table table("run summary");
     table.setHeader({"metric", "value"});
-    table.beginRow().cell("pds").cell(pdsName(cfg.pds.kind)).endRow();
-    table.beginRow()
-        .cell("cycles")
-        .cell(static_cast<long long>(result.cycles))
-        .endRow();
-    table.beginRow()
-        .cell("instructions")
+    const auto row = [&table](const char *metric) -> Table & {
+        return table.beginRow().cell(metric);
+    };
+    row("pds").cell(pdsName(cfg.pds.kind)).endRow();
+    row("cycles").cell(static_cast<long long>(result.cycles)).endRow();
+    row("instructions")
         .cell(static_cast<long long>(result.instructions))
         .endRow();
-    table.beginRow()
-        .cell("finished")
+    row("finished")
         .cell(result.finished ? "yes" : "NO (cycle budget)")
         .endRow();
-    table.beginRow()
-        .cell("avg load power (W)")
-        .cell(result.avgLoadPower(), 2)
-        .endRow();
-    table.beginRow()
-        .cell("PDE")
-        .cell(formatPercent(e.pde()))
-        .endRow();
-    table.beginRow()
-        .cell("mean rail (V)")
-        .cell(result.meanVoltage, 3)
-        .endRow();
-    table.beginRow()
-        .cell("min rail (V)")
-        .cell(result.minVoltage, 3)
-        .endRow();
-    table.beginRow()
-        .cell("throttle rate")
-        .cell(formatPercent(result.throttleRate))
-        .endRow();
+    row("avg load power (W)").cell(result.avgLoadPower(), 2).endRow();
+    row("PDE").cell(formatPercent(result.energy.pde())).endRow();
+    row("mean rail (V)").cell(result.meanVoltage, 3).endRow();
+    row("min rail (V)").cell(result.minVoltage, 3).endRow();
+    row("throttle rate").cell(formatPercent(result.throttleRate)).endRow();
     table.print(std::cout);
-
-    if (wantWave) {
-        std::ofstream out(flags.at("wave"));
-        fatalIf(!out, "cannot open '", flags.at("wave"), "'");
-        out << "time_s,min_sm,max_sm,layer0,layer1,layer2,layer3\n";
-        for (const auto &s : result.trace) {
-            out << s.timeSec.raw() << "," << s.minSmVolts.raw() << ","
-                << s.maxSmVolts.raw();
-            for (double v : s.layerVolts)
-                out << "," << v;
-            out << "\n";
-        }
-        std::cout << "\nwrote " << result.trace.size()
-                  << " waveform samples to " << flags.at("wave")
-                  << "\n";
-    }
 
     if (!waveOutPath.empty()) {
         fatalIf(!result.wave, "run produced no waveform capture");
-        std::ofstream out(waveOutPath);
-        fatalIf(!out, "cannot open '", waveOutPath, "'");
+        std::ofstream out = openOut(waveOutPath);
         const bool csv =
             waveOutPath.size() >= 4 &&
             waveOutPath.substr(waveOutPath.size() - 4) == ".csv";
@@ -313,84 +369,117 @@ cmdRun(const std::map<std::string, std::string> &flags)
                   << (csv ? " (CSV)" : " (VCD)") << "\n";
     }
 
-    if (wantProfile && result.profile) {
-        std::cout << "\n"
-                  << obs::renderProfileReport(*result.profile);
+    obs::TimeSeriesDoc series;
+    series.sampleEverySec = sampleEverySec;
+    series.dtSec = config::clockPeriod.raw();
+    series.windowCycles = obs::timeSeriesWindowCycles(
+        config::clockPeriod.raw(), sampleEverySec);
+    if (result.timeSeries) {
+        result.timeSeries->label = subject;
+        series.runs.push_back(*result.timeSeries);
     }
 
-    if (flags.count("timeseries-out")) {
-        obs::TimeSeriesDoc doc;
-        doc.sampleEverySec = cfg.sampleEvery.raw();
-        doc.dtSec = config::clockPeriod.raw();
-        doc.windowCycles = obs::timeSeriesWindowCycles(
-            config::clockPeriod.raw(), cfg.sampleEvery.raw());
-        if (result.timeSeries) {
-            result.timeSeries->label = subject;
-            doc.runs.push_back(*result.timeSeries);
-        }
-        const std::string &path = flags.at("timeseries-out");
-        std::ofstream out(path);
-        fatalIf(!out, "cannot open '", path, "'");
-        obs::writeTimeSeriesJson(doc, out);
-        std::cout << "wrote " << doc.runs.size()
-                  << " time-series runs to " << path << "\n";
-    }
+    obs::StatsSnapshot stats;
+    stats.manifest = obs::makeManifest("vsgpu");
+    stats.manifest.subject = subject;
+    stats.manifest.configFingerprint =
+        obs::configFingerprint(cache.cachedKeys());
+    stats.manifest.seed = seed;
+    stats.manifest.scale = 1.0;
+    appendRunStats(stats, result);
+    appendExecStats(stats, pool.tasksRun(),
+                    static_cast<std::uint64_t>(cache.setupsBuilt()),
+                    static_cast<std::uint64_t>(cache.setupHits()));
+    writeArtifacts(args, stats, series, result.profile.get());
+    return 0;
+}
 
-    if (flags.count("stats-out")) {
-        obs::Manifest manifest = obs::makeManifest("vsgpu");
-        manifest.subject = subject;
-        manifest.configFingerprint =
-            obs::configFingerprint(cache.cachedKeys());
-        manifest.seed = seed;
-        manifest.scale = 1.0;
+int
+cmdScenario(const Args &args)
+{
+    fatalIf(args.operands.size() != 1,
+            "scenario wants one NAME (try 'vsgpu list')");
+    const scen::ScenarioInfo &info = parseScenario(args.operands[0]);
+    scen::ScenarioOptions opts;
+    opts.jobs = args.integer("jobs", 0, 0);
+    opts.scale = args.real("scale", 1.0);
+    fatalIf(!(opts.scale > 0.0), "--scale must be positive, got '",
+            args.str("scale"), "'");
+    opts.sampleEverySec = args.real("sample-every", 0.0);
+    opts.profile = args.has("profile");
+    opts.progress = args.has("progress");
+    armObservability(args);
 
-        obs::StatsSnapshot stats;
-        stats.manifest = manifest;
-        appendRunStats(stats, result);
-        appendExecStats(
-            stats, pool.tasksRun(),
-            static_cast<std::uint64_t>(cache.setupsBuilt()),
-            static_cast<std::uint64_t>(cache.setupHits()));
-        if (wantProfile && result.profile) {
-            stats.profileJson =
-                obs::writeProfileJson(*result.profile, "  ");
-        }
+    setLogQuiet(true);
+    obs::StatsSnapshot stats;
+    scen::ScenarioTelemetry telemetry;
+    const scen::Summary summary = scen::runScenario(
+        info, opts, std::cout, &stats, &stats.manifest, &telemetry);
 
-        const std::string &path = flags.at("stats-out");
-        std::ofstream out(path);
-        fatalIf(!out, "cannot open '", path, "'");
-        obs::writeStatsJson(stats, out);
-        std::cout << "wrote " << stats.entries.size() << " stats to "
-                  << path << "\n";
-    }
+    std::cout << "\nSummary metrics:\n";
+    for (const scen::SummaryMetric &m : summary.metrics)
+        std::cout << "  " << m.name << " = " << m.value << "\n";
 
-    if (!tracePath.empty()) {
-        obs::Tracer &tracer = obs::Tracer::instance();
-        tracer.disable();
-        std::ofstream out(tracePath);
-        fatalIf(!out, "cannot open '", tracePath, "'");
-        tracer.writeJson(out);
-        std::cout << "wrote " << tracer.numEvents() << " events to "
-                  << tracePath << "\n";
+    writeArtifacts(args, stats, telemetry.series,
+                   telemetry.profile.runs > 0 ? &telemetry.profile
+                                              : nullptr);
+    if (args.has("json")) {
+        std::ofstream out = openOut(args.str("json"));
+        scen::writeSummaryJson(summary, out);
+        std::cout << "wrote " << summary.metrics.size()
+                  << " summary metrics to " << args.str("json") << "\n";
     }
     return 0;
 }
 
 int
-cmdReport(const std::map<std::string, std::string> &flags)
+cmdRecordGolden(const Args &args)
 {
-    fatalIf(!flags.count("stats"),
+    const std::string outDir = args.str("out", VSGPU_GOLDEN_DIR);
+    scen::ScenarioOptions opts;
+    opts.jobs = args.integer("jobs", 0, 0);
+    opts.scale = scen::goldenScale;
+    for (const std::string &name : args.operands)
+        parseScenario(name);
+
+    setLogQuiet(true);
+    std::ostream discard(nullptr); // the scenarios' tables
+    int recorded = 0;
+    for (const scen::ScenarioInfo &info : scen::allScenarios()) {
+        if (!args.operands.empty() &&
+            std::find(args.operands.begin(), args.operands.end(),
+                      info.name) == args.operands.end())
+            continue;
+        const std::string path = outDir + "/" + info.name + ".json";
+        std::ofstream out = openOut(path);
+        std::cout << "recording " << info.name << " -> " << path
+                  << " ..." << std::flush;
+        const scen::Summary summary =
+            scen::runScenario(info, opts, discard);
+        scen::writeSummaryJson(summary, out);
+        std::cout << " " << summary.metrics.size() << " metrics\n";
+        ++recorded;
+    }
+    std::cout << recorded << " golden summaries written to " << outDir
+              << "\n";
+    return 0;
+}
+
+int
+cmdReport(const Args &args)
+{
+    fatalIf(!args.has("stats"),
             "report needs --stats FILE (a --stats-out dump); "
             "--timeseries FILE is optional");
-    std::ifstream statsIn(flags.at("stats"));
-    fatalIf(!statsIn, "cannot open '", flags.at("stats"), "'");
+    std::ifstream statsIn(args.str("stats"));
+    fatalIf(!statsIn, "cannot open '", args.str("stats"), "'");
     const obs::StatsSnapshot stats = obs::readStatsJson(statsIn);
 
     obs::TimeSeriesDoc series;
-    const bool haveSeries = flags.count("timeseries") > 0;
+    const bool haveSeries = args.has("timeseries");
     if (haveSeries) {
-        std::ifstream seriesIn(flags.at("timeseries"));
-        fatalIf(!seriesIn, "cannot open '", flags.at("timeseries"),
+        std::ifstream seriesIn(args.str("timeseries"));
+        fatalIf(!seriesIn, "cannot open '", args.str("timeseries"),
                 "'");
         series = obs::readTimeSeriesJson(seriesIn);
     }
@@ -401,10 +490,11 @@ cmdReport(const std::map<std::string, std::string> &flags)
 }
 
 int
-cmdImpedance(const std::map<std::string, std::string> &flags)
+cmdImpedance(const Args &args)
 {
+    applySolver(args);
     VsPdnOptions options;
-    const double area = std::stod(flagOr(flags, "area", "0.2"));
+    const double area = args.real("area", 0.2);
     if (area > 0.0) {
         const CrIvrDesign design(area * config::gpuDieArea);
         options.crIvrEffOhms = design.effOhmsPerCell();
@@ -431,32 +521,163 @@ cmdImpedance(const std::map<std::string, std::string> &flags)
 }
 
 int
-cmdExportTrace(const std::map<std::string, std::string> &flags)
+cmdExportTrace(const Args &args)
 {
-    fatalIf(!flags.count("benchmark") || !flags.count("out"),
+    fatalIf(!args.has("benchmark") || !args.has("out"),
             "export-trace needs --benchmark and --out");
-    WorkloadSpec spec =
-        workloadFor(parseBenchmark(flags.at("benchmark")));
-    spec = scaledToInstrs(spec, countFlag<int>(flags, "instrs", "500"));
-    const int sms = countFlag<int>(flags, "sms", "2");
+    const WorkloadSpec spec =
+        scaledToInstrs(workloadFor(parseBenchmark(args.str("benchmark"))),
+                       args.integer("instrs", 500, 1));
+    const int sms = args.integer("sms", 2, 1);
+    fatalIf(sms > config::numSMs, "--sms must be <= ", config::numSMs,
+            " (the GPU's SMs), got '", args.str("sms"), "'");
     WorkloadFactory factory(spec);
     const TraceFile trace = recordTrace(factory, sms);
-    std::ofstream out(flags.at("out"));
-    fatalIf(!out, "cannot open '", flags.at("out"), "'");
+    std::ofstream out = openOut(args.str("out"));
     trace.write(out);
     std::cout << "wrote " << trace.totalInstrs()
               << " instructions (" << trace.numStreams()
-              << " streams) to " << flags.at("out") << "\n";
+              << " streams) to " << args.str("out") << "\n";
     return 0;
 }
 
-void
-usage()
+std::vector<Flag>
+withObsFlags(std::vector<Flag> flags)
 {
-    std::cout
-        << "usage: vsgpu <list|run|report|impedance|export-trace> "
-           "[--flag value ...]\n"
-           "see the header of tools/vsgpu_cli.cc for all options\n";
+    flags.insert(flags.end(), obsFlags.begin(), obsFlags.end());
+    return flags;
+}
+
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> table = {
+        {"list", nullptr,
+         "list benchmarks, PDS configurations and scenarios",
+         {},
+         &cmdList},
+        {"run", nullptr, "co-simulate a workload on a PDS configuration",
+         withObsFlags({
+             {"pds", "vrm|ivr|vs|cross", "PDS configuration [cross]"},
+             {"benchmark", "NAME", "paper benchmark [hotspot]"},
+             {"trace", "FILE", "replay a warp-trace file instead"},
+             {"instrs", "N", "instructions per warp [1500]"},
+             {"cycles", "N", "cycle budget [200000]"},
+             {"area", "F", "CR-IVR area, x GPU [config default]"},
+             {"threshold", "V", "smoothing trigger [0.9]"},
+             {"halt-layer", "L@T", "halt layer L at time T seconds"},
+             {"gate-watts", "W",
+              "power of a halted layer's SMs ('nan' trips the solver "
+              "NaN guard)"},
+             {"wave-out", "FILE",
+              "per-SM rail waveforms (VCD, or CSV when FILE ends in "
+              ".csv)"},
+             {"wave-stride", "N", "record every Nth timestep [16]"},
+             {"no-verify", nullptr,
+              "skip the static model verifier (tools/vsgpu_verify)"},
+         }),
+         &cmdRun},
+        {"scenario", "NAME", "run one paper scenario (see 'vsgpu list')",
+         withObsFlags({
+             {"jobs", "N", "worker threads [hardware concurrency]"},
+             {"scale", "X", "workload scale [1.0]"},
+             {"json", "FILE", "summary metrics as JSON"},
+             {"progress", nullptr, "live per-task progress on stderr"},
+         }),
+         &cmdScenario},
+        {"record-golden", "[NAME...]",
+         "re-record the golden summaries at the golden scale (all "
+         "scenarios, or the NAMEs)",
+         {
+             {"out", "DIR", "output directory [tests/golden]"},
+             {"jobs", "N", "worker threads [hardware concurrency]"},
+         },
+         &cmdRecordGolden},
+        {"report", nullptr,
+         "render stats / profile / time-series dumps as a report",
+         {
+             {"stats", "FILE", "a --stats-out dump"},
+             {"timeseries", "FILE", "a --timeseries-out dump"},
+         },
+         &cmdReport},
+        {"impedance", nullptr,
+         "effective-impedance sweep of the stacked PDN",
+         {
+             {"area", "F", "CR-IVR area, x GPU [0.2]"},
+             {"solver", "KIND",
+              "MNA linear solver: sparse (default) or dense"},
+         },
+         &cmdImpedance},
+        {"export-trace", nullptr,
+         "export a generated workload as a textual warp trace",
+         {
+             {"benchmark", "NAME", "paper benchmark"},
+             {"out", "FILE", "trace file to write"},
+             {"instrs", "N", "instructions per warp [500]"},
+             {"sms", "N", "SMs to record, 1..16 [2]"},
+         },
+         &cmdExportTrace},
+    };
+    return table;
+}
+
+void
+printHelp(const Command &cmd)
+{
+    std::cout << "usage: vsgpu " << cmd.name
+              << (cmd.operands ? std::string(" ") + cmd.operands : "")
+              << (cmd.flags.empty() ? "" : " [flags]") << "\n  "
+              << cmd.summary << "\n";
+    for (const Flag &f : cmd.flags) {
+        const std::string lhs = std::string("--") + f.name +
+                                (f.arg ? std::string(" ") + f.arg : "");
+        std::cout << "  " << std::left << std::setw(26) << lhs << " "
+                  << f.help << "\n";
+    }
+}
+
+Args
+parseArgs(const Command &cmd, int argc, char **argv)
+{
+    Args args;
+    for (int i = 2; i < argc; ++i) {
+        const std::string word = argv[i];
+        if (word == "--help" || word == "-h") {
+            printHelp(cmd);
+            std::exit(0);
+        }
+        if (word.empty() || word[0] != '-') {
+            fatalIf(!cmd.operands, "vsgpu ", cmd.name,
+                    " takes no argument '", word, "'");
+            args.operands.push_back(word);
+            continue;
+        }
+        const std::string key =
+            word.rfind("--", 0) == 0 ? word.substr(2) : "";
+        const auto flag =
+            std::find_if(cmd.flags.begin(), cmd.flags.end(),
+                         [&](const Flag &f) { return key == f.name; });
+        fatalIf(flag == cmd.flags.end(),
+                "vsgpu ", cmd.name, ": unknown flag ", word,
+                " (try 'vsgpu ", cmd.name, " --help')");
+        if (flag->arg == nullptr) {
+            args.values[key] = "";
+            continue;
+        }
+        fatalIf(i + 1 >= argc, "flag ", word, " needs a value");
+        args.values[key] = argv[++i];
+    }
+    return args;
+}
+
+void
+usage(std::ostream &os)
+{
+    os << "usage: vsgpu COMMAND [flags]  ('vsgpu COMMAND --help' lists "
+          "a command's flags)\n";
+    for (const Command &c : commands())
+        os << "  " << std::left << std::setw(14) << c.name << " "
+           << c.summary << "\n";
 }
 
 } // namespace
@@ -464,28 +685,14 @@ usage()
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        usage();
-        return 1;
+    const std::string name = argc > 1 ? argv[1] : "";
+    if (name == "--help" || name == "-h") {
+        usage(std::cout);
+        return 0;
     }
-    const std::string cmd = argv[1];
-    const auto flags = parseFlags(argc, argv, 2);
-    if (flags.count("solver")) {
-        SolverKind kind;
-        fatalIf(!parseSolverKind(flags.at("solver"), kind),
-                "--solver wants sparse or dense");
-        setDefaultSolver(kind);
-    }
-    if (cmd == "list")
-        return cmdList();
-    if (cmd == "run")
-        return cmdRun(flags);
-    if (cmd == "report")
-        return cmdReport(flags);
-    if (cmd == "impedance")
-        return cmdImpedance(flags);
-    if (cmd == "export-trace")
-        return cmdExportTrace(flags);
-    usage();
+    for (const Command &cmd : commands())
+        if (name == cmd.name)
+            return cmd.run(parseArgs(cmd, argc, argv));
+    usage(std::cerr);
     return 1;
 }
