@@ -114,15 +114,10 @@ runScenario(const ScenarioInfo &info, const ScenarioOptions &opts,
     progress.finish();
 
     if (telemetry != nullptr) {
-        if (opts.sampleEverySec > 0.0) {
-            telemetry->series.sampleEverySec = opts.sampleEverySec;
-            telemetry->series.dtSec = config::clockPeriod.raw();
-            telemetry->series.windowCycles =
-                obs::timeSeriesWindowCycles(config::clockPeriod.raw(),
-                                            opts.sampleEverySec);
-            for (const auto &entry : ctx.series)
-                telemetry->series.runs.push_back(*entry.second);
-        }
+        telemetry->series = obs::timeSeriesHeader(
+            config::clockPeriod.raw(), opts.sampleEverySec);
+        for (const auto &entry : ctx.series)
+            telemetry->series.runs.push_back(*entry.second);
         telemetry->profile = ctx.profile;
     }
 

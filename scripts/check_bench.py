@@ -15,6 +15,22 @@ Usage (observability overhead, BENCH_obs.json):
   check_bench.py --trajectory BENCH_obs.json --obs OBS.json
                  [--record --note "..."]
 
+Usage (paired co-simulation compare, BENCH_cosim.json):
+  check_bench.py --trajectory BENCH_cosim.json --cosim CMP.json
+                 [--record --note "..."]
+
+The cosim gate reads what `bench/perf/run_bench.py compare --results
+CMP.json` writes: one row per (workload, end-to-end metric) with its
+paired verdict ("improved", "no-worse", "unresolved" or "worse"; see
+run_bench.py's verdict()) and the base and head median and quartiles.
+It fails when any row is "worse" or when the file holds no rows, and
+prints every row with its head/base ratio of medians.  Both sides of
+a compare run on the same host in alternating pairs, so a verdict is a
+ratio against the entry's own base, never a raw rate that drifts
+between hosts and over time.  --record appends the rows as one
+trajectory entry (entries reconstructed from older change notes carry
+"backfilled": true and leave unrecorded quartiles null).
+
 The obs gate reads the JSON written by `scripts/bench_obs.py` and
 enforces the trajectory's hard "overhead_budget": the fully-armed
 observability path (time-series sampling + stage profiler) may not
@@ -292,6 +308,61 @@ def obs_record(trajectory: dict, fresh: dict, path: str,
     print(f"check_bench: recorded entry {entry['date']} to {path}")
 
 
+def cosim_fresh(path: str) -> list:
+    """Collect the rows of a `run_bench.py compare --results` file."""
+    doc = load_json(path)
+    rows = []
+    for entry in doc if isinstance(doc, list) else [doc]:
+        rows.extend(entry.get("compare", []))
+    if not rows:
+        fail(f"{path} holds no comparison rows")
+    for r in rows:
+        for key in ("workload", "metric", "verdict", "wins", "pairs",
+                    "base", "head"):
+            if key not in r:
+                fail(f"{path}: a row lacks '{key}'")
+    return rows
+
+
+def cosim_gate(trajectory: dict, rows: list) -> None:
+    if not isinstance(trajectory.get("entries"), list):
+        fail("trajectory has no entries list")
+    worse = 0
+    for r in rows:
+        mb, mh = r["base"]["median"], r["head"]["median"]
+        ratio = mh / mb if mb else float("nan")
+        status = "WORSE" if r["verdict"] == "worse" else r["verdict"]
+        print(f"check_bench: {r['workload']:<14} {r['metric']:<13} "
+              f"base {mb:.6g} head {mh:.6g} (x{ratio:.3f}) "
+              f"wins {r['wins']}/{r['pairs']} {status}")
+        worse += r["verdict"] == "worse"
+    if worse:
+        fail(f"{worse} metric(s) worse than the base")
+    print(f"check_bench: OK, none of {len(rows)} rows is worse")
+
+
+def cosim_record(trajectory: dict, rows: list, path: str,
+                 note: str) -> None:
+    entry = {
+        "date": datetime.date.today().isoformat(),
+        "note": note,
+        "rows": [
+            {"workload": r["workload"], "metric": r["metric"],
+             "verdict": r["verdict"], "wins": r["wins"],
+             "pairs": r["pairs"],
+             "base": {k: r["base"][k] for k in ("median", "q1", "q3")},
+             "head": {k: r["head"][k] for k in ("median", "q1", "q3")}}
+            for r in rows
+        ],
+    }
+    trajectory.setdefault("entries", []).append(entry)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(trajectory, fh, indent=2)
+        fh.write("\n")
+    print(f"check_bench: recorded entry {entry['date']} "
+          f"({len(rows)} rows) to {path}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trajectory", required=True)
@@ -302,12 +373,22 @@ def main() -> None:
     parser.add_argument("--obs",
                         help="bench_obs.py JSON to gate against a "
                              "BENCH_obs.json trajectory")
+    parser.add_argument("--cosim",
+                        help="run_bench.py compare --results JSON to "
+                             "gate or record into BENCH_cosim.json")
     parser.add_argument("--tolerance", type=float, default=0.10)
     parser.add_argument("--record", action="store_true")
     parser.add_argument("--note", default="")
     args = parser.parse_args()
 
     trajectory = load_json(args.trajectory)
+    if args.cosim:
+        rows = cosim_fresh(args.cosim)
+        if args.record:
+            cosim_record(trajectory, rows, args.trajectory, args.note)
+        else:
+            cosim_gate(trajectory, rows)
+        return
     if args.obs:
         fresh = obs_fresh(args.obs)
         if args.record:
@@ -324,7 +405,7 @@ def main() -> None:
             lint_gate(trajectory, fresh)
         return
     if not args.microbench:
-        fail("pass --microbench, --lint or --obs")
+        fail("pass --microbench, --lint, --obs or --cosim")
     fresh = fresh_metrics(args.microbench)
     if args.record:
         record(trajectory, fresh, args.trajectory, args.note)

@@ -10,26 +10,37 @@ namespace vsgpu
 namespace
 {
 
-/** Per-pattern right-hand-side build + solve + node-voltage fold,
- *  shared by the sparse and dense backends. */
-template <typename Lu>
+/** Right-hand side of every injection pattern (frequency-free). */
 std::vector<std::vector<Complex>>
-backSubstitute(const Lu &lu,
-               const std::vector<std::vector<AcInjection>> &patterns,
-               int numNodes, std::size_t n)
+rhsOf(const std::vector<std::vector<AcInjection>> &patterns,
+      int numNodes, std::size_t n)
 {
-    std::vector<std::vector<Complex>> results;
-    results.reserve(patterns.size());
+    std::vector<std::vector<Complex>> rhs;
+    rhs.reserve(patterns.size());
     for (const auto &injections : patterns) {
-        std::vector<Complex> rhs(n, Complex{});
+        std::vector<Complex> b(n, Complex{});
         for (const auto &inj : injections) {
             panicIfNot(inj.node >= 0 && inj.node <= numNodes,
                        "AC injection at unknown node");
             if (inj.node > 0)
-                rhs[static_cast<std::size_t>(inj.node - 1)] +=
-                    inj.amps;
+                b[static_cast<std::size_t>(inj.node - 1)] += inj.amps;
         }
-        const std::vector<Complex> x = lu.solve(rhs);
+        rhs.push_back(std::move(b));
+    }
+    return rhs;
+}
+
+/** Per-pattern solve + node-voltage fold, shared by the sparse and
+ *  dense backends. */
+template <typename Lu>
+std::vector<std::vector<Complex>>
+backSubstitute(const Lu &lu, const std::vector<std::vector<Complex>> &rhs,
+               int numNodes)
+{
+    std::vector<std::vector<Complex>> results;
+    results.reserve(rhs.size());
+    for (const auto &b : rhs) {
+        const std::vector<Complex> x = lu.solve(b);
         std::vector<Complex> volts(
             static_cast<std::size_t>(numNodes) + 1, Complex{});
         for (int i = 1; i <= numNodes; ++i)
@@ -38,6 +49,14 @@ backSubstitute(const Lu &lu,
         results.push_back(std::move(volts));
     }
     return results;
+}
+
+/** Angular frequency of one scan point (> 0 enforced). */
+double
+omegaOf(double freqHz)
+{
+    panicIfNot(freqHz > 0.0, "AC analysis requires positive frequency");
+    return 2.0 * M_PI * freqHz;
 }
 
 } // namespace
@@ -80,31 +99,61 @@ AcAnalysis::solveMany(
     double freqHz,
     const std::vector<std::vector<AcInjection>> &patterns) const
 {
-    panicIfNot(freqHz > 0.0, "AC analysis requires positive frequency");
+    return scan({freqHz}, patterns).front();
+}
+
+std::vector<std::vector<std::vector<Complex>>>
+AcAnalysis::scan(
+    const std::vector<double> &freqsHz,
+    const std::vector<std::vector<AcInjection>> &patterns) const
+{
     const int numNodes = netlist_.numNodes();
     const int numVsrc =
         static_cast<int>(netlist_.voltageSources().size());
     const std::size_t n = static_cast<std::size_t>(numNodes + numVsrc);
-    const double w = 2.0 * M_PI * freqHz;
+    const std::vector<std::vector<Complex>> rhs =
+        rhsOf(patterns, numNodes, n);
+    std::vector<std::vector<std::vector<Complex>>> results;
+    results.reserve(freqsHz.size());
 
     if (solver_ == SolverKind::Sparse) {
+        // One assembler and one factor workspace for the whole scan:
+        // beginStep() clears every slot and factor() resets all
+        // pivoting state, so each point's bits match a fresh pair.
         // Same element order and floating-point expressions as the
         // dense assembly below; see circuit/stamping.hh.
         CMnaAssembler stamper(pattern_);
-        stamper.beginStep();
-        stamper.stampResistors(netlist_);
-        stamper.stampSwitches(netlist_, [this](std::size_t i) {
-            return static_cast<bool>(switchClosed_[i]);
-        });
-        stamper.stampCapacitorsAc(netlist_, w);
-        stamper.stampInductorsAc(netlist_, w);
-        stamper.stampEqualizersDivided(netlist_);
-        stamper.stampVoltageSources(netlist_);
         CSparseLu lu(pattern_->csc);
-        lu.factor(stamper.commitStep());
-        return backSubstitute(lu, patterns, numNodes, n);
+        for (double freqHz : freqsHz) {
+            const double w = omegaOf(freqHz);
+            stamper.beginStep();
+            stamper.stampResistors(netlist_);
+            stamper.stampSwitches(netlist_, [this](std::size_t i) {
+                return static_cast<bool>(switchClosed_[i]);
+            });
+            stamper.stampCapacitorsAc(netlist_, w);
+            stamper.stampInductorsAc(netlist_, w);
+            stamper.stampEqualizersDivided(netlist_);
+            stamper.stampVoltageSources(netlist_);
+            lu.factor(stamper.commitStep());
+            results.push_back(backSubstitute(lu, rhs, numNodes));
+        }
+        return results;
     }
 
+    for (double freqHz : freqsHz)
+        results.push_back(backSubstitute(
+            LuFactor<Complex>(denseMatrix(omegaOf(freqHz))), rhs,
+            numNodes));
+    return results;
+}
+
+CMatrix
+AcAnalysis::denseMatrix(double w) const
+{
+    const int numNodes = netlist_.numNodes();
+    const std::size_t n = static_cast<std::size_t>(
+        numNodes + static_cast<int>(netlist_.voltageSources().size()));
     CMatrix y(n, n);
 
     const auto stamp = [&](NodeId a, NodeId b, Complex admittance) {
@@ -170,10 +219,7 @@ AcAnalysis::solveMany(
         }
         // rhs rows for sources stay zero: AC short.
     }
-
-    // One factorization, one back-substitution per pattern.
-    return backSubstitute(LuFactor<Complex>(y), patterns, numNodes,
-                          n);
+    return y;
 }
 
 Complex

@@ -32,9 +32,10 @@ struct AcInjection
 };
 
 /**
- * AC analyzer over a fixed netlist.  Each solve() builds the complex
- * MNA system at the requested frequency; this is cheap relative to the
- * frequency sweep sizes used by the impedance benches.
+ * AC analyzer over a fixed netlist.  Each call builds the complex MNA
+ * system at the requested frequencies.  The analyzer holds only the
+ * netlist, the switch states and the assembly pattern: every solve
+ * owns its workspace, so one instance is safe to share.
  */
 class AcAnalysis
 {
@@ -87,7 +88,24 @@ class AcAnalysis
      */
     Complex impedanceAt(double freqHz, NodeId node) const; // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
 
+    /**
+     * Solve several injection patterns at each of several
+     * frequencies.  The whole scan assembles and factors into one
+     * assembler and one factor workspace (sparse backend), and the
+     * right-hand sides are built once; every point's voltages are
+     * bitwise equal to a solveMany() at that frequency.
+     *
+     * @return node voltages indexed [frequency][pattern][node], in
+     *         the order given.
+     */
+    std::vector<std::vector<std::vector<Complex>>>
+    scan(const std::vector<double> &freqsHz,
+         const std::vector<std::vector<AcInjection>> &patterns) const;
+
   private:
+    /** Dense complex MNA matrix at angular frequency @p w. */
+    CMatrix denseMatrix(double w) const;
+
     const Netlist &netlist_;
     std::vector<bool> switchClosed_;
     SolverKind solver_;

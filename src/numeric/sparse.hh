@@ -18,11 +18,12 @@
  *
  * Bit-compatibility contract: SparseLuT is constructed to be
  * *bitwise identical* to LuFactor<T> on the same logical matrix.  It
- * uses the same pivot-selection rule (strict |.| maximum over the
- * partially-pivoted physical row order, first winner kept), applies
- * per-entry update terms in the same ascending pivot order as the
- * dense right-looking elimination, and performs the triangular
- * solves over ascending column indices.  Factor entries that are an
+ * picks the same pivot (strict |.| maximum over the partially-pivoted
+ * physical row order, first winner kept; only the rows the column's
+ * reach touched are searched, as every other row holds an exact
+ * zero), applies per-entry update terms in the same ascending pivot
+ * order as the dense right-looking elimination, and performs the
+ * triangular solves over ascending column indices.  Factor entries that are an
  * exact numeric zero are dropped from L and U entirely: the dense
  * elimination skips zero multipliers, and a zero term in a solve sum
  * is a no-op (acc -= 0 * x), so dropping them leaves every computed
@@ -247,20 +248,25 @@ class SparseLuT
                 }
             }
 
-            // --- pivot: the dense scan over the physical row order
-            // (strict maximum, first winner), reading exact zeros
-            // for untouched rows. ---
+            // --- pivot: the dense winner (largest |value|, lowest
+            // physical position among equals; position j keeps it
+            // unless beaten, even when it is NaN), searched over the
+            // reached rows only: an unreached row holds an exact
+            // zero, which never beats position j's value. ---
             std::int32_t pivotPos = static_cast<std::int32_t>(j);
             double best = scalarAbs(
                 x_[static_cast<std::size_t>(
                     rowAt_[static_cast<std::size_t>(j)])]);
-            for (int q = j + 1; q < n; ++q) {
-                const double cand = scalarAbs(
-                    x_[static_cast<std::size_t>(
-                        rowAt_[static_cast<std::size_t>(q)])]);
-                if (cand > best) {
+            for (std::int32_t r : reachBelow_) {
+                const std::int32_t pos =
+                    posOf_[static_cast<std::size_t>(r)];
+                if (pos == j) // already read: one |.| fewer per column
+                    continue;
+                const double cand =
+                    scalarAbs(x_[static_cast<std::size_t>(r)]);
+                if (cand > best || (cand == best && pos < pivotPos)) {
                     best = cand;
-                    pivotPos = static_cast<std::int32_t>(q);
+                    pivotPos = pos;
                 }
             }
             panicIfNot(best > 0.0, "singular matrix in LU factor");

@@ -66,6 +66,16 @@ timeSeriesWindowCycles(double dtSec, double sampleEverySec)
     return std::max<std::uint64_t>(1, rounded);
 }
 
+TimeSeriesDoc
+timeSeriesHeader(double dtSec, double sampleEverySec)
+{
+    TimeSeriesDoc doc;
+    doc.sampleEverySec = sampleEverySec;
+    doc.dtSec = dtSec;
+    doc.windowCycles = timeSeriesWindowCycles(dtSec, sampleEverySec);
+    return doc;
+}
+
 // ---------------- TimeSeriesRecorder ----------------
 
 TimeSeriesRecorder::TimeSeriesRecorder(double dtSec,

@@ -74,6 +74,13 @@ std::uint64_t timeSeriesWindowCycles(double dtSec,
                                      double sampleEverySec);
 
 /**
+ * @return an empty dump carrying the cadence header every frontend
+ * writes: the timestep and the window of timeSeriesWindowCycles(),
+ * also when sampling is off (sampleEverySec <= 0, window 1, no runs).
+ */
+TimeSeriesDoc timeSeriesHeader(double dtSec, double sampleEverySec);
+
+/**
  * Streaming recorder used inside the cosim loop.  Register channels
  * up front, then per simulated cycle record() values and call
  * endCycle(); finish() flushes a partial final window and returns

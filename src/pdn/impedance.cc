@@ -87,7 +87,7 @@ observeAt(const VsPdn &pdn, const std::vector<Complex> &volts, int sm)
 } // namespace
 
 ImpedanceAnalyzer::ImpedanceAnalyzer(const VsPdn &pdn)
-    : pdn_(pdn)
+    : pdn_(pdn), ac_(pdn.netlist())
 {
 }
 
@@ -99,9 +99,8 @@ ImpedanceAnalyzer::respond(const std::vector<double> &smLoadAmps,
                static_cast<std::size_t>(pdn_.numSms()),
                "per-SM load vector size mismatch");
 
-    AcAnalysis ac(pdn_.netlist());
     const auto volts = // vsgpu-lint: raw-escape-ok(AC solver boundary)
-        ac.solve(freq.raw(), injectionsFor(pdn_, smLoadAmps));
+        ac_.solve(freq.raw(), injectionsFor(pdn_, smLoadAmps));
     return observeAt(pdn_, volts, observeSm);
 }
 
@@ -142,34 +141,39 @@ ImpedanceAnalyzer::residualImpedance(Hertz freq, bool sameLayer) const
 ImpedancePoint
 ImpedanceAnalyzer::sweepPoint(Hertz freq) const
 {
-    // Three stimulus patterns (the two residual flavours share one),
-    // solved against a single factorization.
-    AcAnalysis ac(pdn_.netlist());
-    const std::vector<std::vector<AcInjection>> patterns = {
-        injectionsFor(pdn_, globalLoadPattern(pdn_)),
-        injectionsFor(pdn_, stackLoadPattern(pdn_, 0)),
-        injectionsFor(pdn_, residualLoadPattern(pdn_)),
-    };
-    const auto volts = ac.solveMany(freq.raw(), patterns); // vsgpu-lint: raw-escape-ok(AC solver boundary)
-
-    ImpedancePoint p;
-    p.freq = freq;
-    p.zGlobal = observeAt(pdn_, volts[0], pdn_.smIndexAt(0, 0));
-    p.zStack = observeAt(pdn_, volts[1], pdn_.smIndexAt(0, 0));
-    p.zResidualSameLayer =
-        observeAt(pdn_, volts[2], pdn_.smIndexAt(0, 0));
-    p.zResidualDiffLayer = observeAt(
-        pdn_, volts[2], pdn_.smIndexAt(pdn_.layers() / 2, 0));
-    return p;
+    return sweep({freq}).front();
 }
 
 std::vector<ImpedancePoint>
 ImpedanceAnalyzer::sweep(const std::vector<Hertz> &freqs) const
 {
+    // Three stimulus patterns (the two residual flavours share one),
+    // solved against a single factorization per frequency.
+    const std::vector<std::vector<AcInjection>> patterns = {
+        injectionsFor(pdn_, globalLoadPattern(pdn_)),
+        injectionsFor(pdn_, stackLoadPattern(pdn_, 0)),
+        injectionsFor(pdn_, residualLoadPattern(pdn_)),
+    };
+    std::vector<double> freqsHz;
+    freqsHz.reserve(freqs.size());
+    for (Hertz f : freqs)
+        freqsHz.push_back(f.raw()); // vsgpu-lint: raw-escape-ok(AC solver boundary)
+    const auto scan = ac_.scan(freqsHz, patterns);
+
+    const int sm0 = pdn_.smIndexAt(0, 0);
+    const int smMid = pdn_.smIndexAt(pdn_.layers() / 2, 0);
     std::vector<ImpedancePoint> points;
     points.reserve(freqs.size());
-    for (Hertz f : freqs)
-        points.push_back(sweepPoint(f));
+    for (std::size_t k = 0; k < freqs.size(); ++k) {
+        const auto &volts = scan[k];
+        ImpedancePoint p;
+        p.freq = freqs[k];
+        p.zGlobal = observeAt(pdn_, volts[0], sm0);
+        p.zStack = observeAt(pdn_, volts[1], sm0);
+        p.zResidualSameLayer = observeAt(pdn_, volts[2], sm0);
+        p.zResidualDiffLayer = observeAt(pdn_, volts[2], smMid);
+        points.push_back(p);
+    }
     return points;
 }
 

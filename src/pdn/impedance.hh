@@ -27,6 +27,7 @@
 
 #include <vector>
 
+#include "circuit/ac.hh"
 #include "pdn/vs_pdn.hh"
 
 namespace vsgpu
@@ -66,13 +67,17 @@ class ImpedanceAnalyzer
 
     /**
      * All four impedances at one frequency.  Builds and factors the
-     * complex MNA system once and back-substitutes the four stimulus
-     * patterns against it (AcAnalysis::solveMany), so one sweep
-     * point costs one factorization instead of four.
+     * complex MNA system once and back-substitutes the three stimulus
+     * patterns against it, so one sweep point costs one
+     * factorization instead of four.
      */
     ImpedancePoint sweepPoint(Hertz freq) const;
 
-    /** Sweep all four impedances over a frequency list. */
+    /**
+     * Sweep all four impedances over a frequency list: one
+     * AcAnalysis::scan, so the whole sweep shares one assembler and
+     * one factor workspace.
+     */
     std::vector<ImpedancePoint>
     sweep(const std::vector<Hertz> &freqs) const;
 
@@ -88,6 +93,7 @@ class ImpedanceAnalyzer
                  int observeSm, Hertz freq) const;
 
     const VsPdn &pdn_;
+    AcAnalysis ac_;
 };
 
 /** Logarithmically spaced frequency grid [lo, hi], n points. */

@@ -32,6 +32,7 @@ verifyPdsModel(const PdsSetup &setup, const CosimConfig &cfg)
     verify::NumericAuditOptions numOpts;
     numOpts.dt = config::clockPeriod;
     numOpts.probeNode = setup.rails[0].top;
+    numOpts.mnaPattern = setup.mnaPattern;
     report.merge(verify::numericAudit(setup.netlist(), numOpts));
 
     // Current-rating sanity of the averaged CR-IVR: a worst-case

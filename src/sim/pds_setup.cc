@@ -122,6 +122,14 @@ buildPdsSetup(const CosimConfig &cfg)
                            setup->loadResistors.front())]
                        .ohms};
 
+    // One assembly pattern per configuration: the audit's impedance
+    // scan, the DC solve and every run's transient engine share it.
+    const Netlist &net = setup->netlist();
+    {
+        VSGPU_TRACE_SCOPE(obs::CatPhase, "pds.symbolic");
+        setup->mnaPattern = MnaPattern::build(net);
+    }
+
     // Static model verification (ERC + numeric audit) before the DC
     // solve: a malformed netlist would otherwise surface as a panic
     // deep inside the LU factorization with no hint of which element
@@ -139,11 +147,6 @@ buildPdsSetup(const CosimConfig &cfg)
     // DC operating point at the netlist's default source setpoints
     // and initial switch states — exactly what a fresh TransientSim
     // would compute in initToDc(), solved once per configuration.
-    const Netlist &net = setup->netlist();
-    {
-        VSGPU_TRACE_SCOPE(obs::CatPhase, "pds.symbolic");
-        setup->mnaPattern = MnaPattern::build(net);
-    }
     std::vector<double> amps;
     amps.reserve(net.currentSources().size());
     for (const auto &src : net.currentSources())

@@ -188,23 +188,25 @@ numericAudit(const Netlist &net, const NumericAuditOptions &opts)
     if (opts.probeNode > 0 && opts.probeNode <= numNodes &&
         opts.scanPoints >= 3)
     {
-        const AcAnalysis ac(net);
+        const AcAnalysis ac(net, {}, defaultSolver(), opts.mnaPattern);
         const double lo = opts.scanLoHz.raw(); // vsgpu-lint: raw-ok(AC solver boundary)
         const double hi = opts.scanHiHz.raw(); // vsgpu-lint: raw-ok(AC solver boundary)
         const double ratio = hi / lo;
         std::vector<double> freqs(
             static_cast<std::size_t>(opts.scanPoints));
-        std::vector<double> mags(
-            static_cast<std::size_t>(opts.scanPoints));
         for (int i = 0; i < opts.scanPoints; ++i)
         {
             const double t = static_cast<double>(i) /
                              static_cast<double>(opts.scanPoints - 1);
-            const std::size_t k = static_cast<std::size_t>(i);
-            freqs[k] = lo * std::pow(ratio, t);
-            mags[k] =
-                std::abs(ac.impedanceAt(freqs[k], opts.probeNode));
+            freqs[static_cast<std::size_t>(i)] = lo * std::pow(ratio, t);
         }
+        const auto volts =
+            ac.scan(freqs, {{{opts.probeNode, Complex{1.0, 0.0}}}});
+        std::vector<double> mags(
+            static_cast<std::size_t>(opts.scanPoints));
+        for (std::size_t k = 0; k < mags.size(); ++k)
+            mags[k] = std::abs(
+                volts[k][0][static_cast<std::size_t>(opts.probeNode)]);
         double peakHz = 0.0;
         double peakOhms = -1.0;
         for (int i = 1; i + 1 < opts.scanPoints; ++i)

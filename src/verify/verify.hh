@@ -37,11 +37,13 @@
 #ifndef VSGPU_VERIFY_VERIFY_HH
 #define VSGPU_VERIFY_VERIFY_HH
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "circuit/netlist.hh"
+#include "circuit/stamping.hh"
 #include "common/units.hh"
 #include "control/controller.hh"
 
@@ -149,6 +151,10 @@ struct NumericAuditOptions
     Hertz scanLoHz = 1.0_MHz;
     Hertz scanHiHz = 10.0_GHz;
     int scanPoints = 40;
+
+    /** Compiled assembly pattern of the audited netlist, shared with
+     *  the scan's AcAnalysis (nullptr = the scan compiles its own). */
+    std::shared_ptr<const MnaPattern> mnaPattern;
 };
 
 /**

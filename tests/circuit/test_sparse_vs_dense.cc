@@ -8,6 +8,8 @@
  *  - Property-based: randomized RLC/switch/equalizer/source netlists
  *    from seeded generators, solved by both backends across DC, AC
  *    and transient analyses, must agree within a tight tolerance.
+ *  - Pivot rule: hand-built matrices whose pivot columns tie on
+ *    |value| must pick the dense LuFactor's pivot, bit for bit.
  *  - Exact bits: on the eight golden configurations (the four
  *    Table III PDS presets plus the four fig09 worst-transient
  *    variants) the two backends must agree bit for bit — DC
@@ -30,7 +32,9 @@
 #include "circuit/solver.hh"
 #include "circuit/transient.hh"
 #include "common/random.hh"
+#include "numeric/sparse.hh"
 #include "sim/pds_setup.hh"
+#include "verify/verify.hh"
 
 namespace vsgpu
 {
@@ -296,6 +300,153 @@ TEST(SparseVsDense, CachedFactorFollowsSwitchToggles)
     EXPECT_EQ(dense.luBuilds(), 2u);
 }
 
+/** One structural entry of a hand-built matrix (zeros allowed). */
+template <typename T>
+struct Entry
+{
+    int row;
+    int col;
+    T value;
+};
+
+/** Factor a hand-built matrix with both LUs and solve A x = b. */
+template <typename T>
+void
+solveBoth(int n, const std::vector<Entry<T>> &entries,
+          const std::vector<T> &b, std::vector<T> &sparseX,
+          std::vector<T> &denseX)
+{
+    MatrixT<T> a(static_cast<std::size_t>(n),
+                 static_cast<std::size_t>(n));
+    CscPatternBuilder builder(n);
+    for (const Entry<T> &e : entries) {
+        a(static_cast<std::size_t>(e.row),
+          static_cast<std::size_t>(e.col)) = e.value;
+        builder.add(e.row, e.col);
+    }
+    auto pattern = std::make_shared<const CscPattern>(builder.compile());
+    std::vector<T> values(pattern->nnz());
+    for (int col = 0; col < n; ++col)
+        for (std::int32_t t = pattern->colPtr[static_cast<std::size_t>(col)];
+             t < pattern->colPtr[static_cast<std::size_t>(col) + 1]; ++t)
+            values[static_cast<std::size_t>(t)] =
+                a(static_cast<std::size_t>(
+                      pattern->rowIdx[static_cast<std::size_t>(t)]),
+                  static_cast<std::size_t>(col));
+    SparseLuT<T> lu(pattern);
+    lu.factor(values);
+    sparseX = lu.solve(b);
+    denseX = LuFactor<T>(a).solve(b);
+}
+
+/**
+ * Column 1 reaches row 4 through column 0's L before it reaches row 3
+ * directly, and both end at |value| 1 (row 4: 0 - (1/2) * 2 * unit,
+ * row 3: unit) while position 1 holds an exact zero.  Reach order is
+ * 4, 3; physical order is 3, 4, and the dense scan keeps position 3.
+ */
+template <typename T>
+std::vector<Entry<T>>
+reachOrderTie(T unit)
+{
+    return {{0, 0, T(2.0)},  {4, 0, T(1.0)},  {0, 1, T(2.0) * unit},
+            {3, 1, unit},    {1, 2, T(4.0)},  {2, 2, T(1.0)},
+            {2, 3, T(4.0)},  {3, 3, T(1.0)},  {1, 4, T(1.0)},
+            {4, 4, T(3.0)}};
+}
+
+/**
+ * Every column's pivot position ties with a later row.  Column 0 ties
+ * rows 0, 1, 3 at |value| 1 and column 1 rows 1, 3 at |value| 2 (the
+ * diagonal first in reach order).  Column 2 reaches row 3 through the
+ * L columns of rows 0 and 1 before row 2, its own diagonal, and both
+ * end at |value| 3 (row 3: 3 - unit + unit), so the dense scan keeps
+ * position 2 although the reach visits row 3 first.
+ */
+template <typename T>
+std::vector<Entry<T>>
+diagonalTie(T unit)
+{
+    return {{0, 0, T(1.0)},  {1, 0, -T(1.0)},          {3, 0, unit},
+            {1, 1, T(-2.0)}, {3, 1, T(2.0) * unit},     {0, 2, T(1.0)},
+            {2, 2, T(3.0)},  {3, 2, T(3.0)},            {2, 3, T(0.1)},
+            {3, 3, T(0.7)}};
+}
+
+template <typename T>
+void
+expectSameSolution(int n, const std::vector<Entry<T>> &entries)
+{
+    std::vector<T> b(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i)
+        b[static_cast<std::size_t>(i)] = T(1.0 / (i + 3));
+    std::vector<T> sparseX, denseX;
+    solveBoth(n, entries, b, sparseX, denseX);
+    EXPECT_TRUE(bitsEqual(sparseX, denseX));
+}
+
+TEST(SparseVsDensePivot, TieAcrossReachOrderKeepsLowestPosition)
+{
+    expectSameSolution<double>(5, reachOrderTie<double>(1.0));
+    expectSameSolution<double>(5, reachOrderTie<double>(-1.0));
+    expectSameSolution<Complex>(5, reachOrderTie<Complex>({0.0, 1.0}));
+    expectSameSolution<Complex>(5,
+                                reachOrderTie<Complex>({0.6, -0.8}));
+}
+
+TEST(SparseVsDensePivot, PositionJKeepsPivotOnTie)
+{
+    expectSameSolution<double>(4, diagonalTie<double>(1.0));
+    expectSameSolution<double>(4, diagonalTie<double>(-1.0));
+    expectSameSolution<Complex>(4, diagonalTie<Complex>({0.0, -1.0}));
+    expectSameSolution<Complex>(4, diagonalTie<Complex>({0.0, 1.0}));
+}
+
+/** Column 1 cancels to an exact zero after column 0's update. */
+template <typename T>
+std::vector<Entry<T>>
+singularColumn()
+{
+    return {{0, 0, T(1.0)}, {1, 0, T(1.0)}, {0, 1, T(2.0)},
+            {1, 1, T(2.0)}, {2, 2, T(1.0)}};
+}
+
+template <typename T>
+void
+factorSparse(int n, const std::vector<Entry<T>> &entries)
+{
+    std::vector<T> sparseX, denseX;
+    solveBoth(n, entries, std::vector<T>(static_cast<std::size_t>(n)),
+              sparseX, denseX);
+}
+
+template <typename T>
+void
+factorDense(int n, const std::vector<Entry<T>> &entries)
+{
+    MatrixT<T> a(static_cast<std::size_t>(n),
+                 static_cast<std::size_t>(n));
+    for (const Entry<T> &e : entries)
+        a(static_cast<std::size_t>(e.row),
+          static_cast<std::size_t>(e.col)) = e.value;
+    LuFactor<T> lu(a);
+}
+
+TEST(SparseVsDensePivotDeath, SingularColumnPanicsLikeDense)
+{
+    // solveBoth factors the sparse matrix first, so its death is the
+    // sparse panic; factorDense pins the dense text to the same one.
+    const char *text = "singular matrix in LU factor";
+    EXPECT_DEATH(factorSparse<double>(3, singularColumn<double>()),
+                 text);
+    EXPECT_DEATH(factorDense<double>(3, singularColumn<double>()),
+                 text);
+    EXPECT_DEATH(factorSparse<Complex>(3, singularColumn<Complex>()),
+                 text);
+    EXPECT_DEATH(factorDense<Complex>(3, singularColumn<Complex>()),
+                 text);
+}
+
 /**
  * The eight golden configurations: the four Table III PDS presets
  * and the four fig09 worst-transient variants.
@@ -406,6 +557,37 @@ TEST_P(SparseVsDenseGolden, AcExactBits)
         EXPECT_TRUE(
             bitsEqual(sparse.solve(freq, inj), dense.solve(freq, inj)))
             << "at " << freq << " Hz";
+    }
+}
+
+TEST_P(SparseVsDenseGolden, AcScanReusesWorkspaceExactBits)
+{
+    // The numeric audit's 40-point resonance scan through one scan()
+    // (one assembler and one factor workspace) against fresh
+    // per-point analyzers, on both backends.
+    const std::shared_ptr<const PdsSetup> s = setup();
+    const verify::NumericAuditOptions opts;
+    const double lo = opts.scanLoHz.raw();
+    const double ratio = opts.scanHiHz.raw() / lo;
+    std::vector<double> freqs;
+    for (int i = 0; i < opts.scanPoints; ++i)
+        freqs.push_back(
+            lo * std::pow(ratio, static_cast<double>(i) /
+                                     (opts.scanPoints - 1)));
+    const NodeId probe = s->rails[0].top;
+    const std::vector<std::vector<AcInjection>> patterns = {
+        {{probe, Complex{1.0, 0.0}}}};
+    for (const SolverKind kind : {SolverKind::Sparse, SolverKind::Dense}) {
+        const AcAnalysis shared(s->netlist(), {}, kind, s->mnaPattern);
+        const auto scanned = shared.scan(freqs, patterns);
+        ASSERT_EQ(scanned.size(), freqs.size());
+        for (std::size_t k = 0; k < freqs.size(); ++k) {
+            const AcAnalysis fresh(s->netlist(), {}, kind);
+            EXPECT_TRUE(bitsEqual(scanned[k][0],
+                                  fresh.solve(freqs[k], patterns[0])))
+                << (kind == SolverKind::Sparse ? "sparse" : "dense")
+                << " at " << freqs[k] << " Hz";
+        }
     }
 }
 

@@ -271,6 +271,11 @@ cmdList(const Args &)
 int
 cmdRun(const Args &args)
 {
+    // A trace fixes the workload and its length, so a workload flag
+    // next to it would be silently ignored.
+    for (const char *flag : {"benchmark", "instrs"})
+        fatalIf(args.has("trace") && args.has(flag), "--", flag,
+                " does not apply to a --trace replay");
     CosimConfig cfg;
     cfg.pds = defaultPds(parsePds(args.str("pds", "cross")));
     cfg.maxCycles = args.integer<Cycle>("cycles", 200000, 1);
@@ -369,10 +374,7 @@ cmdRun(const Args &args)
                   << (csv ? " (CSV)" : " (VCD)") << "\n";
     }
 
-    obs::TimeSeriesDoc series;
-    series.sampleEverySec = sampleEverySec;
-    series.dtSec = config::clockPeriod.raw();
-    series.windowCycles = obs::timeSeriesWindowCycles(
+    obs::TimeSeriesDoc series = obs::timeSeriesHeader(
         config::clockPeriod.raw(), sampleEverySec);
     if (result.timeSeries) {
         result.timeSeries->label = subject;
