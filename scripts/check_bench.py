@@ -7,10 +7,6 @@ Usage (solver benches, BENCH_circuit.json):
                  --microbench GBENCH.json
                  [--tolerance 0.10] [--record --note "..."]
 
-Usage (lint wall-clock, BENCH_lint.json):
-  check_bench.py --trajectory BENCH_lint.json --lint TIMINGS.json
-                 [--record --note "..."]
-
 Usage (observability overhead, BENCH_obs.json):
   check_bench.py --trajectory BENCH_obs.json --obs OBS.json
                  [--record --note "..."]
@@ -39,14 +35,6 @@ disabled-path costs (ns per ProfileScope / trace point with the
 global gates off) are recorded as machine-local trend context, with
 a generous "disabled_ns_ceiling" sanity bound so an accidentally
 heavyweight disabled path still fails somewhere.
-
-The lint gate reads the JSON written by `vsgpu_lint --timings` and
-applies two checks: a hard wall-clock budget (trajectory
-"budget_seconds", the CI timeout contract) and a regression gate
-against the last recorded entry's wall time: a run fails when it is
-slower than both the recorded time plus "regression_tolerance" (a
-fraction) and the recorded time plus "regression_slack_seconds" (an
-absolute slack that absorbs scheduler noise on sub-second runs).
 
 Wall-clock times are not comparable across machines, so the gate
 works on *ratios* (dense time / sparse time for the same kernel on
@@ -186,72 +174,6 @@ def record(trajectory: dict, fresh: dict, path: str,
     print(f"check_bench: recorded entry {entry['date']} to {path}")
 
 
-def lint_fresh(path: str) -> dict:
-    """Validate and summarize a `vsgpu_lint --timings` JSON file."""
-    doc = load_json(path)
-    for key in ("files", "wall_seconds", "families"):
-        if key not in doc:
-            fail(f"{path}: missing '{key}'")
-    families = {f["check"]: float(f["seconds"])
-                for f in doc["families"]}
-    if not families:
-        fail(f"{path}: no family timings")
-    return {
-        "files": int(doc["files"]),
-        "wall_seconds": float(doc["wall_seconds"]),
-        "families": families,
-    }
-
-
-def lint_gate(trajectory: dict, fresh: dict) -> None:
-    budget = float(trajectory.get("budget_seconds", 120.0))
-    tolerance = float(trajectory.get("regression_tolerance", 0.25))
-    slack = float(trajectory.get("regression_slack_seconds", 0.5))
-    wall = fresh["wall_seconds"]
-
-    print(f"check_bench: lint wall {wall:.3f}s over "
-          f"{fresh['files']} files (budget {budget:.0f}s)")
-    if wall > budget:
-        fail(f"lint wall {wall:.3f}s exceeds the hard budget "
-             f"{budget:.0f}s")
-
-    entries = trajectory.get("entries", [])
-    if not entries:
-        fail("trajectory has no entries to compare against")
-    ref = float(entries[-1]["wall_seconds"])
-    limit = max(ref * (1.0 + tolerance), ref + slack)
-    status = "ok" if wall <= limit else "REGRESSION"
-    print(f"check_bench: recorded {ref:.3f}s, fresh "
-          f"{wall:.3f}s (limit {limit:.3f}s) {status}")
-    if wall > limit:
-        fail(f"lint wall regressed: {wall:.3f}s > {limit:.3f}s "
-             f"(max of {ref:.3f}s + {tolerance:.0%} and "
-             f"{ref:.3f}s + {slack:.2f}s)")
-
-    slowest = sorted(fresh["families"].items(),
-                     key=lambda kv: -kv[1])[:3]
-    for name, sec in slowest:
-        print(f"check_bench: slowest family {name}: {sec:.3f}s")
-    print("check_bench: OK")
-
-
-def lint_record(trajectory: dict, fresh: dict, path: str,
-                note: str) -> None:
-    entry = {
-        "date": datetime.date.today().isoformat(),
-        "note": note,
-        "files": fresh["files"],
-        "wall_seconds": round(fresh["wall_seconds"], 3),
-        "families": {k: round(v, 3)
-                     for k, v in fresh["families"].items()},
-    }
-    trajectory.setdefault("entries", []).append(entry)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    print(f"check_bench: recorded entry {entry['date']} to {path}")
-
-
 def obs_fresh(path: str) -> dict:
     """Validate and summarize a `bench_obs.py` JSON file."""
     doc = load_json(path)
@@ -367,9 +289,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trajectory", required=True)
     parser.add_argument("--microbench")
-    parser.add_argument("--lint",
-                        help="vsgpu_lint --timings JSON to gate "
-                             "against a BENCH_lint.json trajectory")
     parser.add_argument("--obs",
                         help="bench_obs.py JSON to gate against a "
                              "BENCH_obs.json trajectory")
@@ -396,16 +315,8 @@ def main() -> None:
         else:
             obs_gate(trajectory, fresh)
         return
-    if args.lint:
-        fresh = lint_fresh(args.lint)
-        if args.record:
-            lint_record(trajectory, fresh, args.trajectory,
-                        args.note)
-        else:
-            lint_gate(trajectory, fresh)
-        return
     if not args.microbench:
-        fail("pass --microbench, --lint, --obs or --cosim")
+        fail("pass --microbench, --obs or --cosim")
     fresh = fresh_metrics(args.microbench)
     if args.record:
         record(trajectory, fresh, args.trajectory, args.note)

@@ -1,35 +1,19 @@
 #!/usr/bin/env bash
-# Run the project static-analysis gate: vsgpu_lint (always, when
-# built) followed by clang-tidy (when installed) over the compile
-# database from the CMake build tree, using the repo .clang-tidy
-# profile.
+# Run clang-tidy (when installed) over the compile database from the
+# CMake build tree, using the repo .clang-tidy profile.
 #
 # Usage:
 #   scripts/run_clang_tidy.sh [build-dir] [file...]
 #
 # With no files given, tidies every .cc under src/.  Degrades
 # gracefully (exit 0 with a notice) when clang-tidy is not installed,
-# so the script is safe to call unconditionally from CI and hooks;
-# vsgpu_lint failures are always fatal because the tool builds with
-# the project.
+# so the script is safe to call unconditionally from CI and hooks.
 
 set -u
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build}"
 shift 2>/dev/null || true
-
-# Project lint first: fast, zero-dependency, and its baseline gate
-# (tools/lint/lint_baseline.txt) must stay clean either way.  Always
-# the full sweep — explicit file arguments would bypass vsgpu_lint's
-# path scoping, and the whole project lints in well under a second.
-lint="$build/tools/lint/vsgpu_lint"
-if [ -x "$lint" ]; then
-    echo "run_clang_tidy: vsgpu_lint -p $build"
-    (cd "$repo" && "$lint" -p "$build") || exit 1
-else
-    echo "run_clang_tidy: $lint not built; skipping project lint" >&2
-fi
 
 tidy="$(command -v clang-tidy || true)"
 if [ -z "$tidy" ]; then

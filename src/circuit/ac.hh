@@ -64,7 +64,7 @@ class AcAnalysis
      * @return complex node voltages indexed by node id (0 = ground).
      */
     std::vector<Complex>
-    // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+    // raw-ok(dimension-erased MNA solver boundary)
     solve(double freqHz, const std::vector<AcInjection> &injections) const;
 
     /**
@@ -78,7 +78,7 @@ class AcAnalysis
      * @return per-pattern node voltages, in pattern order.
      */
     std::vector<std::vector<Complex>>
-    solveMany(double freqHz, // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+    solveMany(double freqHz, // raw-ok(dimension-erased MNA solver boundary)
               const std::vector<std::vector<AcInjection>> &patterns)
         const;
 
@@ -86,7 +86,7 @@ class AcAnalysis
      * Convenience: impedance seen between a node and ground, i.e. the
      * voltage response at @p node to a unit current injected there.
      */
-    Complex impedanceAt(double freqHz, NodeId node) const; // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+    Complex impedanceAt(double freqHz, NodeId node) const; // raw-ok(dimension-erased MNA solver boundary)
 
     /**
      * Solve several injection patterns at each of several

@@ -47,7 +47,7 @@ class Netlist
     {
         NodeId a;
         NodeId b;
-        double ohms; // check_units:allow: solver hot-loop storage
+        double ohms; // raw-ok(solver hot-loop storage)
         std::string name;
     };
 
@@ -56,9 +56,9 @@ class Netlist
     {
         NodeId a;
         NodeId b;
-        double farads; // check_units:allow: solver hot-loop storage
+        double farads; // raw-ok(solver hot-loop storage)
         /// initial voltage across (a - b)
-        double initialVolts; // check_units:allow: solver storage
+        double initialVolts; // raw-ok(solver storage)
     };
 
     /** A linear inductor. */
@@ -66,9 +66,9 @@ class Netlist
     {
         NodeId a;
         NodeId b;
-        double henries; // check_units:allow: solver hot-loop storage
+        double henries; // raw-ok(solver hot-loop storage)
         /// initial current a -> b
-        double initialAmps; // check_units:allow: solver storage
+        double initialAmps; // raw-ok(solver storage)
     };
 
     /** An ideal DC voltage source (a is +). */
@@ -76,7 +76,7 @@ class Netlist
     {
         NodeId plus;
         NodeId minus;
-        double volts; // check_units:allow: solver hot-loop storage
+        double volts; // raw-ok(solver hot-loop storage)
     };
 
     /** A time-varying load current source (value set per step). */
@@ -85,7 +85,7 @@ class Netlist
         NodeId from;
         NodeId to;
         /// default / initial value
-        double amps; // check_units:allow: solver storage
+        double amps; // raw-ok(solver storage)
         std::string name;
     };
 
@@ -94,8 +94,8 @@ class Netlist
     {
         NodeId a;
         NodeId b;
-        double onOhms; // check_units:allow: solver hot-loop storage
-        double offOhms; // check_units:allow: solver hot-loop storage
+        double onOhms; // raw-ok(solver hot-loop storage)
+        double offOhms; // raw-ok(solver hot-loop storage)
         bool initiallyClosed;
     };
 
@@ -116,7 +116,7 @@ class Netlist
         NodeId top;
         NodeId mid;
         NodeId bottom;
-        double effOhms; // check_units:allow: solver hot-loop storage
+        double effOhms; // raw-ok(solver hot-loop storage)
         std::string name;
     };
 

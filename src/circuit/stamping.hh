@@ -43,11 +43,11 @@ namespace vsgpu
 {
 
 /** Inductor replacement resistance for DC operating-point solves. */
-constexpr double kDcInductorOhms = 1e-6; // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+constexpr double kDcInductorOhms = 1e-6; // raw-ok(dimension-erased MNA solver boundary)
 
 /** Tiny diagonal conductance keeping DC solves non-singular when a
  *  node is only reachable through capacitors. */
-constexpr double kDcLeakSiemens = 1e-12; // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+constexpr double kDcLeakSiemens = 1e-12; // raw-ok(dimension-erased MNA solver boundary)
 
 /**
  * Union MNA sparsity pattern of a Netlist with per-element slot
@@ -162,7 +162,7 @@ class MnaAssemblerT
     {
         const auto &sw = nl.switches();
         for (std::size_t i = 0; i < sw.size(); ++i) {
-            const double ohms = // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+            const double ohms = // raw-ok(dimension-erased MNA solver boundary)
                 closedAt(i) ? sw[i].onOhms : sw[i].offOhms;
             addPair(pat_->switches[i], T(1.0 / ohms));
         }
@@ -243,7 +243,7 @@ class MnaAssemblerT
     {
         const auto &eqs = nl.equalizers();
         for (std::size_t i = 0; i < eqs.size(); ++i) {
-            const double effOhms = eqs[i].effOhms; // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+            const double effOhms = eqs[i].effOhms; // raw-ok(dimension-erased MNA solver boundary)
             stampEqualizerCell(i, [&](double ci, double cj) {
                 return T(ci * cj / effOhms);
             });

@@ -64,7 +64,7 @@ class TransientSim
 
     /** Set a current source's value for subsequent steps (amps). */
     void
-    setCurrent(int sourceIdx, double amps) // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+    setCurrent(int sourceIdx, double amps) // raw-ok(dimension-erased MNA solver boundary)
     {
         panicIfNot(sourceIdx >= 0 &&
                        sourceIdx < static_cast<int>(sourceAmps_.size()),
@@ -81,7 +81,7 @@ class TransientSim
      * the right-hand side changes, so the cached factorization stays
      * valid).  Used e.g. for VRM load-line regulation.
      */
-    void setSourceVolts(int vsrcIdx, double volts); // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+    void setSourceVolts(int vsrcIdx, double volts); // raw-ok(dimension-erased MNA solver boundary)
 
     /**
      * Initialize states to the DC operating point implied by the
@@ -172,7 +172,7 @@ class TransientSim
 
     /** @return a resistor's resistance (ohms). */
     double
-    resistorOhms(int resIdx) const // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+    resistorOhms(int resIdx) const // raw-ok(dimension-erased MNA solver boundary)
     {
         return resistor(resIdx).ohms;
     }
@@ -243,7 +243,7 @@ class TransientSim
     {
         int a;
         int b;
-        double ohms; // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+        double ohms; // raw-ok(dimension-erased MNA solver boundary)
     };
 
     /** A switch and its two resistances. */
@@ -251,8 +251,8 @@ class TransientSim
     {
         int a;
         int b;
-        double onOhms; // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
-        double offOhms; // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+        double onOhms; // raw-ok(dimension-erased MNA solver boundary)
+        double offOhms; // raw-ok(dimension-erased MNA solver boundary)
     };
 
     /** An averaged charge-recycling equalizer. */
@@ -261,7 +261,7 @@ class TransientSim
         int top;
         int mid;
         int bottom;
-        double effOhms; // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+        double effOhms; // raw-ok(dimension-erased MNA solver boundary)
     };
 
     /** @return resistor @p resIdx's table row. */
@@ -302,7 +302,7 @@ class TransientSim
 
     /** Stamp a conductance into the MNA matrix. */
     static void stampConductance(Matrix &g, NodeId a, NodeId b,
-                                 double siemens); // vsgpu-lint: raw-ok(dimension-erased MNA solver boundary)
+                                 double siemens); // raw-ok(dimension-erased MNA solver boundary)
 
     /** Stamp an averaged charge-recycling equalizer. */
     static void stampEqualizer(Matrix &g, const Netlist::Equalizer &e);

@@ -17,18 +17,15 @@
  *   VSGPU_CHECK_ALL_FINITE(xs, what) abort if any element is not
  *                                    finite; 'what' names the context
  *
- * Function contracts make interface obligations explicit and lintable:
+ * Function contracts make interface obligations explicit:
  *
  *   VSGPU_REQUIRES(cond, ...)  precondition; abort in checked builds
  *   VSGPU_ENSURES(cond, ...)   postcondition; abort in checked builds
- *   VSGPU_CONTRACT             tags a function as contract-carrying
  *
- * A function tagged VSGPU_CONTRACT (which expands to the
- * [[vsgpu::contract]] attribute where the compiler tolerates vendor
- * attribute namespaces) promises that its definition states at least
- * one VSGPU_REQUIRES/VSGPU_ENSURES.  tools/lint/vsgpu_lint verifies
- * that promise statically; the macros verify the conditions at
- * runtime in checked builds and compile to a name-check in release.
+ * In release builds every guard compiles to a name-check of its
+ * operands.  The guards read a Quantity through rawEscape(), so they
+ * compile in translation units where .raw() is deprecated
+ * (common/quantity.hh).
  */
 
 #ifndef VSGPU_COMMON_CHECK_HH
@@ -48,16 +45,6 @@
 #endif
 #endif
 
-// The contract tag itself.  GCC >= 11 can scope the unknown-attribute
-// warning to a vendor namespace (-Wno-attributes=vsgpu::, added by the
-// top-level CMakeLists); elsewhere the tag expands to nothing and the
-// lint keys on the macro name in the source text instead.
-#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 11
-#define VSGPU_CONTRACT [[vsgpu::contract]]
-#else
-#define VSGPU_CONTRACT
-#endif
-
 namespace vsgpu
 {
 namespace checkdetail
@@ -73,7 +60,7 @@ template <int M, int KG, int S, int A>
 constexpr double
 rawOf(Quantity<M, KG, S, A> q)
 {
-    return q.raw();
+    return q.rawEscape();
 }
 
 /** @return index of the first non-finite element, or -1 if all ok. */

@@ -15,10 +15,11 @@
  *     in vsgpu::literals (1.0_V, 80.0_mOhm, 700.0_MHz, ...).
  *   - Dimensions cancel to plain double: Volts / Volts is a double,
  *     so ratios, efficiencies, and normalized values need no casts.
- *   - .raw() is the only escape hatch back to double.  Use it at the
- *     boundary to dimension-unaware code (the MNA solver core, the
- *     control law) and nowhere else; vsgpu_lint's unit-safety family
- *     polices new raw-double parameters in converted public headers.
+ *   - .raw() is the way back to double inside the numeric core (the
+ *     MNA solver, the verifier).  Everywhere else in src/ the build
+ *     defines VSGPU_RAW_ESCAPE_CHECKED, which makes .raw() deprecated
+ *     and the warning an error; a deliberate conversion there is
+ *     spelled .rawEscape() with a comment naming the boundary.
  *   - All values are SI at unit scale (ohms not milliohms, square
  *     metres not mm^2).  Express display scaling as a division by a
  *     literal: area / 1.0_mm2 yields the mm^2 count as a double.
@@ -50,8 +51,16 @@ class Quantity
     /** Tag a raw SI value with this dimension (explicit on purpose). */
     constexpr explicit Quantity(double raw) : v_(raw) {}
 
-    /** The raw SI value — the only way back to double. */
+    /** The raw SI value, for the numeric core. */
+#ifdef VSGPU_RAW_ESCAPE_CHECKED
+    [[deprecated("outside the numeric core, convert with rawEscape() "
+                 "and a comment naming the boundary")]]
+#endif
     constexpr double raw() const { return v_; }
+
+    /** The raw SI value at a named boundary outside the numeric core
+     *  (never deprecated; every call carries its reason). */
+    constexpr double rawEscape() const { return v_; }
 
     constexpr Quantity operator-() const { return Quantity{-v_}; }
     constexpr Quantity operator+() const { return *this; }
@@ -142,10 +151,10 @@ operator*(Quantity<M1, K1, S1, A1> x, Quantity<M2, K2, S2, A2> y)
 {
     if constexpr (M1 + M2 == 0 && K1 + K2 == 0 && S1 + S2 == 0 &&
                   A1 + A2 == 0)
-        return x.raw() * y.raw();
+        return x.rawEscape() * y.rawEscape();
     else
-        return Quantity<M1 + M2, K1 + K2, S1 + S2, A1 + A2>{x.raw() *
-                                                            y.raw()};
+        return Quantity<M1 + M2, K1 + K2, S1 + S2, A1 + A2>{
+            x.rawEscape() * y.rawEscape()};
 }
 
 /** Quotient of two quantities: dimensions subtract (same collapse). */
@@ -155,10 +164,10 @@ operator/(Quantity<M1, K1, S1, A1> x, Quantity<M2, K2, S2, A2> y)
 {
     if constexpr (M1 - M2 == 0 && K1 - K2 == 0 && S1 - S2 == 0 &&
                   A1 - A2 == 0)
-        return x.raw() / y.raw();
+        return x.rawEscape() / y.rawEscape();
     else
-        return Quantity<M1 - M2, K1 - K2, S1 - S2, A1 - A2>{x.raw() /
-                                                            y.raw()};
+        return Quantity<M1 - M2, K1 - K2, S1 - S2, A1 - A2>{
+            x.rawEscape() / y.rawEscape()};
 }
 
 /** Magnitude with the dimension preserved. */
@@ -166,7 +175,8 @@ template <int M, int KG, int S, int A>
 constexpr Quantity<M, KG, S, A>
 abs(Quantity<M, KG, S, A> q)
 {
-    return Quantity<M, KG, S, A>{q.raw() < 0.0 ? -q.raw() : q.raw()};
+    const double v = q.rawEscape();
+    return Quantity<M, KG, S, A>{v < 0.0 ? -v : v};
 }
 
 // ---------------------------------------------------------------------

@@ -174,7 +174,7 @@ class SortedSamples
 
 } // namespace
 
-VSGPU_CONTRACT double
+double
 quantile(const std::vector<double> &samples, double q)
 {
     VSGPU_REQUIRES(!samples.empty(), "quantile of empty sample set");

@@ -8,7 +8,7 @@
 namespace vsgpu
 {
 
-VSGPU_CONTRACT Amps
+Amps
 DccDac::quantize(Amps amps, Amps lsb) const
 {
     VSGPU_REQUIRES(lsb == lsbAmps(), "quantize grid is not the DAC LSB");

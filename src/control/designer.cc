@@ -33,7 +33,7 @@ designController(const ControlDesignSpec &spec)
 
     // The state-space matrices are the dimension-erased boundary to
     // the numeric library.
-    const double invC = (1.0 / spec.boundaryCapF).raw(); // vsgpu-lint: raw-escape-ok(state-space assembly boundary)
+    const double invC = (1.0 / spec.boundaryCapF).rawEscape(); // state-space assembly boundary
 
     // Plant: x = [V1 V2 V3]; u = [P1 P2 P3 P4] (layer powers).
     d.plant.a = Matrix(3, 3);
@@ -45,7 +45,7 @@ designController(const ControlDesignSpec &spec)
 
     // Feedback: P_i = k * (V_i - V_{i-1}) with V0 = 0 and V4 held by
     // the supply (its deviation is zero in the linearized model).
-    const double k = spec.gainWattsPerVolt.raw(); // vsgpu-lint: raw-escape-ok(state-space assembly boundary)
+    const double k = spec.gainWattsPerVolt.rawEscape(); // state-space assembly boundary
     d.feedback = Matrix(4, 3);
     d.feedback(0, 0) = k;
     d.feedback(1, 0) = -k;
@@ -58,7 +58,7 @@ designController(const ControlDesignSpec &spec)
     // period n is computed from the sample at period n-1, giving the
     // augmented delayed closed loop.
     const DiscreteStateSpace dss =
-        discretizeZoh(d.plant, d.samplePeriodSec.raw()); // vsgpu-lint: raw-escape-ok(state-space assembly boundary)
+        discretizeZoh(d.plant, d.samplePeriodSec.rawEscape()); // state-space assembly boundary
     const Matrix bdk = dss.bd * d.feedback;
 
     d.augmented = Matrix(6, 6);
@@ -73,7 +73,7 @@ designController(const ControlDesignSpec &spec)
     d.spectralRadius = spectralRadius(d.augmented);
     d.stable = d.spectralRadius < 1.0;
     d.peakDisturbanceGain =
-        peakDisturbanceGain(d.augmented, d.samplePeriodSec.raw()); // vsgpu-lint: raw-escape-ok(state-space assembly boundary)
+        peakDisturbanceGain(d.augmented, d.samplePeriodSec.rawEscape()); // state-space assembly boundary
     return d;
 }
 

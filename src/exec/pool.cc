@@ -101,7 +101,7 @@ Pool::drainBatch(const std::function<void(int)> &body, int numTasks)
     }
 }
 
-VSGPU_CONTRACT void
+void
 Pool::parallelFor(int numTasks, const std::function<void(int)> &body)
 {
     VSGPU_REQUIRES(numTasks >= 0, "negative task count ", numTasks);

@@ -1,7 +1,7 @@
 #include "exec/progress.hh"
 
 #include <cstdio>
-#include <iostream> // vsgpu-lint: iostream-ok(live progress line writes straight to stderr, bypassing the pluggable log sink on purpose)
+#include <iostream>
 
 #include "obs/profile.hh"
 
@@ -39,7 +39,7 @@ renderLine(int completed, int total, double wallMsSum,
                       ? wallMsSum / static_cast<double>(completed)
                       : 0.0,
                   etaSec);
-    std::cerr << line << std::flush; // vsgpu-lint: iostream-ok(live progress line writes straight to stderr, bypassing the pluggable log sink on purpose)
+    std::cerr << line << std::flush; // iostream-ok(live progress line writes straight to stderr, bypassing the pluggable log sink on purpose)
 }
 
 } // namespace
@@ -91,7 +91,7 @@ ProgressTracker::finish()
         lineOpen_ = true;
     }
     if (lineOpen_) {
-        std::cerr << "\n" << std::flush; // vsgpu-lint: iostream-ok(closing newline for the live stderr progress line)
+        std::cerr << "\n" << std::flush; // iostream-ok(closing newline for the live stderr progress line)
         lineOpen_ = false;
     }
 }

@@ -44,7 +44,7 @@ struct TaskContext
 };
 
 /** splitmix64-style mix of a sweep seed and a task index. */
-VSGPU_CONTRACT inline std::uint64_t
+inline std::uint64_t
 taskSeed(std::uint64_t sweepSeed, int index)
 {
     VSGPU_REQUIRES(index >= 0, "negative sweep index ", index);

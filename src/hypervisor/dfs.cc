@@ -8,8 +8,6 @@
 
 namespace vsgpu
 {
-
-VSGPU_CONTRACT
 DfsGovernor::DfsGovernor(const DfsConfig &cfg)
     : cfg_(cfg)
 {

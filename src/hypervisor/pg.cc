@@ -5,8 +5,6 @@
 
 namespace vsgpu
 {
-
-VSGPU_CONTRACT
 PgGovernor::PgGovernor(const PgConfig &cfg)
     : cfg_(cfg)
 {
@@ -61,7 +59,7 @@ PgGovernor::step(Gpu &gpu, Cycle now)
     }
 }
 
-VSGPU_CONTRACT void
+void
 PgGovernor::setVeto(int sm, ExecUnitKind unit, bool vetoed)
 {
     VSGPU_REQUIRES(sm >= 0 && sm < config::numSMs, "bad SM index ", sm);

@@ -143,7 +143,7 @@ VsAwareHypervisor::gate(Gpu &gpu, PgGovernor &pg, Cycle now,
     }
 }
 
-VSGPU_CONTRACT void
+void
 VsAwareHypervisor::feedback(double throttleRate)
 {
     VSGPU_REQUIRES(throttleRate >= 0.0 && throttleRate <= 1.0,

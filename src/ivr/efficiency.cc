@@ -28,8 +28,6 @@ curve(double peak, Watts rated, Watts output)
 }
 
 } // namespace
-
-VSGPU_CONTRACT
 VrmModel::VrmModel(double peakEfficiency, Watts rated)
     : peak_(peakEfficiency), rated_(rated)
 {
@@ -55,8 +53,6 @@ VrmModel::conversionLoss(Watts output) const
 {
     return inputPower(output) - output;
 }
-
-VSGPU_CONTRACT
 SingleIvrModel::SingleIvrModel(double peakEfficiency, Watts rated)
     : peak_(peakEfficiency), rated_(rated)
 {

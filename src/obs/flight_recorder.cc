@@ -153,7 +153,7 @@ flightCrashDump(LogLevel, const std::string &)
     // The dump must reach the terminal even when a test or frontend
     // replaced the log sink: the process is about to terminate and
     // this is the last diagnostic it will ever produce.
-    recorder.writeText(std::cerr); // vsgpu-lint: iostream-ok(crash-path dump bypasses the pluggable log sink on purpose)
+    recorder.writeText(std::cerr); // iostream-ok(crash-path dump bypasses the pluggable log sink on purpose)
     const std::string path = dumpPathCopy();
     if (!path.empty()) {
         std::ofstream out(path);

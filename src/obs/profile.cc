@@ -134,7 +134,7 @@ std::int64_t
 profileNowNs()
 {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() // vsgpu-lint: nondet-ok(profiler timestamps are observability-only and never feed back into the simulation)
+               std::chrono::steady_clock::now() // nondet-ok(profiler timestamps are observability-only and never feed back into the simulation)
                    .time_since_epoch())
         .count();
 }

@@ -1,11 +1,11 @@
 #include "obs/trace.hh"
 
-#include <chrono>
 #include <ostream>
 #include <sstream>
 
 #include "common/logging.hh"
 #include "obs/json.hh"
+#include "obs/profile.hh"
 
 namespace vsgpu::obs
 {
@@ -14,17 +14,6 @@ std::atomic<std::uint32_t> traceMask{0};
 
 namespace
 {
-
-/** Wall-clock observability timestamps; the values never reach any
- *  simulation state, so determinism is unaffected. */
-std::int64_t
-steadyNowNs()
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() // vsgpu-lint: nondet-ok(trace timestamps are observability-only and never feed back into the simulation)
-                   .time_since_epoch())
-        .count();
-}
 
 std::atomic<std::uint32_t> nextThreadId{0};
 
@@ -78,7 +67,7 @@ Tracer::enable(std::uint32_t mask)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        originNs_ = steadyNowNs();
+        originNs_ = profileNowNs();
     }
     traceMask.store(mask, std::memory_order_relaxed);
 }
@@ -92,7 +81,7 @@ Tracer::disable()
 double
 Tracer::nowUs() const
 {
-    return static_cast<double>(steadyNowNs() - originNs_) * 1e-3;
+    return static_cast<double>(profileNowNs() - originNs_) * 1e-3;
 }
 
 std::uint32_t

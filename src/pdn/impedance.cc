@@ -99,8 +99,8 @@ ImpedanceAnalyzer::respond(const std::vector<double> &smLoadAmps,
                static_cast<std::size_t>(pdn_.numSms()),
                "per-SM load vector size mismatch");
 
-    const auto volts = // vsgpu-lint: raw-escape-ok(AC solver boundary)
-        ac_.solve(freq.raw(), injectionsFor(pdn_, smLoadAmps));
+    const auto volts = // raw escape: AC solver boundary
+        ac_.solve(freq.rawEscape(), injectionsFor(pdn_, smLoadAmps));
     return observeAt(pdn_, volts, observeSm);
 }
 
@@ -157,7 +157,7 @@ ImpedanceAnalyzer::sweep(const std::vector<Hertz> &freqs) const
     std::vector<double> freqsHz;
     freqsHz.reserve(freqs.size());
     for (Hertz f : freqs)
-        freqsHz.push_back(f.raw()); // vsgpu-lint: raw-escape-ok(AC solver boundary)
+        freqsHz.push_back(f.rawEscape()); // AC solver boundary
     const auto scan = ac_.scan(freqsHz, patterns);
 
     const int sm0 = pdn_.smIndexAt(0, 0);

@@ -117,7 +117,7 @@ class VsPdn
     int smCurrentSource(int sm) const;
 
     /** @return stacking layer of an SM (0 = top domain). */
-    VSGPU_CONTRACT static int
+    static int
     smLayer(int sm)
     {
         VSGPU_REQUIRES(sm >= 0, "negative SM index ", sm);
@@ -125,7 +125,7 @@ class VsPdn
     }
 
     /** @return stacking column of an SM. */
-    VSGPU_CONTRACT static int
+    static int
     smColumn(int sm)
     {
         VSGPU_REQUIRES(sm >= 0, "negative SM index ", sm);

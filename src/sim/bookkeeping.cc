@@ -120,7 +120,7 @@ Bookkeeper::stacked(const TransientSim &sim, const CycleLoad &load) const
     for (std::size_t e = 0; e < equalizers.size(); ++e) {
         const double ix = sim.equalizerCurrent(static_cast<int>(e));
         eqWatts += equalizers[e].effOhms * ix * ix;
-        transferWatts += std::abs(ix) * config::smVoltage.raw(); // vsgpu-lint: raw-escape-ok(energy bookkeeping on the solver's plain doubles)
+        transferWatts += std::abs(ix) * config::smVoltage.rawEscape(); // energy bookkeeping on the solver's plain doubles
     }
 
     // Shuffle tax: inter-layer imbalance power is processed by the SC
@@ -142,9 +142,9 @@ Bookkeeper::stacked(const TransientSim &sim, const CycleLoad &load) const
               (1.0 - tech.shuffleEfficiency) * shuffleWatts;
     s.overhead += overheads_.levelShifterFraction * load.total;
     if (controller_) {
-        s.overhead += overheads_.controllerPower.raw() + // vsgpu-lint: raw-escape-ok(energy bookkeeping on the solver's plain doubles)
-                      controller_->detectorPower().raw(); // vsgpu-lint: raw-escape-ok(energy bookkeeping on the solver's plain doubles)
-        s.overhead += cfg_.pds.controller.dcc.leakageWatts.raw() * // vsgpu-lint: raw-escape-ok(energy bookkeeping on the solver's plain doubles)
+        s.overhead += overheads_.controllerPower.rawEscape() + // energy bookkeeping on the solver's plain doubles
+                      controller_->detectorPower().rawEscape(); // energy bookkeeping on the solver's plain doubles
+        s.overhead += cfg_.pds.controller.dcc.leakageWatts.rawEscape() * // energy bookkeeping on the solver's plain doubles
                       static_cast<double>(config::numSMs);
     }
     // DCC compensation currents flow through the netlist and are part
@@ -160,7 +160,7 @@ Bookkeeper::conventionalVrm(const TransientSim &sim,
 {
     const double chipWatts = sim.totalSourcePower();
     Split s;
-    s.wall = vrm_.inputPower(Watts{chipWatts}).raw(); // vsgpu-lint: raw-escape-ok(energy bookkeeping on the solver's plain doubles)
+    s.wall = vrm_.inputPower(Watts{chipWatts}).rawEscape(); // energy bookkeeping on the solver's plain doubles
     s.conversion = s.wall - chipWatts;
     return s;
 }
@@ -171,11 +171,11 @@ Bookkeeper::singleLayerIvr(const TransientSim &sim,
 {
     const double chipWatts = sim.totalSourcePower();
     const double ivrInWatts =
-        singleIvr_.inputPower(Watts{chipWatts}).raw(); // vsgpu-lint: raw-escape-ok(energy bookkeeping on the solver's plain doubles)
+        singleIvr_.inputPower(Watts{chipWatts}).rawEscape(); // energy bookkeeping on the solver's plain doubles
     // Board transport at 2 V to the on-die regulator.
-    const double boardAmps = ivrInWatts / singleIvr_.inputVolts().raw(); // vsgpu-lint: raw-escape-ok(energy bookkeeping on the solver's plain doubles)
+    const double boardAmps = ivrInWatts / singleIvr_.inputVolts().rawEscape(); // energy bookkeeping on the solver's plain doubles
     const double boardLossWatts =
-        boardAmps * boardAmps * (cfg_.pdn.boardR + cfg_.pdn.packageR).raw(); // vsgpu-lint: raw-escape-ok(energy bookkeeping on the solver's plain doubles)
+        boardAmps * boardAmps * (cfg_.pdn.boardR + cfg_.pdn.packageR).rawEscape(); // energy bookkeeping on the solver's plain doubles
     Split s;
     s.conversion = ivrInWatts - chipWatts + boardLossWatts;
     s.wall = ivrInWatts + boardLossWatts;

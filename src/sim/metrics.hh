@@ -168,7 +168,7 @@ struct CosimResult
     avgLoadPower() const
     {
         const double t = static_cast<double>(cycles) *
-                         config::clockPeriod.raw(); // vsgpu-lint: raw-escape-ok(plain-double stats surface)
+                         config::clockPeriod.rawEscape(); // plain-double stats surface
         return t > 0.0 ? energy.load / t : 0.0;
     }
 };

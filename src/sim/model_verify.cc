@@ -58,11 +58,11 @@ verifyPdsModel(const PdsSetup &setup, const CosimConfig &cfg)
         const Volts droop = imbalance * Ohms{worstOhms};
         if (droop > config::voltageMargin) {
             std::ostringstream oss;
-            // vsgpu-lint: raw-escape-ok(diagnostic message text)
-            oss << "worst single-SM imbalance of " << imbalance.raw()
+            // Raw escapes: diagnostic message text.
+            oss << "worst single-SM imbalance of " << imbalance.rawEscape()
                 << " A through equalizer Reff = " << worstOhms
-                << " ohm droops " << droop.raw() // vsgpu-lint: raw-escape-ok(diagnostic message text)
-                << " V, above the " << config::voltageMargin.raw()
+                << " ohm droops " << droop.rawEscape()
+                << " V, above the " << config::voltageMargin.rawEscape()
                 << " V margin, and no smoothing controller is "
                    "enabled";
             report.add("erc.crivr-undersized",

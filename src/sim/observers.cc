@@ -80,8 +80,8 @@ class SeriesRecorder final : public CycleObserver
   public:
     SeriesRecorder(const CosimConfig &cfg, bool smoothing, bool dfs,
                    bool pg)
-        : series_(config::clockPeriod.raw(), cfg.sampleEvery.raw()), // vsgpu-lint: raw-escape-ok(the recorder takes plain doubles)
-          vThreshold_(cfg.pds.controller.vThreshold.raw()) // vsgpu-lint: raw-escape-ok(margin channel of plain-double rails)
+        : series_(config::clockPeriod.rawEscape(), cfg.sampleEvery.rawEscape()), // the recorder takes plain doubles
+          vThreshold_(cfg.pds.controller.vThreshold.rawEscape()) // margin channel of plain-double rails
     {
         const auto add = [this](const std::string &name,
                                 const char *unit, const std::string &desc) {

@@ -50,7 +50,7 @@ defaultPds(PdsKind kind)
     return options;
 }
 
-VSGPU_CONTRACT Area
+Area
 pdsAreaOverhead(const PdsOptions &options)
 {
     const Area overhead = [&options]() -> Area {

@@ -332,7 +332,7 @@ ercAudit(const Netlist &net, const ErcOptions &opts)
     // block is structurally singular, already reported).
     if (!valueError && !report.has("erc.floating-node") && numNodes > 0)
     {
-        const double dt = opts.dt.raw(); // vsgpu-lint: raw-ok(companion assembly boundary)
+        const double dt = opts.dt.raw();
         const auto ix = [](NodeId n) {
             return static_cast<std::size_t>(n - 1);
         };

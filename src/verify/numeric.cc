@@ -87,7 +87,7 @@ numericAudit(const Netlist &net, const NumericAuditOptions &opts)
     const int numNodes = net.numNodes();
     if (numNodes == 0)
         return report;
-    const double dt = opts.dt.raw(); // vsgpu-lint: raw-ok(companion assembly boundary)
+    const double dt = opts.dt.raw();
     if (!(dt > 0.0) || !std::isfinite(dt))
     {
         report.add("num.nonpositive-dt", Severity::Error, "timestep",
@@ -189,8 +189,8 @@ numericAudit(const Netlist &net, const NumericAuditOptions &opts)
         opts.scanPoints >= 3)
     {
         const AcAnalysis ac(net, {}, defaultSolver(), opts.mnaPattern);
-        const double lo = opts.scanLoHz.raw(); // vsgpu-lint: raw-ok(AC solver boundary)
-        const double hi = opts.scanHiHz.raw(); // vsgpu-lint: raw-ok(AC solver boundary)
+        const double lo = opts.scanLoHz.raw();
+        const double hi = opts.scanHiHz.raw();
         const double ratio = hi / lo;
         std::vector<double> freqs(
             static_cast<std::size_t>(opts.scanPoints));

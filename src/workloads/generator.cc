@@ -27,8 +27,6 @@ hash01(std::uint64_t seed, std::uint64_t a, std::uint64_t b = 0)
 }
 
 } // namespace
-
-VSGPU_CONTRACT
 GeneratedProgram::GeneratedProgram(const WorkloadSpec &spec,
                                    std::uint64_t seed, int startOffset)
     : spec_(spec), rng_(seed), repeatsLeft_(spec.repeats),
@@ -167,8 +165,6 @@ GeneratedProgram::next()
     ++seq_;
     return instr;
 }
-
-VSGPU_CONTRACT
 WorkloadFactory::WorkloadFactory(WorkloadSpec spec)
     : spec_(std::move(spec))
 {

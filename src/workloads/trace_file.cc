@@ -193,7 +193,7 @@ TraceFileFactory::makeProgram(int sm, int warp) const
     return std::make_unique<TraceProgram>(trace_.stream(sm, warp));
 }
 
-VSGPU_CONTRACT TraceFile
+TraceFile
 recordTrace(const ProgramFactory &factory, int numSms)
 {
     VSGPU_REQUIRES(numSms > 0, "numSms must be positive");
