@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "bench/scenarios/scenario_util.hh"
 #include "common/logging.hh"
 #include "exec/progress.hh"
 #include "sim/stats_export.hh"
@@ -85,6 +86,20 @@ findScenario(const std::string &name)
     return nullptr;
 }
 
+void
+addAuditFindings(std::set<std::string> &out, const ModelAudit &audit)
+{
+    const auto row = std::find_if(
+        std::begin(kPdsKinds), std::end(kPdsKinds),
+        [&audit](const PdsKindRow &r) { return r.kind == audit.kind; });
+    const std::string config = std::string(row->id) + "@" +
+                               formatFixed(audit.ivrAreaFraction, 2);
+    for (const verify::Diagnostic &d : audit.report.diags)
+        out.insert(config + "|" +
+                   std::string(verify::severityName(d.severity)) + "|" +
+                   d.id + "|" + d.subject);
+}
+
 Summary
 runScenario(const ScenarioInfo &info, const ScenarioOptions &opts,
             std::ostream &out, obs::StatsSnapshot *stats,
@@ -113,12 +128,18 @@ runScenario(const ScenarioInfo &info, const ScenarioOptions &opts,
         obs::setProfiling(false);
     progress.finish();
 
+    const auto setups = cache.cachedSetups();
     if (telemetry != nullptr) {
         telemetry->series = obs::timeSeriesHeader(
             config::clockPeriod.raw(), opts.sampleEverySec);
         for (const auto &entry : ctx.series)
             telemetry->series.runs.push_back(*entry.second);
         telemetry->profile = ctx.profile;
+        std::set<std::string> findings = std::move(ctx.auditFindings);
+        for (const auto &setup : setups)
+            addAuditFindings(findings, setup->audit);
+        for (const std::string &f : findings)
+            telemetry->auditFindings.push_back(info.name + ("|" + f));
     }
 
     if (stats != nullptr) {
@@ -131,8 +152,10 @@ runScenario(const ScenarioInfo &info, const ScenarioOptions &opts,
     if (manifest != nullptr) {
         *manifest = obs::makeManifest(info.name);
         manifest->subject = info.name;
-        manifest->configFingerprint =
-            obs::configFingerprint(cache.cachedKeys());
+        std::vector<std::string> keys;
+        for (const auto &setup : setups)
+            keys.push_back(setup->key);
+        manifest->configFingerprint = obs::configFingerprint(keys);
         manifest->seed = 0; // scenarios derive seeds per sweep
         manifest->scale = opts.scale;
         summary.manifest = *manifest;

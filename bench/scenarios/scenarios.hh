@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -81,7 +82,16 @@ struct ScenarioTelemetry
 
     /** Aggregated stage-cost profile (runs == 0 when off). */
     obs::Profile profile;
+
+    /** Sorted "scenario|pds-kind@area|severity|id|subject" of the
+     *  audit findings on every cached setup and recorded run. */
+    std::vector<std::string> auditFindings;
 };
+
+/** Insert "pds-kind@area|severity|id|subject" for each finding of
+ *  @p audit into @p out. */
+void addAuditFindings(std::set<std::string> &out,
+                      const ModelAudit &audit);
 
 /** Scale used when recording and replaying golden summaries. */
 inline constexpr double goldenScale = 0.15;
@@ -136,6 +146,9 @@ struct ScenarioContext
         series{};
     obs::Profile profile{};
 
+    /** Control-audit findings of the recorded runs. */
+    std::set<std::string> auditFindings{};
+
     /**
      * Record one run's counters plus its optional telemetry under
      * @p label (thread-safe; call from tasks).  Labels identify runs
@@ -154,6 +167,7 @@ struct ScenarioContext
         }
         if (r.profile)
             profile.merge(*r.profile);
+        addAuditFindings(auditFindings, r.controlAudit);
     }
 };
 

@@ -1,9 +1,13 @@
 #include "bench/scenarios/summary.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <istream>
 #include <ostream>
+#include <set>
 #include <sstream>
 
+#include "common/logging.hh"
 #include "obs/json.hh"
 
 namespace vsgpu::scen
@@ -94,6 +98,37 @@ summaryDiff(const Summary &recorded, const Summary &measured)
         if (recorded.find(got.name) == nullptr)
             os << got.name << ": added (measured "
                << obs::jsonNumber(got.value) << ")\n";
+    return os.str();
+}
+
+std::map<std::string, std::vector<std::string>>
+readAuditFindings(std::istream &is)
+{
+    std::map<std::string, std::vector<std::string>> byScenario;
+    for (std::string line; std::getline(is, line);) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        panicIfNot(std::count(line.begin(), line.end(), '|') == 4,
+                   "audit finding '", line,
+                   "' is not scenario|pds-kind@area|severity|id|subject");
+        byScenario[line.substr(0, line.find('|'))].push_back(line);
+    }
+    return byScenario;
+}
+
+std::string
+auditFindingsDiff(const std::vector<std::string> &reviewed,
+                  const std::vector<std::string> &measured)
+{
+    const std::set<std::string> want(reviewed.begin(), reviewed.end());
+    const std::set<std::string> got(measured.begin(), measured.end());
+    std::ostringstream os;
+    for (const std::string &f : got)
+        if (want.count(f) == 0)
+            os << "unexpected: " << f << "\n";
+    for (const std::string &f : want)
+        if (got.count(f) == 0)
+            os << "missing: " << f << "\n";
     return os.str();
 }
 

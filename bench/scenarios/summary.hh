@@ -13,6 +13,7 @@
 #define VSGPU_BENCH_SCENARIOS_SUMMARY_HH
 
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,20 @@ Summary readSummaryJson(std::istream &is);
  */
 std::string summaryDiff(const Summary &recorded,
                         const Summary &measured);
+
+/**
+ * Read the reviewed audit findings (tests/golden/audit_findings.txt),
+ * keyed by scenario: one ScenarioTelemetry::auditFindings line per
+ * line; blank and '#' lines are comments.  Panics on a line without
+ * five '|'-separated fields.
+ */
+std::map<std::string, std::vector<std::string>>
+readAuditFindings(std::istream &is);
+
+/** "unexpected: FP" for each of @p measured not in @p reviewed, then
+ *  "missing: FP" for each the other way; empty when they match. */
+std::string auditFindingsDiff(const std::vector<std::string> &reviewed,
+                              const std::vector<std::string> &measured);
 
 } // namespace vsgpu::scen
 

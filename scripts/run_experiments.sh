@@ -4,8 +4,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+cmake -B build -S .
+cmake --build build -j"$(nproc)"
 ctest --test-dir build -j "$(nproc)"
 
 mkdir -p results

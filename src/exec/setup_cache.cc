@@ -65,15 +65,22 @@ SetupCache::setupHits() const
     return setupHits_;
 }
 
-std::vector<std::string>
-SetupCache::cachedKeys() const
+std::vector<std::shared_ptr<const PdsSetup>>
+SetupCache::cachedSetups() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::string> keys;
-    keys.reserve(setups_.size());
-    for (const auto &entry : setups_)
-        keys.push_back(entry.first);
-    return keys;
+    std::vector<std::shared_future<std::shared_ptr<const PdsSetup>>>
+        futures;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const auto &entry : setups_)
+            futures.push_back(entry.second);
+    }
+    // Wait outside the lock so a build still running holds up no
+    // other caller.
+    std::vector<std::shared_ptr<const PdsSetup>> setups;
+    for (const auto &future : futures)
+        setups.push_back(future.get());
+    return setups;
 }
 
 } // namespace vsgpu::exec

@@ -65,12 +65,12 @@ class SetupCache
     int setupHits() const;
 
     /**
-     * @return every distinct pdsSetupKey this cache has seen, in
-     * map order (deterministic).  Feeds the run-manifest config
-     * fingerprint: the set of keys identifies the electrical
-     * configurations a sweep actually touched.
+     * @return every setup this cache has built, in key order
+     * (deterministic).  Their keys feed the run-manifest config
+     * fingerprint, their audits the golden replay's findings check.
+     * Call it once the sweep is done: it waits for a running build.
      */
-    std::vector<std::string> cachedKeys() const;
+    std::vector<std::shared_ptr<const PdsSetup>> cachedSetups() const;
 
   private:
     mutable std::mutex mutex_;

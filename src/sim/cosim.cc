@@ -32,20 +32,21 @@ smoothingOn(const CosimConfig &cfg)
 /** The smoothing controller of a cross-layer run, else null.  A
  *  static audit first rejects loops that cannot work at all
  *  (dead-band wider than the trigger margin, non-positive period);
- *  stability *warnings* are expected for the paper's nonlinear gain
- *  and are reviewed via tools/vsgpu_verify. */
+ *  its stability *warnings* are expected for the paper's nonlinear
+ *  gain, so they are kept in @p audit for the golden replay to hold
+ *  to its reviewed list. */
 std::unique_ptr<SmoothingController>
-makeController(const CosimConfig &cfg)
+makeController(const CosimConfig &cfg, ModelAudit &audit)
 {
     if (!smoothingOn(cfg))
         return nullptr;
     if (cfg.verifyModel) {
-        const verify::Report report = verifyControlModel(cfg);
-        if (report.hasErrors()) {
-            fatal("control-model verification failed (run "
-                  "tools/vsgpu_verify, or set verifyModel = false to "
-                  "bypass):\n",
-                  verify::formatReport(report));
+        audit = {cfg.pds.kind, cfg.pds.ivrAreaFraction,
+                 verifyControlModel(cfg)};
+        if (audit.report.hasErrors()) {
+            fatal("control-model verification failed (see "
+                  "docs/model_verification.md, or set verifyModel = "
+                  "false to bypass):\n", verify::formatReport(audit.report));
         }
     }
     return std::make_unique<SmoothingController>(cfg.pds.controller);
@@ -70,7 +71,7 @@ class CosimRun
               setup_->mnaPattern),
           observers_(makeObservers(cfg, *setup_, tr_, smoothingOn(cfg),
                                    dfs, pg, hv)),
-          controller_(makeController(cfg)),
+          controller_(makeController(cfg, controlAudit_)),
           book_(cfg, *setup_, controller_.get(),
                 powerModel_.peakPower().raw()),
           manager_(dfs, pg, hv, cfg.energy.unitLeakage,
@@ -274,6 +275,7 @@ class CosimRun
     TransientSim tr_;
     std::array<double, config::numSMs> railNow_{};
     CycleObservers observers_;
+    ModelAudit controlAudit_; // filled by makeController()
     std::unique_ptr<SmoothingController> controller_;
     Bookkeeper book_;
     PowerManager manager_;
@@ -309,6 +311,7 @@ CosimRun::finish(std::size_t kernelsLaunched, bool allLaunched)
     ctr.hvGatingDenials = pm.hvGatingDenials;
 
     book_.fill(r);
+    r.controlAudit = std::move(controlAudit_);
     r.cycles = ctr.cycles;
     r.finished = gpu_.done() && allLaunched;
     r.instructions = ctr.instructions;

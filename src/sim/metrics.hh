@@ -14,6 +14,8 @@
 
 #include "common/stats.hh"
 #include "common/units.hh"
+#include "sim/pds.hh"
+#include "verify/verify.hh"
 
 namespace vsgpu
 {
@@ -114,6 +116,16 @@ struct TraceSample
     std::array<double, config::numLayers> layerVolts{};
 };
 
+/** Static-audit findings (src/verify) kept from a setup or a run,
+ *  with the PDS kind and CR-IVR area fraction they were computed on;
+ *  the golden replay checks them (tests/golden/audit_findings.txt). */
+struct ModelAudit
+{
+    PdsKind kind = PdsKind::VsCrossLayer;
+    double ivrAreaFraction = 0.0;
+    verify::Report report;
+};
+
 /** Complete result of a co-simulation run. */
 struct CosimResult
 {
@@ -145,6 +157,10 @@ struct CosimResult
 
     /** Event counts for the obs stats registry. */
     CosimCounters counters;
+
+    /** The control-loop audit of the run's smoothing controller
+     *  (empty without a controller or with verifyModel off). */
+    ModelAudit controlAudit;
 
     /**
      * Optional full-resolution waveform capture (cfg.waveStride > 0):

@@ -6,12 +6,13 @@
  * control loop is derived from the PDN and CR-IVR sizing.
  *
  * Two call sites gate on these audits (fail-fast on Error findings,
- * CosimConfig::verifyModel to bypass):
- *   - buildPdsSetup() runs verifyPdsModel() before the DC solve;
- *   - CoSimulator runs verifyControlModel() before
- *     closing the smoothing loop.
- * tools/vsgpu_verify runs both over every bench scenario and golden
- * configuration and diffs the findings against a frozen baseline.
+ * CosimConfig::verifyModel to bypass) and keep the report:
+ *   - buildPdsSetup() runs verifyPdsModel() before the DC solve
+ *     (PdsSetup::audit);
+ *   - CoSimulator runs verifyControlModel() before closing the
+ *     smoothing loop (CosimResult::controlAudit).
+ * The golden replay holds every scenario's kept Warnings to the
+ * reviewed list tests/golden/audit_findings.txt.
  */
 
 #ifndef VSGPU_SIM_MODEL_VERIFY_HH
@@ -53,10 +54,9 @@ verify::Report verifyPdsModel(const PdsSetup &setup,
 verify::Report verifyControlModel(const CosimConfig &cfg);
 
 /**
- * Full static verification of a configuration, as run by
- * tools/vsgpu_verify: builds the PDS (without the fail-fast gate,
- * so every finding is collected) and merges the PDS and control
- * audits.
+ * Full static verification of a configuration without running it:
+ * builds the PDS (without the fail-fast gate, so every finding is
+ * collected) and merges the PDS and control audits.
  */
 verify::Report verifyModel(const CosimConfig &cfg);
 

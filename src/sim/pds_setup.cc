@@ -134,14 +134,14 @@ buildPdsSetup(const CosimConfig &cfg)
     // solve: a malformed netlist would otherwise surface as a panic
     // deep inside the LU factorization with no hint of which element
     // caused it.
-    if (cfg.verifyModel) {
-        const verify::Report report = verifyPdsModel(*setup, cfg);
-        if (report.hasErrors()) {
-            fatal("PDS model verification failed for ",
-                  pdsName(cfg.pds.kind), " (run tools/vsgpu_verify, "
-                  "or set verifyModel = false to bypass):\n",
-                  verify::formatReport(report));
-        }
+    setup->audit = {cfg.pds.kind, cfg.pds.ivrAreaFraction,
+                    cfg.verifyModel ? verifyPdsModel(*setup, cfg)
+                                    : verify::Report{}};
+    if (setup->audit.report.hasErrors()) {
+        fatal("PDS model verification failed for ",
+              pdsName(cfg.pds.kind), " (see docs/model_verification.md, "
+              "or set verifyModel = false to bypass):\n",
+              verify::formatReport(setup->audit.report));
     }
 
     // DC operating point at the netlist's default source setpoints

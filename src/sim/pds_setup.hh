@@ -75,6 +75,10 @@ struct PdsSetup
     /** Exact configuration key this setup was built for. */
     std::string key;
 
+    /** ERC + numeric audit of the netlist (empty report when built
+     *  with verifyModel off). */
+    ModelAudit audit;
+
     /** Per-SM rail nodes and load sources.  An SM's rail voltage is
      *  nodeVoltage(top) - nodeVoltage(bottom); ground reads 0.0, so
      *  single-layer rails keep their bits. */

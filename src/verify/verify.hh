@@ -22,13 +22,13 @@
  *           floors, and the detector-resolution dead-band check.
  *
  * Every diagnostic carries a stable dotted id (e.g.
- * "erc.floating-node") that tests and the vsgpu_verify baseline key
- * on, a severity, and a message with the offending numbers.
+ * "erc.floating-node") that tests and the reviewed findings list
+ * key on, a severity, and a message with the offending numbers.
  * Severity::Error marks a model that is malformed (the solve would
  * panic or silently produce garbage); Severity::Warning marks a
  * suspicious-but-runnable model, including the paper-faithful
  * operating points that exceed the linear stability bound on purpose
- * (frozen in tools/verify/verify_baseline.txt with rationale).
+ * (listed in tests/golden/audit_findings.txt with rationale).
  *
  * The audits are read-only: running them never changes simulation
  * results.  See docs/model_verification.md for the catalog.
@@ -53,7 +53,7 @@ namespace vsgpu::verify
 /** How bad a finding is; Error gates a run, Warning is reported. */
 enum class Severity
 {
-    Warning, ///< suspicious but runnable (CLI red unless baselined)
+    Warning, ///< suspicious but runnable (golden replay: reviewed list)
     Error,   ///< malformed model; the simulation must not start
 };
 

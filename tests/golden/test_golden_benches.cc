@@ -14,6 +14,8 @@
  * On a mismatch the failure names every metric that moved (recorded
  * and measured value, relative change) and every metric added or
  * removed (scen::summaryDiff).
+ * The same run's static-audit findings must equal the scenario's
+ * lines of tests/golden/audit_findings.txt (scen::auditFindingsDiff).
  */
 
 #include <fstream>
@@ -80,11 +82,27 @@ TEST_P(GoldenBench, MatchesRecordedSummary)
     const std::string recorded{std::istreambuf_iterator<char>(in),
                                std::istreambuf_iterator<char>()};
 
+    const std::string listPath =
+        std::string(VSGPU_GOLDEN_DIR) + "/audit_findings.txt";
+    std::ifstream listIn(listPath);
+    ASSERT_TRUE(listIn.good()) << "missing " << listPath;
+    const std::vector<std::string> reviewed =
+        scen::readAuditFindings(listIn)[info.name];
+
     scen::ScenarioOptions opts;
     opts.scale = scen::goldenScale;
     std::ostringstream tables; // rendered but unchecked
-    const scen::Summary fresh =
-        scen::runScenario(info, opts, tables);
+    scen::ScenarioTelemetry telemetry;
+    const scen::Summary fresh = scen::runScenario(
+        info, opts, tables, nullptr, nullptr, &telemetry);
+
+    const std::string findings =
+        scen::auditFindingsDiff(reviewed, telemetry.auditFindings);
+    EXPECT_TRUE(findings.empty())
+        << listPath << " differs from a fresh run:\n" << findings
+        << "add each unexpected line under a reviewed rationale "
+           "(docs/model_verification.md); remove each missing one";
+
     std::ostringstream measured;
     scen::writeSummaryJson(fresh, measured);
     if (measured.str() == recorded)

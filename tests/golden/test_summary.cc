@@ -2,12 +2,15 @@
  * @file
  * Fast checks around the golden summaries that need no scenario run:
  * the committed golden files are exactly the registered scenarios,
- * and scen::summaryDiff names every metric a failed byte comparison
- * is about.
+ * every reviewed audit finding names one of them, and
+ * scen::summaryDiff / scen::auditFindingsDiff name every metric and
+ * finding a failed comparison is about.
  */
 
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -36,6 +39,16 @@ TEST(GoldenFiles, StemsMatchRegisteredScenarios)
     EXPECT_EQ(stems, names);
 }
 
+TEST(GoldenFiles, AuditFindingsNameRegisteredScenarios)
+{
+    // No GoldenBench instance reads a line of an unknown scenario.
+    std::ifstream in(std::string(VSGPU_GOLDEN_DIR) +
+                     "/audit_findings.txt");
+    ASSERT_TRUE(in.good());
+    for (const auto &[scenario, lines] : readAuditFindings(in))
+        EXPECT_NE(findScenario(scenario), nullptr) << lines.front();
+}
+
 Summary
 recordedSummary()
 {
@@ -62,6 +75,21 @@ TEST(SummaryDiff, NamesChangedAddedAndRemovedMetrics)
               "0.25\n"
               "removed: removed (recorded 3)\n"
               "added: added (measured 4)\n");
+}
+
+TEST(AuditFindingsDiff, NamesUnexpectedAndMissingFindings)
+{
+    std::istringstream list("# why\n\nfig|a@0.20|warning|x|CR-IVR\n"
+                            "fig|a@0.20|warning|y|gain\n");
+    const std::vector<std::string> reviewed =
+        readAuditFindings(list).at("fig");
+    EXPECT_EQ(auditFindingsDiff(reviewed, reviewed), "");
+    EXPECT_EQ(auditFindingsDiff(reviewed, {"fig|a@0.20|warning|y|gain",
+                                           "fig|b@1.00|warning|z|gain"}),
+              "unexpected: fig|b@1.00|warning|z|gain\n"
+              "missing: fig|a@0.20|warning|x|CR-IVR\n");
+    std::istringstream bad("fig|a@0.20|warning|x\n");
+    EXPECT_DEATH(readAuditFindings(bad), "is not scenario\\|");
 }
 
 } // namespace

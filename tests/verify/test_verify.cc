@@ -336,5 +336,47 @@ TEST(VerifyModel, CrossLayerDefaultCarriesTheFrozenJuryWarning)
         << verify::formatReport(report);
 }
 
+// No scenario closes the loop through a Table II detector, so their
+// audits are held here: each leaves only the paper-faithful Jury
+// warning.
+class VerifyDetector : public ::testing::TestWithParam<DetectorKind>
+{
+};
+
+TEST_P(VerifyDetector, CrossLayerCarriesOnlyTheJuryWarning)
+{
+    CosimConfig cfg;
+    cfg.pds = defaultPds(PdsKind::VsCrossLayer);
+    cfg.pds.controller.detector = detectorSpec(GetParam());
+    const Report report = verifyModel(cfg);
+    ASSERT_EQ(report.diags.size(), 1u) << verify::formatReport(report);
+    EXPECT_EQ(report.diags[0].id, "ctl.jury-unstable");
+}
+
+std::string
+detectorName(const ::testing::TestParamInfo<DetectorKind> &info)
+{
+    const char *names[] = {"Oddd", "Cpm", "Adc"};
+    return names[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(Detectors, VerifyDetector,
+                         ::testing::Values(DetectorKind::Oddd,
+                                           DetectorKind::Cpm,
+                                           DetectorKind::Adc),
+                         detectorName);
+
+TEST(VerifyModel, SetupKeepsItsAuditOnlyWhenVerifying)
+{
+    CosimConfig cfg;
+    cfg.pds = defaultPds(PdsKind::VsCircuitOnly);
+    cfg.pds.ivrAreaFraction = 0.2;
+    const Report report = buildPdsSetup(cfg)->audit.report;
+    ASSERT_EQ(report.diags.size(), 1u) << verify::formatReport(report);
+    EXPECT_EQ(report.diags[0].id, "erc.crivr-undersized");
+    cfg.verifyModel = false;
+    EXPECT_TRUE(buildPdsSetup(cfg)->audit.report.diags.empty());
+}
+
 } // namespace
 } // namespace vsgpu

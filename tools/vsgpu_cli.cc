@@ -176,12 +176,20 @@ armObservability(const Args &args)
         obs::setProfiling(true);
 }
 
-std::ofstream
-openOut(const std::string &path)
+/** Writes @p path with @p write, flushes it and prints "wrote
+ *  WHAT to PATH", WHAT being what @p write returns.  A file that
+ *  cannot be opened or written (a full disk, /dev/full) is a fatal()
+ *  naming it instead. */
+template <typename Write>
+void
+writeFile(const std::string &path, Write &&write)
 {
     std::ofstream out(path);
     fatalIf(!out, "cannot open '", path, "'");
-    return out;
+    const std::string what = write(out);
+    out.flush();
+    fatalIf(!out, "cannot write '", path, "'");
+    std::cout << "wrote " << what << " to " << path << "\n";
 }
 
 /** After a run: prints the profile report and writes --stats-out
@@ -199,25 +207,24 @@ writeArtifacts(const Args &args, obs::StatsSnapshot &stats,
         }
     }
     if (args.has("stats-out")) {
-        std::ofstream out = openOut(args.str("stats-out"));
-        obs::writeStatsJson(stats, out);
-        std::cout << "wrote " << stats.entries.size() << " stats to "
-                  << args.str("stats-out") << "\n";
+        writeFile(args.str("stats-out"), [&](std::ostream &out) {
+            obs::writeStatsJson(stats, out);
+            return std::to_string(stats.entries.size()) + " stats";
+        });
     }
     if (args.has("timeseries-out")) {
-        std::ofstream out = openOut(args.str("timeseries-out"));
-        obs::writeTimeSeriesJson(series, out);
-        std::cout << "wrote " << series.runs.size()
-                  << " time-series runs to " << args.str("timeseries-out")
-                  << "\n";
+        writeFile(args.str("timeseries-out"), [&](std::ostream &out) {
+            obs::writeTimeSeriesJson(series, out);
+            return std::to_string(series.runs.size()) + " time-series runs";
+        });
     }
     if (args.has("trace-out")) {
         obs::Tracer &tracer = obs::Tracer::instance();
         tracer.disable();
-        std::ofstream out = openOut(args.str("trace-out"));
-        tracer.writeJson(out);
-        std::cout << "wrote " << tracer.numEvents() << " events to "
-                  << args.str("trace-out") << "\n";
+        writeFile(args.str("trace-out"), [&](std::ostream &out) {
+            tracer.writeJson(out);
+            return std::to_string(tracer.numEvents()) + " events";
+        });
     }
 }
 
@@ -360,18 +367,19 @@ cmdRun(const Args &args)
 
     if (!waveOutPath.empty()) {
         fatalIf(!result.wave, "run produced no waveform capture");
-        std::ofstream out = openOut(waveOutPath);
         const bool csv =
             waveOutPath.size() >= 4 &&
             waveOutPath.substr(waveOutPath.size() - 4) == ".csv";
-        if (csv)
-            result.wave->writeCsv(out);
-        else
-            result.wave->writeVcd(out);
-        std::cout << "wrote " << result.wave->numSamples()
-                  << " samples x " << result.wave->numSignals()
-                  << " rails to " << waveOutPath
-                  << (csv ? " (CSV)" : " (VCD)") << "\n";
+        writeFile(waveOutPath, [&](std::ostream &out) {
+            if (csv)
+                result.wave->writeCsv(out);
+            else
+                result.wave->writeVcd(out);
+            return std::to_string(result.wave->numSamples()) +
+                   " samples x " +
+                   std::to_string(result.wave->numSignals()) +
+                   (csv ? " rails (CSV)" : " rails (VCD)");
+        });
     }
 
     obs::TimeSeriesDoc series = obs::timeSeriesHeader(
@@ -384,8 +392,10 @@ cmdRun(const Args &args)
     obs::StatsSnapshot stats;
     stats.manifest = obs::makeManifest("vsgpu");
     stats.manifest.subject = subject;
-    stats.manifest.configFingerprint =
-        obs::configFingerprint(cache.cachedKeys());
+    std::vector<std::string> keys;
+    for (const auto &setup : cache.cachedSetups())
+        keys.push_back(setup->key);
+    stats.manifest.configFingerprint = obs::configFingerprint(keys);
     stats.manifest.seed = seed;
     stats.manifest.scale = 1.0;
     appendRunStats(stats, result);
@@ -426,10 +436,11 @@ cmdScenario(const Args &args)
                    telemetry.profile.runs > 0 ? &telemetry.profile
                                               : nullptr);
     if (args.has("json")) {
-        std::ofstream out = openOut(args.str("json"));
-        scen::writeSummaryJson(summary, out);
-        std::cout << "wrote " << summary.metrics.size()
-                  << " summary metrics to " << args.str("json") << "\n";
+        writeFile(args.str("json"), [&](std::ostream &out) {
+            scen::writeSummaryJson(summary, out);
+            return std::to_string(summary.metrics.size()) +
+                   " summary metrics";
+        });
     }
     return 0;
 }
@@ -453,13 +464,14 @@ cmdRecordGolden(const Args &args)
                       info.name) == args.operands.end())
             continue;
         const std::string path = outDir + "/" + info.name + ".json";
-        std::ofstream out = openOut(path);
-        std::cout << "recording " << info.name << " -> " << path
-                  << " ..." << std::flush;
-        const scen::Summary summary =
-            scen::runScenario(info, opts, discard);
-        scen::writeSummaryJson(summary, out);
-        std::cout << " " << summary.metrics.size() << " metrics\n";
+        std::cout << "recording " << info.name << "\n" << std::flush;
+        // Opened before the run, so a bad --out fails at once.
+        writeFile(path, [&](std::ostream &out) {
+            const scen::Summary summary =
+                scen::runScenario(info, opts, discard);
+            scen::writeSummaryJson(summary, out);
+            return std::to_string(summary.metrics.size()) + " metrics";
+        });
         ++recorded;
     }
     std::cout << recorded << " golden summaries written to " << outDir
@@ -535,11 +547,11 @@ cmdExportTrace(const Args &args)
             " (the GPU's SMs), got '", args.str("sms"), "'");
     WorkloadFactory factory(spec);
     const TraceFile trace = recordTrace(factory, sms);
-    std::ofstream out = openOut(args.str("out"));
-    trace.write(out);
-    std::cout << "wrote " << trace.totalInstrs()
-              << " instructions (" << trace.numStreams()
-              << " streams) to " << args.str("out") << "\n";
+    writeFile(args.str("out"), [&](std::ostream &out) {
+        trace.write(out);
+        return std::to_string(trace.totalInstrs()) + " instructions (" +
+               std::to_string(trace.numStreams()) + " streams)";
+    });
     return 0;
 }
 
@@ -576,7 +588,8 @@ commands()
               ".csv)"},
              {"wave-stride", "N", "record every Nth timestep [16]"},
              {"no-verify", nullptr,
-              "skip the static model verifier (tools/vsgpu_verify)"},
+              "skip the static model audits "
+              "(docs/model_verification.md)"},
          }),
          &cmdRun},
         {"scenario", "NAME", "run one paper scenario (see 'vsgpu list')",
