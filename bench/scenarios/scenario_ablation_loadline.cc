@@ -32,19 +32,18 @@ Summary
 runAblationLoadline(ScenarioContext &ctx)
 {
     // Run 2j is benchmark j at the fixed setpoint, 2j + 1 servoed.
-    const auto results = exec::runIndexSweep(
-        ctx.pool, 2 * kNumBenches, /*sweepSeed=*/30,
-        [&ctx](int i, exec::TaskContext &) {
-            const bool servo = i % 2 == 1;
+    std::vector<RunPoint> runs;
+    for (Benchmark b : kSet)
+        for (bool servo : {false, true}) {
             CosimConfig cfg;
             cfg.pds = defaultPds(PdsKind::ConventionalVrm);
             cfg.vrmRemoteSense = servo;
             cfg.maxCycles = ctx.cycles(defaultMaxCycles);
-            const Benchmark b = kSet[i / 2];
-            return runPoint(ctx, cfg, b,
-                            std::string(benchmarkName(b)) +
-                                (servo ? "/servo" : "/fixed"));
-        });
+            runs.push_back({std::string(benchmarkName(b)) +
+                                (servo ? "/servo" : "/fixed"),
+                            cfg, benchWorkload(ctx, b)});
+        }
+    const auto results = runAll(ctx, runs);
 
     Table table("per-benchmark rail regulation");
     table.setHeader({"benchmark", "mean V (fixed)", "mean V (servo)",

@@ -38,38 +38,31 @@ constexpr Variant kVariants[] = {
 };
 constexpr int kNumVariants = 4;
 
-/** Run 2v is variant v's halted-layer test, 2v + 1 its hotspot run. */
-CosimResult
-runVariant(ScenarioContext &ctx, int i)
-{
-    const Variant &v = kVariants[i / 2];
-    CosimConfig cfg;
-    cfg.pds = defaultPds(PdsKind::VsCrossLayer);
-    cfg.pds.controller.gainWattsPerVolt = WattsPerVolt{v.kP};
-    cfg.pds.controller.integralGainWattsPerVolt = WattsPerVolt{v.kI};
-    const std::string stem = "kP=" + formatFixed(v.kP, 1) +
-                             "/kI=" + formatFixed(v.kI, 1) + "/";
-    if (i % 2 == 0) {
-        cfg.maxCycles = 6000;
-        cfg.gateLayerAtSec = 2.0_us;
-        cfg.traceStride = 50;
-        return runSpec(ctx, cfg, uniformWorkload(10000),
-                       stem + "worst-case");
-    }
-    cfg.maxCycles = ctx.cycles(150000);
-    return runPoint(ctx, cfg, Benchmark::Hotspot, stem + "hotspot");
-}
-
 } // namespace
 
 Summary
 runAblationPiController(ScenarioContext &ctx)
 {
-    const auto results = exec::runIndexSweep(
-        ctx.pool, 2 * kNumVariants, /*sweepSeed=*/29,
-        [&ctx](int i, exec::TaskContext &) {
-            return runVariant(ctx, i);
-        });
+    // Run 2v is variant v's halted-layer test, 2v + 1 its hotspot run.
+    std::vector<RunPoint> runs;
+    for (const Variant &v : kVariants) {
+        CosimConfig cfg;
+        cfg.pds = defaultPds(PdsKind::VsCrossLayer);
+        cfg.pds.controller.gainWattsPerVolt = WattsPerVolt{v.kP};
+        cfg.pds.controller.integralGainWattsPerVolt = WattsPerVolt{v.kI};
+        const std::string stem = "kP=" + formatFixed(v.kP, 1) +
+                                 "/kI=" + formatFixed(v.kI, 1) + "/";
+        CosimConfig worst = cfg;
+        worst.maxCycles = 6000;
+        worst.gateLayerAtSec = 2.0_us;
+        worst.traceStride = 50;
+        runs.push_back(
+            {stem + "worst-case", worst, uniformWorkload(10000)});
+        cfg.maxCycles = ctx.cycles(150000);
+        runs.push_back({stem + "hotspot", cfg,
+                        benchWorkload(ctx, Benchmark::Hotspot)});
+    }
+    const auto results = runAll(ctx, runs);
 
     Table table("controller variants");
     table.setHeader({"kP (W/V)", "kI (W/V/period)", "worst floor V",

@@ -14,39 +14,13 @@
 namespace vsgpu::scen
 {
 
-namespace
-{
-
-struct Run
-{
-    int kind; // index into kPdsKinds
-    Benchmark bench;
-};
-
-} // namespace
-
 Summary
 runFig08PdeBreakdown(ScenarioContext &ctx)
 {
     const auto &benches = allBenchmarks();
     const int nb = static_cast<int>(benches.size());
 
-    std::vector<Run> runs;
-    for (int k = 0; k < kNumPdsKinds; ++k)
-        for (Benchmark b : benches)
-            runs.push_back({k, b});
-
-    const auto results = exec::runSweep(
-        ctx.pool, runs, /*sweepSeed=*/8,
-        [&ctx](const Run &run, exec::TaskContext &) {
-            CosimConfig cfg;
-            cfg.pds = defaultPds(kPdsKinds[run.kind].kind);
-            cfg.maxCycles = ctx.cycles(defaultMaxCycles);
-            const std::string label =
-                std::string(kPdsKinds[run.kind].id) + "/" +
-                benchmarkName(run.bench);
-            return runPoint(ctx, cfg, run.bench, label);
-        });
+    const auto results = runAll(ctx, pdsComparisonRuns(ctx));
 
     Summary summary;
     for (int k = 0; k < kNumPdsKinds; ++k) {

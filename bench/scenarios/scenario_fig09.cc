@@ -50,19 +50,18 @@ constexpr int kNumConfigs = 4;
 Summary
 runFig09WorstTransient(ScenarioContext &ctx)
 {
-    const auto results = exec::runIndexSweep(
-        ctx.pool, kNumConfigs, /*sweepSeed=*/9,
-        [&ctx](int i, exec::TaskContext &) {
-            CosimConfig cfg;
-            cfg.pds = defaultPds(kConfigs[i].kind);
-            cfg.pds.ivrAreaFraction = kConfigs[i].area;
-            cfg.maxCycles = 4200;
-            cfg.gateLayerAtSec = 3.0_us;
-            cfg.gatedLayer = 0;
-            cfg.traceStride = 70;
-            return runSpec(ctx, cfg, uniformWorkload(9000),
-                           kConfigs[i].id);
-        });
+    std::vector<RunPoint> points;
+    for (const Config &c : kConfigs) {
+        CosimConfig cfg;
+        cfg.pds = defaultPds(c.kind);
+        cfg.pds.ivrAreaFraction = c.area;
+        cfg.maxCycles = 4200;
+        cfg.gateLayerAtSec = 3.0_us;
+        cfg.gatedLayer = 0;
+        cfg.traceStride = 70;
+        points.push_back({c.id, cfg, uniformWorkload(9000)});
+    }
+    const auto results = runAll(ctx, points);
 
     Table table("min SM voltage vs time");
     table.setHeader({"time_us", kConfigs[0].label, kConfigs[1].label,

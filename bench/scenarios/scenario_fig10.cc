@@ -38,11 +38,20 @@ runFig10Sensitivity(ScenarioContext &ctx)
 {
     // Both panels plus the chosen operating point, each distinct
     // (area, latency) pair simulated once.
-    std::vector<Point> points;
+    std::vector<RunPoint> runs;
     std::map<Point, std::size_t> index;
-    const auto need = [&points, &index](double area, Cycle latency) {
-        if (index.emplace(Point{area, latency}, points.size()).second)
-            points.push_back({area, latency});
+    const auto need = [&runs, &index](double area, Cycle latency) {
+        if (!index.emplace(Point{area, latency}, runs.size()).second)
+            return;
+        CosimConfig cfg;
+        cfg.pds = defaultPds(PdsKind::VsCrossLayer);
+        cfg.pds.ivrAreaFraction = area;
+        cfg.pds.controller.loopLatency = latency;
+        cfg.maxCycles = 4200;
+        cfg.gateLayerAtSec = 2.0_us;
+        runs.push_back({"area=" + formatFixed(area, 1) +
+                            "/lat=" + std::to_string(latency),
+                        cfg, uniformWorkload(9000)});
     };
     for (double area : kAreas)
         for (Cycle l : kLatencies)
@@ -52,25 +61,10 @@ runFig10Sensitivity(ScenarioContext &ctx)
             need(area, l);
     need(0.2, 60);
 
-    const auto results = exec::runSweep(
-        ctx.pool, points, /*sweepSeed=*/10,
-        [&ctx](const Point &p, exec::TaskContext &) {
-            CosimConfig cfg;
-            cfg.pds = defaultPds(PdsKind::VsCrossLayer);
-            cfg.pds.ivrAreaFraction = p.first;
-            cfg.pds.controller.loopLatency = p.second;
-            cfg.maxCycles = 4200;
-            cfg.gateLayerAtSec = 2.0_us;
-            const std::string label = "area=" +
-                                      formatFixed(p.first, 1) +
-                                      "/lat=" +
-                                      std::to_string(p.second);
-            return runSpec(ctx, cfg, uniformWorkload(9000), label)
-                .minVoltage;
-        });
+    const auto results = runAll(ctx, runs);
     const auto worstVoltage = [&results, &index](double area,
                                                  Cycle latency) {
-        return results[index.at(Point{area, latency})];
+        return results[index.at(Point{area, latency})].minVoltage;
     };
 
     Table a("Fig. 10(a): worst voltage vs area (per latency)");

@@ -15,8 +15,6 @@
  * does not.
  */
 
-#include <optional>
-
 #include "bench/scenarios/scenario_util.hh"
 
 namespace vsgpu::scen
@@ -36,13 +34,6 @@ constexpr KindRow kKinds[] = {
     {PdsKind::VsCrossLayer, "cross_layer"},
 };
 constexpr int kNumKinds = 2;
-
-/** One run: a benchmark, or the worst case when !bench. */
-struct Run
-{
-    int kind; // index into kKinds
-    std::optional<Benchmark> bench;
-};
 
 /** One table row: all 16 SM box stats pooled (approximately). */
 struct Row
@@ -75,32 +66,23 @@ runFig11NoiseDistribution(ScenarioContext &ctx)
     const auto &benches = allBenchmarks();
     const std::size_t perKind = benches.size() + 1;
 
-    std::vector<Run> runs;
-    for (int k = 0; k < kNumKinds; ++k) {
+    std::vector<RunPoint> runs;
+    for (const KindRow &pds : kKinds) {
+        CosimConfig cfg;
+        cfg.pds = defaultPds(pds.kind);
+        cfg.pds.ivrAreaFraction = 0.2; // both at the SAME area
+        const std::string stem = std::string(pds.id) + "/";
+        cfg.maxCycles = ctx.cycles(60000);
         for (Benchmark b : benches)
-            runs.push_back({k, b});
-        runs.push_back({k, std::nullopt});
+            runs.push_back(
+                {stem + benchmarkName(b), cfg, benchWorkload(ctx, b)});
+        cfg.maxCycles = 6000;
+        cfg.gateLayerAtSec = 2.0_us;
+        cfg.traceStride = 50;
+        runs.push_back(
+            {stem + "worst-case", cfg, uniformWorkload(9000)});
     }
-
-    const auto results = exec::runSweep(
-        ctx.pool, runs, /*sweepSeed=*/11,
-        [&ctx](const Run &run, exec::TaskContext &) {
-            CosimConfig cfg;
-            cfg.pds = defaultPds(kKinds[run.kind].kind);
-            cfg.pds.ivrAreaFraction = 0.2; // both at the SAME area
-            const std::string stem =
-                std::string(kKinds[run.kind].id) + "/";
-            if (run.bench) {
-                cfg.maxCycles = ctx.cycles(60000);
-                return runPoint(ctx, cfg, *run.bench,
-                                stem + benchmarkName(*run.bench));
-            }
-            cfg.maxCycles = 6000;
-            cfg.gateLayerAtSec = 2.0_us;
-            cfg.traceStride = 50;
-            return runSpec(ctx, cfg, uniformWorkload(9000),
-                           stem + "worst-case");
-        });
+    const auto results = runAll(ctx, runs);
 
     Summary summary;
     for (int k = 0; k < kNumKinds; ++k) {

@@ -20,13 +20,6 @@ namespace
 constexpr double kThresholds[] = {0.70, 0.80, 0.90, 0.95};
 constexpr int kNumThresholds = 4;
 
-/** One run: the smoothing-off baseline or one threshold setting. */
-struct Point
-{
-    Benchmark bench;
-    int threshold; // -1 = baseline (smoothing disabled)
-};
-
 } // namespace
 
 Summary
@@ -34,35 +27,26 @@ runFig12ThresholdSweep(ScenarioContext &ctx)
 {
     const auto &benches = allBenchmarks();
 
-    std::vector<Point> points;
+    // Per benchmark: the smoothing-off baseline, then each threshold.
+    CosimConfig baseline;
+    baseline.pds = defaultPds(PdsKind::VsCircuitOnly);
+    baseline.pds.ivrAreaFraction = 0.2;
+    baseline.maxCycles = ctx.cycles(200000);
+    std::vector<RunPoint> points;
     for (Benchmark b : benches) {
-        points.push_back({b, -1});
-        for (int t = 0; t < kNumThresholds; ++t)
-            points.push_back({b, t});
-    }
-
-    const auto results = exec::runSweep(
-        ctx.pool, points, /*sweepSeed=*/12,
-        [&ctx](const Point &p, exec::TaskContext &) {
+        const std::string name = benchmarkName(b);
+        points.push_back(
+            {name + "/baseline", baseline, benchWorkload(ctx, b)});
+        for (double t : kThresholds) {
             CosimConfig cfg;
-            if (p.threshold < 0) {
-                // Baseline: smoothing disabled entirely.
-                cfg.pds = defaultPds(PdsKind::VsCircuitOnly);
-                cfg.pds.ivrAreaFraction = 0.2;
-            } else {
-                cfg.pds = defaultPds(PdsKind::VsCrossLayer);
-                cfg.pds.controller.vThreshold =
-                    Volts{kThresholds[p.threshold]};
-            }
+            cfg.pds = defaultPds(PdsKind::VsCrossLayer);
+            cfg.pds.controller.vThreshold = Volts{t};
             cfg.maxCycles = ctx.cycles(200000);
-            const std::string label =
-                std::string(benchmarkName(p.bench)) +
-                (p.threshold < 0
-                     ? "/baseline"
-                     : "/vth=" +
-                           formatFixed(kThresholds[p.threshold], 2));
-            return runPoint(ctx, cfg, p.bench, label);
-        });
+            points.push_back({name + "/vth=" + formatFixed(t, 2), cfg,
+                              benchWorkload(ctx, b)});
+        }
+    }
+    const auto results = runAll(ctx, points);
 
     Table table("penalty (%) per benchmark");
     std::vector<std::string> header = {"benchmark"};

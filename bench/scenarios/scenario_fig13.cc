@@ -45,13 +45,6 @@ constexpr Benchmark kSet[] = {Benchmark::Hotspot, Benchmark::Backprop,
                               Benchmark::Fastwalsh};
 constexpr int kSetSize = 3;
 
-/** One run: a conventional baseline or one (weights, benchmark). */
-struct Run
-{
-    int weight; // -1 = conventional-VRM baseline
-    int bench;  // index into kSet
-};
-
 struct Outcome
 {
     double penaltyPct;
@@ -66,34 +59,26 @@ runFig13ActuatorTradeoff(ScenarioContext &ctx)
     // The serial binary re-ran the three conventional baselines for
     // every weight point; they are deterministic, so run them once
     // and reuse the results for every point's normalization.
-    std::vector<Run> runs;
-    for (int j = 0; j < kSetSize; ++j)
-        runs.push_back({-1, j});
-    for (int w = 0; w < kNumPoints; ++w)
-        for (int j = 0; j < kSetSize; ++j)
-            runs.push_back({w, j});
-
-    const auto results = exec::runSweep(
-        ctx.pool, runs, /*sweepSeed=*/13,
-        [&ctx](const Run &run, exec::TaskContext &) {
-            CosimConfig cfg;
-            if (run.weight < 0) {
-                cfg.pds = defaultPds(PdsKind::ConventionalVrm);
-            } else {
-                const WeightPoint &w = kPoints[run.weight];
-                cfg.pds = defaultPds(PdsKind::VsCrossLayer);
-                cfg.pds.controller.w1 = w.w1;
-                cfg.pds.controller.w2 = w.w2;
-                cfg.pds.controller.w3 = w.w3;
-            }
-            cfg.maxCycles = ctx.cycles(200000);
-            const std::string label =
-                std::string(benchmarkName(kSet[run.bench])) +
-                (run.weight < 0
-                     ? "/conv"
-                     : "/w" + std::to_string(run.weight));
-            return runPoint(ctx, cfg, kSet[run.bench], label);
-        });
+    std::vector<RunPoint> runs;
+    CosimConfig conv;
+    conv.pds = defaultPds(PdsKind::ConventionalVrm);
+    conv.maxCycles = ctx.cycles(200000);
+    for (Benchmark b : kSet)
+        runs.push_back({std::string(benchmarkName(b)) + "/conv", conv,
+                        benchWorkload(ctx, b)});
+    for (int w = 0; w < kNumPoints; ++w) {
+        CosimConfig cfg;
+        cfg.pds = defaultPds(PdsKind::VsCrossLayer);
+        cfg.pds.controller.w1 = kPoints[w].w1;
+        cfg.pds.controller.w2 = kPoints[w].w2;
+        cfg.pds.controller.w3 = kPoints[w].w3;
+        cfg.maxCycles = ctx.cycles(200000);
+        for (Benchmark b : kSet)
+            runs.push_back(
+                {std::string(benchmarkName(b)) + "/w" + std::to_string(w),
+                 cfg, benchWorkload(ctx, b)});
+    }
+    const auto results = runAll(ctx, runs);
 
     const auto outcomeOf = [&results](int w) {
         double cyclesBase = 0.0, cyclesTest = 0.0;

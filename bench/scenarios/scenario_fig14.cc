@@ -20,41 +20,23 @@
 namespace vsgpu::scen
 {
 
-namespace
-{
-
-struct Run
-{
-    Benchmark bench;
-    bool crossLayer;
-};
-
-} // namespace
-
 Summary
 runFig14PenaltySaving(ScenarioContext &ctx)
 {
     const auto &benches = allBenchmarks();
 
-    std::vector<Run> runs;
+    // Per benchmark: the conventional baseline, then cross-layer VS.
+    CosimConfig conv, vs;
+    conv.pds = defaultPds(PdsKind::ConventionalVrm);
+    vs.pds = defaultPds(PdsKind::VsCrossLayer);
+    conv.maxCycles = vs.maxCycles = ctx.cycles(250000);
+    std::vector<RunPoint> runs;
     for (Benchmark b : benches) {
-        runs.push_back({b, false});
-        runs.push_back({b, true});
+        const std::string name = benchmarkName(b);
+        runs.push_back({name + "/conv", conv, benchWorkload(ctx, b)});
+        runs.push_back({name + "/vs", vs, benchWorkload(ctx, b)});
     }
-
-    const auto results = exec::runSweep(
-        ctx.pool, runs, /*sweepSeed=*/14,
-        [&ctx](const Run &run, exec::TaskContext &) {
-            CosimConfig cfg;
-            cfg.pds = defaultPds(run.crossLayer
-                                     ? PdsKind::VsCrossLayer
-                                     : PdsKind::ConventionalVrm);
-            cfg.maxCycles = ctx.cycles(250000);
-            const std::string label =
-                std::string(benchmarkName(run.bench)) +
-                (run.crossLayer ? "/vs" : "/conv");
-            return runPoint(ctx, cfg, run.bench, label);
-        });
+    const auto results = runAll(ctx, runs);
 
     Table table("cross-layer VS vs conventional VRM");
     table.setHeader({"benchmark", "penalty %", "net saving %",

@@ -12,8 +12,6 @@
  */
 
 #include "bench/scenarios/scenario_util.hh"
-#include "hypervisor/dfs.hh"
-#include "hypervisor/vs_hypervisor.hh"
 
 namespace vsgpu::scen
 {
@@ -29,15 +27,6 @@ constexpr int kSetSize = 4;
 constexpr double kTargets[] = {0.9, 0.7, 0.5};
 constexpr int kNumTargets = 3;
 
-/** One DFS run: a (configuration, performance target, benchmark). */
-struct Run
-{
-    PdsKind kind;
-    double perfTarget;
-    bool useHypervisor;
-    int bench; // index into kSet
-};
-
 struct DfsGroup
 {
     double wallJ = 0.0;
@@ -52,44 +41,27 @@ runFig15Dfs(ScenarioContext &ctx)
 {
     // Groups of kSetSize runs, in reduction order: the conventional
     // peak normalization, then (conventional, VS) per target.
-    std::vector<Run> runs;
-    const auto addGroup = [&runs](PdsKind kind, double target,
-                                  bool hv) {
-        for (int j = 0; j < kSetSize; ++j)
-            runs.push_back({kind, target, hv, j});
+    std::vector<RunPoint> runs;
+    // DFS runs under the VS-aware hypervisor on the stacked PDS.
+    const auto addGroup = [&ctx, &runs](PdsKind kind, double target) {
+        CosimConfig cfg;
+        cfg.pds = defaultPds(kind);
+        cfg.maxCycles = ctx.cycles(300000);
+        const bool hv = kind == PdsKind::VsCrossLayer;
+        for (Benchmark b : kSet)
+            runs.push_back({std::string(pdsName(kind)) +
+                                (hv ? "+hv" : "") + "/target=" +
+                                formatFixed(target, 1) + "/" +
+                                benchmarkName(b),
+                            cfg, benchWorkload(ctx, b),
+                            DfsConfig{.perfTarget = target}});
     };
-    addGroup(PdsKind::ConventionalVrm, 1.0, false);
+    addGroup(PdsKind::ConventionalVrm, 1.0);
     for (double target : kTargets) {
-        addGroup(PdsKind::ConventionalVrm, target, false);
-        addGroup(PdsKind::VsCrossLayer, target, true);
+        addGroup(PdsKind::ConventionalVrm, target);
+        addGroup(PdsKind::VsCrossLayer, target);
     }
-
-    const auto results = exec::runSweep(
-        ctx.pool, runs, /*sweepSeed=*/15,
-        [&ctx](const Run &run, exec::TaskContext &) {
-            DfsConfig dcfg;
-            dcfg.perfTarget = run.perfTarget;
-            DfsGovernor dfs(dcfg);
-            VsAwareHypervisor hv;
-
-            CosimConfig cfg;
-            cfg.pds = defaultPds(run.kind);
-            cfg.maxCycles = ctx.cycles(300000);
-            cfg.sampleEvery = Seconds{ctx.sampleEverySec};
-            CoSimulator sim(ctx.cache.withSetup(cfg));
-            sim.attachDfs(&dfs);
-            if (run.useHypervisor)
-                sim.attachHypervisor(&hv);
-            CosimResult r =
-                sim.run(benchWorkload(ctx, kSet[run.bench]));
-            const std::string label =
-                std::string(pdsName(run.kind)) +
-                (run.useHypervisor ? "+hv" : "") + "/target=" +
-                formatFixed(run.perfTarget, 1) + "/" +
-                benchmarkName(kSet[run.bench]);
-            ctx.recordObs(label, r);
-            return r;
-        });
+    const auto results = runAll(ctx, runs);
 
     const auto groupOf = [&results](int g) {
         DfsGroup out;

@@ -9,8 +9,6 @@
  */
 
 #include "bench/scenarios/scenario_util.hh"
-#include "hypervisor/pg.hh"
-#include "hypervisor/vs_hypervisor.hh"
 
 namespace vsgpu::scen
 {
@@ -31,26 +29,18 @@ struct Config
     const char *id; // metric-name stem
     PdsKind kind;
     bool gating;
-    bool useHypervisor;
 };
 
 constexpr Config kConfigs[] = {
     {"conventional, no PG", "conv_nopg", PdsKind::ConventionalVrm,
-     false, false},
-    {"conventional + Warped Gates", "conv_pg",
-     PdsKind::ConventionalVrm, true, false},
-    {"VS cross-layer, no PG", "vs_nopg", PdsKind::VsCrossLayer, false,
      false},
+    {"conventional + Warped Gates", "conv_pg",
+     PdsKind::ConventionalVrm, true},
+    {"VS cross-layer, no PG", "vs_nopg", PdsKind::VsCrossLayer, false},
     {"VS cross-layer + PG (hypervisor)", "vs_pg",
-     PdsKind::VsCrossLayer, true, true},
+     PdsKind::VsCrossLayer, true},
 };
 constexpr int kNumConfigs = 4;
-
-struct Run
-{
-    int config; // index into kConfigs
-    int bench;  // index into kSet
-};
 
 struct PgGroup
 {
@@ -63,36 +53,17 @@ struct PgGroup
 Summary
 runFig16Pg(ScenarioContext &ctx)
 {
-    std::vector<Run> runs;
-    for (int c = 0; c < kNumConfigs; ++c)
-        for (int j = 0; j < kSetSize; ++j)
-            runs.push_back({c, j});
-
-    const auto results = exec::runSweep(
-        ctx.pool, runs, /*sweepSeed=*/16,
-        [&ctx](const Run &run, exec::TaskContext &) {
-            const Config &c = kConfigs[run.config];
-            PgGovernor pg;
-            VsAwareHypervisor hv;
-            CosimConfig cfg;
-            cfg.pds = defaultPds(c.kind);
-            if (c.gating)
-                cfg.gpu.sm.scheduler = SchedulerKind::Gates;
-            cfg.maxCycles = ctx.cycles(300000);
-            cfg.sampleEvery = Seconds{ctx.sampleEverySec};
-            CoSimulator sim(ctx.cache.withSetup(cfg));
-            if (c.gating) {
-                sim.attachPg(&pg);
-                if (c.useHypervisor)
-                    sim.attachHypervisor(&hv);
-            }
-            CosimResult r =
-                sim.run(benchWorkload(ctx, kSet[run.bench]));
-            ctx.recordObs(std::string(c.id) + "/" +
-                              benchmarkName(kSet[run.bench]),
-                          r);
-            return r;
-        });
+    std::vector<RunPoint> runs;
+    for (const Config &c : kConfigs) {
+        CosimConfig cfg;
+        cfg.pds = defaultPds(c.kind);
+        cfg.maxCycles = ctx.cycles(300000);
+        for (Benchmark b : kSet)
+            runs.push_back({std::string(c.id) + "/" + benchmarkName(b),
+                            cfg, benchWorkload(ctx, b), std::nullopt,
+                            c.gating});
+    }
+    const auto results = runAll(ctx, runs);
 
     const auto groupOf = [&results](int c) {
         PgGroup out;

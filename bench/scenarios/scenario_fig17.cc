@@ -14,9 +14,6 @@
 #include <array>
 
 #include "bench/scenarios/scenario_util.hh"
-#include "hypervisor/dfs.hh"
-#include "hypervisor/pg.hh"
-#include "hypervisor/vs_hypervisor.hh"
 
 namespace vsgpu::scen
 {
@@ -24,22 +21,8 @@ namespace vsgpu::scen
 namespace
 {
 
-enum class Pm
-{
-    None,
-    Dfs,
-    Pg,
-};
-
 constexpr double kDfsTargets[] = {0.7, 0.5, 0.2};
 constexpr int kNumDfsTargets = 3;
-
-struct Run
-{
-    Benchmark bench;
-    Pm pm;
-    double dfsTarget;
-};
 
 using Bins = std::array<double, 4>;
 
@@ -51,58 +34,31 @@ runFig17Imbalance(ScenarioContext &ctx)
     const auto &benches = allBenchmarks();
     const int nb = static_cast<int>(benches.size());
 
-    // Groups of nb runs each: no-PM, DFS per target, PG.
-    std::vector<Run> runs;
-    const auto addGroup = [&](Pm pm, double target) {
+    // Groups of nb runs each: no-PM, DFS per target, PG.  Both
+    // managers run under the VS-aware hypervisor.
+    std::vector<RunPoint> runs;
+    const auto addGroup = [&](const char *pm, double target,
+                              std::optional<DfsConfig> dfs, bool pg) {
+        CosimConfig cfg;
+        cfg.pds = defaultPds(PdsKind::VsCrossLayer);
+        cfg.maxCycles = ctx.cycles(200000);
         for (Benchmark b : benches)
-            runs.push_back({b, pm, target});
+            runs.push_back({std::string(pm) + "/target=" +
+                                formatFixed(target, 1) + "/" +
+                                benchmarkName(b),
+                            cfg, benchWorkload(ctx, b), dfs, pg});
     };
-    addGroup(Pm::None, 1.0);
+    addGroup("none", 1.0, std::nullopt, false);
     for (double target : kDfsTargets)
-        addGroup(Pm::Dfs, target);
-    addGroup(Pm::Pg, 1.0);
-
-    const auto results = exec::runSweep(
-        ctx.pool, runs, /*sweepSeed=*/17,
-        [&ctx](const Run &run, exec::TaskContext &) {
-            DfsConfig dcfg;
-            dcfg.perfTarget = run.dfsTarget;
-            DfsGovernor dfs(dcfg);
-            PgGovernor pg;
-            VsAwareHypervisor hv;
-
-            CosimConfig cfg;
-            cfg.pds = defaultPds(PdsKind::VsCrossLayer);
-            if (run.pm == Pm::Pg)
-                cfg.gpu.sm.scheduler = SchedulerKind::Gates;
-            cfg.maxCycles = ctx.cycles(200000);
-            cfg.sampleEvery = Seconds{ctx.sampleEverySec};
-            CoSimulator sim(ctx.cache.withSetup(cfg));
-            if (run.pm == Pm::Dfs) {
-                sim.attachDfs(&dfs);
-                sim.attachHypervisor(&hv);
-            } else if (run.pm == Pm::Pg) {
-                sim.attachPg(&pg);
-                sim.attachHypervisor(&hv);
-            }
-            const CosimResult r =
-                sim.run(benchWorkload(ctx, run.bench));
-            const char *pm = run.pm == Pm::None  ? "none"
-                             : run.pm == Pm::Dfs ? "dfs"
-                                                 : "pg";
-            const std::string label =
-                std::string(pm) + "/target=" +
-                formatFixed(run.dfsTarget, 1) + "/" +
-                benchmarkName(run.bench);
-            ctx.recordObs(label, r);
-            return r.imbalanceBins;
-        });
+        addGroup("dfs", target, DfsConfig{.perfTarget = target}, false);
+    addGroup("pg", 1.0, std::nullopt, true);
+    const auto results = runAll(ctx, runs);
 
     const auto averageOf = [&](int group) {
         Bins acc{};
         for (int j = 0; j < nb; ++j) {
             const Bins &bins = results[static_cast<std::size_t>(
-                group * nb + j)];
+                group * nb + j)].imbalanceBins;
             for (std::size_t i = 0; i < 4; ++i)
                 acc[i] += bins[i];
         }
@@ -116,7 +72,8 @@ runFig17Imbalance(ScenarioContext &ctx)
             if (benches[static_cast<std::size_t>(j)] == b)
                 idx = j;
         panicIfNot(idx >= 0, "benchmark not in suite");
-        return results[static_cast<std::size_t>(group * nb + idx)];
+        return results[static_cast<std::size_t>(group * nb + idx)]
+            .imbalanceBins;
     };
 
     Table table("imbalance bins (fraction of windows)");

@@ -13,39 +13,13 @@
 namespace vsgpu::scen
 {
 
-namespace
-{
-
-struct Run
-{
-    int kind; // index into kPdsKinds
-    Benchmark bench;
-};
-
-} // namespace
-
 Summary
 runTable3PdsComparison(ScenarioContext &ctx)
 {
     const auto &benches = allBenchmarks();
     const int nb = static_cast<int>(benches.size());
 
-    std::vector<Run> runs;
-    for (int k = 0; k < kNumPdsKinds; ++k)
-        for (Benchmark b : benches)
-            runs.push_back({k, b});
-
-    const auto results = exec::runSweep(
-        ctx.pool, runs, /*sweepSeed=*/3,
-        [&ctx](const Run &run, exec::TaskContext &) {
-            CosimConfig cfg;
-            cfg.pds = defaultPds(kPdsKinds[run.kind].kind);
-            cfg.maxCycles = ctx.cycles(defaultMaxCycles);
-            const std::string label =
-                std::string(kPdsKinds[run.kind].id) + "/" +
-                benchmarkName(run.bench);
-            return runPoint(ctx, cfg, run.bench, label);
-        });
+    const auto results = runAll(ctx, pdsComparisonRuns(ctx));
 
     Table table("Table III");
     table.setHeader({"PDS configuration", "PDE", "die area (mm^2)",

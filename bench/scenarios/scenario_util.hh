@@ -1,20 +1,24 @@
 /**
  * @file
  * Shared helpers for scenario implementations: workloads scale with
- * ctx.scale, co-simulator configurations pick up the shared
- * electrical setup from ctx.cache, and claim lines print to ctx.out.
+ * ctx.scale, every co-simulation is a RunPoint that runAll() runs on
+ * ctx.pool against the shared electrical setup of ctx.cache, and
+ * claim lines print to ctx.out.
  *
- * Task functions passed to exec::runSweep may call benchWorkload(),
- * runSpec() and runPoint() concurrently (all are thread-safe); they
- * must not write to ctx.out — printing happens in the ordered
- * reduction.
+ * A scenario lists its runs, calls runAll() once per list and folds
+ * the results, which come back in point order, into its tables and
+ * Summary.  Sweeps that run no co-simulation shard their points with
+ * exec::runSweep directly; their task functions must not write to
+ * ctx.out (printing happens in the ordered reduction).
  */
 
 #ifndef VSGPU_BENCH_SCENARIOS_SCENARIO_UTIL_HH
 #define VSGPU_BENCH_SCENARIOS_SCENARIO_UTIL_HH
 
+#include <optional>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "bench/scenarios/scenarios.hh"
 #include "common/table.hh"
@@ -57,34 +61,54 @@ benchWorkload(const ScenarioContext &ctx, Benchmark b,
 }
 
 /**
- * Run one workload against one configuration, sharing the electrical
- * setup through the scenario's cache.  Bitwise-identical to building
- * the setup privately.  @p label names the run in the time-series
- * dump (unique per scenario); the context's telemetry cadence is
- * injected here, so scenario code never has to know whether sampling
- * is on.  The workload is used as given: fixed-length worst-case
- * runs pass an unscaled spec.
+ * One co-simulation of a scenario.  @p label names the run in the
+ * time-series dump and must be unique per scenario.  The workload is
+ * run as given: fixed-length worst-case runs pass an unscaled spec.
  */
-inline CosimResult
-runSpec(ScenarioContext &ctx, const CosimConfig &cfg,
-        const WorkloadSpec &workload, const std::string &label)
+struct RunPoint
 {
-    CosimConfig pointCfg = cfg;
-    pointCfg.sampleEvery = Seconds{ctx.sampleEverySec};
-    CoSimulator sim(ctx.cache.withSetup(pointCfg));
-    CosimResult result = sim.run(workload);
-    ctx.recordObs(label, result);
-    return result;
-}
+    std::string label;
+    CosimConfig cfg;
+    WorkloadSpec workload;
 
-/** runSpec() on benchmark @p b at the ctx-scaled sweep size. */
-inline CosimResult
-runPoint(ScenarioContext &ctx, const CosimConfig &cfg, Benchmark b,
-         const std::string &label,
-         int baseInstrs = sweepBenchInstrs)
+    /** Attach a DFS governor with this configuration. */
+    std::optional<DfsConfig> dfs{};
+
+    /** Attach a PG governor; the run uses the GATES scheduler. */
+    bool pg = false;
+};
+
+/**
+ * Run every point, one pool task each, on the setup that ctx.cache
+ * shares between points of one PDS configuration, and return the
+ * results in point order.  Injects the context's sampling window,
+ * attaches the point's governors and records each run's counters,
+ * time series, profile and control audit into ctx.  A point with
+ * a governor also gets the VS-aware hypervisor, which the
+ * co-simulator applies on voltage-stacked PDSs only.  A label already
+ * used in this scenario panics before anything runs.
+ */
+std::vector<CosimResult> runAll(ScenarioContext &ctx,
+                                const std::vector<RunPoint> &points);
+
+/**
+ * The Table III / Fig. 8 grid: every benchmark under each of the
+ * four default PDS configurations, kind-major in kPdsKinds order.
+ */
+inline std::vector<RunPoint>
+pdsComparisonRuns(const ScenarioContext &ctx)
 {
-    return runSpec(ctx, cfg, benchWorkload(ctx, b, baseInstrs),
-                   label);
+    std::vector<RunPoint> points;
+    for (const PdsKindRow &row : kPdsKinds) {
+        CosimConfig cfg;
+        cfg.pds = defaultPds(row.kind);
+        cfg.maxCycles = ctx.cycles(defaultMaxCycles);
+        for (Benchmark b : allBenchmarks())
+            points.push_back(
+                {std::string(row.id) + "/" + benchmarkName(b), cfg,
+                 benchWorkload(ctx, b)});
+    }
+    return points;
 }
 
 /**

@@ -100,6 +100,58 @@ addAuditFindings(std::set<std::string> &out, const ModelAudit &audit)
                    d.id + "|" + d.subject);
 }
 
+namespace
+{
+
+/** Sum one run's counters and keep its telemetry and control audit
+ *  (thread-safe; called from the run's task). */
+void
+recordObs(ScenarioContext &ctx, const std::string &label,
+          const CosimResult &r)
+{
+    std::lock_guard<std::mutex> lock(ctx.countersMutex);
+    ctx.counters.add(r.counters);
+    if (r.timeSeries) {
+        r.timeSeries->label = label;
+        ctx.series.emplace(label, r.timeSeries);
+    }
+    if (r.profile)
+        ctx.profile.merge(*r.profile);
+    addAuditFindings(ctx.auditFindings, r.controlAudit);
+}
+
+} // namespace
+
+std::vector<CosimResult>
+runAll(ScenarioContext &ctx, const std::vector<RunPoint> &points)
+{
+    for (const RunPoint &p : points)
+        panicIfNot(ctx.runLabels.insert(p.label).second,
+                   "duplicate run label '", p.label, "'");
+    std::vector<CosimResult> results(points.size());
+    ctx.pool.parallelFor(static_cast<int>(points.size()), [&](int i) {
+        const RunPoint &p = points[static_cast<std::size_t>(i)];
+        CosimConfig cfg = p.cfg;
+        cfg.sampleEvery = Seconds{ctx.sampleEverySec};
+        if (p.pg)
+            cfg.gpu.sm.scheduler = SchedulerKind::Gates;
+        std::optional<DfsGovernor> dfs;
+        PgGovernor pg;
+        VsAwareHypervisor hv;
+        CoSimulator sim(ctx.cache.withSetup(cfg));
+        if (p.dfs)
+            sim.attachDfs(&dfs.emplace(*p.dfs));
+        if (p.pg)
+            sim.attachPg(&pg);
+        if (p.dfs || p.pg)
+            sim.attachHypervisor(&hv);
+        CosimResult &r = results[static_cast<std::size_t>(i)];
+        r = sim.run(p.workload);
+        recordObs(ctx, p.label, r);
+    });
+    return results;
+}
+
 Summary
 runScenario(const ScenarioInfo &info, const ScenarioOptions &opts,
             std::ostream &out, obs::StatsSnapshot *stats,

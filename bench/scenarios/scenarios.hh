@@ -11,10 +11,11 @@
  *   - the tier-1 golden regression tests, which replay scenarios at
  *     goldenScale and byte-compare the recorded summaries.
  *
- * Scenarios shard their independent co-simulation runs across
- * ctx.pool (exec::runSweep) and share per-configuration electrical
- * setup through ctx.cache, so results are bitwise-identical for any
- * --jobs value; see docs/parallel_exec.md.
+ * Scenarios list their co-simulations as RunPoints and run them with
+ * runAll() (scenario_util.hh), which shards them across ctx.pool,
+ * shares per-configuration electrical setup through ctx.cache and
+ * records every run into the context, so results are
+ * bitwise-identical for any --jobs value; see docs/parallel_exec.md.
  *
  * The registry is an explicit list (no static self-registration —
  * linker-proof and greppable).
@@ -34,7 +35,6 @@
 #include <vector>
 
 #include "bench/scenarios/summary.hh"
-#include "common/logging.hh"
 #include "common/units.hh"
 #include "exec/pool.hh"
 #include "exec/setup_cache.hh"
@@ -106,8 +106,8 @@ struct ScenarioContext
     /** Sink for the human-readable tables. */
     std::ostream &out;
 
-    /** Sampling window injected into every runPoint() config (sim
-     *  seconds; <= 0 disables; ScenarioOptions::sampleEverySec). */
+    /** Sampling window runAll() sets on every run (sim seconds;
+     *  <= 0 disables; ScenarioOptions::sampleEverySec). */
     double sampleEverySec = 0.0;
 
     /** Scale an instruction budget (>= 1). */
@@ -126,49 +126,33 @@ struct ScenarioContext
         return std::max<Cycle>(5000, static_cast<Cycle>(scaled));
     }
 
+    // What runAll() recorded of every run; runScenario() reads it
+    // after the scenario returns.
+
+    /** Labels of every run, each unique in the scenario. */
+    std::set<std::string> runLabels{};
+
     /**
-     * Accumulated event counters over every co-simulation the
-     * scenario ran.  Counters are unsigned integers and recordObs()
-     * sums element-wise under the mutex, so the totals are exact
-     * and independent of pool scheduling: stats dumps built from
-     * them are bitwise identical for --jobs 1 and --jobs N.
+     * Event counters summed over every run.  They are unsigned
+     * integers summed element-wise under the mutex, so the totals are
+     * exact and independent of pool scheduling: stats dumps built
+     * from them are bitwise identical for --jobs 1 and --jobs N.
      */
     CosimCounters counters{};
     std::mutex countersMutex{};
 
     /**
-     * Per-run time series keyed by sweep-point label, and the
-     * scenario-wide stage-cost profile.  The map keys order the
-     * eventual dump, so it is identical for any --jobs value even
-     * though tasks *finish* in schedule order.
+     * Per-run time series keyed by run label, and the scenario-wide
+     * stage-cost profile.  The map keys order the eventual dump, so
+     * it is identical for any --jobs value even though tasks
+     * *finish* in schedule order.
      */
     std::map<std::string, std::shared_ptr<obs::TimeSeriesRun>>
         series{};
     obs::Profile profile{};
 
-    /** Control-audit findings of the recorded runs. */
+    /** Control-audit findings of the runs. */
     std::set<std::string> auditFindings{};
-
-    /**
-     * Record one run's counters plus its optional telemetry under
-     * @p label (thread-safe; call from tasks).  Labels identify runs
-     * in the time-series dump and must be unique per scenario —
-     * duplicates panic rather than silently shadowing a run.
-     */
-    void
-    recordObs(const std::string &label, const CosimResult &r)
-    {
-        std::lock_guard<std::mutex> lock(countersMutex);
-        counters.add(r.counters);
-        if (r.timeSeries) {
-            r.timeSeries->label = label;
-            panicIfNot(series.emplace(label, r.timeSeries).second,
-                       "duplicate time-series label '", label, "'");
-        }
-        if (r.profile)
-            profile.merge(*r.profile);
-        addAuditFindings(auditFindings, r.controlAudit);
-    }
 };
 
 using ScenarioFn = Summary (*)(ScenarioContext &ctx);

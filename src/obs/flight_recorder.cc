@@ -44,6 +44,7 @@ FlightRecorder::beginRun(std::string subject, std::string fingerprint)
     recorded_ = 0;
     subject_ = std::move(subject);
     fingerprint_ = std::move(fingerprint);
+    inRun_ = true;
 }
 
 std::size_t
@@ -148,7 +149,7 @@ flightCrashDump(LogLevel, const std::string &)
     // Runs on the crashing thread, so instance() is the ring that
     // recorded the dying run.
     const FlightRecorder &recorder = FlightRecorder::instance();
-    if (recorder.subject().empty() && recorder.size() == 0)
+    if (!recorder.inRun())
         return;
     // The dump must reach the terminal even when a test or frontend
     // replaced the log sink: the process is about to terminate and

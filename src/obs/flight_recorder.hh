@@ -55,6 +55,13 @@ class FlightRecorder
      *  config fingerprint) for the dump banner. */
     void beginRun(std::string subject, std::string fingerprint);
 
+    /** Mark the run over; its records stay readable, but the crash
+     *  hook no longer dumps them. */
+    void endRun() { inRun_ = false; }
+
+    /** @return whether a run began and has not ended. */
+    bool inRun() const { return inRun_; }
+
     void
     record(const char *tag, double timeSec, std::uint64_t cycle,
            double a, double b)
@@ -93,6 +100,7 @@ class FlightRecorder
     std::uint64_t recorded_ = 0;
     std::string subject_;
     std::string fingerprint_;
+    bool inRun_ = false;
 };
 
 /** Global recording gate (relaxed atomic; default on). */
@@ -106,8 +114,10 @@ void setFlightDumpPath(std::string path);
 /**
  * Install the crash hook that dumps this thread's recorder on
  * fatal()/panic().  Idempotent; the co-simulator calls it at run
- * start.  The dump is skipped entirely when the recorder has no run
- * context and no records (e.g. CLI argument errors).
+ * start.  The hook fires at the fatal()/panic() site, before any
+ * unwinding, and dumps only while a run is in progress on the
+ * crashing thread: CLI argument errors and output errors after a run
+ * ended print no dump.
  */
 void installFlightRecorderCrashDump();
 

@@ -171,7 +171,7 @@ class SeriesRecorder final : public CycleObserver
 };
 
 /** Kernel launches and per-cycle rail extremes into this thread's
- *  flight recorder, whose crash dump it arms. */
+ *  flight recorder, whose crash dump it arms for its own lifetime. */
 class FlightLog final : public CycleObserver
 {
   public:
@@ -181,6 +181,10 @@ class FlightLog final : public CycleObserver
         flight_.beginRun(pdsName(cfg.pds.kind),
                          obs::fnv1a64Hex(setup.key));
     }
+
+    ~FlightLog() override { flight_.endRun(); }
+    FlightLog(const FlightLog &) = delete;
+    FlightLog &operator=(const FlightLog &) = delete;
 
     void
     kernelLaunched(std::size_t index, const CycleView &v) override

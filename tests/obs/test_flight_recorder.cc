@@ -4,7 +4,8 @@
  * oldest-eviction, chronological snapshots, the text/JSON dump
  * shapes, and the crash-hook death fixtures — a NaN-guard trip in
  * the co-simulation loop and a control-model verify-gate failure
- * must both dump the recorder to stderr before dying.
+ * must both dump the recorder to stderr before dying, and a fatal()
+ * after the run has returned must not.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/logging.hh"
 #include "obs/flight_recorder.hh"
 #include "sim/cosim.hh"
 #include "workloads/suite.hh"
@@ -146,6 +148,22 @@ TEST(FlightRecorderDeath, VerifyGateFailureDumpsRecorder)
             sim.run(smallBench());
         },
         "vsgpu flight recorder");
+}
+
+/** Once the run has returned, a fatal() (say, a stats file that
+ *  cannot be written) is no crash of the run: the records stay
+ *  readable, but the hook prints nothing past the fatal message. */
+TEST(FlightRecorderDeath, FatalAfterTheRunDumpsNothing)
+{
+    CosimConfig cfg;
+    cfg.maxCycles = 2000;
+    CoSimulator(cfg).run(smallBench());
+    const FlightRecorder &fr = FlightRecorder::instance();
+    EXPECT_FALSE(fr.inRun());
+    EXPECT_GT(fr.size(), 0u);
+    EXPECT_EXIT(fatal("cannot write 'stats.json'"),
+                ::testing::ExitedWithCode(1),
+                "^fatal: cannot write 'stats.json'\n$");
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * scenario, the summary JSON, the stats dump, the manifest
  * fingerprint, and the time-series dump must be bitwise identical for
  * --jobs 1 and --jobs 8; enabling tracing, sampling, or profiling must not
- * perturb simulation results.
+ * perturb simulation results.  The scenario runner, runAll(), must
+ * return what direct co-simulations of its points return.
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "bench/scenarios/scenarios.hh"
+#include "bench/scenarios/scenario_util.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
+#include "sim/stats_export.hh"
 
 namespace vsgpu::scen
 {
@@ -179,6 +181,75 @@ TEST(ObsDeterminism, SummaryJsonRoundTripsThroughParser)
     std::ostringstream once;
     writeSummaryJson(parsed, once);
     EXPECT_EQ(once.str(), dump.summaryJson);
+}
+
+/** The run's scalars and counters, as `vsgpu run --stats-out`
+ *  dumps them. */
+std::string
+runStatsJson(const CosimResult &r)
+{
+    obs::StatsSnapshot stats;
+    appendRunStats(stats, r);
+    std::ostringstream json;
+    obs::writeStatsJson(stats, json);
+    return json.str();
+}
+
+/** A plain run and a VS cross-layer run with PG and the hypervisor:
+ *  runAll() returns them in point order, equipped with their
+ *  governors, bit for bit as direct co-simulations. */
+TEST(RunAll, MatchesDirectRunsInPointOrder)
+{
+    exec::Pool pool(2);
+    exec::SetupCache cache;
+    std::ostringstream out;
+    ScenarioContext ctx{pool, cache, kScale, out};
+
+    CosimConfig plain;
+    plain.pds = defaultPds(PdsKind::ConventionalVrm);
+    plain.maxCycles = 20000;
+    CosimConfig cross;
+    cross.pds = defaultPds(PdsKind::VsCrossLayer);
+    cross.maxCycles = 20000;
+    const WorkloadSpec bfs = benchWorkload(ctx, Benchmark::Bfs);
+    const std::vector<RunPoint> points = {
+        {"vrm/plain", plain, bfs},
+        {"vs/pg", cross, bfs, std::nullopt, true}};
+    const std::vector<CosimResult> results = runAll(ctx, points);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].counters.pgGateRequests, 0u);
+    EXPECT_GT(results[1].counters.pgGateRequests, 0u);
+
+    const CosimResult direct0 =
+        CoSimulator(plain).run(points[0].workload);
+    CosimConfig gates = cross;
+    gates.gpu.sm.scheduler = SchedulerKind::Gates;
+    PgGovernor pg;
+    VsAwareHypervisor hv;
+    CoSimulator sim(gates);
+    sim.attachPg(&pg);
+    sim.attachHypervisor(&hv);
+    const CosimResult direct1 = sim.run(points[1].workload);
+
+    EXPECT_EQ(runStatsJson(results[0]), runStatsJson(direct0));
+    EXPECT_EQ(runStatsJson(results[1]), runStatsJson(direct1));
+    EXPECT_EQ(results[0].imbalanceBins, direct0.imbalanceBins);
+    EXPECT_EQ(results[1].imbalanceBins, direct1.imbalanceBins);
+}
+
+/** A label names one run in the series dump, so a repeated label
+ *  panics whether or not sampling is on, before anything runs. */
+TEST(RunAllDeathTest, DuplicateLabelPanicsWithSamplingOff)
+{
+    exec::Pool pool(1);
+    exec::SetupCache cache;
+    std::ostringstream out;
+    ScenarioContext ctx{pool, cache, kScale, out};
+    ASSERT_LE(ctx.sampleEverySec, 0.0);
+    CosimConfig cfg;
+    cfg.maxCycles = 100;
+    const RunPoint p{"twice", cfg, benchWorkload(ctx, Benchmark::Bfs)};
+    EXPECT_DEATH(runAll(ctx, {p, p}), "duplicate run label 'twice'");
 }
 
 } // namespace
